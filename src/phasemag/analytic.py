@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .constants import NV, TWO_PI, PhysicalConstants
 from .errors import DegenerateSlope, InvalidParameter
@@ -233,6 +232,8 @@ def sensitivity(signal_fn: Callable, slope_fn: Callable | None,
     a = grid[max(0, i - 1)]
     b = grid[min(grid_points - 1, i + 1)]
     if b > a:
+        from scipy import optimize
+
         res = optimize.minimize_scalar(lambda x: -abs(float(slope_fn(x))),
                                        bounds=(a, b), method="bounded",
                                        options={"xatol": (hi - lo) * 1e-12})

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from . import analytic, noise as noise_mod, sequences
 from .analytic import DynamicModel, GeometricModel, adiabaticity
@@ -63,7 +62,9 @@ class SweepSpec:
     """One sweep request: protocol, control grids, field grid, engine.
 
     Angular frequencies in rad/s, times in seconds, fields in tesla.
-    ``omegas`` and ``n_rotations`` apply to the berry protocol only.
+    ``omegas`` and ``n_rotations`` apply to the berry protocol only;
+    ``step_control`` sets the mesh of the numeric+noise engine only, since
+    noise-free sequences are propagated in closed form.
     """
 
     protocol: str
@@ -153,8 +154,7 @@ def _curve(spec: SweepSpec, omega, n_rot, duration, b_grid, point_index):
         plan = sequences.build_berry(omega, n_rot, duration)
 
     if spec.engine == "numeric":
-        return sequences.execute_batch(plan, b_grid, step_control=spec.step_control,
-                                       constants=spec.constants)
+        return sequences.execute_batch(plan, b_grid, constants=spec.constants)
 
     # numeric+noise: ensemble average, one trajectory per run, stream keyed
     # by (seed, point index, trajectory index)
@@ -217,6 +217,8 @@ def _auto_decay_grid(S, a_value, quad, n_points=28):
         if total_chi(lo) < 0:
             break
         lo /= 2.0
+    from scipy import optimize
+
     t1e = optimize.brentq(total_chi, lo, hi, rtol=1e-10)
     return np.linspace(0.15 * t1e, 2.1 * t1e, n_points)
 
@@ -459,14 +461,14 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
                                   sigma_p: float = 1.0,
                                   b_points: int = 161,
                                   constants: PhysicalConstants = NV,
-                                  step_control: Optional[StepControl] = None,
                                   quad: Optional[QuadratureSpec] = None):
     """Geometric sensitivity vs adiabaticity at fixed interaction time.
 
     Each target A is realized exactly by Omega = 2*pi*N/(A*T) at fixed N and
-    T.  Signal curves use the closed form for A <= 0.05 and the full
-    propagator above; both are attenuated by exp(-chi(T; A)).  The reference
-    is the free-precession sensitivity at the same T with its own
+    T.  Signal curves use the adiabatic chirp formula for A <= 0.05 and the
+    exact noise-free sequence (``sequences.execute_batch``, closed form in
+    the rotating frame) above; both are attenuated by exp(-chi(T; A)).  The
+    reference is the free-precession sensitivity at the same T with its own
     attenuation.  Returns (rows, crossover_a); crossover_a is the first
     grid A with eta_geo < eta_dyn, or None.
     """
@@ -488,9 +490,7 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
         else:
             engine = "numeric"
             plan = sequences.build_berry(omega, n_rotations, duration)
-            p_curve = sequences.execute_batch(plan, b_grid,
-                                              step_control=step_control,
-                                              constants=constants)
+            p_curve = sequences.execute_batch(plan, b_grid, constants=constants)
         w_att = math.exp(-decoherence_function(S, a_target, duration, quad).total)
         eta_geo_raw, _ = _sensitivity_from_curve(b_grid, p_curve, duration,
                                                  sigma_p, 0.0)

@@ -31,7 +31,6 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-from scipy import optimize
 
 from .constants import NV
 from .errors import (CalibrationFailure, FitFailure, InvalidParameter,
@@ -387,6 +386,8 @@ def fit_T2g(samples) -> tuple[float, float]:
     below = t[p < amp0 / math.e]
     t2g0 = float(below[0]) if below.size else float(t[-1])
     t2g0 = max(t2g0, 1e-3 * float(t[-1]))
+    from scipy import optimize
+
     try:
         popt, _ = optimize.curve_fit(model, t, p, p0=(amp0, t2g0),
                                      bounds=([0.0, 1e-6 * t[-1]],
@@ -426,6 +427,8 @@ def _one_over_e_time(exponent_fn, S: SpectralDensity, guess: float,
         fhi = f(hi)
     if not (flo < 0 < fhi):
         raise CalibrationFailure("could not bracket the 1/e decay time")
+    from scipy import optimize
+
     return float(optimize.brentq(f, lo, hi, xtol=guess * 1e-9, rtol=1e-12))
 
 
@@ -459,6 +462,8 @@ def calibrate_noise(t2_star: float, t2: float,
         r = _one_over_e_time(ramsey_exponent, S, t2_star, quad)
         e = _one_over_e_time(echo_exponent, S, t2, quad)
         return [math.log(r / t2_star), math.log(e / t2)]
+
+    from scipy import optimize
 
     try:
         sol = optimize.root(residual, [math.log(delta0), math.log(tau0)],

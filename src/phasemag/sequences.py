@@ -198,8 +198,13 @@ def execute_batch(plan: SequencePlan, b_values,
                   constants: PhysicalConstants = NV) -> np.ndarray:
     """Vectorized ``execute`` over a grid of static fields.
 
-    All fields share the mesh and, when given, the noise trajectory; the
-    refinement criterion is the worst Bloch-component change over the batch.
+    Without noise every segment is applied in closed form: free evolution is
+    a z rotation and a linearly swept drive is a constant rotation in the
+    frame that co-rotates with its phase (``_apply_swept_exact``), so
+    ``step_control`` is not used.  With a noise trajectory, free and swept
+    segments run on the Richardson mesh of ``core._swept_refine``; all fields
+    share that mesh and the trajectory, and the refinement criterion is the
+    worst Bloch-component change over the batch.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if not np.all(np.isfinite(b_values)):
@@ -217,46 +222,71 @@ def execute_batch(plan: SequencePlan, b_values,
             states = states @ _pulse_matrix(seg).T
         elif isinstance(seg, FreeEvolution):
             if noise_trajectory is None:
-                angle = dets_static * seg.duration
-                c, s = np.cos(angle), np.sin(angle)
-                x = states[:, 0] * c - states[:, 1] * s
-                y = states[:, 0] * s + states[:, 1] * c
-                states = np.stack([x, y, states[:, 2]], axis=1)
+                states = _precess_z(states, dets_static * seg.duration)
             else:
                 states = _run_swept(states, 0.0, 0.0, 0.0, seg.duration,
                                     dets_static, noise_trajectory, gamma,
                                     t_start, ctl)
             t_start += seg.duration
         elif isinstance(seg, SweptDrive):
-            states = _run_swept(states, seg.rabi, seg.phase_start,
-                                seg.phase_rate, seg.duration, dets_static,
-                                noise_trajectory, gamma, t_start, ctl)
+            if noise_trajectory is None:
+                states = _apply_swept_exact(states, seg, dets_static)
+            else:
+                states = _run_swept(states, seg.rabi, seg.phase_start,
+                                    seg.phase_rate, seg.duration, dets_static,
+                                    noise_trajectory, gamma, t_start, ctl)
             t_start += seg.duration
         else:
             raise InvalidParameter(f"unknown segment type {type(seg)!r}")
     return states[:, 2].copy()
 
 
+def _precess_z(states, angles):
+    """Rotate each state (m, 3) about +z by its own angle (m,)."""
+    c, s = np.cos(angles), np.sin(angles)
+    x = states[:, 0] * c - states[:, 1] * s
+    y = states[:, 0] * s + states[:, 1] * c
+    return np.stack([x, y, states[:, 2]], axis=1)
+
+
+def _apply_swept_exact(states, seg: SweptDrive, dets_static):
+    """Closed-form propagation of a noise-free linearly swept drive.
+
+    In the frame that co-rotates with the drive phase phi(t) = phi0 + r*t the
+    Larmor vector is the constant (rabi, 0, gamma*B - r), so the segment is
+
+        s <- Rz(phi0 + r*T) . Rot((rabi, 0, gamma*B - r), |.|*T) . Rz(-phi0) . s
+
+    (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167 (1954)), evaluated as
+    one (m, 3, 3) stack over the field grid.
+    """
+    if seg.rabi == 0.0:
+        # no drive, so the phase ramp is irrelevant: plain free evolution
+        return _precess_z(states, dets_static * seg.duration)
+    wz = dets_static - seg.phase_rate
+    r = np.hypot(seg.rabi, wz)
+    frame = core._rotation_matrices(seg.rabi / r, 0.0, wz / r, r * seg.duration)
+    enter = core._rotation_matrices(0.0, 0.0, 1.0, -seg.phase_start)
+    leave = core._rotation_matrices(
+        0.0, 0.0, 1.0, seg.phase_start + seg.phase_rate * seg.duration)
+    return np.einsum("mij,mj->mi", leave @ frame @ enter, states)
+
+
 def _run_swept(states, rabi, phase_start, phase_rate, duration, dets_static,
                noise_trajectory, gamma, t_start, ctl):
+    """Mesh propagation of one free or swept segment under a noise trajectory."""
     def phase_fn(t):
         return phase_start + phase_rate * np.asarray(t, dtype=float)
 
-    if noise_trajectory is None:
-        def det_fn(t):
-            t = np.asarray(t, dtype=float)
-            return np.broadcast_to(dets_static[None, :],
-                                   (t.shape[0], dets_static.size))
-    else:
-        def det_fn(t):
-            t = np.asarray(t, dtype=float)
-            offs = gamma * np.asarray(noise_trajectory(t_start + t), dtype=float)
-            if offs.ndim == 0:
-                offs = np.full(t.shape, float(offs))
-            if offs.ndim == 1:
-                offs = offs[:, None]
-            # offs is now (n, 1) shared noise or (n, m) one stream per channel
-            return dets_static[None, :] + offs
+    def det_fn(t):
+        t = np.asarray(t, dtype=float)
+        offs = gamma * np.asarray(noise_trajectory(t_start + t), dtype=float)
+        if offs.ndim == 0:
+            offs = np.full(t.shape, float(offs))
+        if offs.ndim == 1:
+            offs = offs[:, None]
+        # offs is now (n, 1) shared noise or (n, m) one stream per channel
+        return dets_static[None, :] + offs
 
     out, _ = core._swept_refine(states, rabi, phase_fn, det_fn, duration, ctl)
     return out

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasemag
 from phasemag.cli import SIGNAL_HEADER, main
 
 
@@ -312,3 +317,15 @@ class TestCalibrateCommand:
         code = run_cli("calibrate", "--t2star-us", "50", "--t2-us", "50",
                        "--out", "-")
         assert code == 3
+
+
+class TestStartup:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is most of the import cost of every CLI call; only
+        # the functions that solve or fit load it
+        src = str(Path(phasemag.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, phasemag; sys.exit('scipy.optimize' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert res.returncode == 0

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from phasemag import analytic
+from phasemag import analytic, core
 from phasemag.analytic import GeometricModel, berry_field_range
 from phasemag.constants import NV, TWO_PI, angular_from_mhz
-from phasemag.errors import InvalidParameter
+from phasemag.core import SpinState, StepControl
+from phasemag.errors import ConvergenceFailure, InvalidParameter
 from phasemag.noise import ou_trajectory
-from phasemag.sequences import (FreeEvolution, IdealPulse, SequencePlan,
-                                SweptDrive, build_berry, build_hahn,
-                                build_ramsey, execute, execute_batch)
+from phasemag.sequences import (READOUT_PHASE, FreeEvolution, IdealPulse,
+                                SequencePlan, SweptDrive, _apply_swept_exact,
+                                build_berry, build_hahn, build_ramsey, execute,
+                                execute_batch)
 
 W5 = angular_from_mhz(5.0)
 
@@ -166,6 +168,56 @@ class TestBerryExecution:
         p_co = execute_batch(corotating, bs)
         assert np.max(np.abs(p_std - p_co)) > 0.5
         assert np.allclose(p_std, analytic.berry_signal(model, bs), atol=0.01)
+
+
+class TestSweptClosedFormAgainstMesh:
+    """The noise-free closed form and the Richardson mesh are independent."""
+
+    RATE = 4 * math.pi * 3 / 8e-6
+
+    @pytest.mark.parametrize("seg", [
+        SweptDrive(W5, 0.0, RATE, 4e-6),
+        SweptDrive(W5, TWO_PI * 3, -RATE, 4e-6),
+        SweptDrive(angular_from_mhz(2.0), 0.7, RATE, 3e-6),
+        SweptDrive(angular_from_mhz(2.0), -1.3, -RATE, 3e-6),
+        SweptDrive(0.0, 0.4, RATE, 2e-6),
+    ], ids=["up", "down", "up-offset", "down-offset", "no-drive"])
+    def test_random_states_and_fields(self, seg):
+        rng = np.random.default_rng(17)
+        # B = 0, the rotating-frame resonance gamma*B = r, and random fields
+        bs = np.concatenate([[0.0, seg.phase_rate / NV.gamma],
+                             rng.uniform(-4e-4, 4e-4, 4)])
+        states = rng.standard_normal((bs.size, 3))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        got = _apply_swept_exact(states, seg, NV.gamma * bs)
+        for v, b, out in zip(states, bs, got):
+            det = NV.gamma * b
+            ref = core.propagate_swept(
+                SpinState.from_array(v), seg.rabi,
+                lambda t: seg.phase_start + seg.phase_rate * t,
+                lambda t: np.full(np.shape(t), det), seg.duration)
+            assert np.allclose(out, ref.as_array(), atol=1e-6, rtol=0)
+            assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+
+    def test_undriven_sweep_equals_free_evolution(self):
+        duration = 2e-6
+        prep = IdealPulse(0.0, math.pi / 2)
+        readout = IdealPulse(READOUT_PHASE, math.pi / 2)
+        swept = SequencePlan((prep, SweptDrive(0.0, 0.4, self.RATE, duration),
+                              readout), "undriven", duration)
+        bs = np.linspace(-3e-4, 3e-4, 31)
+        assert np.array_equal(execute_batch(swept, bs),
+                              execute_batch(build_ramsey(duration), bs))
+
+    def test_step_control_only_governs_the_mesh(self):
+        plan = build_berry(W5, 3, 8e-6)
+        bs = np.linspace(0, 3e-4, 9)
+        starved = StepControl(tol=1e-16, max_depth=1)
+        assert np.array_equal(execute_batch(plan, bs, step_control=starved),
+                              execute_batch(plan, bs))
+        with pytest.raises(ConvergenceFailure):
+            execute_batch(plan, bs, step_control=starved,
+                          noise_trajectory=lambda t: np.zeros_like(t))
 
 
 class TestOdeCrossValidation:
