@@ -135,26 +135,36 @@ def ramsey_ambiguities(m: DynamicModel, p_meas: float,
     """
     if not -1.0 <= p_meas <= 1.0:
         raise InvalidParameter(f"|P| must be <= 1, got {p_meas}")
+    return [b for b, _ in _ramsey_ladder(m, p_meas, b_window)]
+
+
+def _ramsey_ladder(m: DynamicModel, p: float,
+                   b_window: tuple[float, float]) -> list[tuple[float, int]]:
+    """(B, fringe k) pairs in the window with cos(gamma*B*T) = p, |p| <= 1.
+
+    B = (2*pi*k +/- acos(p))/(gamma*T), sorted by (B, k); fields within
+    1e-12 of the window scale of the previous kept one are merged into it.
+    """
     lo, hi = float(b_window[0]), float(b_window[1])
     if hi < lo:
         return []
-    a = math.acos(p_meas)
+    a = math.acos(p)
     gt = m.gamma * m.duration
     k_lo = math.floor((lo * gt - a) / TWO_PI) - 1
     k_hi = math.ceil((hi * gt + a) / TWO_PI) + 1
-    out = []
+    raw = []
     for k in range(k_lo, k_hi + 1):
         for phi in (TWO_PI * k + a, TWO_PI * k - a):
             b = phi / gt
             if lo - 1e-18 <= b <= hi + 1e-18:
-                out.append(b)
-    out.sort()
-    dedup = []
+                raw.append((b, k))
+    raw.sort()
+    ladder = []
     scale = max(abs(hi), abs(lo), 1.0 / gt)
-    for b in out:
-        if not dedup or b - dedup[-1] > 1e-12 * scale:
-            dedup.append(b)
-    return dedup
+    for b, k in raw:
+        if not ladder or b - ladder[-1][0] > 1e-12 * scale:
+            ladder.append((b, k))
+    return ladder
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, analytic, harness, noise as noise_mod, sequences
+from . import __version__, analytic, harness, noise as noise_mod
 from .analytic import DynamicModel, GeometricModel, HyperfineModel
 from .constants import TWO_PI, PhysicalConstants, angular_from_mhz
-from .errors import PhasemagError, Unresolvable
+from .errors import InvalidParameter, PhasemagError, Unresolvable
 from .harness import SweepSpec, fmt
 from .noise import Lorentzian
 
@@ -249,12 +249,12 @@ def cmd_signal(cfg: dict) -> int:
     _require(cfg, "protocol", "b_stop_mt", "b_points")
     protocol = cfg["protocol"]
     engine = cfg["engine"]
-    if protocol not in ("ramsey", "hahn", "berry"):
-        raise ConfigError(f"unknown protocol {protocol!r}")
-    if engine not in ("analytic", "numeric", "numeric+noise"):
-        raise ConfigError(f"unknown engine {engine!r}")
-    if protocol == "hahn" and engine == "analytic":
-        raise ConfigError("analytic engine is not defined for the echo protocol")
+    S = _noise_model(cfg)
+    try:
+        harness.check_curve_request(protocol, engine, S, cfg["ensemble"],
+                                    cfg["workers"])
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg["b_points"] < 1:
         raise ConfigError("b_points must be >= 1")
     if protocol == "berry":
@@ -268,45 +268,16 @@ def cmd_signal(cfg: dict) -> int:
     duration = cfg["t_us"] * 1e-6
     b_grid = np.linspace(cfg["b_start_mt"], cfg["b_stop_mt"], cfg["b_points"]) * 1e-3
 
-    S = _noise_model(cfg)
-    if engine == "numeric+noise" and S is None:
-        raise ConfigError("numeric+noise engine needs t2star_us/t2_us or delta_rad_s/tau_c_us")
-
-    if engine == "analytic":
-        if protocol == "ramsey":
-            model = DynamicModel(duration, constants.gamma)
-            if cfg["hyperfine"]:
-                h = HyperfineModel.triplet(constants)
-                p = analytic.hyperfine_average(
-                    lambda off, b: np.cos((constants.gamma * b + off) * duration),
-                    h, b_grid)
-            else:
-                p = analytic.ramsey_signal(model, b_grid)
-        else:
-            model = GeometricModel(angular_from_mhz(cfg["omega_mhz"]), cfg["n"],
-                                   constants.gamma)
-            p = analytic.berry_signal(model, b_grid)
+    if cfg["hyperfine"]:
+        h = HyperfineModel.triplet(constants)
+        p = analytic.hyperfine_average(
+            lambda off, b: np.cos((constants.gamma * b + off) * duration),
+            h, b_grid)
     else:
-        if protocol == "ramsey":
-            plan = sequences.build_ramsey(duration)
-        elif protocol == "hahn":
-            plan = sequences.build_hahn(duration)
-        else:
-            plan = sequences.build_berry(angular_from_mhz(cfg["omega_mhz"]),
-                                         cfg["n"], duration)
-        if engine == "numeric":
-            p = sequences.execute_batch(plan, b_grid, constants=constants)
-        else:
-            total = np.zeros_like(b_grid)
-            dt = min(S.tau_c / 10.0, duration / 256.0)
-            for k in range(cfg["ensemble"]):
-                traj = harness._seeded_trajectory(S, duration, dt,
-                                                  [cfg["seed"], k],
-                                                  constants.gamma)
-                total += sequences.execute_batch(plan, b_grid,
-                                                 noise_trajectory=traj,
-                                                 constants=constants)
-            p = total / cfg["ensemble"]
+        omega = angular_from_mhz(cfg["omega_mhz"]) if protocol == "berry" else None
+        p = harness.signal_curve(protocol, engine, duration, b_grid, omega,
+                                 cfg["n"], S, cfg["ensemble"], (cfg["seed"],),
+                                 constants)
 
     lines = _header_lines("signal", cfg)
     lines.append(SIGNAL_HEADER)

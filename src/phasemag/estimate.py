@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import (DynamicModel, GeometricModel, berry_field_range,
-                       berry_signal, berry_slope, ramsey_slope)
+from .analytic import (DynamicModel, GeometricModel, _ramsey_ladder,
+                       berry_field_range, berry_signal, berry_slope,
+                       ramsey_slope)
 from .constants import TWO_PI
 from .errors import InvalidParameter, OutOfRange, Unresolvable
 
@@ -187,35 +188,17 @@ def estimate_dynamic(m: DynamicModel, meas: Measurement,
     best slope match first within equal fields.
     """
     p, clamped = _clamp_signal(meas)
-    lo, hi = float(prior_window[0]), float(prior_window[1])
-    if hi < lo:
-        return []
-    a = math.acos(p)
-    gt = m.gamma * m.duration
-    k_lo = math.floor((lo * gt - a) / TWO_PI) - 1
-    k_hi = math.ceil((hi * gt + a) / TWO_PI) + 1
-    raw = []
-    for k in range(k_lo, k_hi + 1):
-        for phi in (TWO_PI * k + a, TWO_PI * k - a):
-            b = phi / gt
-            if lo - 1e-18 <= b <= hi + 1e-18:
-                raw.append((b, k))
-    raw.sort()
-    dedup = []
-    scale = max(abs(hi), abs(lo), 1.0 / gt)
-    for b, k in raw:
-        if not dedup or b - dedup[-1][0] > 1e-12 * scale:
-            dedup.append((b, k))
+    ladder = _ramsey_ladder(m, p, prior_window)
     estimates = []
     slope_scale = m.gamma * m.duration  # largest attainable |dP/dB|
-    for b, k in dedup:
+    for b, k in ladder:
         if meas.slope is not None:
             resid = abs(float(ramsey_slope(m, b)) - meas.slope)
             conf = 1.0 / (1.0 + resid / slope_scale)
         else:
             conf = 0.0
         estimates.append(FieldEstimate(
-            b_hat=b, candidates_considered=len(dedup), lobe_index=k,
+            b_hat=b, candidates_considered=len(ladder), lobe_index=k,
             confidence=conf, clamped=clamped,
         ))
     return estimates

@@ -1,4 +1,4 @@
-"""Parameter sweeps, power-law fits and regime scans.
+"""Signal curves, parameter sweeps, power-law fits and regime scans.
 
 Everything here is deterministic given the spec and seed: grid points are
 independent work items ordered by grid index, Monte-Carlo streams derive
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,6 +34,8 @@ __all__ = [
     "SmartControlResult",
     "NonadiabaticRow",
     "RegimeRow",
+    "check_curve_request",
+    "signal_curve",
     "run_sweep",
     "fit_power_law",
     "smart_control_curve",
@@ -57,14 +59,40 @@ def fmt(x) -> str:
     return format(float(x), ".9g")
 
 
+def check_curve_request(protocol: str, engine: str,
+                        noise: Optional[SpectralDensity], ensemble: int,
+                        workers: int) -> None:
+    """The one validity rule for signal-curve requests (``signal`` and sweeps).
+
+    Raises InvalidParameter for an unknown protocol or engine, the analytic
+    engine on the echo protocol, numeric+noise without a noise model, and an
+    ``ensemble`` or ``workers`` below 1.  ``workers`` has no effect; values
+    above 1 emit a DeprecationWarning.
+    """
+    if protocol not in _PROTOCOLS:
+        raise InvalidParameter(f"unknown protocol {protocol!r}")
+    if engine not in _ENGINES:
+        raise InvalidParameter(f"unknown engine {engine!r}")
+    if protocol == "hahn" and engine == "analytic":
+        raise InvalidParameter("analytic engine is not defined for the echo protocol")
+    if engine == "numeric+noise" and noise is None:
+        raise InvalidParameter("numeric+noise engine needs a noise model")
+    if ensemble < 1:
+        raise InvalidParameter(f"ensemble must be >= 1, got {ensemble}")
+    if workers < 1:
+        raise InvalidParameter(f"workers must be >= 1, got {workers}")
+    if workers > 1:
+        warnings.warn("workers has no effect: sweep points run serially; the "
+                      "key will be removed", DeprecationWarning, stacklevel=2)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep request: protocol, control grids, field grid, engine.
 
     Angular frequencies in rad/s, times in seconds, fields in tesla.
-    ``omegas`` and ``n_rotations`` apply to the berry protocol only;
-    ``step_control`` sets the mesh of the numeric+noise engine only, since
-    noise-free sequences are propagated in closed form.
+    ``omegas`` and ``n_rotations`` apply to the berry protocol only.
+    ``workers`` is deprecated and has no effect (must be >= 1).
     """
 
     protocol: str
@@ -79,24 +107,15 @@ class SweepSpec:
     sigma_p: float = 1.0
     overhead: float = 0.0
     constants: PhysicalConstants = NV
-    step_control: Optional[StepControl] = None
     workers: int = 1
 
     def __post_init__(self):
-        if self.protocol not in _PROTOCOLS:
-            raise InvalidParameter(f"unknown protocol {self.protocol!r}")
-        if self.engine not in _ENGINES:
-            raise InvalidParameter(f"unknown engine {self.engine!r}")
+        check_curve_request(self.protocol, self.engine, self.noise,
+                            self.ensemble, self.workers)
         if len(self.times) == 0 or len(self.b_grid) < 2:
             raise InvalidParameter("times nonempty and b_grid of length >= 2 required")
         if self.protocol == "berry" and (not self.omegas or not self.n_rotations):
             raise InvalidParameter("berry sweeps need omegas and n_rotations grids")
-        if self.protocol == "hahn" and self.engine == "analytic":
-            raise InvalidParameter(
-                "analytic engine is not defined for the echo protocol"
-            )
-        if self.engine == "numeric+noise" and self.noise is None:
-            raise InvalidParameter("numeric+noise engine needs a noise model")
 
 
 @dataclass(frozen=True)
@@ -137,57 +156,42 @@ def _grid_points(spec: SweepSpec):
     return [(None, None, t) for t in spec.times]
 
 
-def _curve(spec: SweepSpec, omega, n_rot, duration, b_grid, point_index):
-    gamma = spec.constants.gamma
-    if spec.engine == "analytic":
-        if spec.protocol == "ramsey":
-            m = DynamicModel(duration, gamma)
-            return analytic.ramsey_signal(m, b_grid)
-        m = GeometricModel(omega, n_rot, gamma)
-        return analytic.berry_signal(m, b_grid)
+def signal_curve(protocol: str, engine: str, duration: float, b_grid,
+                 omega: Optional[float] = None, n_rot: Optional[int] = None,
+                 noise: Optional[SpectralDensity] = None, ensemble: int = 1,
+                 seed_key: tuple = (0,),
+                 constants: PhysicalConstants = NV) -> np.ndarray:
+    """Signal P over ``b_grid`` (tesla) for one protocol point and engine.
 
-    if spec.protocol == "ramsey":
+    ``omega`` (rad/s) and ``n_rot`` apply to berry only.  ``numeric+noise``
+    averages ``ensemble`` runs of the sequence; run k sees one Lorentzian OU
+    trajectory sampled every min(tau_c/10, T/256) from the random stream
+    ``seed_key + (k,)``.  Other noise families raise InvalidParameter.
+    """
+    gamma = constants.gamma
+    if engine == "analytic":
+        if protocol == "ramsey":
+            return analytic.ramsey_signal(DynamicModel(duration, gamma), b_grid)
+        return analytic.berry_signal(GeometricModel(omega, n_rot, gamma), b_grid)
+
+    if protocol == "ramsey":
         plan = sequences.build_ramsey(duration)
-    elif spec.protocol == "hahn":
+    elif protocol == "hahn":
         plan = sequences.build_hahn(duration)
     else:
         plan = sequences.build_berry(omega, n_rot, duration)
+    if engine == "numeric":
+        return sequences.execute_batch(plan, b_grid, constants=constants)
 
-    if spec.engine == "numeric":
-        return sequences.execute_batch(plan, b_grid, constants=spec.constants)
-
-    # numeric+noise: ensemble average, one trajectory per run, stream keyed
-    # by (seed, point index, trajectory index)
-    total = np.zeros_like(b_grid)
-    dt = min(spec.noise.tau_c / 10.0, duration / 256.0) \
-        if isinstance(spec.noise, noise_mod.Lorentzian) else duration / 256.0
-    if not isinstance(spec.noise, noise_mod.Lorentzian):
+    if not isinstance(noise, noise_mod.Lorentzian):
         raise InvalidParameter("numeric+noise engine needs a Lorentzian model")
-    for k in range(spec.ensemble):
-        rng_seed = [spec.seed, point_index, k]
-        traj = _seeded_trajectory(spec.noise, duration, dt, rng_seed, gamma)
+    dt = min(noise.tau_c / 10.0, duration / 256.0)
+    total = np.zeros_like(b_grid)
+    for k in range(ensemble):
+        traj = noise_mod.ou_trajectory(noise, duration, dt, seed_key + (k,), gamma)
         total += sequences.execute_batch(plan, b_grid, noise_trajectory=traj,
-                                         step_control=spec.step_control,
-                                         constants=spec.constants)
-    return total / spec.ensemble
-
-
-def _seeded_trajectory(S, duration, dt, seed_key, gamma):
-    n = int(math.ceil(duration / dt))
-    rng = np.random.default_rng(seed_key)
-    a = math.exp(-dt / S.tau_c)
-    sigma_step = S.delta * math.sqrt(1.0 - a * a)
-    z = rng.standard_normal(n + 1)
-    x = np.empty(n + 1)
-    x[0] = S.delta * z[0]
-    for k in range(n):
-        x[k + 1] = a * x[k] + sigma_step * z[k + 1]
-    times = np.arange(n + 1) * dt
-
-    def traj(t):
-        return np.interp(t, times, x) / gamma
-
-    return traj
+                                         constants=constants)
+    return total / ensemble
 
 
 def _sensitivity_from_curve(b_grid, p_curve, duration, sigma_p, overhead):
@@ -223,13 +227,14 @@ def _auto_decay_grid(S, a_value, quad, n_points=28):
     return np.linspace(0.15 * t1e, 2.1 * t1e, n_points)
 
 
-def _eval_point(args):
-    spec, index, omega, n_rot, duration = args
+def _eval_point(spec: SweepSpec, index, omega, n_rot, duration):
     b_grid = np.asarray(spec.b_grid, dtype=float)
     gamma = spec.constants.gamma
     try:
-        p_curve = np.asarray(_curve(spec, omega, n_rot, duration, b_grid, index),
-                             dtype=float)
+        p_curve = np.asarray(signal_curve(spec.protocol, spec.engine, duration,
+                                          b_grid, omega, n_rot, spec.noise,
+                                          spec.ensemble, (spec.seed, index),
+                                          spec.constants), dtype=float)
         if spec.protocol == "ramsey":
             model = DynamicModel(duration, gamma)
             b_max = analytic.ramsey_field_range(model)
@@ -287,18 +292,13 @@ def _eval_point(args):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate signal curve, sensitivity and field range on every grid point.
 
-    Failures are recorded per point without aborting the sweep.  With
-    ``workers`` > 1, points are evaluated in a process pool; results are
-    always ordered by grid index.
+    Failures are recorded per point without aborting the sweep.  Points are
+    evaluated one after another in grid order; numeric+noise point i draws
+    trajectory k from the stream (seed, i, k).
     """
-    points = [(spec, i, om, n, t)
-              for i, (om, n, t) in enumerate(_grid_points(spec))]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            records = list(pool.map(_eval_point, points))
-    else:
-        records = [_eval_point(p) for p in points]
-    return SweepResult(spec=spec, records=tuple(records))
+    records = tuple(_eval_point(spec, i, om, n, t)
+                    for i, (om, n, t) in enumerate(_grid_points(spec)))
+    return SweepResult(spec=spec, records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +484,9 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
         model = GeometricModel(omega, n_rotations, gamma)
         b_max = analytic.berry_field_range(model)
         b_grid = np.linspace(0.0, 1.05 * b_max, b_points)
-        if a_target <= 0.05:
-            engine = "analytic"
-            p_curve = analytic.berry_signal(model, b_grid)
-        else:
-            engine = "numeric"
-            plan = sequences.build_berry(omega, n_rotations, duration)
-            p_curve = sequences.execute_batch(plan, b_grid, constants=constants)
+        engine = "analytic" if a_target <= 0.05 else "numeric"
+        p_curve = signal_curve("berry", engine, duration, b_grid, omega,
+                               n_rotations, constants=constants)
         w_att = math.exp(-decoherence_function(S, a_target, duration, quad).total)
         eta_geo_raw, _ = _sensitivity_from_curve(b_grid, p_curve, duration,
                                                  sigma_p, 0.0)

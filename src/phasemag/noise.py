@@ -507,14 +507,23 @@ class OUTrajectory:
         return np.interp(t, self.times, self.values)
 
 
-def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed: int,
+def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed,
                   gamma: float = NV.gamma) -> OUTrajectory:
     """Exact-discretization OU trajectory matching the Lorentzian PSD.
 
     The update x[k+1] = a*x[k] + delta*sqrt(1-a^2)*z with a = exp(-dt/tau_c)
     reproduces the stationary autocovariance delta^2 exp(-|t|/tau_c) at the
-    grid points exactly.  Reproducible bit-for-bit for a fixed seed.
+    grid points exactly.  ``seed`` is an int or a sequence of ints (a
+    ``numpy.random.default_rng`` key); the trajectory is reproducible
+    bit-for-bit for a fixed seed.
     """
+    n = _ou_steps(S, duration, dt)
+    x = _ou_block(S, n, dt, 1, seed)[:, 0]
+    return OUTrajectory(times=np.arange(n + 1) * dt, values=x, gamma=gamma)
+
+
+def _ou_steps(S: Lorentzian, duration: float, dt: float) -> int:
+    """Number of dt steps spanning ``duration``, after validating the grid."""
     if not isinstance(S, Lorentzian):
         raise InvalidParameter("trajectory generation needs a Lorentzian density")
     if not duration > 0 or not dt > 0:
@@ -523,29 +532,25 @@ def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed: int,
         raise InvalidParameter(
             f"dt={dt:g} too coarse; need dt <= tau_c/10 = {S.tau_c / 10.0:g}"
         )
-    n = int(math.ceil(duration / dt))
-    rng = np.random.default_rng(seed)
+    return int(math.ceil(duration / dt))
+
+
+def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
+              seed_key) -> np.ndarray:
+    """(n_steps+1, n_traj) stationary OU detunings in rad/s, one column per run.
+
+    Every trajectory generator uses this recursion.  All normals are drawn
+    as one C-ordered block from ``default_rng(seed_key)``: row k holds step
+    k of every trajectory, and with ``n_traj`` = 1 the column is the plain
+    1-D draw ``standard_normal(n_steps + 1)`` of the same key.
+    """
+    z = np.random.default_rng(seed_key).standard_normal((n_steps + 1, n_traj))
     a = math.exp(-dt / S.tau_c)
     sigma_step = S.delta * math.sqrt(1.0 - a * a)
-    z = rng.standard_normal(n + 1)
-    x = np.empty(n + 1, dtype=float)
+    x = sigma_step * z
     x[0] = S.delta * z[0]
-    for k in range(n):
-        x[k + 1] = a * x[k] + sigma_step * z[k + 1]
-    times = np.arange(n + 1) * dt
-    return OUTrajectory(times=times, values=x, gamma=gamma)
-
-
-def _ou_ensemble(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
-                 seed: int, chunk_index: int) -> np.ndarray:
-    """(n_traj, n_steps+1) stationary OU detunings; stream keyed by (seed, chunk)."""
-    rng = np.random.default_rng([seed, chunk_index])
-    a = math.exp(-dt / S.tau_c)
-    sigma_step = S.delta * math.sqrt(1.0 - a * a)
-    x = np.empty((n_traj, n_steps + 1), dtype=float)
-    x[:, 0] = S.delta * rng.standard_normal(n_traj)
     for k in range(n_steps):
-        x[:, k + 1] = a * x[:, k] + sigma_step * rng.standard_normal(n_traj)
+        x[k + 1] += a * x[k]
     return x
 
 
@@ -578,7 +583,7 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
     chunk_index = 0
     while done < n_traj:
         m = min(chunk, n_traj - done)
-        x = _ou_ensemble(S, n_steps, dt, m, seed, chunk_index)
+        x = _ou_block(S, n_steps, dt, m, [seed, chunk_index]).T
         cum = np.empty((m, n_steps + 1), dtype=float)
         cum[:, 0] = 0.0
         np.cumsum((x[:, 1:] + x[:, :-1]) * (dt / 2.0), axis=1, out=cum[:, 1:])
@@ -621,17 +626,9 @@ class OUBank:
 def ou_bank(S: Lorentzian, duration: float, dt: float, n_traj: int, seed: int,
             gamma: float = NV.gamma) -> OUBank:
     """Generate ``n_traj`` exact-discretization OU trajectories at once."""
-    if not isinstance(S, Lorentzian):
-        raise InvalidParameter("trajectory generation needs a Lorentzian density")
-    if not duration > 0 or not dt > 0:
-        raise InvalidParameter("duration and dt must be positive")
-    if dt > S.tau_c / 10.0:
-        raise InvalidParameter(
-            f"dt={dt:g} too coarse; need dt <= tau_c/10 = {S.tau_c / 10.0:g}"
-        )
-    n = int(math.ceil(duration / dt))
-    x = _ou_ensemble(S, n, dt, n_traj, seed, 0)
-    return OUBank(times=np.arange(n + 1) * dt, values=x.T.copy(), gamma=gamma)
+    n = _ou_steps(S, duration, dt)
+    return OUBank(times=np.arange(n + 1) * dt,
+                  values=_ou_block(S, n, dt, n_traj, [seed, 0]), gamma=gamma)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,38 @@ class TestSignalCommand:
         # one free-precession coherence time in: contrast near exp(-1)
         assert 0.15 < p0 < 0.65
 
+    # rows written before `signal` and `sweep` shared one curve function
+    PINNED_NOISE_ROWS = {
+        "ramsey": ["0,0.990999918", "0.005,-0.918528451", "0.01,0.717052393",
+                   "0.015,-0.414868457", "0.02,0.0544174791"],
+        "hahn": ["0,0.999833111", "0.005,0.999833111", "0.01,0.999833111",
+                 "0.015,0.999833111", "0.02,0.999833111"],
+    }
+
+    @pytest.mark.parametrize("protocol", ["ramsey", "hahn"])
+    def test_noise_engine_rows_pinned(self, tmp_path, protocol):
+        out = tmp_path / "pinned.csv"
+        code = run_cli("signal", "--protocol", protocol, "--engine",
+                       "numeric+noise", "--t-us", "4", "--b-stop-mt", "0.02",
+                       "--b-points", "5", "--delta-rad-s", "31415.9",
+                       "--tau-c-us", "20", "--ensemble", "3", "--seed", "5",
+                       "--out", str(out))
+        assert code == 0
+        assert [",".join(r) for r in data_rows(out)] == [
+            f"{row},numeric+noise,{protocol},,,4"
+            for row in self.PINNED_NOISE_ROWS[protocol]]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--ensemble", "0"), ("--ensemble", "-3"), ("--workers", "0")])
+    def test_bad_counts_are_config_errors(self, tmp_path, option, value):
+        out = tmp_path / "x.csv"
+        code = run_cli("signal", "--protocol", "ramsey", "--engine",
+                       "numeric+noise", "--t-us", "4", "--b-stop-mt", "0.02",
+                       "--b-points", "3", "--delta-rad-s", "31415.9",
+                       "--tau-c-us", "20", option, value, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
     def test_hyperfine_beating_columns(self, tmp_path):
         out = tmp_path / "h.csv"
         code = run_cli("signal", "--protocol", "ramsey", "--t-us", "0.1543",
@@ -201,6 +233,16 @@ class TestSweepCommand:
                        "--t-us-list", "1.0", "--b-stop-mt", "0.05",
                        "--b-points", "11", "--out", str(tmp_path / "x.jsonl"))
         assert code == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--workers", "0"), ("--workers", "-1"), ("--ensemble", "0")])
+    def test_bad_counts_are_config_errors(self, tmp_path, option, value):
+        out = tmp_path / "x.jsonl"
+        code = run_cli("sweep", "--protocol", "ramsey", "--t-us-list", "1.0",
+                       "--b-stop-mt", "0.05", "--b-points", "11",
+                       option, value, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
 
 
 class TestEstimateCommand:

@@ -1,5 +1,7 @@
 """Sweep harness, power-law fitting and regime scans."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from phasemag.errors import (AdiabaticityViolation, FitFailure,
                              InvalidParameter)
 from phasemag.harness import (SweepRecord, SweepResult, SweepSpec,
                               classify_regime, decoherence_regime_scan,
-                              fit_power_law, nonadiabatic_sensitivity_scan,
-                              run_sweep, smart_control_curve, to_jsonl)
+                              fit_power_law, fmt,
+                              nonadiabatic_sensitivity_scan, run_sweep,
+                              smart_control_curve, to_jsonl)
+from phasemag.noise import Lorentzian, White
 
 W5 = angular_from_mhz(5.0)
 
@@ -87,8 +91,37 @@ class TestRunSweep:
 
     def test_workers_do_not_change_results(self):
         spec1 = _ramsey_spec([0.5e-6, 1e-6], b_points=31)
-        spec2 = _ramsey_spec([0.5e-6, 1e-6], b_points=31, workers=2)
+        with pytest.warns(DeprecationWarning, match="workers"):
+            spec2 = _ramsey_spec([0.5e-6, 1e-6], b_points=31, workers=2)
         assert to_jsonl(run_sweep(spec1)) == to_jsonl(run_sweep(spec2))
+
+    def test_noise_engine_pinned(self):
+        # curves and records written before `signal` and `sweep` shared one
+        # curve function; point i, trajectory k draws from (seed, i, k)
+        spec = SweepSpec(protocol="ramsey", times=[2e-6, 4e-6],
+                         b_grid=list(np.linspace(0.0, 2e-5, 5)),
+                         engine="numeric+noise",
+                         noise=Lorentzian(delta=31415.9, tau_c=20e-6),
+                         seed=3, ensemble=2)
+        res = run_sweep(spec)
+        assert res.ok
+        assert [[fmt(p) for p in r.p_curve] for r in res.records] == [
+            ["0.996114441", "-0.262513953", "-0.897734021", "0.598951115",
+             "0.673269527"],
+            ["0.997004751", "-0.9424189", "0.755473115", "-0.462423377",
+             "0.104427649"]]
+        records = [json.loads(line) for line in to_jsonl(res).splitlines()]
+        assert [(r["eta"], r["max_slope"], r["B_max_mT"]) for r in records] == [
+            ("5.61807428e-09", "251725.679", "0.0178571429"),
+            ("5.15617101e-09", "387884.73", "0.00892857143")]
+
+    def test_noise_engine_needs_lorentzian_per_point(self):
+        spec = SweepSpec(protocol="ramsey", times=[1e-6, 2e-6],
+                         b_grid=[0.0, 1e-5, 2e-5], engine="numeric+noise",
+                         noise=White(1.0), ensemble=1)
+        res = run_sweep(spec)
+        assert [r.status for r in res.records] == ["error", "error"]
+        assert all("Lorentzian" in r.error for r in res.records)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidParameter):
@@ -99,6 +132,10 @@ class TestRunSweep:
         with pytest.raises(InvalidParameter):
             SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
                       engine="numeric+noise")
+        for bad in ({"ensemble": 0}, {"ensemble": -3}, {"workers": 0}):
+            with pytest.raises(InvalidParameter):
+                SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
+                          **bad)
 
 
 class TestFitPowerLaw:

@@ -1,5 +1,6 @@
 """Spectral densities, filter functions, dephasing integral and its oracle."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -218,6 +219,46 @@ class TestOUTrajectory:
         x1 = bank.values[-1, :]  # lag tau_c exactly
         corr = float(np.mean(x0 * x1))
         assert corr == pytest.approx(S.delta**2 / math.e, rel=0.05)
+
+
+class TestPinnedStreams:
+    """Generator outputs recorded before the three OU generators became one.
+
+    Generation is exact arithmetic on PCG64 normals, so the arrays are
+    compared bit for bit (sha256 of the float64 bytes).  The Monte-Carlo
+    decay goes through cos and sums, whose last bits may vary between numpy
+    builds, so it is compared at the 9 digits of the output files.
+    """
+
+    S = Lorentzian(delta=31415.9, tau_c=20e-6)
+
+    @staticmethod
+    def _digest(a):
+        return hashlib.sha256(np.asarray(a, dtype=float).tobytes()).hexdigest()
+
+    def test_ou_trajectory(self):
+        x = ou_trajectory(self.S, 2e-6, 1e-7, seed=3).values
+        assert x.shape == (21,)
+        assert self._digest(x) == \
+            "c2a094069ce1ebf7fdf3350994688d69469db3454339e885ac5996725d0bb669"
+        keyed = ou_trajectory(self.S, 2e-6, 1e-7, seed=[3, 1]).values
+        assert self._digest(keyed) == \
+            "cdcf6d475f3a05c4ecba27b80fa7e2a6591b2722120eff28b401e42b52679897"
+
+    def test_ou_bank(self):
+        x = ou_bank(self.S, 2e-6, 1e-7, n_traj=3, seed=4).values
+        assert x.shape == (21, 3)
+        assert self._digest(x) == \
+            "cff0b0001b34992713247af77ad84fa8c97eb938fe90a790c750a9652a9fb8e3"
+
+    @pytest.mark.parametrize("echo, want", [
+        (False, ["1", "0.998962863", "0.993673711", "0.987457594"]),
+        (True, ["1", "0.999933415", "0.999534405", "0.995800482"]),
+    ])
+    def test_mc_free_precession_decay(self, echo, want):
+        w = mc_free_precession_decay(self.S, [0.0, 2e-6, 5e-6, 10e-6], 5,
+                                     seed=11, echo=echo, chunk=2)
+        assert [format(float(v), ".9g") for v in w] == want
 
 
 class TestOracleEquivalence:
