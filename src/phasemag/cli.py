@@ -190,6 +190,10 @@ def _resolve(command: str, config_path: Optional[str], overrides: dict) -> dict:
         if key not in registry:
             raise ConfigError(f"unknown option {key!r} for command {command!r}")
         resolved[key] = val
+    try:
+        harness.check_count("workers", resolved["workers"])
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc)) from exc
     return resolved
 
 
@@ -387,9 +391,13 @@ def cmd_decohere(cfg: dict) -> int:
     if cfg["out"] == "-":
         raise ConfigError("decohere writes multiple files; --out is required")
     a_list = cfg.get("a_list") or list(_DEFAULT_A_LIST)
-    engine = cfg["engine"]
-    if engine not in ("eq3", "monte-carlo"):
-        raise ConfigError(f"unknown engine {engine!r}")
+    try:
+        rows = harness.decoherence_regime_scan(a_list, S, engine=cfg["engine"],
+                                               ensemble=cfg["ensemble"],
+                                               seed=cfg["seed"],
+                                               constants=constants)
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc)) from exc
 
     header = _header_lines("decohere", cfg)
 
@@ -403,9 +411,6 @@ def cmd_decohere(cfg: dict) -> int:
     _write_text(cfg["out"] + "_coherence.csv", "\n".join(lines) + "\n")
 
     # regime table
-    rows = harness.decoherence_regime_scan(a_list, S, engine=engine,
-                                           ensemble=cfg["ensemble"],
-                                           seed=cfg["seed"], constants=constants)
     lines = list(header) + ["A,T2g_us,residual,regime,status"]
     for r in rows:
         lines.append(",".join([fmt(r.a_value),

@@ -34,6 +34,7 @@ __all__ = [
     "SmartControlResult",
     "NonadiabaticRow",
     "RegimeRow",
+    "check_count",
     "check_curve_request",
     "signal_curve",
     "run_sweep",
@@ -59,6 +60,12 @@ def fmt(x) -> str:
     return format(float(x), ".9g")
 
 
+def check_count(name: str, value: int) -> None:
+    """Raise InvalidParameter unless the count ``value`` (ensemble, workers) is >= 1."""
+    if value < 1:
+        raise InvalidParameter(f"{name} must be >= 1, got {value}")
+
+
 def check_curve_request(protocol: str, engine: str,
                         noise: Optional[SpectralDensity], ensemble: int,
                         workers: int) -> None:
@@ -77,10 +84,8 @@ def check_curve_request(protocol: str, engine: str,
         raise InvalidParameter("analytic engine is not defined for the echo protocol")
     if engine == "numeric+noise" and noise is None:
         raise InvalidParameter("numeric+noise engine needs a noise model")
-    if ensemble < 1:
-        raise InvalidParameter(f"ensemble must be >= 1, got {ensemble}")
-    if workers < 1:
-        raise InvalidParameter(f"workers must be >= 1, got {workers}")
+    check_count("ensemble", ensemble)
+    check_count("workers", workers)
     if workers > 1:
         warnings.warn("workers has no effect: sweep points run serially; the "
                       "key will be removed", DeprecationWarning, stacklevel=2)
@@ -539,10 +544,12 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
     static field over an OU ensemble, holding A along the decay by scaling
     the turn count with T (nearest integer; N >= 1).  The Monte-Carlo path
     is the authoritative model in the strongly nonadiabatic limit and is
-    markedly slower.
+    markedly slower.  Raises InvalidParameter for an unknown engine or an
+    ``ensemble`` below 1.
     """
     if engine not in ("eq3", "monte-carlo"):
         raise InvalidParameter(f"unknown engine {engine!r}")
+    check_count("ensemble", ensemble)
     rows = []
     for a_value in sorted(float(a) for a in a_grid):
         try:

@@ -542,13 +542,21 @@ def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
     Every trajectory generator uses this recursion.  All normals are drawn
     as one C-ordered block from ``default_rng(seed_key)``: row k holds step
     k of every trajectory, and with ``n_traj`` = 1 the column is the plain
-    1-D draw ``standard_normal(n_steps + 1)`` of the same key.
+    1-D draw ``standard_normal(n_steps + 1)`` of the same key.  One column
+    runs the recursion on Python floats, which is the same IEEE arithmetic
+    as the row operation without its per-step numpy overhead.
     """
     z = np.random.default_rng(seed_key).standard_normal((n_steps + 1, n_traj))
     a = math.exp(-dt / S.tau_c)
     sigma_step = S.delta * math.sqrt(1.0 - a * a)
     x = sigma_step * z
     x[0] = S.delta * z[0]
+    if n_traj == 1:
+        col = x[:, 0].tolist()
+        for k in range(n_steps):
+            col[k + 1] += a * col[k]
+        x[:, 0] = col
+        return x
     for k in range(n_steps):
         x[k + 1] += a * x[k]
     return x

@@ -198,13 +198,16 @@ def execute_batch(plan: SequencePlan, b_values,
                   constants: PhysicalConstants = NV) -> np.ndarray:
     """Vectorized ``execute`` over a grid of static fields.
 
-    Without noise every segment is applied in closed form: free evolution is
-    a z rotation and a linearly swept drive is a constant rotation in the
-    frame that co-rotates with its phase (``_apply_swept_exact``), so
-    ``step_control`` is not used.  With a noise trajectory, free and swept
-    segments run on the Richardson mesh of ``core._swept_refine``; all fields
-    share that mesh and the trajectory, and the refinement criterion is the
-    worst Bloch-component change over the batch.
+    Free evolution is run as an undriven sweep, and every sweep passes
+    through the frame that co-rotates with its linearly ramped drive phase
+    (``_in_drive_frame``).  Without noise the Larmor vector is constant in
+    that frame, so each segment is one closed-form rotation
+    (``_apply_swept_exact``) and ``step_control`` is not used.  With a noise
+    trajectory the frame propagation runs on the Richardson mesh of
+    ``core._swept_refine`` (``_run_swept``): the noise enters only on z, so
+    the mesh size follows the Larmor rate and the noise, not the turns of
+    the drive phase.  All fields share that mesh and the trajectory, and the
+    refinement criterion is the worst Bloch-component change over the batch.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if not np.all(np.isfinite(b_values)):
@@ -220,24 +223,17 @@ def execute_batch(plan: SequencePlan, b_values,
     for seg in plan.segments:
         if isinstance(seg, IdealPulse):
             states = states @ _pulse_matrix(seg).T
-        elif isinstance(seg, FreeEvolution):
-            if noise_trajectory is None:
-                states = _precess_z(states, dets_static * seg.duration)
-            else:
-                states = _run_swept(states, 0.0, 0.0, 0.0, seg.duration,
-                                    dets_static, noise_trajectory, gamma,
-                                    t_start, ctl)
-            t_start += seg.duration
-        elif isinstance(seg, SweptDrive):
-            if noise_trajectory is None:
-                states = _apply_swept_exact(states, seg, dets_static)
-            else:
-                states = _run_swept(states, seg.rabi, seg.phase_start,
-                                    seg.phase_rate, seg.duration, dets_static,
-                                    noise_trajectory, gamma, t_start, ctl)
-            t_start += seg.duration
-        else:
+            continue
+        if isinstance(seg, FreeEvolution):
+            seg = SweptDrive(0.0, 0.0, 0.0, seg.duration)
+        elif not isinstance(seg, SweptDrive):
             raise InvalidParameter(f"unknown segment type {type(seg)!r}")
+        if noise_trajectory is None:
+            states = _apply_swept_exact(states, seg, dets_static)
+        else:
+            states = _run_swept(states, seg, dets_static, noise_trajectory,
+                                gamma, t_start, ctl)
+        t_start += seg.duration
     return states[:, 2].copy()
 
 
@@ -249,16 +245,28 @@ def _precess_z(states, angles):
     return np.stack([x, y, states[:, 2]], axis=1)
 
 
+def _in_drive_frame(states, seg: SweptDrive, propagate):
+    """Apply a linearly swept segment through its co-rotating frame.
+
+    In the frame that co-rotates with the drive phase phi(t) = phi0 + r*t the
+    Larmor vector is (rabi, 0, gamma*(B + b(t)) - r): the phase ramp becomes
+    a constant detuning offset and only the noise b(t) varies.  The segment is
+
+        s <- Rz(phi0 + r*T) . U . Rz(-phi0) . s
+
+    where ``propagate`` applies the frame evolution U to the (m, 3) states
+    (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167 (1954)).
+    """
+    states = _precess_z(states, -seg.phase_start)
+    states = propagate(states)
+    return _precess_z(states, seg.phase_start + seg.phase_rate * seg.duration)
+
+
 def _apply_swept_exact(states, seg: SweptDrive, dets_static):
     """Closed-form propagation of a noise-free linearly swept drive.
 
-    In the frame that co-rotates with the drive phase phi(t) = phi0 + r*t the
-    Larmor vector is the constant (rabi, 0, gamma*B - r), so the segment is
-
-        s <- Rz(phi0 + r*T) . Rot((rabi, 0, gamma*B - r), |.|*T) . Rz(-phi0) . s
-
-    (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167 (1954)), evaluated as
-    one (m, 3, 3) stack over the field grid.
+    The frame Larmor vector (rabi, 0, gamma*B - r) is constant, so U is one
+    rotation by |.|*T, evaluated as an (m, 3, 3) stack over the field grid.
     """
     if seg.rabi == 0.0:
         # no drive, so the phase ramp is irrelevant: plain free evolution
@@ -266,18 +274,24 @@ def _apply_swept_exact(states, seg: SweptDrive, dets_static):
     wz = dets_static - seg.phase_rate
     r = np.hypot(seg.rabi, wz)
     frame = core._rotation_matrices(seg.rabi / r, 0.0, wz / r, r * seg.duration)
-    enter = core._rotation_matrices(0.0, 0.0, 1.0, -seg.phase_start)
-    leave = core._rotation_matrices(
-        0.0, 0.0, 1.0, seg.phase_start + seg.phase_rate * seg.duration)
-    return np.einsum("mij,mj->mi", leave @ frame @ enter, states)
+    return _in_drive_frame(states, seg,
+                           lambda s: np.einsum("mij,mj->mi", frame, s))
 
 
-def _run_swept(states, rabi, phase_start, phase_rate, duration, dets_static,
-               noise_trajectory, gamma, t_start, ctl):
-    """Mesh propagation of one free or swept segment under a noise trajectory."""
-    def phase_fn(t):
-        return phase_start + phase_rate * np.asarray(t, dtype=float)
+def _zero_phase(t):
+    return 0.0
 
+
+def _run_swept(states, seg: SweptDrive, dets_static, noise_trajectory, gamma,
+               t_start, ctl):
+    """Mesh propagation of one swept segment under a noise trajectory.
+
+    The mesh runs in the co-rotating frame of ``_in_drive_frame`` with drive
+    phase 0 and detuning gamma*(B + b(t)) - r, so it resolves the Larmor
+    precession and the noise but never the turns of the drive phase.  Free
+    evolution (rabi = r = phi0 = 0) enters and leaves the frame through
+    exact identities.
+    """
     def det_fn(t):
         t = np.asarray(t, dtype=float)
         offs = gamma * np.asarray(noise_trajectory(t_start + t), dtype=float)
@@ -286,7 +300,11 @@ def _run_swept(states, rabi, phase_start, phase_rate, duration, dets_static,
         if offs.ndim == 1:
             offs = offs[:, None]
         # offs is now (n, 1) shared noise or (n, m) one stream per channel
-        return dets_static[None, :] + offs
+        return dets_static[None, :] + offs - seg.phase_rate
 
-    out, _ = core._swept_refine(states, rabi, phase_fn, det_fn, duration, ctl)
-    return out
+    def propagate(s):
+        out, _ = core._swept_refine(s, seg.rabi, _zero_phase, det_fn,
+                                    seg.duration, ctl)
+        return out
+
+    return _in_drive_frame(states, seg, propagate)

@@ -309,6 +309,15 @@ class TestDecohereCommand:
                        "--a-list", "0.5")
         assert code == 2
 
+    def test_empty_ensemble_is_config_error(self, tmp_path, capsys):
+        # rejected before any curve is computed or file written
+        code = run_cli("decohere", "--engine", "monte-carlo", "--ensemble", "0",
+                       "--delta-rad-s", "31415.9", "--tau-c-us", "20",
+                       "--a-list", "0.1,0.5", "--out", str(tmp_path / "deco"))
+        assert code == 2
+        assert "ensemble must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExampleConfigs:
     """The canonical configs shipped in docs/examples stay runnable."""
@@ -342,6 +351,30 @@ class TestExampleConfigs:
         code = run_cli("calibrate", "--config", str(repo_docs / "calibrate.cfg"),
                        "--out", str(tmp_path / "cal.txt"))
         assert code == 0
+
+
+class TestCommonKeys:
+    COMMANDS = {
+        "signal": ("--protocol", "ramsey", "--t-us", "1", "--b-stop-mt", "0.05",
+                   "--b-points", "3"),
+        "sweep": ("--protocol", "ramsey", "--t-us-list", "1.0",
+                  "--b-stop-mt", "0.05", "--b-points", "11"),
+        "estimate": ("--protocol", "ramsey", "--p", "0.5", "--t-us", "1",
+                     "--window-stop-mt", "0.1"),
+        "decohere": ("--delta-rad-s", "31415.9", "--tau-c-us", "20",
+                     "--a-list", "0.1,0.5"),
+        "calibrate": ("--t2star-us", "50", "--t2-us", "500"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_zero_workers_is_config_error(self, tmp_path, capsys, command):
+        code = run_cli(command, *self.COMMANDS[command], "--workers", "0",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "workers must be >= 1" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCalibrateCommand:

@@ -270,6 +270,19 @@ class TestRegimeScan:
         with pytest.raises(InvalidParameter):
             decoherence_regime_scan([0.5], calibrated_noise, engine="exact")
 
+    @pytest.mark.parametrize("ensemble", [0, -2])
+    def test_empty_ensemble_rejected_before_the_loop(self, calibrated_noise,
+                                                     monkeypatch, ensemble):
+        import phasemag.harness as harness
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("decay grid built for an invalid request")
+
+        monkeypatch.setattr(harness, "_auto_decay_grid", no_grid)
+        with pytest.raises(InvalidParameter, match="ensemble"):
+            decoherence_regime_scan([0.1, 0.5], calibrated_noise,
+                                    engine="monte-carlo", ensemble=ensemble)
+
 
 class TestAdiabaticityHelper:
     def test_nonadiabatic_scan_realizes_targets_exactly(self, calibrated_noise):

@@ -10,7 +10,7 @@ from phasemag.analytic import GeometricModel, berry_field_range
 from phasemag.constants import NV, TWO_PI, angular_from_mhz
 from phasemag.core import SpinState, StepControl
 from phasemag.errors import ConvergenceFailure, InvalidParameter
-from phasemag.noise import ou_trajectory
+from phasemag.noise import Lorentzian, ou_bank, ou_trajectory
 from phasemag.sequences import (READOUT_PHASE, FreeEvolution, IdealPulse,
                                 SequencePlan, SweptDrive, _apply_swept_exact,
                                 build_berry, build_hahn, build_ramsey, execute,
@@ -218,6 +218,85 @@ class TestSweptClosedFormAgainstMesh:
         with pytest.raises(ConvergenceFailure):
             execute_batch(plan, bs, step_control=starved,
                           noise_trajectory=lambda t: np.zeros_like(t))
+
+
+class TestNoisyFrameAgainstLabMesh:
+    """Noisy segments run on the co-rotating mesh; the reference is the
+    lab-frame mesh of ``core.propagate_swept`` with the drive phase as given."""
+
+    # fast bath: the noise changes many times within each segment
+    BATH = Lorentzian(delta=2e5, tau_c=2e-6)
+    RATE = 4 * math.pi * 2 / 6e-6
+    W2 = angular_from_mhz(2.0)
+
+    def _lab_frame(self, plan, b, noise_at):
+        """s_z at the end of ``plan``, each swept segment on the lab-frame mesh."""
+        state = SpinState.up()
+        t_start = 0.0
+        for seg in plan.segments:
+            if isinstance(seg, IdealPulse):
+                state = core.apply_ideal_pulse(state, seg.axis_phase, seg.angle)
+                continue
+
+            def det(t, t0=t_start):
+                return NV.gamma * (b + noise_at(t0 + np.asarray(t, dtype=float)))
+
+            state = core.propagate_swept(
+                state, seg.rabi,
+                lambda t, seg=seg: seg.phase_start + seg.phase_rate * t,
+                det, seg.duration)
+            t_start += seg.duration
+        return state.s_z
+
+    def _plan(self, *sweeps):
+        # a pi pulse about +y between sweeps, readout about an oblique axis so
+        # that P depends on all three Bloch components before it
+        segments = [IdealPulse(0.0, math.pi / 2)]
+        for k, seg in enumerate(sweeps):
+            if k:
+                segments.append(IdealPulse(math.pi / 2, math.pi))
+            segments.append(seg)
+        segments.append(IdealPulse(2.3, 1.1))
+        return SequencePlan(tuple(segments), "noisy-frame",
+                            sum(s.duration for s in sweeps))
+
+    @pytest.mark.parametrize("sweeps", [
+        (SweptDrive(W2, 0.0, RATE, 3e-6), SweptDrive(W2, 4 * math.pi, -RATE, 3e-6)),
+        (SweptDrive(W2, 0.7, RATE, 3e-6), SweptDrive(W2, -1.3, -RATE, 3e-6)),
+        (SweptDrive(0.0, 0.4, RATE, 2e-6), SweptDrive(W2, 0.4, 0.0, 1e-6)),
+    ], ids=["up-down", "offsets", "no-drive"])
+    def test_shared_trajectory(self, sweeps):
+        plan = self._plan(*sweeps)
+        traj = ou_trajectory(self.BATH, plan.duration, self.BATH.tau_c / 10, seed=21)
+        bs = np.array([0.0, 1.3e-4, self.RATE / NV.gamma, -2.2e-4])
+        got = execute_batch(plan, bs, noise_trajectory=traj)
+        for b, p in zip(bs, got):
+            assert p == pytest.approx(self._lab_frame(plan, b, traj), abs=1e-6)
+
+    def test_bank_channels_see_their_own_streams(self):
+        plan = self._plan(SweptDrive(self.W2, 0.7, self.RATE, 3e-6),
+                          SweptDrive(0.0, 0.2, -self.RATE, 1e-6),
+                          SweptDrive(self.W2, -1.3, -self.RATE, 2e-6))
+        bank = ou_bank(self.BATH, plan.duration, self.BATH.tau_c / 10, 3, seed=4)
+        bs = np.array([0.0, 0.0, 1.3e-4])
+        got = execute_batch(plan, bs, noise_trajectory=bank)
+        for j, (b, p) in enumerate(zip(bs, got)):
+            ref = self._lab_frame(plan, b, lambda t, j=j: bank(t)[:, j])
+            assert p == pytest.approx(ref, abs=1e-6)
+        # the two zero-field channels differ only by their streams
+        assert abs(got[0] - got[1]) > 1e-3
+
+    def test_mesh_no_longer_resolves_phase_turns(self):
+        # the lab-frame mesh stalls here at 2 halvings (about 10k steps,
+        # change 5.4e-5); in the co-rotating frame only the Larmor rate and
+        # the noise set the mesh
+        plan = build_berry(W5, 3, 8e-6)
+        bath = Lorentzian(delta=31415.9, tau_c=20e-6)
+        traj = ou_trajectory(bath, 8e-6, 8e-6 / 256, seed=3)
+        bs = np.linspace(0, 3e-4, 9)
+        p = execute_batch(plan, bs, noise_trajectory=traj,
+                          step_control=StepControl(max_depth=2))
+        assert np.all(np.abs(p) <= 1.0)
 
 
 class TestOdeCrossValidation:
