@@ -19,6 +19,7 @@ sweep failure (file still written), 5 unresolvable estimate.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -391,6 +392,14 @@ def cmd_decohere(cfg: dict) -> int:
     if cfg["out"] == "-":
         raise ConfigError("decohere writes multiple files; --out is required")
     a_list = cfg.get("a_list") or list(_DEFAULT_A_LIST)
+    overlay_a = cfg.get("overlay_a")
+    overlay_a = a_list[0] if overlay_a is None else overlay_a
+    t_over = cfg.get("overlay_t_us")
+    if t_over is None:
+        t_over = cfg["t2star_us"] / 2.0 if cfg.get("t2star_us") else 25.0
+    if not 0 < t_over < math.inf:
+        raise ConfigError(f"overlay_t_us must be positive and finite, got {t_over}")
+    t_over *= 1e-6
     try:
         rows = harness.decoherence_regime_scan(a_list, S, engine=cfg["engine"],
                                                ensemble=cfg["ensemble"],
@@ -398,13 +407,16 @@ def cmd_decohere(cfg: dict) -> int:
                                                constants=constants)
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
+    w0 = TWO_PI / t_over
+    omega_grid = np.geomspace(1e-3 * w0, 1e2 * w0, 200)
+    ov = noise_mod.spectral_overlay(S, overlay_a, t_over, omega_grid)
 
     header = _header_lines("decohere", cfg)
 
     # (T, W) curves per A
     lines = list(header) + ["A,T_us,W"]
     for a in a_list:
-        grid = harness._auto_decay_grid(S, a, None)
+        grid = harness._auto_decay_grid(S, a)
         curve = noise_mod.coherence_decay(S, a, grid)
         for t, w in zip(curve.times, curve.values):
             lines.append(f"{fmt(a)},{fmt(t * 1e6)},{fmt(w)}")
@@ -419,13 +431,6 @@ def cmd_decohere(cfg: dict) -> int:
     _write_text(cfg["out"] + "_regimes.csv", "\n".join(lines) + "\n")
 
     # spectral overlay
-    overlay_a = cfg.get("overlay_a")
-    overlay_a = a_list[0] if overlay_a is None else overlay_a
-    t_over = (cfg.get("overlay_t_us") or
-              (cfg["t2star_us"] / 2.0 if cfg.get("t2star_us") else 25.0)) * 1e-6
-    w0 = TWO_PI / t_over
-    omega_grid = np.geomspace(1e-3 * w0, 1e2 * w0, 200)
-    ov = noise_mod.spectral_overlay(S, overlay_a, t_over, omega_grid)
     lines = list(header) + ["omega_rad_s,S,geometric_weight,dynamic_weight"]
     for i in range(len(ov.omega)):
         lines.append(",".join([fmt(ov.omega[i]), fmt(ov.psd[i]),

@@ -24,7 +24,10 @@ class ConvergenceFailure(PhasemagError):
 
 
 class QuadratureFailure(PhasemagError):
-    """Frequency-domain integration missed its relative error target."""
+    """Frequency-domain integration missed its relative error target.
+
+    No longer raised: every spectral density has a closed-form exponent.
+    """
 
 
 class FitFailure(PhasemagError):

@@ -23,7 +23,8 @@ from .constants import NV, TWO_PI, PhysicalConstants
 from .core import StepControl
 from .errors import (AdiabaticityViolation, DegenerateSlope, FitFailure,
                      InvalidParameter, PhasemagError)
-from .noise import QuadratureSpec, SpectralDensity, decoherence_function
+from .noise import (QuadratureSpec, SpectralDensity, _warn_quad,
+                    decoherence_function)
 
 __all__ = [
     "SweepSpec",
@@ -211,21 +212,32 @@ def _sensitivity_from_curve(b_grid, p_curve, duration, sigma_p, overhead):
     return eta, best
 
 
-def _auto_decay_grid(S, a_value, quad, n_points=28):
-    """Sampling grid spanning the 1/e time of chi(T; A)."""
+def _auto_decay_grid(S, a_value, n_points=28):
+    """Sampling grid spanning the 1/e time of chi(T; A).
+
+    Raises InvalidParameter when chi(T; A) does not cross 1 between about
+    1e-19 s and 1e9 s.
+    """
 
     def total_chi(t):
-        return decoherence_function(S, a_value, t, quad).total - 1.0
+        return decoherence_function(S, a_value, t).total - 1.0
 
     lo, hi = 1e-7, 1e-3
+    f_hi = total_chi(hi)
     for _ in range(40):
-        if total_chi(hi) > 0:
+        if f_hi > 0:
             break
         hi *= 2.0
+        f_hi = total_chi(hi)
+    f_lo = total_chi(lo)
     for _ in range(40):
-        if total_chi(lo) < 0:
+        if f_lo < 0:
             break
         lo /= 2.0
+        f_lo = total_chi(lo)
+    if not f_lo < 0 < f_hi:
+        raise InvalidParameter(f"chi(T; A={a_value:g}) does not cross 1 between "
+                               f"{lo:.3g} s and {hi:.3g} s")
     from scipy import optimize
 
     t1e = optimize.brentq(total_chi, lo, hi, rtol=1e-10)
@@ -475,10 +487,12 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
     the rotating frame) above; both are attenuated by exp(-chi(T; A)).  The
     reference is the free-precession sensitivity at the same T with its own
     attenuation.  Returns (rows, crossover_a); crossover_a is the first
-    grid A with eta_geo < eta_dyn, or None.
+    grid A with eta_geo < eta_dyn, or None.  ``quad`` is deprecated and has
+    no effect.
     """
+    _warn_quad(quad)
     gamma = constants.gamma
-    chi_ram = noise_mod.ramsey_exponent(S, duration, quad)
+    chi_ram = noise_mod.ramsey_exponent(S, duration)
     eta_dyn = sigma_p * math.sqrt(duration) * math.exp(chi_ram) / (gamma * duration)
     rows = []
     crossover = None
@@ -492,7 +506,7 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
         engine = "analytic" if a_target <= 0.05 else "numeric"
         p_curve = signal_curve("berry", engine, duration, b_grid, omega,
                                n_rotations, constants=constants)
-        w_att = math.exp(-decoherence_function(S, a_target, duration, quad).total)
+        w_att = math.exp(-decoherence_function(S, a_target, duration).total)
         eta_geo_raw, _ = _sensitivity_from_curve(b_grid, p_curve, duration,
                                                  sigma_p, 0.0)
         eta_geo = eta_geo_raw / w_att
@@ -545,8 +559,9 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
     the turn count with T (nearest integer; N >= 1).  The Monte-Carlo path
     is the authoritative model in the strongly nonadiabatic limit and is
     markedly slower.  Raises InvalidParameter for an unknown engine or an
-    ``ensemble`` below 1.
+    ``ensemble`` below 1.  ``quad`` is deprecated and has no effect.
     """
+    _warn_quad(quad)
     if engine not in ("eq3", "monte-carlo"):
         raise InvalidParameter(f"unknown engine {engine!r}")
     check_count("ensemble", ensemble)
@@ -554,11 +569,11 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
     for a_value in sorted(float(a) for a in a_grid):
         try:
             if engine == "eq3":
-                grid = _auto_decay_grid(S, a_value, quad, n_points=28)
-                curve = noise_mod.coherence_decay(S, a_value, grid, quad)
+                grid = _auto_decay_grid(S, a_value, n_points=28)
+                curve = noise_mod.coherence_decay(S, a_value, grid)
                 samples = np.stack([curve.times, curve.values], axis=1)
             else:
-                grid = _auto_decay_grid(S, a_value, quad, n_points=t_points)
+                grid = _auto_decay_grid(S, a_value, n_points=t_points)
                 samples = _mc_decay_samples(S, a_value, omega, grid, ensemble,
                                             seed, constants)
             t2g, res = noise_mod.fit_T2g(samples)

@@ -17,15 +17,22 @@ Spectral conventions, all in one place to avoid factor-of-two drift:
   and coherence W(T) = exp(-chi(T)).  A pure free-precession sequence has
   exponent equal to the first integral alone (A = 1 with no echo term) and
   a two-pulse echo the second alone.
+* Each built-in family has both integrals in closed form, so no quadrature
+  runs.  Lorentzian, with x = T/tau_c (Cywinski et al., Phys. Rev. B 77,
+  174509 (2008)): Delta^2 tau_c^2 (x - 1 + e^-x) for F0 and
+  Delta^2 tau_c^2 (x - 3 + 4 e^(-x/2) - e^-x) for F1.  White: S0*T/2 for
+  both.  1/f: (A T^2/pi) [P(w_max T) - P(w_min T)], with P the antiderivative
+  of F(u)/u^3 written through the cosine integral Ci.
 
 With these conventions the Ornstein-Uhlenbeck time-domain oracle satisfies
 <cos(int detuning dt)> = exp(-chi) exactly in the Gaussian limit, which the
-tests exercise against the quadrature path.
+tests check against the closed-form exponents.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -33,8 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .constants import NV
-from .errors import (CalibrationFailure, FitFailure, InvalidParameter,
-                     QuadratureFailure)
+from .errors import CalibrationFailure, FitFailure, InvalidParameter
 
 __all__ = [
     "Lorentzian",
@@ -74,31 +80,12 @@ class Lorentzian:
     tau_c: float
 
     def __post_init__(self):
-        if not self.delta > 0 or not self.tau_c > 0:
-            raise InvalidParameter("delta and tau_c must be positive")
+        if not 0 < self.delta < math.inf or not 0 < self.tau_c < math.inf:
+            raise InvalidParameter("delta and tau_c must be positive and finite")
 
     def psd(self, omega):
         omega = np.asarray(omega, dtype=float)
         return 2.0 * self.delta**2 * self.tau_c / (1.0 + (omega * self.tau_c) ** 2)
-
-    def tail_integral(self, w: float) -> float:
-        """Exact int_w^inf S(x)/x^2 dx = 2*delta^2*tau_c^2*(u - atan(u)), u = 1/(tau_c*w).
-
-        The series branch avoids the catastrophic cancellation of the naive
-        1/w - tau_c*(pi/2 - atan(tau_c*w)) form at large cutoffs.
-        """
-        u = 1.0 / (self.tau_c * w)
-        if u < 1e-2:
-            g = u**3 / 3.0 * (1.0 - 0.6 * u * u + (3.0 / 7.0) * u**4)
-        else:
-            g = u - math.atan(u)
-        return 2.0 * self.delta**2 * self.tau_c**2 * g
-
-    def corner_frequencies(self):
-        return (1.0 / self.tau_c,)
-
-    def hard_cutoff(self):
-        return None
 
 
 @dataclass(frozen=True)
@@ -108,20 +95,11 @@ class White:
     level: float
 
     def __post_init__(self):
-        if not self.level >= 0:
-            raise InvalidParameter("level must be nonnegative")
+        if not 0 <= self.level < math.inf:
+            raise InvalidParameter("level must be nonnegative and finite")
 
     def psd(self, omega):
         return np.full_like(np.asarray(omega, dtype=float), self.level)
-
-    def tail_integral(self, w: float) -> float:
-        return self.level / w
-
-    def corner_frequencies(self):
-        return ()
-
-    def hard_cutoff(self):
-        return None
 
 
 @dataclass(frozen=True)
@@ -133,10 +111,10 @@ class OneOverF:
     omega_max: float
 
     def __post_init__(self):
-        if not self.amplitude >= 0:
-            raise InvalidParameter("amplitude must be nonnegative")
-        if not 0 < self.omega_min < self.omega_max:
-            raise InvalidParameter("need 0 < omega_min < omega_max")
+        if not 0 <= self.amplitude < math.inf:
+            raise InvalidParameter("amplitude must be nonnegative and finite")
+        if not 0 < self.omega_min < self.omega_max < math.inf:
+            raise InvalidParameter("need 0 < omega_min < omega_max < inf")
 
     def psd(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -144,18 +122,6 @@ class OneOverF:
         with np.errstate(divide="ignore"):
             vals = np.where(inside, self.amplitude / np.maximum(omega, 1e-300), 0.0)
         return vals
-
-    def tail_integral(self, w: float) -> float:
-        lo = max(w, self.omega_min)
-        if lo >= self.omega_max:
-            return 0.0
-        return self.amplitude * (lo**-2 - self.omega_max**-2) / 2.0
-
-    def corner_frequencies(self):
-        return (self.omega_min, self.omega_max)
-
-    def hard_cutoff(self):
-        return self.omega_max
 
 
 SpectralDensity = Union[Lorentzian, White, OneOverF]
@@ -176,15 +142,14 @@ def filter_function(kind: FilterFunctionKind, x):
     raise InvalidParameter(f"unknown filter kind {kind!r}")
 
 
-# mean value of each filter over one oscillation period, used for the
-# large-frequency tail where S varies slowly over a period
-_FILTER_MEAN = {FilterFunctionKind.GEOMETRIC_F0: 1.0,
-                FilterFunctionKind.DYNAMIC_F1: 3.0}
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy policy for the frequency-domain integrals."""
+    """Deprecated: has no effect, and will be removed.
+
+    Every built-in spectral density has a closed-form exponent, so no
+    quadrature runs.  Passing a spec to any function emits a
+    DeprecationWarning and leaves the result unchanged.
+    """
 
     rel_tol: float = 1e-4
     points: int = 32
@@ -197,120 +162,96 @@ class QuadratureSpec:
             raise InvalidParameter("invalid quadrature spec")
 
 
-_GL_CACHE: dict = {}
+def _warn_quad(quad: Optional[QuadratureSpec]) -> None:
+    """Warn the caller of a public function that ``quad`` does nothing."""
+    if quad is not None:
+        warnings.warn("quad has no effect: every spectral density has a "
+                      "closed-form exponent; the argument will be removed",
+                      DeprecationWarning, stacklevel=3)
 
 
-def _gl_nodes(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+def _check_duration(duration: float) -> None:
+    if not 0 < duration < math.inf:
+        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
 
 
-def _segment_edges(S: SpectralDensity, duration: float, n_periods: int,
-                   subdivide: int) -> np.ndarray:
-    """Half-period ladder k*pi/T with dyadic refinement toward 0.
+# adiabaticity**2 overflows a float above about 1.3e154
+_MAX_ADIABATICITY = 1e150
 
-    Refinement resolves spectral corners that sit far below the first
-    filter oscillation (e.g. 1/tau_c for a quasi-static bath).
+
+def _check_adiabaticity(adiabaticity: float) -> None:
+    if not 0 <= adiabaticity < _MAX_ADIABATICITY:
+        raise InvalidParameter(f"adiabaticity must lie in [0, {_MAX_ADIABATICITY:g}), "
+                               f"got {adiabaticity}")
+
+
+def _ou_bracket(x: float, echo: bool) -> float:
+    """x - 1 + e^-x, or x - 3 + 4e^(-x/2) - e^-x for the echo (x >= 0).
+
+    Both cancel catastrophically at small x (the echo bracket starts at
+    x^3/12), so below x = 0.5 they are summed as the Taylor series
+    sum_{k>=2} c_k (-x)^k / k!, with c_k = 1, resp. c_k = 4/2^k - 1.
     """
-    step = math.pi / duration
-    edges = [step * k for k in range(n_periods + 1)]
-    corners = [c for c in S.corner_frequencies() if 0 < c < step]
-    if corners:
-        lowest = min(corners)
-        j_max = min(60, int(math.ceil(math.log2(step / (lowest / 8.0)))))
-        edges.extend(step / 2.0**j for j in range(1, j_max + 1))
-    inside = [c for c in S.corner_frequencies() if step < c < edges[-1]]
-    edges.extend(inside)
-    edges = np.unique(np.asarray(edges, dtype=float))
-    if subdivide > 1:
-        fine = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            fine.append(np.linspace(a, b, subdivide + 1)[:-1])
-        edges = np.concatenate(fine + [edges[-1:]])
-    return edges
+    if x >= 0.5:
+        if echo:
+            return x - 3.0 + 4.0 * math.exp(-0.5 * x) - math.exp(-x)
+        return x - 1.0 + math.exp(-x)
+    total, term = 0.0, -x
+    for k in range(2, 20):
+        term *= -x / k
+        total += term * (4.0 / 2.0**k - 1.0 if echo else 1.0)
+    return total
 
 
-def _weighted_filter_integral(S: SpectralDensity, kind: FilterFunctionKind,
-                              duration: float, quad: QuadratureSpec) -> float:
-    """(1/pi) * int_0^inf S(w) F(w*T) / w^2 dw with error control."""
-    fbar = _FILTER_MEAN[kind]
+def _one_over_f_primitive(u: float, echo: bool) -> float:
+    """Antiderivative in u of F(u)/u^3: G(u), or G(u/2) - G(u) for the echo.
 
-    def integrand(w):
-        w = np.asarray(w, dtype=float)
-        x = w * duration
-        if kind is FilterFunctionKind.GEOMETRIC_F0:
-            # stable near 0: 2 sin^2(x/2)/w^2 -> T^2/2
-            half = np.sin(x / 2.0)
-            weight = 2.0 * half * half / np.where(w > 0, w * w, 1.0)
-            weight = np.where(w > 0, weight, duration**2 / 2.0)
-        else:
-            q = np.sin(x / 4.0)
-            weight = 8.0 * q**4 / np.where(w > 0, w * w, 1.0)
-            weight = np.where(w > 0, weight, 0.0)
-        return S.psd(w) * weight
+    G(u) = -sin^2(u/2)/u^2 - sin(u)/(2u) + Ci(u)/2 has G'(u) = F0(u)/u^3,
+    and F1(u) = 4 F0(u/2) - F0(u) gives the echo form.
+    """
+    from scipy.special import sici  # lazy: `import phasemag` loads no scipy
 
-    def evaluate(n_periods: int, points: int):
-        edges = _segment_edges(S, duration, n_periods, quad.subdivide)
-        x, wts = _gl_nodes(points)
-        a, b = edges[:-1], edges[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        vals = integrand(nodes)
-        body = float(np.sum(wts[None, :] * vals * half[:, None]))
-        w_hi = float(edges[-1])
-        tail = fbar * S.tail_integral(w_hi)
-        # slow-variation error of replacing F by its mean in the tail
-        tail_err = 2.0 * float(S.psd(w_hi)) / (w_hi**2 * duration)
-        return body + tail, tail, tail_err
+    def g(v):
+        return (-(math.sin(0.5 * v) / v) ** 2 - math.sin(v) / (2.0 * v)
+                + 0.5 * float(sici(v)[1]))
 
-    # grow the cutoff until the tail approximation error is negligible
-    n_periods = 64
-    value = tail = tail_err = 0.0
-    for _ in range(16):
-        value, tail, tail_err = evaluate(n_periods, quad.points)
-        scale = max(abs(value), 1e-300)
-        if tail_err <= quad.tail_rel * scale:
-            break
-        n_periods *= 2
-    else:
-        raise QuadratureFailure(
-            f"tail not controlled at cutoff {n_periods} half-periods "
-            f"(tail error {tail_err:.3e} vs value {value:.3e})"
-        )
+    return g(0.5 * u) - g(u) if echo else g(u)
 
-    # node-doubling error estimate
-    points = quad.points
-    for _ in range(quad.max_doublings):
-        refined, _, _ = evaluate(n_periods, points * 2)
-        scale = max(abs(refined), 1e-300)
-        err = abs(refined - value) / scale
-        value, points = refined, points * 2
-        if err <= quad.rel_tol:
-            return value / math.pi
-    raise QuadratureFailure(
-        f"relative error target {quad.rel_tol:.1e} not met at {points} "
-        f"nodes per segment (last change {err:.3e})"
-    )
+
+def _exponent(S: SpectralDensity, duration: float, echo: bool) -> float:
+    """(1/pi) int_0^inf S(w) F(wT)/w^2 dw in closed form, F = F1 if echo else F0."""
+    _check_duration(duration)
+    if isinstance(S, Lorentzian):
+        scale = S.delta * S.tau_c
+        return scale * scale * _ou_bracket(duration / S.tau_c, echo)
+    if isinstance(S, White):
+        return 0.5 * S.level * duration
+    if isinstance(S, OneOverF):
+        # u = wT turns the band integral into (A T^2/pi) int F(u)/u^3 du
+        return (S.amplitude * duration * duration / math.pi
+                * (_one_over_f_primitive(S.omega_max * duration, echo)
+                   - _one_over_f_primitive(S.omega_min * duration, echo)))
+    raise InvalidParameter(f"unsupported spectral density {S!r}")
 
 
 def ramsey_exponent(S: SpectralDensity, duration: float,
                     quad: Optional[QuadratureSpec] = None) -> float:
-    """Dephasing exponent of free precession: (1/pi) int S F0/w^2."""
-    if not duration > 0:
-        raise InvalidParameter(f"duration must be positive, got {duration}")
-    return _weighted_filter_integral(S, FilterFunctionKind.GEOMETRIC_F0,
-                                     duration, quad or QuadratureSpec())
+    """Dephasing exponent of free precession: (1/pi) int S F0/w^2.
+
+    ``quad`` is deprecated and has no effect.
+    """
+    _warn_quad(quad)
+    return _exponent(S, duration, echo=False)
 
 
 def echo_exponent(S: SpectralDensity, duration: float,
                   quad: Optional[QuadratureSpec] = None) -> float:
-    """Dephasing exponent of a two-pulse echo: (1/pi) int S F1/w^2."""
-    if not duration > 0:
-        raise InvalidParameter(f"duration must be positive, got {duration}")
-    return _weighted_filter_integral(S, FilterFunctionKind.DYNAMIC_F1,
-                                     duration, quad or QuadratureSpec())
+    """Dephasing exponent of a two-pulse echo: (1/pi) int S F1/w^2.
+
+    ``quad`` is deprecated and has no effect.
+    """
+    _warn_quad(quad)
+    return _exponent(S, duration, echo=True)
 
 
 @dataclass(frozen=True)
@@ -331,14 +272,13 @@ def decoherence_function(S: SpectralDensity, adiabaticity: float,
     """chi(T) = A^2 * (F0 term) + (F1 term); both terms returned separately.
 
     The A dependence is a pure A^2 prefactor on the first term, so
-    chi(A) - chi(0) = A^2 * [chi(1) - chi(0)] holds exactly.
+    chi(A) - chi(0) = A^2 * [chi(1) - chi(0)] holds exactly.  ``quad`` is
+    deprecated and has no effect.
     """
-    if not adiabaticity >= 0:
-        raise InvalidParameter(f"adiabaticity must be >= 0, got {adiabaticity}")
-    if isinstance(S, White) and S.level == 0.0:
-        return DecoherenceTerms(0.0, 0.0)
-    i0 = ramsey_exponent(S, duration, quad)
-    i1 = echo_exponent(S, duration, quad)
+    _warn_quad(quad)
+    _check_adiabaticity(adiabaticity)
+    i0 = ramsey_exponent(S, duration)
+    i1 = echo_exponent(S, duration)
     return DecoherenceTerms(geometric=adiabaticity**2 * i0, dynamic=i1)
 
 
@@ -355,11 +295,15 @@ class CoherenceCurve:
 
 def coherence_decay(S: SpectralDensity, adiabaticity: float, t_grid,
                     quad: Optional[QuadratureSpec] = None) -> CoherenceCurve:
-    """W(T) = exp(-chi(T)) on an increasing grid of interaction times."""
+    """W(T) = exp(-chi(T)) on an increasing grid of interaction times.
+
+    ``quad`` is deprecated and has no effect.
+    """
+    _warn_quad(quad)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
         raise InvalidParameter("t_grid must be nonempty and increasing")
-    w = [math.exp(-decoherence_function(S, adiabaticity, float(t), quad).total)
+    w = [math.exp(-decoherence_function(S, adiabaticity, float(t)).total)
          for t in t_grid]
     return CoherenceCurve(times=tuple(float(t) for t in t_grid),
                           values=tuple(w))
@@ -406,12 +350,11 @@ def fit_T2g(samples) -> tuple[float, float]:
 # calibration
 # ---------------------------------------------------------------------------
 
-def _one_over_e_time(exponent_fn, S: SpectralDensity, guess: float,
-                     quad: QuadratureSpec) -> float:
+def _one_over_e_time(exponent_fn, S: SpectralDensity, guess: float) -> float:
     """Solve exponent(T) = 1 by bracketed root search (exponent is monotone)."""
 
     def f(t):
-        return exponent_fn(S, t, quad) - 1.0
+        return exponent_fn(S, t) - 1.0
 
     lo, hi = guess, guess
     flo, fhi = f(lo), f(hi)
@@ -437,15 +380,16 @@ def calibrate_noise(t2_star: float, t2: float,
                     tol: float = 0.05) -> Lorentzian:
     """Find (delta, tau_c) whose free-precession and echo 1/e times match targets.
 
-    Two-dimensional root search in log parameters, with the exponents
-    evaluated through the quadrature pipeline (pure F0 filter for the
-    free-precession target, pure F1 for the echo target).  Raises
-    CalibrationFailure when the targets cannot be met within ``tol`` —
-    in particular for t2 <= t2_star*(1 + 2*tol), where the echo gain the
-    family always provides cannot be distinguished from the tolerance.
+    Two-dimensional root search in log parameters, with the closed-form
+    exponents (pure F0 filter for the free-precession target, pure F1 for
+    the echo target).  Raises CalibrationFailure when the targets cannot be
+    met within ``tol`` — in particular for t2 <= t2_star*(1 + 2*tol), where
+    the echo gain the family always provides cannot be distinguished from
+    the tolerance.  ``quad`` is deprecated and has no effect.
     """
-    if not t2_star > 0 or not t2 > 0:
-        raise InvalidParameter("targets must be positive")
+    _warn_quad(quad)
+    if not 0 < t2_star < math.inf or not 0 < t2 < math.inf:
+        raise InvalidParameter("targets must be positive and finite")
     if t2 < t2_star:
         raise InvalidParameter("echo target must not be below the free-precession target")
     if t2 <= t2_star * (1.0 + 2.0 * tol):
@@ -453,24 +397,24 @@ def calibrate_noise(t2_star: float, t2: float,
             f"targets t2={t2:g}, t2_star={t2_star:g} are degenerate for a "
             f"Lorentzian bath at tolerance {tol:g}"
         )
-    quad = quad or QuadratureSpec()
-    delta0 = math.sqrt(2.0) / t2_star
-    tau0 = delta0**2 * t2**3 / 12.0
 
     def residual(logp):
         S = Lorentzian(delta=math.exp(logp[0]), tau_c=math.exp(logp[1]))
-        r = _one_over_e_time(ramsey_exponent, S, t2_star, quad)
-        e = _one_over_e_time(echo_exponent, S, t2, quad)
+        r = _one_over_e_time(ramsey_exponent, S, t2_star)
+        e = _one_over_e_time(echo_exponent, S, t2)
         return [math.log(r / t2_star), math.log(e / t2)]
 
     from scipy import optimize
 
     try:
+        # the quasi-static guess overflows for absurd targets (1e-300, 1e300)
+        delta0 = math.sqrt(2.0) / t2_star
+        tau0 = delta0**2 * t2**3 / 12.0
         sol = optimize.root(residual, [math.log(delta0), math.log(tau0)],
                             method="hybr", options={"xtol": 1e-10})
         S = Lorentzian(delta=math.exp(sol.x[0]), tau_c=math.exp(sol.x[1]))
-        achieved_r = _one_over_e_time(ramsey_exponent, S, t2_star, quad)
-        achieved_e = _one_over_e_time(echo_exponent, S, t2, quad)
+        achieved_r = _one_over_e_time(ramsey_exponent, S, t2_star)
+        achieved_e = _one_over_e_time(echo_exponent, S, t2)
     except CalibrationFailure:
         raise
     except Exception as exc:
@@ -652,6 +596,8 @@ class SpectralOverlay:
 def spectral_overlay(S: SpectralDensity, adiabaticity: float, duration: float,
                      omega_grid) -> SpectralOverlay:
     """Tabulate S(w), A^2*F0(wT)/w^2 and F1(wT)/w^2 on a positive grid."""
+    _check_adiabaticity(adiabaticity)
+    _check_duration(duration)
     omega = np.asarray(omega_grid, dtype=float)
     if omega.size == 0 or np.any(omega <= 0) or np.any(np.diff(omega) <= 0):
         raise InvalidParameter("omega_grid must be positive and increasing")

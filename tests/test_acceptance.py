@@ -299,3 +299,41 @@ class TestAcceptance:
                "property suites (norm, composition, convergence, filter "
                "identities, quadratic prefactor, injectivity): "
                + ("all green" if ok else f"failed: {sorted(set(failures))}"))
+
+
+class TestRedCriterionValues:
+    """The values criteria 1, 2 and 9 print, pinned at their printed precision.
+
+    Those criteria stay red on purpose (module docstring), so their own
+    tests cannot tell a changed value from an unchanged one.  A change that
+    moves one of these numbers, in either direction, fails here.
+    """
+
+    def test_01_max_deviation(self):
+        model = GeometricModel(W5, 3)
+        b_grid = np.linspace(0.0, 1.5 * berry_field_range(model), 200)
+        p_num = sequences.execute_batch(sequences.build_berry(W5, 3, 8e-6), b_grid)
+        dev = float(np.max(np.abs(p_num - berry_signal(model, b_grid))))
+        assert f"{dev:.4f}" == "0.1296"
+
+    def test_02_pairwise_deviation(self):
+        model = GeometricModel(W5, 3)
+        b_grid = np.linspace(0.0, 1.5 * berry_field_range(model), 200)
+        curves = [sequences.execute_batch(sequences.build_berry(W5, 3, t), b_grid)
+                  for t in (4e-6, 6e-6, 8e-6)]
+        worst = max(float(np.max(np.abs(a - b)))
+                    for i, a in enumerate(curves) for b in curves[i + 1:])
+        assert f"{worst:.3f}" == "0.352"
+
+    def test_09_ratio_and_exponent(self, calibrated_noise):
+        a_grid = [0.01, 0.02, 0.05, 0.1, 0.147, 0.215, 0.316, 0.464, 0.5,
+                  0.681, 1.0, 1.47, 2.0]
+        rows, _ = harness.nonadiabatic_sensitivity_scan(
+            a_grid, T2_STAR / 2.0, calibrated_noise)
+        assert not any(r.eta_geo < r.eta_dyn for r in rows if 0.5 <= r.a_value <= 2.0)
+        best_ratio = min(r.eta_geo / r.eta_dyn for r in rows)
+        mid = [r for r in rows if 0.1 < r.a_value < 1.0]
+        exponent = np.polyfit(np.log([r.a_value for r in mid]),
+                              np.log([r.eta_geo for r in mid]), 1)[0]
+        assert f"{best_ratio:.2f}" == "1.81"
+        assert f"{exponent:.2f}" == "-0.31"

@@ -270,6 +270,14 @@ class TestRegimeScan:
         with pytest.raises(InvalidParameter):
             decoherence_regime_scan([0.5], calibrated_noise, engine="exact")
 
+    def test_unreachable_decay_time_is_a_row_error(self, calibrated_noise):
+        # chi never reaches 1 for a near-silent bath, and exceeds 1 at every
+        # sampled time for a huge A: both rows fail, the scan goes on
+        rows = decoherence_regime_scan([0.1], White(1e-30))
+        assert rows[0].status == "error" and "does not cross 1" in rows[0].error
+        rows = decoherence_regime_scan([1.0, 1e100], calibrated_noise)
+        assert [r.status for r in rows] == ["ok", "error"]
+
     @pytest.mark.parametrize("ensemble", [0, -2])
     def test_empty_ensemble_rejected_before_the_loop(self, calibrated_noise,
                                                      monkeypatch, ensemble):

@@ -2,13 +2,15 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from phasemag.constants import NV
-from phasemag.errors import (CalibrationFailure, FitFailure, InvalidParameter,
-                             QuadratureFailure)
+from phasemag.errors import CalibrationFailure, FitFailure, InvalidParameter
+from phasemag.harness import (decoherence_regime_scan,
+                              nonadiabatic_sensitivity_scan)
 from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF,
                             QuadratureSpec, White, calibrate_noise,
                             coherence_decay, decoherence_function,
@@ -16,7 +18,7 @@ from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF,
                             mc_free_precession_decay, ou_bank, ou_trajectory,
                             ramsey_exponent, spectral_overlay)
 
-from conftest import T2_ECHO, T2_STAR, chi_echo_ou, chi_fid_ou
+from conftest import T2_ECHO, T2_STAR, chi_reference
 
 F0 = FilterFunctionKind.GEOMETRIC_F0
 F1 = FilterFunctionKind.DYNAMIC_F1
@@ -39,6 +41,20 @@ class TestFilterFunctions:
 
 
 class TestSpectralDensities:
+    @pytest.mark.parametrize("make", [
+        lambda: Lorentzian(delta=math.inf, tau_c=1.0),
+        lambda: Lorentzian(delta=1.0, tau_c=math.inf),
+        lambda: Lorentzian(delta=math.nan, tau_c=1.0),
+        lambda: White(math.inf),
+        lambda: White(math.nan),
+        lambda: OneOverF(amplitude=math.inf, omega_min=1.0, omega_max=2.0),
+        lambda: OneOverF(amplitude=1.0, omega_min=1.0, omega_max=math.inf),
+        lambda: OneOverF(amplitude=1.0, omega_min=math.nan, omega_max=2.0),
+    ])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(InvalidParameter):
+            make()
+
     def test_positive_and_validated(self):
         with pytest.raises(InvalidParameter):
             Lorentzian(delta=-1.0, tau_c=1.0)
@@ -48,14 +64,6 @@ class TestSpectralDensities:
         w = np.array([1.0, 1e4, 1e7])
         vals = S.psd(w)
         assert vals[0] == 0.0 and vals[2] == 0.0 and vals[1] == pytest.approx(1e-4)
-
-    def test_lorentzian_tail_integral(self):
-        S = Lorentzian(delta=3e4, tau_c=1e-3)
-        w0 = 5e4
-        grid = np.geomspace(w0, w0 * 1e6, 400001)
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        numeric = trapezoid(S.psd(grid) / grid**2, grid)
-        assert S.tail_integral(w0) == pytest.approx(numeric, rel=1e-4)
 
 
 class TestDecoherenceFunction:
@@ -78,23 +86,49 @@ class TestDecoherenceFunction:
         assert terms.geometric == pytest.approx(0.49 * (2e4 * t) ** 2 / 2, rel=1e-3)
 
     def test_matches_closed_form_ou_both_filters(self):
-        S = Lorentzian(delta=2.8e4, tau_c=8.3e-3)
-        tight = QuadratureSpec(rel_tol=1e-8, points=48, max_doublings=8)
-        for t in (5e-6, 5e-5, 3e-4, 1.5e-3):
-            assert ramsey_exponent(S, t, tight) == pytest.approx(
-                chi_fid_ou(S.delta, S.tau_c, t), rel=1e-6)
-            assert echo_exponent(S, t, tight) == pytest.approx(
-                chi_echo_ou(S.delta, S.tau_c, t), rel=1e-6)
-        # default policy keeps its own advertised tolerance
-        t = 5e-5
-        assert ramsey_exponent(S, t) == pytest.approx(
-            chi_fid_ou(S.delta, S.tau_c, t), rel=2e-4)
+        # x = T/tau_c from 1.25e-4 to 1000, across the series threshold 0.5
+        for tau_c in (1e-6, 3e-5, 1e-3, 8e-3):
+            S = Lorentzian(delta=2.8e4, tau_c=tau_c)
+            for t in (1e-6, 1.4e-5, 1.6e-5, 1e-3):
+                assert ramsey_exponent(S, t) == pytest.approx(
+                    chi_reference(S, False, t), rel=1e-8)
+                assert echo_exponent(S, t) == pytest.approx(
+                    chi_reference(S, True, t), rel=1e-8)
 
     def test_white_noise_closed_form(self):
-        S = White(level=2e3)
-        t = 2e-5
-        assert ramsey_exponent(S, t) == pytest.approx(S.level * t / 2, rel=1e-5)
-        assert echo_exponent(S, t) == pytest.approx(S.level * t / 2, rel=1e-5)
+        for level, t in ((2e3, 2e-5), (1e5, 5e-6), (3e4, 8e-5)):
+            S = White(level=level)
+            assert ramsey_exponent(S, t) == S.level * t / 2
+            assert ramsey_exponent(S, t) == pytest.approx(
+                chi_reference(S, False, t), rel=1e-12)
+            assert echo_exponent(S, t) == pytest.approx(
+                chi_reference(S, True, t), rel=1e-12)
+
+    @pytest.mark.parametrize("amplitude, omega_min, t", [
+        (1.0, 1e3, 1e-6), (3e3, 2e2, 1e-5), (1e2, 5e3, 1e-4),
+        (5e8, 80.0, 80e-6), (1e9, 120.0, 60e-6), (2e9, 90.0, 30e-6),
+    ])
+    def test_one_over_f_matches_numeric_reference(self, amplitude, omega_min, t):
+        S = OneOverF(amplitude, omega_min, 1e6 * omega_min)
+        assert ramsey_exponent(S, t) == pytest.approx(
+            chi_reference(S, False, t), rel=1e-9)
+        assert echo_exponent(S, t) == pytest.approx(
+            chi_reference(S, True, t), rel=1e-9)
+
+    def test_non_finite_inputs_rejected(self):
+        S = Lorentzian(delta=3e4, tau_c=1e-3)
+        for bad in (math.inf, math.nan, 0.0):
+            with pytest.raises(InvalidParameter):
+                ramsey_exponent(S, bad)
+            with pytest.raises(InvalidParameter):
+                echo_exponent(S, bad)
+        for bad in (math.inf, math.nan, -1.0, 1e300):
+            with pytest.raises(InvalidParameter):
+                decoherence_function(S, bad, 1e-5)
+            with pytest.raises(InvalidParameter):
+                spectral_overlay(S, bad, 1e-5, np.geomspace(1e3, 1e7, 10))
+        with pytest.raises(InvalidParameter):
+            spectral_overlay(S, 0.5, math.inf, np.geomspace(1e3, 1e7, 10))
 
     def test_exact_quadratic_prefactor(self):
         S = Lorentzian(delta=3e4, tau_c=2e-3)
@@ -105,18 +139,26 @@ class TestDecoherenceFunction:
             chia = decoherence_function(S, a, t).total
             assert chia - chi0 == pytest.approx(a**2 * (chi1 - chi0), rel=1e-12)
 
-    def test_subdivision_doubling_converged(self):
-        S = Lorentzian(delta=2.8e4, tau_c=8.3e-3)
-        t = 1e-4
-        base = ramsey_exponent(S, t, QuadratureSpec(subdivide=1))
-        fine = ramsey_exponent(S, t, QuadratureSpec(subdivide=2))
-        assert abs(fine - base) / abs(fine) < 1e-4
-
-    def test_unreachable_tolerance_raises(self):
-        S = Lorentzian(delta=2.8e4, tau_c=8.3e-3)
-        with pytest.raises(QuadratureFailure):
-            ramsey_exponent(S, 1e-4, QuadratureSpec(rel_tol=1e-16, points=2,
-                                                    max_doublings=1))
+    def test_quad_argument_warns_and_changes_nothing(self, calibrated_noise):
+        S = calibrated_noise
+        spec = QuadratureSpec(rel_tol=1e-16, points=2, max_doublings=1)
+        calls = [
+            lambda **kw: ramsey_exponent(S, 2e-5, **kw),
+            lambda **kw: echo_exponent(S, 2e-5, **kw),
+            lambda **kw: decoherence_function(S, 0.3, 2e-5, **kw),
+            lambda **kw: coherence_decay(S, 0.3, [1e-5, 2e-5], **kw),
+            lambda **kw: calibrate_noise(T2_STAR, T2_ECHO, **kw),
+            lambda **kw: decoherence_regime_scan([0.1], S, **kw),
+            lambda **kw: nonadiabatic_sensitivity_scan([0.02], T2_STAR / 2, S,
+                                                       b_points=41, **kw),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plain = call()
+            with pytest.warns(DeprecationWarning, match="quad has no effect") as rec:
+                assert call(quad=spec) == plain
+            assert len(rec) == 1
 
 
 class TestCoherenceDecay:
@@ -169,7 +211,7 @@ class TestFitT2g:
 class TestCalibration:
     def test_targets_met_within_tolerance(self, calibrated_noise):
         S = calibrated_noise
-        # verify through the quadrature path: chi(T_target) == 1 within 5%
+        # verify through the closed-form exponents: chi(T_target) == 1 within 5%
         assert ramsey_exponent(S, T2_STAR) == pytest.approx(1.0, abs=0.05)
         assert echo_exponent(S, T2_ECHO) == pytest.approx(1.0, abs=0.05)
         assert S.tau_c > 10 * T2_STAR  # quasi-static regime
