@@ -413,11 +413,13 @@ def cmd_decohere(cfg: dict) -> int:
 
     header = _header_lines("decohere", cfg)
 
-    # (T, W) curves per A
+    # (T, W) curves per A; the eq3 scan has already computed them
+    fitted = {r.a_value: r.curve for r in rows if r.curve is not None}
     lines = list(header) + ["A,T_us,W"]
     for a in a_list:
-        grid = harness._auto_decay_grid(S, a)
-        curve = noise_mod.coherence_decay(S, a, grid)
+        curve = fitted.get(float(a))
+        if curve is None:
+            curve = harness._eq3_decay_curve(S, a)
         for t, w in zip(curve.times, curve.values):
             lines.append(f"{fmt(a)},{fmt(t * 1e6)},{fmt(w)}")
     _write_text(cfg["out"] + "_coherence.csv", "\n".join(lines) + "\n")

@@ -214,11 +214,13 @@ def _slice_axes(rabi: float, phases: np.ndarray, dets: np.ndarray, dt: float):
 
 
 def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a time function on an array of times, scalar fallback."""
-    try:
-        vals = np.asarray(fn(ts), dtype=float)
-    except Exception:
-        return np.array([float(fn(t)) for t in ts], dtype=float)
+    """Evaluate a time function on an array of times.
+
+    ``fn`` is called with the whole array, and whatever it raises
+    propagates.  A scalar result is broadcast over ``ts``; a result whose
+    shape does not follow ``ts`` is replaced by one call per time.
+    """
+    vals = np.asarray(fn(ts), dtype=float)
     if vals.ndim == 0:
         return np.full(ts.shape, float(vals))
     if vals.shape[0] == ts.shape[0] and vals.ndim <= 2:
@@ -342,6 +344,10 @@ def propagate_swept(state: SpinState, rabi: float,
     ``step_control.tol`` for every Bloch component.  Deterministic for fixed
     inputs.  Raises ``ConvergenceFailure`` if the tolerance is not met within
     ``max_depth`` halvings.
+
+    ``phase_fn`` and ``detuning_fn`` are called with arrays of times and
+    may return a scalar (a constant) or one value per time; an exception
+    they raise propagates unchanged.
     """
     out, _ = propagate_swept_report(state, rabi, phase_fn, detuning_fn,
                                     duration, step_control)

@@ -172,7 +172,10 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
     ``omega`` (rad/s) and ``n_rot`` apply to berry only.  ``numeric+noise``
     averages ``ensemble`` runs of the sequence; run k sees one Lorentzian OU
     trajectory sampled every min(tau_c/10, T/256) from the random stream
-    ``seed_key + (k,)``.  Other noise families raise InvalidParameter.
+    ``seed_key + (k,)`` and interpolated linearly.  Free evolution (ramsey,
+    hahn) turns by the exact integral of that trajectory, with no mesh;
+    swept segments (berry) run on the co-rotating mesh.  Other noise
+    families raise InvalidParameter.
     """
     gamma = constants.gamma
     if engine == "analytic":
@@ -285,8 +288,7 @@ def _eval_point(spec: SweepSpec, index, omega, n_rot, duration):
 
         t2g = t2g_res = None
         if spec.noise is not None and spec.protocol == "berry":
-            grid = _auto_decay_grid(spec.noise, a_value, None)
-            curve = noise_mod.coherence_decay(spec.noise, a_value, grid)
+            curve = _eq3_decay_curve(spec.noise, a_value)
             t2g, t2g_res = noise_mod.fit_T2g(
                 np.stack([curve.times, curve.values], axis=1))
 
@@ -537,12 +539,19 @@ def classify_regime(a_value: float) -> str:
 
 @dataclass(frozen=True)
 class RegimeRow:
+    """Fitted coherence time at one adiabaticity.
+
+    ``curve`` holds the exp(-chi) samples the eq3 fit used, and is None for
+    the Monte-Carlo engine and for error rows.
+    """
+
     a_value: float
     t2g: Optional[float]
     residual: Optional[float]
     regime: str
     status: str
     error: str = ""
+    curve: Optional[noise_mod.CoherenceCurve] = None
 
 
 def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
@@ -568,9 +577,9 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
     rows = []
     for a_value in sorted(float(a) for a in a_grid):
         try:
+            curve = None
             if engine == "eq3":
-                grid = _auto_decay_grid(S, a_value, n_points=28)
-                curve = noise_mod.coherence_decay(S, a_value, grid)
+                curve = _eq3_decay_curve(S, a_value)
                 samples = np.stack([curve.times, curve.values], axis=1)
             else:
                 grid = _auto_decay_grid(S, a_value, n_points=t_points)
@@ -578,12 +587,21 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
                                             seed, constants)
             t2g, res = noise_mod.fit_T2g(samples)
             rows.append(RegimeRow(a_value=a_value, t2g=t2g, residual=res,
-                                  regime=classify_regime(a_value), status="ok"))
+                                  regime=classify_regime(a_value), status="ok",
+                                  curve=curve))
         except PhasemagError as exc:
             rows.append(RegimeRow(a_value=a_value, t2g=None, residual=None,
                                   regime=classify_regime(a_value),
                                   status="error", error=str(exc)))
     return rows
+
+
+def _eq3_decay_curve(S: SpectralDensity, a_value: float) -> noise_mod.CoherenceCurve:
+    """exp(-chi(T; A)) on 28 times from 0.15 to 2.1 times its 1/e time.
+
+    Raises InvalidParameter when chi(T; A) does not cross 1.
+    """
+    return noise_mod.coherence_decay(S, a_value, _auto_decay_grid(S, a_value))
 
 
 def _mc_decay_samples(S, a_value, omega, t_grid, ensemble, seed, constants):

@@ -25,8 +25,15 @@ Spectral conventions, all in one place to avoid factor-of-two drift:
   of F(u)/u^3 written through the cosine integral Ci.
 
 With these conventions the Ornstein-Uhlenbeck time-domain oracle satisfies
-<cos(int detuning dt)> = exp(-chi) exactly in the Gaussian limit, which the
-tests check against the closed-form exponents.
+<cos(int detuning dt)> = exp(-chi) exactly, since the phase is Gaussian,
+which the tests check against the closed-form exponents.  The oracle
+(``mc_free_precession_decay``) draws each trajectory's detuning and its
+time integral jointly and exactly at the requested times only (Gillespie,
+Phys. Rev. E 54, 2084 (1996)), so no time step enters.  Trajectories for
+the sequence executor (``ou_trajectory``, ``ou_bank``) are sampled exactly
+on uniform knots and interpolated linearly; ``detuning_integral`` gives the
+exact integral of that interpolant, which makes noisy free evolution one z
+rotation.
 """
 
 from __future__ import annotations
@@ -204,18 +211,33 @@ def _ou_bracket(x: float, echo: bool) -> float:
 
 
 def _one_over_f_primitive(u: float, echo: bool) -> float:
-    """Antiderivative in u of F(u)/u^3: G(u), or G(u/2) - G(u) for the echo.
+    """Antiderivative in u of F(u)/u^3: G(u), or H(u) for the echo.
 
     G(u) = -sin^2(u/2)/u^2 - sin(u)/(2u) + Ci(u)/2 has G'(u) = F0(u)/u^3,
-    and F1(u) = 4 F0(u/2) - F0(u) gives the echo form.
+    and F1(u) = 4 F0(u/2) - F0(u) gives H(u) = G(u/2) - G(u) + ln(2)/2.
+    The constant makes H vanish at u = 0: G(u/2) - G(u) tends to -ln(2)/2,
+    and a band far below 1/T would cancel that constant between its two
+    ends.  Below u = 0.5, H is therefore summed as its series
+    sum_{k>=1} g_k (4^-k - 1) u^2k, with g_k the u^2k coefficient of G:
+    (-1)^k [1/(4k (2k)!) - 1/(2 (2k+1)!) - 1/(2 (2k+2)!)].
     """
+    if echo and u < 0.5:
+        total, fact, sign = 0.0, 1.0, 1.0  # fact = (2k)!
+        for k in range(1, 12):
+            fact *= (2 * k - 1) * (2 * k)
+            sign = -sign
+            g_k = sign * (1.0 / (4 * k * fact) - 1.0 / (2 * fact * (2 * k + 1))
+                          - 1.0 / (2 * fact * (2 * k + 1) * (2 * k + 2)))
+            total += g_k * (4.0**-k - 1.0) * u ** (2 * k)
+        return total
+
     from scipy.special import sici  # lazy: `import phasemag` loads no scipy
 
     def g(v):
         return (-(math.sin(0.5 * v) / v) ** 2 - math.sin(v) / (2.0 * v)
                 + 0.5 * float(sici(v)[1]))
 
-    return g(0.5 * u) - g(u) if echo else g(u)
+    return g(0.5 * u) - g(u) + 0.5 * math.log(2.0) if echo else g(u)
 
 
 def _exponent(S: SpectralDensity, duration: float, echo: bool) -> float:
@@ -433,16 +455,46 @@ def calibrate_noise(t2_star: float, t2: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OUTrajectory:
+class _OUKnots:
+    """OU detunings on uniform knots ``times`` (k*dt), linear in between."""
+
+    times: np.ndarray
+    values: np.ndarray
+    gamma: float
+
+    def detuning_integral(self, t0: float, t1: float):
+        """Integral of the interpolated detuning over [t0, t1], in rad.
+
+        The interpolant is linear between knots, so the integral is the
+        trapezoid sum over the knots inside [t0, t1] plus the two partial
+        intervals at the ends, with no quadrature error.  Returns a float
+        for a trajectory and one value per channel, shape (n_traj,), for a
+        bank.
+        """
+        dt = self.times[1] - self.times[0]
+        v = self.values
+
+        def locate(t):
+            k = min(max(int(t / dt), 0), len(self.times) - 2)
+            return k, t / dt - k
+
+        def from_knot(k, f):
+            # integral, in units of dt, from knot k to the fraction f past it
+            return f * (v[k] + 0.5 * f * (v[k + 1] - v[k]))
+
+        k0, f0 = locate(t0)
+        k1, f1 = locate(t1)
+        inner = 0.5 * np.sum(v[k0:k1] + v[k0 + 1:k1 + 1], axis=0)
+        return dt * (inner + from_knot(k1, f1) - from_knot(k0, f0))
+
+
+@dataclass(frozen=True)
+class OUTrajectory(_OUKnots):
     """Sampled Ornstein-Uhlenbeck detuning noise, callable as field offset.
 
     ``values`` are detunings in rad/s; calling the trajectory linearly
     interpolates and converts to field units through gamma.
     """
-
-    times: np.ndarray
-    values: np.ndarray
-    gamma: float
 
     def __call__(self, t):
         return np.interp(t, self.times, self.values) / self.gamma
@@ -506,60 +558,89 @@ def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
     return x
 
 
+def _ou_phases(S: Lorentzian, t_grid: np.ndarray, echo: bool, rng,
+               n_traj: int) -> np.ndarray:
+    """(n_traj, len(t_grid)) accumulated phases of stationary OU trajectories.
+
+    The OU value x and its integral I are drawn jointly and exactly on the
+    union of the requested times (and, for the echo, their halves), so no
+    time step enters (Gillespie, Phys. Rev. E 54, 2084 (1996)).  Over a gap
+    h, with y = h/tau_c and a = e^-y, (x', dI) given x is Gaussian with
+    means a*x and tau_c*(1-a)*x, variances delta^2 (1-a^2) and
+    delta^2 tau_c^2 (2y - 3 + 4a - a^2) (the echo bracket at 2y, which is
+    free of cancellation), and covariance delta^2 tau_c (1-a)^2; it is
+    drawn through the 2x2 Cholesky factor.  The phase is I(T), or
+    2 I(T/2) - I(T) for the echo.  Row 0 of the normals from ``rng`` seeds
+    the stationary start, rows 2k+1 and 2k+2 drive gap k.
+    """
+    knots = np.unique(np.concatenate(
+        ([0.0], t_grid, t_grid / 2.0) if echo else ([0.0], t_grid)))
+    y = np.diff(knots) / S.tau_c
+    one_minus_a = -np.expm1(-y)
+    a = 1.0 - one_minus_a
+    tau_d = S.tau_c * S.delta
+    l11 = S.delta * np.sqrt(one_minus_a * (1.0 + a))
+    l21 = tau_d * one_minus_a * np.sqrt(one_minus_a / (1.0 + a))
+    var_i = np.array([_ou_bracket(2.0 * v, echo=True) for v in y]) * tau_d**2
+    l22 = np.sqrt(var_i - l21 * l21)
+    mean_i = S.tau_c * one_minus_a
+
+    z = rng.standard_normal((2 * y.size + 1, n_traj))
+    x = S.delta * z[0]
+    phase = np.zeros((knots.size, n_traj))
+    for k in range(y.size):
+        z1, z2 = z[2 * k + 1], z[2 * k + 2]
+        phase[k + 1] = phase[k] + mean_i[k] * x + l21[k] * z1 + l22[k] * z2
+        x = a[k] * x + l11[k] * z1
+    at_t = phase[np.searchsorted(knots, t_grid)]
+    if echo:
+        at_t = 2.0 * phase[np.searchsorted(knots, t_grid / 2.0)] - at_t
+    return at_t.T
+
+
 def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
                              echo: bool = False,
                              chunk: int = 512) -> np.ndarray:
     """Monte-Carlo <cos(accumulated phase)> over OU detuning trajectories.
 
     ``echo=False`` integrates the detuning straight over [0, T]; ``echo=True``
-    flips the sign at T/2 (two-pulse echo).  Trajectories are generated in
-    chunks whose random streams derive from (seed, chunk index), so the result
-    is independent of chunking and scheduling order.
+    flips the sign at T/2 (two-pulse echo).  Each trajectory's value and
+    integral are sampled exactly at the requested times and their halves
+    (``_ou_phases``; Gillespie, Phys. Rev. E 54, 2084 (1996)), so the only
+    error is the sampling error of ``n_traj`` runs.  Trajectories are
+    generated in chunks whose random streams derive from (seed, chunk
+    index), so the result does not depend on the order the chunks run in.
     """
+    if not isinstance(S, Lorentzian):
+        raise InvalidParameter("the Monte-Carlo decay needs a Lorentzian density")
+    if n_traj < 1:
+        raise InvalidParameter(f"n_traj must be >= 1, got {n_traj}")
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0):
-        raise InvalidParameter("times must be nonnegative")
-    t_max = float(np.max(t_grid))
-    if t_max == 0.0:
+    if t_grid.size == 0 or not np.all((t_grid >= 0) & (t_grid < math.inf)):
+        raise InvalidParameter("times must be nonnegative and finite, at least one")
+    if float(np.max(t_grid)) == 0.0:
         return np.ones_like(t_grid)
-    dt = min(S.tau_c / 10.0, t_max / 1024.0)
-    n_steps = int(math.ceil(t_max / dt)) + 1
-
-    def phase_at(cum, times_needed):
-        idx = np.clip((times_needed / dt).astype(int), 0, n_steps - 1)
-        frac = times_needed / dt - idx
-        return cum[:, idx] + frac[None, :] * (cum[:, idx + 1] - cum[:, idx])
-
-    total = np.zeros_like(t_grid)
+    flat = t_grid.ravel()
+    total = np.zeros_like(flat)
     done = 0
     chunk_index = 0
     while done < n_traj:
         m = min(chunk, n_traj - done)
-        x = _ou_block(S, n_steps, dt, m, [seed, chunk_index]).T
-        cum = np.empty((m, n_steps + 1), dtype=float)
-        cum[:, 0] = 0.0
-        np.cumsum((x[:, 1:] + x[:, :-1]) * (dt / 2.0), axis=1, out=cum[:, 1:])
-        if echo:
-            phi = 2.0 * phase_at(cum, t_grid / 2.0) - phase_at(cum, t_grid)
-        else:
-            phi = phase_at(cum, t_grid)
-        total += np.sum(np.cos(phi), axis=0)
+        rng = np.random.default_rng([seed, chunk_index])
+        total += np.sum(np.cos(_ou_phases(S, flat, echo, rng, m)), axis=0)
         done += m
         chunk_index += 1
-    return total / n_traj
+    return (total / n_traj).reshape(t_grid.shape)
 
 
 @dataclass(frozen=True)
-class OUBank:
+class OUBank(_OUKnots):
     """Ensemble of OU trajectories on a shared uniform grid.
 
-    Calling the bank with times (n,) returns field offsets of shape
-    (n, n_traj), the layout the batched sequence executor consumes.
+    ``values`` has shape (n_steps+1, n_traj), detunings in rad/s.  Calling
+    the bank with times (n,) returns field offsets of shape (n, n_traj), the
+    layout the batched sequence executor consumes.
     """
-
-    times: np.ndarray
-    values: np.ndarray  # (n_steps+1, n_traj) detunings in rad/s
-    gamma: float
 
     @property
     def n_traj(self) -> int:

@@ -198,16 +198,23 @@ def execute_batch(plan: SequencePlan, b_values,
                   constants: PhysicalConstants = NV) -> np.ndarray:
     """Vectorized ``execute`` over a grid of static fields.
 
-    Free evolution is run as an undriven sweep, and every sweep passes
-    through the frame that co-rotates with its linearly ramped drive phase
-    (``_in_drive_frame``).  Without noise the Larmor vector is constant in
-    that frame, so each segment is one closed-form rotation
-    (``_apply_swept_exact``) and ``step_control`` is not used.  With a noise
-    trajectory the frame propagation runs on the Richardson mesh of
-    ``core._swept_refine`` (``_run_swept``): the noise enters only on z, so
-    the mesh size follows the Larmor rate and the noise, not the turns of
-    the drive phase.  All fields share that mesh and the trajectory, and the
-    refinement criterion is the worst Bloch-component change over the batch.
+    Free evolution over [t0, t1] is a pure z rotation by
+    gamma*B*(t1 - t0) plus the integral of the noise detuning.  An
+    ``OUTrajectory`` or ``OUBank`` interpolates linearly between its knots,
+    so that integral is exact (``detuning_integral``; one value per channel
+    for a bank) and free evolution never needs a mesh.  A plain noise
+    callable without knots runs free evolution as an undriven sweep.
+
+    Every sweep passes through the frame that co-rotates with its linearly
+    ramped drive phase (``_in_drive_frame``).  Without noise the Larmor
+    vector is constant in that frame, so each segment is one closed-form
+    rotation (``_apply_swept_exact``).  With a noise trajectory the frame
+    propagation runs on the Richardson mesh of ``core._swept_refine``
+    (``_run_swept``): the noise enters only on z, so the mesh size follows
+    the Larmor rate and the noise, not the turns of the drive phase.  All
+    fields share that mesh and the trajectory, and the refinement criterion
+    is the worst Bloch-component change over the batch.  ``step_control``
+    governs that mesh only.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if not np.all(np.isfinite(b_values)):
@@ -225,10 +232,21 @@ def execute_batch(plan: SequencePlan, b_values,
             states = states @ _pulse_matrix(seg).T
             continue
         if isinstance(seg, FreeEvolution):
-            seg = SweptDrive(0.0, 0.0, 0.0, seg.duration)
+            angles = dets_static * seg.duration
+            if noise_trajectory is None:
+                states = _precess_z(states, angles)
+            elif hasattr(noise_trajectory, "detuning_integral"):
+                # the knots hold detunings for the trajectory's own gamma
+                noise_phase = noise_trajectory.detuning_integral(
+                    t_start, t_start + seg.duration)
+                states = _precess_z(
+                    states, angles + noise_phase * (gamma / noise_trajectory.gamma))
+            else:
+                states = _run_swept(states, SweptDrive(0.0, 0.0, 0.0, seg.duration),
+                                    dets_static, noise_trajectory, gamma, t_start, ctl)
         elif not isinstance(seg, SweptDrive):
             raise InvalidParameter(f"unknown segment type {type(seg)!r}")
-        if noise_trajectory is None:
+        elif noise_trajectory is None:
             states = _apply_swept_exact(states, seg, dets_static)
         else:
             states = _run_swept(states, seg, dets_static, noise_trajectory,
@@ -288,8 +306,8 @@ def _run_swept(states, seg: SweptDrive, dets_static, noise_trajectory, gamma,
 
     The mesh runs in the co-rotating frame of ``_in_drive_frame`` with drive
     phase 0 and detuning gamma*(B + b(t)) - r, so it resolves the Larmor
-    precession and the noise but never the turns of the drive phase.  Free
-    evolution (rabi = r = phi0 = 0) enters and leaves the frame through
+    precession and the noise but never the turns of the drive phase.  An
+    undriven sweep (rabi = r = phi0 = 0) enters and leaves the frame through
     exact identities.
     """
     def det_fn(t):

@@ -99,12 +99,13 @@ class TestSignalCommand:
         # one free-precession coherence time in: contrast near exp(-1)
         assert 0.15 < p0 < 0.65
 
-    # rows written before `signal` and `sweep` shared one curve function
+    # rows recorded when free evolution became an exact z rotation; they lie
+    # within 1.4e-13 of the mesh at tol 1e-10 on the same trajectories
     PINNED_NOISE_ROWS = {
-        "ramsey": ["0,0.990999918", "0.005,-0.918528451", "0.01,0.717052393",
-                   "0.015,-0.414868457", "0.02,0.0544174791"],
-        "hahn": ["0,0.999833111", "0.005,0.999833111", "0.01,0.999833111",
-                 "0.015,0.999833111", "0.02,0.999833111"],
+        "ramsey": ["0,0.99099993", "0.005,-0.918528489", "0.01,0.717052451",
+                   "0.015,-0.414868527", "0.02,0.0544175514"],
+        "hahn": ["0,0.999833106", "0.005,0.999833106", "0.01,0.999833106",
+                 "0.015,0.999833106", "0.02,0.999833106"],
     }
 
     @pytest.mark.parametrize("protocol", ["ramsey", "hahn"])
@@ -303,6 +304,22 @@ class TestDecohereCommand:
         regimes = [l.split(",") for l in reg if not l.startswith(("#", "A,"))]
         assert regimes[0][3] == "intermediate"
         assert regimes[1][3] == "nonadiabatic"
+
+    def test_eq3_curves_are_computed_once(self, tmp_path, monkeypatch):
+        # the regime scan and _coherence.csv share one curve per A
+        from phasemag import harness
+        calls = []
+        grid = harness._auto_decay_grid
+
+        def counted(S, a_value, n_points=28):
+            calls.append(a_value)
+            return grid(S, a_value, n_points)
+
+        monkeypatch.setattr(harness, "_auto_decay_grid", counted)
+        code = run_cli("decohere", "--delta-rad-s", "31415.9", "--tau-c-us", "20",
+                       "--a-list", "0.1,0.5", "--out", str(tmp_path / "deco"))
+        assert code == 0
+        assert sorted(calls) == [0.1, 0.5]
 
     def test_requires_output_path(self, calibrated_noise):
         code = run_cli("decohere", "--delta-rad-s", "3e4", "--tau-c-us", "8000",

@@ -216,6 +216,16 @@ class TestPropagateSwept:
             propagate_swept(SpinState.up(), 1.0, lambda t: 0.0,
                             lambda t: 0.0, -1.0)
 
+    def test_error_in_user_function_propagates(self):
+        # a detuning that fails on arrays must not be retried time by time
+        def detuning(t):
+            if np.ndim(t):
+                raise ValueError("scalar times only")
+            return 1e6
+
+        with pytest.raises(ValueError, match="scalar times only"):
+            propagate_swept(SpinState.up(), 1e6, lambda t: 0.0, detuning, 1e-6)
+
 
 class TestSpinStateValidation:
     def test_norm_above_one_rejected(self):

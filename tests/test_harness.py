@@ -10,11 +10,11 @@ from phasemag.constants import NV, TWO_PI, angular_from_mhz
 from phasemag.errors import (AdiabaticityViolation, FitFailure,
                              InvalidParameter)
 from phasemag.harness import (SweepRecord, SweepResult, SweepSpec,
-                              classify_regime, decoherence_regime_scan,
-                              fit_power_law, fmt,
+                              _eq3_decay_curve, classify_regime,
+                              decoherence_regime_scan, fit_power_law, fmt,
                               nonadiabatic_sensitivity_scan, run_sweep,
                               smart_control_curve, to_jsonl)
-from phasemag.noise import Lorentzian, White
+from phasemag.noise import Lorentzian, White, fit_T2g
 
 W5 = angular_from_mhz(5.0)
 
@@ -96,8 +96,8 @@ class TestRunSweep:
         assert to_jsonl(run_sweep(spec1)) == to_jsonl(run_sweep(spec2))
 
     def test_noise_engine_pinned(self):
-        # curves and records written before `signal` and `sweep` shared one
-        # curve function; point i, trajectory k draws from (seed, i, k)
+        # curves and records recorded when free evolution became an exact z
+        # rotation; point i, trajectory k draws from (seed, i, k)
         spec = SweepSpec(protocol="ramsey", times=[2e-6, 4e-6],
                          b_grid=list(np.linspace(0.0, 2e-5, 5)),
                          engine="numeric+noise",
@@ -106,14 +106,23 @@ class TestRunSweep:
         res = run_sweep(spec)
         assert res.ok
         assert [[fmt(p) for p in r.p_curve] for r in res.records] == [
-            ["0.996114441", "-0.262513953", "-0.897734021", "0.598951115",
-             "0.673269527"],
-            ["0.997004751", "-0.9424189", "0.755473115", "-0.462423377",
-             "0.104427649"]]
+            ["0.996114442", "-0.262513949", "-0.897734024", "0.598951112",
+             "0.673269531"],
+            ["0.997004743", "-0.942418775", "0.75547289", "-0.462423083",
+             "0.104427329"]]
         records = [json.loads(line) for line in to_jsonl(res).splitlines()]
         assert [(r["eta"], r["max_slope"], r["B_max_mT"]) for r in records] == [
-            ("5.61807428e-09", "251725.679", "0.0178571429"),
-            ("5.15617101e-09", "387884.73", "0.00892857143")]
+            ("5.6180743e-09", "251725.678", "0.0178571429"),
+            ("5.15617136e-09", "387884.704", "0.00892857143")]
+
+    def test_berry_sweep_with_noise_fits_coherence_time(self, calibrated_noise):
+        spec = SweepSpec(protocol="berry", times=[4e-6], omegas=[W5],
+                         n_rotations=[2], b_grid=[0.0, 1e-4, 2e-4],
+                         noise=calibrated_noise)
+        rec = run_sweep(spec).records[0]
+        assert rec.status == "ok"
+        curve = _eq3_decay_curve(calibrated_noise, rec.adiabaticity)
+        assert rec.t2g == fit_T2g(np.stack([curve.times, curve.values], axis=1))[0]
 
     def test_noise_engine_needs_lorentzian_per_point(self):
         spec = SweepSpec(protocol="ramsey", times=[1e-6, 2e-6],
@@ -265,6 +274,18 @@ class TestRegimeScan:
                                           ensemble=60, seed=4, t_points=8)
         assert rows_mc[0].status == "ok"
         assert rows_mc[0].t2g == pytest.approx(50e-6, rel=1.0)
+
+    def test_eq3_rows_carry_the_fitted_curve(self, calibrated_noise):
+        rows = decoherence_regime_scan([0.5, 0.1], calibrated_noise)
+        for r in rows:
+            curve = _eq3_decay_curve(calibrated_noise, r.a_value)
+            assert r.curve == curve
+            assert r.t2g == fit_T2g(np.stack([curve.times, curve.values],
+                                             axis=1))[0]
+        mc = decoherence_regime_scan([1.0], calibrated_noise,
+                                     engine="monte-carlo", ensemble=2,
+                                     t_points=4)
+        assert mc[0].curve is None
 
     def test_unknown_engine_rejected(self, calibrated_noise):
         with pytest.raises(InvalidParameter):

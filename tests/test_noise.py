@@ -12,7 +12,7 @@ from phasemag.errors import CalibrationFailure, FitFailure, InvalidParameter
 from phasemag.harness import (decoherence_regime_scan,
                               nonadiabatic_sensitivity_scan)
 from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF,
-                            QuadratureSpec, White, calibrate_noise,
+                            QuadratureSpec, White, _ou_phases, calibrate_noise,
                             coherence_decay, decoherence_function,
                             echo_exponent, filter_function, fit_T2g,
                             mc_free_precession_decay, ou_bank, ou_trajectory,
@@ -104,16 +104,23 @@ class TestDecoherenceFunction:
             assert echo_exponent(S, t) == pytest.approx(
                 chi_reference(S, True, t), rel=1e-12)
 
-    @pytest.mark.parametrize("amplitude, omega_min, t", [
-        (1.0, 1e3, 1e-6), (3e3, 2e2, 1e-5), (1e2, 5e3, 1e-4),
-        (5e8, 80.0, 80e-6), (1e9, 120.0, 60e-6), (2e9, 90.0, 30e-6),
+    @pytest.mark.parametrize("amplitude, omega_min, omega_max, t", [
+        pytest.param(a, w, 1e6 * w, t, id=f"{a}-{w}-{t}") for a, w, t in (
+            (1.0, 1e3, 1e-6), (3e3, 2e2, 1e-5), (1e2, 5e3, 1e-4),
+            (5e8, 80.0, 80e-6), (1e9, 120.0, 60e-6), (2e9, 90.0, 30e-6))
+    ] + [
+        # bands far below 1/T, where the echo primitive runs on its series
+        pytest.param(1.0, 1e-3 * w, w, 1e-4, id=f"1.0-{1e-3 * w}-{w}-0.0001")
+        for w in (1e3, 1e2, 1e1, 1.0)
     ])
-    def test_one_over_f_matches_numeric_reference(self, amplitude, omega_min, t):
-        S = OneOverF(amplitude, omega_min, 1e6 * omega_min)
+    def test_one_over_f_matches_numeric_reference(self, amplitude, omega_min,
+                                                  omega_max, t):
+        S = OneOverF(amplitude, omega_min, omega_max)
+        # abs=0: the low bands give exponents far below approx's 1e-12 floor
         assert ramsey_exponent(S, t) == pytest.approx(
-            chi_reference(S, False, t), rel=1e-9)
+            chi_reference(S, False, t), rel=1e-9, abs=0)
         assert echo_exponent(S, t) == pytest.approx(
-            chi_reference(S, True, t), rel=1e-9)
+            chi_reference(S, True, t), rel=1e-9, abs=0)
 
     def test_non_finite_inputs_rejected(self):
         S = Lorentzian(delta=3e4, tau_c=1e-3)
@@ -269,7 +276,8 @@ class TestPinnedStreams:
     Generation is exact arithmetic on PCG64 normals, so the arrays are
     compared bit for bit (sha256 of the float64 bytes).  The Monte-Carlo
     decay goes through cos and sums, whose last bits may vary between numpy
-    builds, so it is compared at the 9 digits of the output files.
+    builds, so it is compared at the 9 digits of the output files; its
+    values were recorded when it began sampling the OU integral exactly.
     """
 
     S = Lorentzian(delta=31415.9, tau_c=20e-6)
@@ -294,13 +302,72 @@ class TestPinnedStreams:
             "cff0b0001b34992713247af77ad84fa8c97eb938fe90a790c750a9652a9fb8e3"
 
     @pytest.mark.parametrize("echo, want", [
-        (False, ["1", "0.998962863", "0.993673711", "0.987457594"]),
-        (True, ["1", "0.999933415", "0.999534405", "0.995800482"]),
+        (False, ["1", "0.998704558", "0.99187337", "0.962334727"]),
+        (True, ["1", "0.999946586", "0.999588714", "0.999376732"]),
     ])
     def test_mc_free_precession_decay(self, echo, want):
         w = mc_free_precession_decay(self.S, [0.0, 2e-6, 5e-6, 10e-6], 5,
                                      seed=11, echo=echo, chunk=2)
         assert [format(float(v), ".9g") for v in w] == want
+
+
+class TestExactOUSampling:
+    """The joint (value, integral) sampler against the closed-form exponents.
+
+    A Gaussian phase of variance 2 chi has <cos> = exp(-chi), so the phase
+    variance is 2 chi_FID(T) for free precession and 2 chi_echo(T) for the
+    echo.  Both baths follow the benchmark's: the calibrated quasi-static
+    one (tau_c >> T) and a fast one (tau_c ~ T); the times span 0.2 to 1.5
+    of the 1/e time, as in the benchmark's Monte-Carlo requests.
+    """
+
+    N = 200_000
+    FAST = Lorentzian(delta=2 * math.pi * 5e3, tau_c=20e-6)
+
+    @staticmethod
+    def _times(S, echo):
+        from scipy.optimize import brentq
+        exponent = echo_exponent if echo else ramsey_exponent
+        t1e = brentq(lambda t: exponent(S, t) - 1.0, 1e-7, 1e-2)
+        return np.linspace(0.2, 1.5, 8) * t1e
+
+    @pytest.fixture(params=["static", "fast"])
+    def bath(self, request, calibrated_noise):
+        return calibrated_noise if request.param == "static" else self.FAST
+
+    @pytest.mark.parametrize("echo", [False, True])
+    def test_phase_variance_is_twice_chi(self, bath, echo):
+        ts = self._times(bath, echo)
+        rng = np.random.default_rng(41)
+        phases = np.concatenate([_ou_phases(bath, ts, echo, rng, self.N // 4)
+                                 for _ in range(4)])
+        want = 2.0 * np.array([chi_reference(bath, echo, t) for t in ts])
+        # sample variance of n Gaussian draws: standard error var*sqrt(2/(n-1))
+        assert np.all(np.abs(np.mean(phases, axis=0)) <= 5 * np.sqrt(want / self.N))
+        assert np.all(np.abs(np.var(phases, axis=0) - want)
+                      <= 5 * want * math.sqrt(2.0 / (self.N - 1)))
+
+    @pytest.mark.parametrize("echo", [False, True])
+    def test_decay_within_sampling_error(self, bath, echo):
+        ts = self._times(bath, echo)
+        w = mc_free_precession_decay(bath, ts, self.N, seed=8, echo=echo)
+        want = np.exp(-np.array([chi_reference(bath, echo, t) for t in ts]))
+        assert np.max(np.abs(w - want)) <= 5 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("S, times, n_traj", [
+        (FAST, [], 10), (FAST, [1e-6, math.nan], 10), (FAST, [-1e-6], 10),
+        (FAST, [math.inf], 10), (FAST, [1e-6], 0), (White(1.0), [1e-6], 10)])
+    def test_bad_input_rejected(self, S, times, n_traj):
+        with pytest.raises(InvalidParameter):
+            mc_free_precession_decay(S, times, n_traj, seed=1)
+
+    def test_times_need_not_be_sorted(self, calibrated_noise):
+        ts = np.array([3e-5, 0.0, 1e-5, 3e-5])
+        w = mc_free_precession_decay(calibrated_noise, ts, 64, seed=2, echo=True)
+        ref = mc_free_precession_decay(calibrated_noise, np.sort(ts), 64,
+                                       seed=2, echo=True)
+        assert w[1] == 1.0
+        assert list(w) == [ref[2], ref[0], ref[1], ref[3]]
 
 
 class TestOracleEquivalence:

@@ -229,14 +229,16 @@ class TestNoisyFrameAgainstLabMesh:
     RATE = 4 * math.pi * 2 / 6e-6
     W2 = angular_from_mhz(2.0)
 
-    def _lab_frame(self, plan, b, noise_at):
-        """s_z at the end of ``plan``, each swept segment on the lab-frame mesh."""
+    def _lab_frame(self, plan, b, noise_at, step_control=None):
+        """s_z at the end of ``plan``, each evolution segment on the lab-frame mesh."""
         state = SpinState.up()
         t_start = 0.0
         for seg in plan.segments:
             if isinstance(seg, IdealPulse):
                 state = core.apply_ideal_pulse(state, seg.axis_phase, seg.angle)
                 continue
+            if isinstance(seg, FreeEvolution):
+                seg = SweptDrive(0.0, 0.0, 0.0, seg.duration)
 
             def det(t, t0=t_start):
                 return NV.gamma * (b + noise_at(t0 + np.asarray(t, dtype=float)))
@@ -244,7 +246,7 @@ class TestNoisyFrameAgainstLabMesh:
             state = core.propagate_swept(
                 state, seg.rabi,
                 lambda t, seg=seg: seg.phase_start + seg.phase_rate * t,
-                det, seg.duration)
+                det, seg.duration, step_control)
             t_start += seg.duration
         return state.s_z
 
@@ -285,6 +287,23 @@ class TestNoisyFrameAgainstLabMesh:
             assert p == pytest.approx(ref, abs=1e-6)
         # the two zero-field channels differ only by their streams
         assert abs(got[0] - got[1]) > 1e-3
+
+    # free evolution is an exact z rotation: the knot spacing is tau_c/10 =
+    # 0.2 us, so every segment below starts or ends between two knots
+    @pytest.mark.parametrize("plan", [build_ramsey(3.05e-6), build_hahn(6.1e-6)],
+                             ids=["ramsey", "hahn"])
+    def test_free_evolution_is_exact(self, plan):
+        fine = StepControl(tol=1e-9, min_steps=4096)
+        bs = np.array([0.0, 1.3e-5, -2.2e-5])
+        traj = ou_trajectory(self.BATH, plan.duration, self.BATH.tau_c / 10, seed=22)
+        got = execute_batch(plan, bs, noise_trajectory=traj)
+        for b, p in zip(bs, got):
+            assert p == pytest.approx(self._lab_frame(plan, b, traj, fine), abs=1e-8)
+        bank = ou_bank(self.BATH, plan.duration, self.BATH.tau_c / 10, 3, seed=5)
+        got = execute_batch(plan, bs, noise_trajectory=bank)
+        for j, (b, p) in enumerate(zip(bs, got)):
+            ref = self._lab_frame(plan, b, lambda t, j=j: bank(t)[:, j], fine)
+            assert p == pytest.approx(ref, abs=1e-8)
 
     def test_mesh_no_longer_resolves_phase_turns(self):
         # the lab-frame mesh stalls here at 2 halvings (about 10k steps,
