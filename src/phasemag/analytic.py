@@ -54,8 +54,9 @@ class DynamicModel:
     gamma: float = NV.gamma
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise InvalidParameter(f"duration must be positive, got {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise InvalidParameter(
+                f"duration must be positive and finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,11 @@ def _ramsey_ladder(m: DynamicModel, p: float,
 
     B = (2*pi*k +/- acos(p))/(gamma*T), sorted by (B, k); fields within
     1e-12 of the window scale of the previous kept one are merged into it.
+    A non-finite window bound raises InvalidParameter.
     """
     lo, hi = float(b_window[0]), float(b_window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameter(f"field window must be finite, got {b_window}")
     if hi < lo:
         return []
     a = math.acos(p)

@@ -19,6 +19,7 @@ sweep failure (file still written), 5 unresolvable estimate.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
@@ -254,24 +255,24 @@ def cmd_signal(cfg: dict) -> int:
     _require(cfg, "protocol", "b_stop_mt", "b_points")
     protocol = cfg["protocol"]
     engine = cfg["engine"]
-    S = _noise_model(cfg)
-    try:
-        harness.check_curve_request(protocol, engine, S, cfg["ensemble"],
-                                    cfg["workers"])
-    except InvalidParameter as exc:
-        raise ConfigError(str(exc)) from exc
     if cfg["b_points"] < 1:
         raise ConfigError("b_points must be >= 1")
     if protocol == "berry":
         _require(cfg, "omega_mhz", "n", "t_us")
     else:
         _require(cfg, "t_us")
+    S = _noise_model(cfg)
+    duration = cfg["t_us"] * 1e-6
+    b_grid = np.linspace(cfg["b_start_mt"], cfg["b_stop_mt"], cfg["b_points"]) * 1e-3
+    try:
+        harness.check_curve_request(protocol, engine, S, cfg["ensemble"],
+                                    cfg["workers"], [duration], b_grid)
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg["hyperfine"] and not (protocol == "ramsey" and engine == "analytic"):
         raise ConfigError("hyperfine averaging is implemented for analytic ramsey only")
 
     constants = _constants(cfg)
-    duration = cfg["t_us"] * 1e-6
-    b_grid = np.linspace(cfg["b_start_mt"], cfg["b_stop_mt"], cfg["b_points"]) * 1e-3
 
     if cfg["hyperfine"]:
         h = HyperfineModel.triplet(constants)
@@ -465,7 +466,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (``parse_args`` leaves it
+    unchanged, so every ``main`` call can share it)."""
     parser = argparse.ArgumentParser(
         prog="phasemag",
         description="Dynamic- and geometric-phase magnetometry simulator")

@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _NORM_SLACK = 1e-6
+# coarse-start density: h*|R|max <= pi/2 keeps the first Richardson
+# difference in its asymptotic regime
+_COARSE_STEPS_PER_TURN = 4
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,12 @@ class StepControl:
     period; the mesh is then halved until the Richardson estimate (change of
     any Bloch component under one halving) drops below ``tol``, up to
     ``max_depth`` halvings.
+
+    The noisy swept segments of ``sequences.execute_batch`` start coarser,
+    at 4 slices per Larmor turn and at least ``min_steps``, and halve until
+    ``tol`` holds, but never past the finest mesh of the start above
+    (``max_depth`` halvings of it); ``steps_per_phase_turn`` does not
+    apply there.
     """
 
     steps_per_phase_turn: int = 64
@@ -258,34 +267,58 @@ def _compose_swept(states: np.ndarray, rabi: float, phase_fn, det_fn,
 
 
 def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
-                  ctl: StepControl) -> int:
+                  ctl: StepControl, coarse: bool = False) -> tuple[int, int]:
+    """First mesh and finest allowed mesh of a refinement, in slices.
+
+    The default start puts ``ctl.steps_per_phase_turn`` slices in each turn
+    of the drive phase and ``ctl.steps_per_larmor_turn`` in each Larmor
+    turn; the finest mesh is that start halved ``ctl.max_depth`` times.  A
+    ``coarse`` start takes ``_COARSE_STEPS_PER_TURN`` slices per Larmor turn
+    instead (never more than the default start) under the same finest mesh.
+    """
     ts = np.linspace(0.0, duration, 257)
     phases = _sample(phase_fn, ts)
     dets = _sample(det_fn, ts)
     span = float(np.sum(np.abs(np.diff(phases))))
     r_max = math.hypot(rabi, float(np.max(np.abs(dets))) if dets.size else 0.0)
+    turns = duration * r_max / TWO_PI
     n_phase = ctl.steps_per_phase_turn * span / TWO_PI
-    n_larmor = ctl.steps_per_larmor_turn * duration * r_max / TWO_PI
-    return max(ctl.min_steps, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
+    n_larmor = ctl.steps_per_larmor_turn * turns
+    n0 = max(ctl.min_steps, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
+    finest = n0 << ctl.max_depth
+    if coarse:
+        n0 = min(n0, max(ctl.min_steps,
+                         int(math.ceil(_COARSE_STEPS_PER_TURN * turns))))
+    return n0, finest
 
 
 def _swept_refine(states: np.ndarray, rabi: float, phase_fn, det_fn,
-                  duration: float, ctl: StepControl):
-    """Richardson-refined composition.  Core of ``propagate_swept``."""
+                  duration: float, ctl: StepControl, coarse: bool = False):
+    """Richardson-refined composition.  Core of ``propagate_swept``.
+
+    The mesh halves from the start of ``_initial_mesh`` until the change
+    under one halving is at most ``ctl.tol``, and never past its finest
+    mesh.  ``coarse`` is for a Larmor vector that is constant apart from
+    a slowly varying part, as in the co-rotating frame of a noisy sweep:
+    midpoint slicing of the constant part is exact, so the error follows
+    the slow part and the halvings, not the Larmor rate, set the mesh.
+    """
     if duration == 0.0:
         return states.copy(), ConvergenceReport(0, (), True)
-    n0 = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl)
+    n, finest = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl, coarse)
     history = []
     prev = None
-    for depth in range(ctl.max_depth + 1):
-        n = n0 << depth
+    while True:
         out = _compose_swept(states, rabi, phase_fn, det_fn, duration, n)
         if prev is not None:
             err = float(np.max(np.abs(out - prev)))
             history.append(err)
             if err <= ctl.tol:
                 return out, ConvergenceReport(n, tuple(history), True)
+        if 2 * n > finest:
+            break
         prev = out
+        n *= 2
     raise ConvergenceFailure(
         f"mesh refinement stalled at {n} steps with error "
         f"{history[-1]:.3e} > tol {ctl.tol:.1e}",

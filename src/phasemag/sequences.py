@@ -202,23 +202,37 @@ def execute_batch(plan: SequencePlan, b_values,
     gamma*B*(t1 - t0) plus the integral of the noise detuning.  An
     ``OUTrajectory`` or ``OUBank`` interpolates linearly between its knots,
     so that integral is exact (``detuning_integral``; one value per channel
-    for a bank) and free evolution never needs a mesh.  A plain noise
-    callable without knots runs free evolution as an undriven sweep.
+    for a bank) and free evolution never needs a mesh.  Knots that end
+    before the plan does raise InvalidParameter.  A plain noise callable
+    without knots runs free evolution as an undriven sweep.
 
     Every sweep passes through the frame that co-rotates with its linearly
     ramped drive phase (``_in_drive_frame``).  Without noise the Larmor
     vector is constant in that frame, so each segment is one closed-form
     rotation (``_apply_swept_exact``).  With a noise trajectory the frame
     propagation runs on the Richardson mesh of ``core._swept_refine``
-    (``_run_swept``): the noise enters only on z, so the mesh size follows
-    the Larmor rate and the noise, not the turns of the drive phase.  All
-    fields share that mesh and the trajectory, and the refinement criterion
-    is the worst Bloch-component change over the batch.  ``step_control``
-    governs that mesh only.
+    (``_run_swept``).  The noise enters only on z and midpoint slicing of
+    the constant rest is exact, so the mesh starts coarse, at 4 slices per
+    Larmor turn and at least ``min_steps``, and the halvings follow the
+    noise, not the Larmor rate or the turns of the drive phase.  All fields
+    share that mesh and the trajectory, and the refinement criterion is the
+    worst Bloch-component change over the batch.
+
+    ``step_control`` governs that mesh only: its ``tol``, its ``min_steps``
+    and, through the finest mesh allowed, its ``max_depth`` (the finest
+    mesh is ``steps_per_larmor_turn`` slices per Larmor turn halved
+    ``max_depth`` times, as for ``core.propagate_swept``).
+    ``steps_per_phase_turn`` has no effect here.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if not np.all(np.isfinite(b_values)):
         raise InvalidParameter("fields must be finite")
+    knots = hasattr(noise_trajectory, "detuning_integral")
+    # n*dt may round just below the duration the knots were drawn for
+    if knots and noise_trajectory.times[-1] < plan.duration * (1.0 - 1e-9):
+        raise InvalidParameter(
+            f"noise knots end at {noise_trajectory.times[-1]:g} s, before the "
+            f"plan's {plan.duration:g} s")
     ctl = step_control or StepControl()
     gamma = constants.gamma
 
@@ -235,7 +249,7 @@ def execute_batch(plan: SequencePlan, b_values,
             angles = dets_static * seg.duration
             if noise_trajectory is None:
                 states = _precess_z(states, angles)
-            elif hasattr(noise_trajectory, "detuning_integral"):
+            elif knots:
                 # the knots hold detunings for the trajectory's own gamma
                 noise_phase = noise_trajectory.detuning_integral(
                     t_start, t_start + seg.duration)
@@ -305,8 +319,12 @@ def _run_swept(states, seg: SweptDrive, dets_static, noise_trajectory, gamma,
     """Mesh propagation of one swept segment under a noise trajectory.
 
     The mesh runs in the co-rotating frame of ``_in_drive_frame`` with drive
-    phase 0 and detuning gamma*(B + b(t)) - r, so it resolves the Larmor
-    precession and the noise but never the turns of the drive phase.  An
+    phase 0 and detuning gamma*(B + b(t)) - r, so the drive phase never
+    turns on it.  That Larmor vector is constant apart from the noise, so
+    the mesh error grows with the noise's slope (about
+    T*h^2*rabi*gamma*|b'|/12), not with the Larmor rate: the refinement
+    starts coarse (``coarse=True``: h*|R|max <= pi/2) and halves until
+    ``ctl.tol`` holds, never past the finest mesh of the default start.  An
     undriven sweep (rabi = r = phi0 = 0) enters and leaves the frame through
     exact identities.
     """
@@ -322,7 +340,7 @@ def _run_swept(states, seg: SweptDrive, dets_static, noise_trajectory, gamma,
 
     def propagate(s):
         out, _ = core._swept_refine(s, seg.rabi, _zero_phase, det_fn,
-                                    seg.duration, ctl)
+                                    seg.duration, ctl, coarse=True)
         return out
 
     return _in_drive_frame(states, seg, propagate)

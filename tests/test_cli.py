@@ -14,8 +14,18 @@ import phasemag
 from phasemag.cli import SIGNAL_HEADER, main
 
 
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
 def run_cli(*args):
     return main(list(args))
+
+
+def _fresh_env():
+    """Environment for a child interpreter that imports this phasemag."""
+    src = str(Path(phasemag.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def read_lines(path):
@@ -350,8 +360,20 @@ class TestBadNumbers:
         (DECOHERE_OU + ("--tau-c-us", "20", "--a-list", "0.1",
                         "--overlay-a", "nan"), 3),
         (DECOHERE_OU + ("--tau-c-us", "20", "--a-list", "1e100"), 3),
+        (("estimate", "--protocol", "ramsey", "--p", "0.5", "--t-us", "inf",
+          "--window-stop-mt", "0.1"), 3),
+        (("estimate", "--protocol", "ramsey", "--p", "0.5", "--t-us", "1",
+          "--window-stop-mt", "nan"), 3),
+        (("signal", "--protocol", "ramsey", "--engine", "analytic",
+          "--t-us", "8", "--b-stop-mt", "nan", "--b-points", "3"), 2),
+        (("signal", "--protocol", "ramsey", "--engine", "analytic",
+          "--t-us", "inf", "--b-stop-mt", "0.1", "--b-points", "3"), 2),
+        (("sweep", "--config", str(EXAMPLES / "sweep.cfg"),
+          "--t-us-list", "inf,8,16"), 2),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
-            "tau-c-inf", "overlay-a-nan", "no-1e-time"])
+            "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
+            "estimate-window-nan", "signal-field-nan", "signal-t-inf",
+            "sweep-t-inf"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         assert run_cli(*args, "--out", str(tmp_path / "out")) == want
         assert "error" in capsys.readouterr().err
@@ -438,10 +460,37 @@ class TestStartup:
         # scipy.optimize is most of the import cost of every CLI call; only
         # the functions that solve or fit load it, and only the 1/f exponent
         # loads scipy.special
-        src = str(Path(phasemag.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys, phasemag; sys.exit(any(m.split('.')[0] == 'scipy' "
                 "for m in sys.modules))")
-        res = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                             timeout=60)
         assert res.returncode == 0
+
+    def test_commands_in_one_process_match_fresh_runs(self, tmp_path):
+        # main shares one argument parser per process; back-to-back calls of
+        # different commands, and a usage error between them, must not leak
+        runs = [("estimate", "--config", str(EXAMPLES / "estimate.cfg")),
+                ("calibrate", "--t2star-us", "abc", "--t2-us", "500"),
+                ("signal", "--config", str(EXAMPLES / "signal.cfg"),
+                 "--b-points", "61")]
+
+        # the output header names the output path, so run k always writes
+        # the same file, read and removed after each run
+        def outcome(k, run):
+            out = tmp_path / f"run{k}"
+            code = run([*runs[k], "--out", str(out)])
+            if not out.exists():
+                return code, None
+            text = out.read_bytes()
+            out.unlink()
+            return code, text
+
+        def fresh_run(argv):
+            return subprocess.run([sys.executable, "-m", "phasemag.cli", *argv],
+                                  env=_fresh_env(), capture_output=True,
+                                  timeout=60).returncode
+
+        fresh = [outcome(k, fresh_run) for k in range(len(runs))]
+        assert [code for code, _ in fresh] == [0, 2, 0]
+        for k in (0, 1, 2, 2, 1, 0):
+            assert outcome(k, main) == fresh[k]

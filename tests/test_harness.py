@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from phasemag import core, harness
 from phasemag.analytic import GeometricModel, adiabaticity, berry_field_range
 from phasemag.constants import NV, TWO_PI, angular_from_mhz
+from phasemag.core import StepControl
 from phasemag.errors import (AdiabaticityViolation, FitFailure,
                              InvalidParameter)
 from phasemag.harness import (SweepRecord, SweepResult, SweepSpec,
-                              _eq3_decay_curve, classify_regime,
-                              decoherence_regime_scan, fit_power_law, fmt,
+                              _eq3_decay_curve, _mc_decay_samples,
+                              classify_regime, decoherence_regime_scan,
+                              fit_power_law, fmt,
                               nonadiabatic_sensitivity_scan, run_sweep,
                               smart_control_curve, to_jsonl)
 from phasemag.noise import Lorentzian, White, fit_T2g
@@ -274,6 +277,47 @@ class TestRegimeScan:
                                           ensemble=60, seed=4, t_points=8)
         assert rows_mc[0].status == "ok"
         assert rows_mc[0].t2g == pytest.approx(50e-6, rel=1.0)
+
+    # a bath whose correlation time is comparable to the scanned times; the
+    # calibrated one is quasi-static over them
+    FAST = Lorentzian(delta=TWO_PI * 5e3, tau_c=20e-6)
+
+    @pytest.mark.parametrize("bath, a_value, times", [
+        ("fast", 2.0, (10e-6, 20e-6)),
+        ("calibrated", 1.0, (10e-6, 30e-6)),
+    ])
+    def test_monte_carlo_samples_match_a_fine_mesh(
+            self, monkeypatch, calibrated_noise, bath, a_value, times):
+        S = self.FAST if bath == "fast" else calibrated_noise
+        args = (S, a_value, TWO_PI * 0.5e6, np.array(times), 8, 5, NV)
+        got = _mc_decay_samples(*args)
+        monkeypatch.setattr(harness, "StepControl",
+                            lambda **kw: StepControl(tol=1e-9))
+        ref = _mc_decay_samples(*args)
+        assert np.max(np.abs(got[:, 1] - ref[:, 1])) <= 1e-3
+
+    def test_monte_carlo_scan_mesh_stays_coarse(self, monkeypatch,
+                                                calibrated_noise):
+        # with a start of 64 slices per Larmor turn these scans ended on
+        # meshes of 173404 (calibrated bath) and 98464 (fast bath) steps in
+        # all; the coarse start must need at most a quarter of that
+        steps = []
+        refine = core._swept_refine
+
+        def spy(*args, **kw):
+            out, report = refine(*args, **kw)
+            steps.append(report.steps)
+            return out, report
+
+        monkeypatch.setattr(core, "_swept_refine", spy)
+        for S, before in ((calibrated_noise, 173404), (self.FAST, 98464)):
+            steps.clear()
+            rows = decoherence_regime_scan([0.1, 1.0, 2.0], S,
+                                           engine="monte-carlo", ensemble=4,
+                                           t_points=4, seed=1)
+            assert [r.status for r in rows] == ["ok"] * 3
+            assert len(steps) == 24
+            assert sum(steps) <= before / 4
 
     def test_eq3_rows_carry_the_fitted_curve(self, calibrated_noise):
         rows = decoherence_regime_scan([0.5, 0.1], calibrated_noise)

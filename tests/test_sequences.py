@@ -318,6 +318,38 @@ class TestNoisyFrameAgainstLabMesh:
         assert np.all(np.abs(p) <= 1.0)
 
 
+class TestCoarseNoisyMesh:
+    """The noisy co-rotating mesh starts at 4 slices per Larmor turn, at
+    least ``min_steps``, and halves until ``tol`` holds."""
+
+    def test_wide_field_berry_curve_matches_a_fine_mesh(self, calibrated_noise):
+        # the frame Larmor rate, and so the coarse start, is largest at the
+        # top of the 0-0.6 mT range
+        plan = build_berry(W5, 3, 8e-6)
+        bs = np.linspace(0.0, 6e-4, 7)
+        traj = ou_trajectory(calibrated_noise, 8e-6, 8e-6 / 256, seed=3)
+        got = execute_batch(plan, bs, noise_trajectory=traj)
+        ref = execute_batch(plan, bs, noise_trajectory=traj,
+                            step_control=StepControl(tol=1e-11))
+        assert np.max(np.abs(got - ref)) <= 1e-6
+
+    def test_min_steps_floor_holds_against_aliased_noise(self):
+        # about 1 rad of precession in all, so the coarse start alone is one
+        # slice; its midpoint and both midpoints of two slices sit on crests
+        # of this noise, so without the floor the mesh stops at the wrong
+        # phase.  The noise integrates to zero over the segment.
+        duration = 1e-6
+        amp = 1.0 / (NV.gamma * duration)
+
+        def noise(t):
+            return amp * np.cos(8 * math.pi * np.asarray(t) / duration)
+
+        bs = np.array([0.0, 1e-6, -1e-6])
+        got = execute_batch(build_ramsey(duration), bs, noise_trajectory=noise)
+        assert np.allclose(got, np.cos(NV.gamma * bs * duration), atol=1e-6,
+                           rtol=0)
+
+
 class TestOdeCrossValidation:
     def test_executor_matches_bloch_ode_integration(self):
         # fully independent oracle: integrate ds/dt = R(t) x s with an
@@ -374,6 +406,24 @@ class TestNoiseInjection:
         b = 2e-5
         got = execute(plan, b, noise_trajectory=lambda t: np.zeros_like(np.asarray(t)))
         assert got == pytest.approx(execute(plan, b), abs=1e-6)
+
+    def test_knots_must_cover_the_plan(self):
+        # past its last knot a trajectory holds its value and a bank
+        # extrapolates; neither is the noise the plan asked for
+        bath = Lorentzian(delta=2e5, tau_c=2e-6)
+        short = ou_trajectory(bath, 2e-6, 2e-7, seed=1)
+        with pytest.raises(InvalidParameter):
+            execute_batch(build_ramsey(4e-6), [0.0], noise_trajectory=short)
+        bank = ou_bank(bath, 2e-6, 2e-7, 2, seed=1)
+        with pytest.raises(InvalidParameter):
+            execute_batch(build_berry(W5, 2, 4e-6), [0.0, 0.0],
+                          noise_trajectory=bank)
+        # 7e-7 / 10 rounds down, so ten such steps end just below 7e-7 s
+        duration = 7e-7
+        traj = ou_trajectory(bath, duration, duration / 10, seed=1)
+        assert traj.times[-1] < duration
+        p = execute_batch(build_ramsey(duration), [0.0], noise_trajectory=traj)
+        assert abs(p[0]) <= 1.0
 
     def test_noise_is_deterministic_given_seed(self, calibrated_noise):
         plan = build_berry(W5, 2, 4e-6)
