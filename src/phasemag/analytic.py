@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 
+def _check_gamma(gamma: float):
+    if not 0 < gamma < math.inf:
+        raise InvalidParameter(f"gamma must be positive and finite, got {gamma}")
+
+
 @dataclass(frozen=True)
 class DynamicModel:
     """Free-precession signal model: interaction time and gyromagnetic ratio."""
@@ -57,6 +62,7 @@ class DynamicModel:
         if not 0 < self.duration < math.inf:
             raise InvalidParameter(
                 f"duration must be positive and finite, got {self.duration}")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -68,8 +74,10 @@ class GeometricModel:
     gamma: float = NV.gamma
 
     def __post_init__(self):
-        if not self.rabi > 0:
-            raise InvalidParameter(f"rabi must be positive, got {self.rabi}")
+        if not 0 < self.rabi < math.inf:
+            raise InvalidParameter(
+                f"rabi must be positive and finite, got {self.rabi}")
+        _check_gamma(self.gamma)
         if int(self.n_rotations) != self.n_rotations or self.n_rotations < 1:
             raise InvalidParameter(
                 f"n_rotations must be a positive integer, got {self.n_rotations}"

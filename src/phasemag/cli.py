@@ -264,15 +264,16 @@ def cmd_signal(cfg: dict) -> int:
     S = _noise_model(cfg)
     duration = cfg["t_us"] * 1e-6
     b_grid = np.linspace(cfg["b_start_mt"], cfg["b_stop_mt"], cfg["b_points"]) * 1e-3
+    omega = angular_from_mhz(cfg["omega_mhz"]) if protocol == "berry" else None
     try:
+        constants = _constants(cfg)
         harness.check_curve_request(protocol, engine, S, cfg["ensemble"],
-                                    cfg["workers"], [duration], b_grid)
+                                    cfg["workers"], [duration], b_grid,
+                                    [omega] if omega is not None else ())
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
     if cfg["hyperfine"] and not (protocol == "ramsey" and engine == "analytic"):
         raise ConfigError("hyperfine averaging is implemented for analytic ramsey only")
-
-    constants = _constants(cfg)
 
     if cfg["hyperfine"]:
         h = HyperfineModel.triplet(constants)
@@ -280,7 +281,6 @@ def cmd_signal(cfg: dict) -> int:
             lambda off, b: np.cos((constants.gamma * b + off) * duration),
             h, b_grid)
     else:
-        omega = angular_from_mhz(cfg["omega_mhz"]) if protocol == "berry" else None
         p = harness.signal_curve(protocol, engine, duration, b_grid, omega,
                                  cfg["n"], S, cfg["ensemble"], (cfg["seed"],),
                                  constants)
@@ -300,7 +300,6 @@ def cmd_sweep(cfg: dict) -> int:
     _require(cfg, "protocol", "t_us_list", "b_stop_mt", "b_points")
     if cfg["b_points"] < 2:
         raise ConfigError("b_points must be >= 2 for sweeps")
-    constants = _constants(cfg)
     S = _noise_model(cfg)
     times = [t * 1e-6 for t in cfg["t_us_list"]]
     omegas = ([angular_from_mhz(f) for f in cfg["omega_mhz_list"]]
@@ -308,6 +307,7 @@ def cmd_sweep(cfg: dict) -> int:
     b_grid = list(np.linspace(cfg["b_start_mt"], cfg["b_stop_mt"],
                               cfg["b_points"]) * 1e-3)
     try:
+        constants = _constants(cfg)
         spec = SweepSpec(protocol=cfg["protocol"], times=times, b_grid=b_grid,
                          omegas=omegas, n_rotations=cfg.get("n_list"),
                          engine=cfg["engine"], noise=S, seed=cfg["seed"],

@@ -42,12 +42,13 @@ class PhysicalConstants:
     bias_field: float = 9.6e-3
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise InvalidParameter(f"gamma must be positive, got {self.gamma}")
-        if not self.hyperfine_splitting > 0:
+        if not 0 < self.gamma < math.inf:
             raise InvalidParameter(
-                f"hyperfine_splitting must be positive, got {self.hyperfine_splitting}"
-            )
+                f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.hyperfine_splitting < math.inf:
+            raise InvalidParameter(
+                "hyperfine_splitting must be positive and finite, got "
+                f"{self.hyperfine_splitting}")
 
 
 #: Default constants for the NV electronic spin.

@@ -70,14 +70,15 @@ def check_count(name: str, value: int) -> None:
 def check_curve_request(protocol: str, engine: str,
                         noise: Optional[SpectralDensity], ensemble: int,
                         workers: int, durations: Sequence[float],
-                        b_grid: Sequence[float]) -> None:
+                        b_grid: Sequence[float],
+                        omegas: Sequence[float] = ()) -> None:
     """The one validity rule for signal-curve requests (``signal`` and sweeps).
 
     Raises InvalidParameter for an unknown protocol or engine, the analytic
     engine on the echo protocol, numeric+noise without a noise model, an
-    ``ensemble`` or ``workers`` below 1, and a non-finite interaction time
-    or field.  ``workers`` has no effect; values above 1 emit a
-    DeprecationWarning.
+    ``ensemble`` or ``workers`` below 1, and a non-finite interaction time,
+    field or drive frequency (``omegas``, rad/s).  ``workers`` has no
+    effect; values above 1 emit a DeprecationWarning.
     """
     if protocol not in _PROTOCOLS:
         raise InvalidParameter(f"unknown protocol {protocol!r}")
@@ -93,6 +94,8 @@ def check_curve_request(protocol: str, engine: str,
         raise InvalidParameter("interaction times must be finite")
     if not np.all(np.isfinite(np.asarray(b_grid, dtype=float))):
         raise InvalidParameter("fields must be finite")
+    if not np.all(np.isfinite(np.asarray(omegas, dtype=float))):
+        raise InvalidParameter("drive frequencies must be finite")
     if workers > 1:
         warnings.warn("workers has no effect: sweep points run serially; the "
                       "key will be removed", DeprecationWarning, stacklevel=2)
@@ -124,7 +127,7 @@ class SweepSpec:
     def __post_init__(self):
         check_curve_request(self.protocol, self.engine, self.noise,
                             self.ensemble, self.workers, self.times,
-                            self.b_grid)
+                            self.b_grid, self.omegas or ())
         if len(self.times) == 0 or len(self.b_grid) < 2:
             raise InvalidParameter("times nonempty and b_grid of length >= 2 required")
         if self.protocol == "berry" and (not self.omegas or not self.n_rotations):

@@ -12,7 +12,7 @@ from phasemag.analytic import (DynamicModel, GeometricModel, HyperfineModel,
                                berry_signal, berry_slope, hyperfine_average,
                                ramsey_ambiguities, ramsey_field_range,
                                ramsey_signal, sensitivity)
-from phasemag.constants import NV, TWO_PI, angular_from_mhz
+from phasemag.constants import NV, TWO_PI, PhysicalConstants, angular_from_mhz
 from phasemag.errors import DegenerateSlope, InvalidParameter
 
 W5 = angular_from_mhz(5.0)
@@ -135,6 +135,19 @@ class TestBerryFieldRange:
         m = GeometricModel(W5, n)
         ratio = berry_field_range(m) * NV.gamma / (W5 * math.sqrt(2 * n))
         assert abs(ratio - 1.0) <= 3.0 / (16.0 * n) * 1.2
+
+
+class TestNonFiniteModelParameters:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejected(self, bad):
+        with pytest.raises(InvalidParameter):
+            GeometricModel(bad, 3)
+        with pytest.raises(InvalidParameter):
+            GeometricModel(W5, 3, gamma=bad)
+        with pytest.raises(InvalidParameter):
+            DynamicModel(1e-6, gamma=bad)
+        with pytest.raises(InvalidParameter):
+            PhysicalConstants(gamma=bad)
 
 
 class TestRamseyFieldRange:

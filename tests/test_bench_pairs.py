@@ -1,0 +1,107 @@
+"""Aggregation of tools/bench_pairs.py on canned run.py output; no benchmark runs."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+ENV = "env python 3.11.7 numpy 2.4.6 scipy 1.17.1 phasemag 0.1.0 nproc 2"
+DIRECTIONS = {"run_s": "lower", "peak_rss_mb": "lower"}
+
+
+def _stdout(run_s, rss, failed=0):
+    result = {"correct": failed == 0, "attempted": 100, "failed": failed,
+              "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                          "peak_rss_mb": {"value": rss, "unit": "MiB"}}}
+    return "\n".join(["workload signal_numeric seed 1 seconds 30 trace 0", ENV,
+                      "speed scale 0.6", f"  run_s {run_s} s",
+                      json.dumps(result)]) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def no_processes(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the aggregation must start no process")
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+
+
+def _pairs():
+    parent = [(0.17, 110.0), (0.16, 112.0), (0.18, 111.0), (0.20, 109.0),
+              (0.15, 113.0)]
+    change = [(0.03, 91.0), (0.04, 92.0), (0.02, 90.0), (0.03, 110.0),
+              (0.16, 91.0)]
+    return [(bench_pairs.parse_run(_stdout(*p)), bench_pairs.parse_run(_stdout(*c)))
+            for p, c in zip(parent, change)]
+
+
+class TestParseRun:
+    def test_result_and_env(self):
+        run = bench_pairs.parse_run(_stdout(0.1, 90.0, failed=2))
+        assert run["metrics"] == {"run_s": 0.1, "peak_rss_mb": 90.0}
+        assert run["env"] == ENV
+        assert run["correct"] is False and run["failed"] == 2
+
+    @pytest.mark.parametrize("stdout, code", [
+        (_stdout(0.1, 90.0), 3), ("error: time budget exhausted\n", 0), ("", 0)])
+    def test_broken_run_is_not_correct(self, stdout, code):
+        run = bench_pairs.parse_run(stdout, code)
+        assert run["correct"] is False and run["metrics"] == {}
+
+
+class TestAggregate:
+    def test_medians_quartiles_and_wins(self):
+        agg = bench_pairs.aggregate(_pairs(), DIRECTIONS)
+        run_s = agg["metrics"]["run_s"]
+        assert run_s["parent"] == pytest.approx(
+            {"median": 0.17, "q1": 0.16, "q3": 0.18, "n": 5})
+        assert run_s["change"] == pytest.approx(
+            {"median": 0.03, "q1": 0.03, "q3": 0.04, "n": 5})
+        # the last pair is a loss (0.16 against 0.15)
+        assert run_s["change_wins"] == 4
+        # 110.0 against 109.0 loses, the other four win
+        assert agg["metrics"]["peak_rss_mb"]["change_wins"] == 4
+        assert run_s["previous"] is None
+        assert agg["pairs"] == 5
+        assert agg["parent"]["correct"] and agg["change"]["correct"]
+        assert agg["change"]["attempted"] == 500
+
+    def test_higher_is_better(self):
+        agg = bench_pairs.aggregate(_pairs(), {"run_s": "higher"})
+        assert agg["metrics"]["run_s"]["change_wins"] == 1
+
+    def test_failed_runs_are_counted_and_skipped(self):
+        pairs = _pairs()
+        pairs[0] = (pairs[0][0], bench_pairs.parse_run(_stdout(0.01, 90.0, 3)))
+        pairs[1] = (pairs[1][0], bench_pairs.parse_run("", 3))
+        agg = bench_pairs.aggregate(pairs, DIRECTIONS)
+        assert agg["change"]["correct"] is False
+        assert agg["change"]["failed"] == 3
+        assert agg["metrics"]["run_s"]["change"]["n"] == 4
+
+
+class TestReport:
+    def test_previous_file_values(self, tmp_path):
+        old = bench_pairs.build_report({"signal_numeric": _pairs()}, DIRECTIONS,
+                                       5, 30, [1, 2, 3, 4, 5])
+        (tmp_path / "BENCH_5.json").write_text(json.dumps(old))
+        (tmp_path / "BENCH_12.json").write_text("{}")
+        name, prev = bench_pairs.previous_bench(str(tmp_path / "BENCH_7.json"), 7)
+        assert name == "BENCH_5.json"
+        report = bench_pairs.build_report({"signal_numeric": _pairs()}, DIRECTIONS,
+                                          7, 30, [1, 2, 3, 4, 5], name, prev)
+        assert report["previous_file"] == "BENCH_5.json"
+        assert report["environment"] == [ENV]
+        m = report["workloads"]["signal_numeric"]["metrics"]
+        assert m["run_s"]["previous"] == pytest.approx(0.03)
+        json.dumps(report)
+
+    def test_no_previous_file(self, tmp_path):
+        assert bench_pairs.previous_bench(str(tmp_path / "BENCH_7.json"), 7) == (None, None)

@@ -370,10 +370,25 @@ class TestBadNumbers:
           "--t-us", "inf", "--b-stop-mt", "0.1", "--b-points", "3"), 2),
         (("sweep", "--config", str(EXAMPLES / "sweep.cfg"),
           "--t-us-list", "inf,8,16"), 2),
+        (("signal", "--protocol", "berry", "--omega-mhz", "inf", "--n", "3",
+          "--t-us", "8", "--b-stop-mt", "0.1", "--b-points", "3"), 2),
+        (("signal", "--protocol", "berry", "--omega-mhz", "5", "--n", "3",
+          "--gamma-ghz-per-t", "inf", "--t-us", "8", "--b-stop-mt", "0.1",
+          "--b-points", "3"), 2),
+        (("sweep", "--protocol", "berry", "--omega-mhz-list", "inf",
+          "--n-list", "3", "--t-us-list", "8", "--b-stop-mt", "0.1",
+          "--b-points", "3"), 2),
+        (("sweep", "--config", str(EXAMPLES / "sweep.cfg"),
+          "--gamma-ghz-per-t", "nan"), 2),
+        (("estimate", "--protocol", "ramsey", "--p", "0.5", "--t-us", "1",
+          "--window-stop-mt", "0.1", "--gamma-ghz-per-t", "inf"), 3),
+        (DECOHERE_STATIC + ("--a-list", "0.1", "--gamma-ghz-per-t", "inf"), 3),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
-            "sweep-t-inf"])
+            "sweep-t-inf", "signal-omega-inf", "signal-gamma-inf",
+            "sweep-omega-inf", "sweep-gamma-nan", "estimate-gamma-inf",
+            "decohere-gamma-inf"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         assert run_cli(*args, "--out", str(tmp_path / "out")) == want
         assert "error" in capsys.readouterr().err

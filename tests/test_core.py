@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from phasemag.constants import TWO_PI, angular_from_mhz
+from phasemag import core
+from phasemag.constants import NV, TWO_PI, angular_from_mhz
 from phasemag.core import (DriveParams, SpinState, StepControl,
                            apply_ideal_pulse, apply_resonant_pulse,
                            larmor_from_drive, propagate_constant,
@@ -199,17 +200,88 @@ class TestPropagateSwept:
                             StepControl(tol=1e-18, max_depth=2))
         assert len(exc.value.error_history) >= 1
 
-    def test_fixed_mesh_error_scaling(self):
-        # second-order midpoint composition: quartering error per halving
+    @staticmethod
+    def _fixed_mesh_errors(coarse):
         w = angular_from_mhz(2.0)
         v = np.array([0.0, -1.0, 0.0])
-        ref = _compose_swept(v, w, lambda t: 5e6 * t, lambda t: 3e5, 4e-6, 1 << 14)
+        ref = _compose_swept(v, w, lambda t: 5e6 * t, lambda t: 3e5, 4e-6,
+                             1 << 14, coarse)
         errs = []
         for n in (128, 256, 512, 1024):
-            out = _compose_swept(v, w, lambda t: 5e6 * t, lambda t: 3e5, 4e-6, n)
+            out = _compose_swept(v, w, lambda t: 5e6 * t, lambda t: 3e5, 4e-6,
+                                 n, coarse)
             errs.append(np.max(np.abs(out - ref)))
-        for a, b in zip(errs, errs[1:]):
-            assert b <= 0.6 * a
+        return [b / a for a, b in zip(errs, errs[1:])]
+
+    def test_fixed_mesh_error_scaling(self):
+        # the lab-frame step is the 4th-order commutator-free Magnus step:
+        # the error drops 16x per halving (ratio 0.0625 measured)
+        for ratio in self._fixed_mesh_errors(coarse=False):
+            assert ratio <= 0.1
+
+    def test_coarse_mesh_step_stays_second_order(self):
+        # the noisy co-rotating mesh keeps the midpoint step: 4x per halving
+        for ratio in self._fixed_mesh_errors(coarse=True):
+            assert 0.2 <= ratio <= 0.3
+
+    # the four quadratic-ramp cells of the signal_numeric benchmark
+    # (Omega/2pi in MHz, T in us, phase turns, chirp fraction, B in mT) with
+    # the mesh steps the midpoint step needed for them at tol 1e-6
+    QUADRATIC_RAMPS = [((2.0, 2.0, 1, 0.3, 0.05), 40064),
+                       ((3.0, 4.0, 2, 0.4, 0.1), 134528),
+                       ((5.0, 3.0, 1, 0.5, 0.15), 80256),
+                       ((4.0, 6.0, 2, 0.2, 0.2), 169152)]
+
+    @pytest.mark.parametrize("cell, midpoint_steps", QUADRATIC_RAMPS,
+                             ids=["2MHz", "3MHz", "5MHz", "4MHz"])
+    def test_quadratic_ramp_matches_ode_on_few_steps(self, cell,
+                                                     midpoint_steps):
+        from scipy.integrate import solve_ivp
+
+        om_mhz, t_us, turns, chirp_frac, b_mt = cell
+        omega = angular_from_mhz(om_mhz)
+        duration = t_us * 1e-6
+        rate = 4.0 * math.pi * turns / duration
+        chirp = chirp_frac * rate / duration
+        det = NV.gamma * b_mt * 1e-3
+        v = np.array([0.48, -0.6, 0.64])
+
+        def phase(t):
+            return 0.7 + rate * t + chirp * t * t
+
+        def rhs(t, s):
+            r = np.array([omega * math.cos(phase(t)),
+                          omega * math.sin(phase(t)), det])
+            return np.cross(r, s)
+
+        out, report = propagate_swept_report(
+            SpinState.from_array(v), omega, phase,
+            lambda t: det + 0.0 * np.asarray(t), duration)
+        ref = solve_ivp(rhs, (0.0, duration), v, method="DOP853",
+                        rtol=1e-12, atol=1e-12).y[:, -1]
+        assert np.max(np.abs(out.as_array() - ref)) <= 1e-6
+        assert report.converged and len(report.error_history) <= 2
+        assert report.steps <= midpoint_steps / 8
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_mesh_is_sampled_block_by_block(self, monkeypatch, coarse):
+        # a fine mesh on a wide batch must never sample the whole mesh at
+        # once; splitting it into more blocks leaves the result unchanged
+        m, n_steps = 64, 5000
+        dets = np.linspace(-2e6, 2e6, m)
+        calls = []
+
+        def det_fn(t):
+            calls.append(t.size)
+            return dets[None, :] + 1e5 * np.sin(3e5 * t)[:, None]
+
+        states = np.tile([0.0, -1.0, 0.0], (m, 1))
+        args = (states, 3e6, lambda t: 0.0, det_fn, 5e-6, n_steps, coarse)
+        out = _compose_swept(*args)
+        assert len(calls) > 1
+        assert max(calls) * m <= core._BLOCK
+        monkeypatch.setattr(core, "_BLOCK", core._BLOCK // 8)
+        assert np.allclose(_compose_swept(*args), out, rtol=0, atol=1e-12)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(InvalidParameter):
