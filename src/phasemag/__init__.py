@@ -25,11 +25,11 @@ from .analytic import (DynamicModel, GeometricModel, HyperfineModel,
                        ramsey_field_range, ramsey_signal, ramsey_slope,
                        sensitivity)
 from .noise import (CoherenceCurve, DecoherenceTerms, FilterFunctionKind,
-                    Lorentzian, OneOverF, OUBank, OUTrajectory,
-                    QuadratureSpec, SpectralOverlay, White, calibrate_noise,
-                    coherence_decay, decoherence_function, echo_exponent,
-                    filter_function, fit_T2g, mc_free_precession_decay,
-                    ou_bank, ou_trajectory, ramsey_exponent, spectral_overlay)
+                    Lorentzian, OneOverF, OUBank, SpectralOverlay, White,
+                    calibrate_noise, coherence_decay, decoherence_function,
+                    echo_exponent, filter_function, fit_T2g,
+                    mc_free_precession_decay, ou_bank, ou_trajectory,
+                    ramsey_exponent, spectral_overlay)
 from .estimate import (FieldEstimate, Measurement, estimate_dynamic,
                        estimate_geometric, geometric_candidates,
                        measure_dynamic, measure_geometric)

@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _NORM_SLACK = 1e-6
+# default start: slices per 2*pi of drive-phase sweep and per Larmor turn
+_STEPS_PER_PHASE_TURN = 64
+_STEPS_PER_LARMOR_TURN = 64
 # coarse-start density: h*|R|max <= pi/2 keeps the first Richardson
 # difference in its asymptotic regime
 _COARSE_STEPS_PER_TURN = 4
@@ -133,29 +136,24 @@ class LarmorVector:
 class StepControl:
     """Mesh policy for time-dependent propagation.
 
-    The initial mesh guarantees at least ``steps_per_phase_turn`` slices per
-    2*pi of drive-phase sweep and ``steps_per_larmor_turn`` slices per Larmor
-    period; the mesh is then halved until the Richardson estimate (change of
-    any Bloch component under one halving) drops below ``tol``, up to
-    ``max_depth`` halvings.  ``core.propagate_swept`` takes a 4th-order step
-    on each slice, so from this start one halving usually meets ``tol``.
+    The initial mesh has at least ``min_steps`` slices, 64 per 2*pi of
+    drive-phase sweep and 64 per Larmor period; the mesh is then halved
+    until the Richardson estimate (change of any Bloch component under one
+    halving) drops below ``tol``, up to ``max_depth`` halvings.
+    ``core.propagate_swept`` takes a 4th-order step on each slice, so from
+    this start one halving usually meets ``tol``.
 
     The noisy swept segments of ``sequences.execute_batch`` take the
     2nd-order midpoint step and start coarser, at 4 slices per Larmor turn
     and at least ``min_steps``, and halve until ``tol`` holds, but never
-    past the finest mesh of the start above (``max_depth`` halvings of it);
-    ``steps_per_phase_turn`` does not apply there.
+    past the finest mesh of the start above (``max_depth`` halvings of it).
     """
 
-    steps_per_phase_turn: int = 64
-    steps_per_larmor_turn: int = 64
     tol: float = 1e-6
     max_depth: int = 12
     min_steps: int = 16
 
     def __post_init__(self):
-        if self.steps_per_phase_turn < 1 or self.steps_per_larmor_turn < 1:
-            raise InvalidParameter("step densities must be >= 1")
         if not self.tol > 0:
             raise InvalidParameter("tol must be positive")
         if self.max_depth < 1:
@@ -308,8 +306,6 @@ def _compose_swept(states: np.ndarray, rabi: float, phase_fn, det_fn,
         shape = (stop - start, len(nodes))
         phases = _sample(phase_fn, ts).reshape(shape)
         dets = _sample(det_fn, ts)
-        if batch and dets.ndim == 1:
-            dets = np.broadcast_to(dets[:, None], (ts.size, m))
         dets = dets.reshape(shape + dets.shape[1:])
         nx, ny, nz, ang = _step_axes(rabi, phases, dets, rows, dt)
         mats = _rotation_matrices(nx, ny, nz, ang)
@@ -324,11 +320,12 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
                   ctl: StepControl, coarse: bool = False) -> tuple[int, int]:
     """First mesh and finest allowed mesh of a refinement, in slices.
 
-    The default start puts ``ctl.steps_per_phase_turn`` slices in each turn
-    of the drive phase and ``ctl.steps_per_larmor_turn`` in each Larmor
-    turn; the finest mesh is that start halved ``ctl.max_depth`` times.  A
-    ``coarse`` start takes ``_COARSE_STEPS_PER_TURN`` slices per Larmor turn
-    instead (never more than the default start) under the same finest mesh.
+    The default start puts ``_STEPS_PER_PHASE_TURN`` slices in each turn of
+    the drive phase and ``_STEPS_PER_LARMOR_TURN`` in each Larmor turn, and
+    at least ``ctl.min_steps`` in all; the finest mesh is that start halved
+    ``ctl.max_depth`` times.  A ``coarse`` start takes
+    ``_COARSE_STEPS_PER_TURN`` slices per Larmor turn instead (never more
+    than the default start) under the same finest mesh.
     """
     ts = np.linspace(0.0, duration, 257)
     phases = _sample(phase_fn, ts)
@@ -336,8 +333,8 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
     span = float(np.sum(np.abs(np.diff(phases))))
     r_max = math.hypot(rabi, float(np.max(np.abs(dets))) if dets.size else 0.0)
     turns = duration * r_max / TWO_PI
-    n_phase = ctl.steps_per_phase_turn * span / TWO_PI
-    n_larmor = ctl.steps_per_larmor_turn * turns
+    n_phase = _STEPS_PER_PHASE_TURN * span / TWO_PI
+    n_larmor = _STEPS_PER_LARMOR_TURN * turns
     n0 = max(ctl.min_steps, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
     finest = n0 << ctl.max_depth
     if coarse:

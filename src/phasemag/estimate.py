@@ -46,8 +46,10 @@ class Measurement:
     def __post_init__(self):
         if not math.isfinite(self.p):
             raise InvalidParameter("P must be finite")
-        if self.sigma < 0 or self.slope_sigma < 0:
-            raise InvalidParameter("uncertainties must be nonnegative")
+        if self.slope is not None and not math.isfinite(self.slope):
+            raise InvalidParameter("slope must be finite")
+        if not (0 <= self.sigma < math.inf and 0 <= self.slope_sigma < math.inf):
+            raise InvalidParameter("uncertainties must be nonnegative and finite")
         if abs(self.p) > 1.0 + 3.0 * self.sigma:
             raise OutOfRange(
                 f"|P|={abs(self.p):g} exceeds 1 beyond the 3-sigma noise allowance"

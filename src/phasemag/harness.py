@@ -23,8 +23,7 @@ from .constants import NV, TWO_PI, PhysicalConstants
 from .core import StepControl
 from .errors import (AdiabaticityViolation, DegenerateSlope, FitFailure,
                      InvalidParameter, PhasemagError)
-from .noise import (QuadratureSpec, SpectralDensity, _warn_quad,
-                    decoherence_function)
+from .noise import SpectralDensity, decoherence_function
 
 __all__ = [
     "SweepSpec",
@@ -132,6 +131,12 @@ class SweepSpec:
             raise InvalidParameter("times nonempty and b_grid of length >= 2 required")
         if self.protocol == "berry" and (not self.omegas or not self.n_rotations):
             raise InvalidParameter("berry sweeps need omegas and n_rotations grids")
+        if not 0 < self.sigma_p < math.inf:
+            raise InvalidParameter(
+                f"sigma_p must be positive and finite, got {self.sigma_p}")
+        if not 0 <= self.overhead < math.inf:
+            raise InvalidParameter(
+                f"overhead must be nonnegative and finite, got {self.overhead}")
 
 
 @dataclass(frozen=True)
@@ -489,8 +494,7 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
                                   n_rotations: int = 2,
                                   sigma_p: float = 1.0,
                                   b_points: int = 161,
-                                  constants: PhysicalConstants = NV,
-                                  quad: Optional[QuadratureSpec] = None):
+                                  constants: PhysicalConstants = NV):
     """Geometric sensitivity vs adiabaticity at fixed interaction time.
 
     Each target A is realized exactly by Omega = 2*pi*N/(A*T) at fixed N and
@@ -499,10 +503,8 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
     the rotating frame) above; both are attenuated by exp(-chi(T; A)).  The
     reference is the free-precession sensitivity at the same T with its own
     attenuation.  Returns (rows, crossover_a); crossover_a is the first
-    grid A with eta_geo < eta_dyn, or None.  ``quad`` is deprecated and has
-    no effect.
+    grid A with eta_geo < eta_dyn, or None.
     """
-    _warn_quad(quad)
     gamma = constants.gamma
     chi_ram = noise_mod.ramsey_exponent(S, duration)
     eta_dyn = sigma_p * math.sqrt(duration) * math.exp(chi_ram) / (gamma * duration)
@@ -568,8 +570,7 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
                             omega: float = TWO_PI * 0.5e6,
                             ensemble: int = 100, seed: int = 0,
                             t_points: int = 10,
-                            constants: PhysicalConstants = NV,
-                            quad: Optional[QuadratureSpec] = None):
+                            constants: PhysicalConstants = NV):
     """Coherence time vs adiabaticity.
 
     ``eq3`` samples exp(-chi(T; A)) and fits the squared exponential.  The
@@ -578,9 +579,8 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
     the turn count with T (nearest integer; N >= 1).  The Monte-Carlo path
     is the authoritative model in the strongly nonadiabatic limit and is
     markedly slower.  Raises InvalidParameter for an unknown engine or an
-    ``ensemble`` below 1.  ``quad`` is deprecated and has no effect.
+    ``ensemble`` below 1.
     """
-    _warn_quad(quad)
     if engine not in ("eq3", "monte-carlo"):
         raise InvalidParameter(f"unknown engine {engine!r}")
     check_count("ensemble", ensemble)

@@ -29,17 +29,17 @@ With these conventions the Ornstein-Uhlenbeck time-domain oracle satisfies
 which the tests check against the closed-form exponents.  The oracle
 (``mc_free_precession_decay``) draws each trajectory's detuning and its
 time integral jointly and exactly at the requested times only (Gillespie,
-Phys. Rev. E 54, 2084 (1996)), so no time step enters.  Trajectories for
-the sequence executor (``ou_trajectory``, ``ou_bank``) are sampled exactly
-on uniform knots and interpolated linearly; ``detuning_integral`` gives the
-exact integral of that interpolant, which makes noisy free evolution one z
+Phys. Rev. E 54, 2084 (1996)), so no time step enters.  The sequence
+executor takes its noise as an ``OUBank``: trajectories sampled exactly on
+uniform knots and interpolated linearly, one per column (``ou_bank`` draws
+many, ``ou_trajectory`` one).  ``OUBank.detuning_integral`` gives the exact
+integral of that interpolant, which makes noisy free evolution one z
 rotation.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -55,11 +55,9 @@ __all__ = [
     "OneOverF",
     "SpectralDensity",
     "FilterFunctionKind",
-    "QuadratureSpec",
     "DecoherenceTerms",
     "CoherenceCurve",
     "SpectralOverlay",
-    "OUTrajectory",
     "OUBank",
     "filter_function",
     "ou_bank",
@@ -149,34 +147,6 @@ def filter_function(kind: FilterFunctionKind, x):
     raise InvalidParameter(f"unknown filter kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Deprecated: has no effect, and will be removed.
-
-    Every built-in spectral density has a closed-form exponent, so no
-    quadrature runs.  Passing a spec to any function emits a
-    DeprecationWarning and leaves the result unchanged.
-    """
-
-    rel_tol: float = 1e-4
-    points: int = 32
-    max_doublings: int = 6
-    tail_rel: float = 1e-7
-    subdivide: int = 1
-
-    def __post_init__(self):
-        if not self.rel_tol > 0 or self.points < 2 or self.subdivide < 1:
-            raise InvalidParameter("invalid quadrature spec")
-
-
-def _warn_quad(quad: Optional[QuadratureSpec]) -> None:
-    """Warn the caller of a public function that ``quad`` does nothing."""
-    if quad is not None:
-        warnings.warn("quad has no effect: every spectral density has a "
-                      "closed-form exponent; the argument will be removed",
-                      DeprecationWarning, stacklevel=3)
-
-
 def _check_duration(duration: float) -> None:
     if not 0 < duration < math.inf:
         raise InvalidParameter(f"duration must be positive and finite, got {duration}")
@@ -256,23 +226,13 @@ def _exponent(S: SpectralDensity, duration: float, echo: bool) -> float:
     raise InvalidParameter(f"unsupported spectral density {S!r}")
 
 
-def ramsey_exponent(S: SpectralDensity, duration: float,
-                    quad: Optional[QuadratureSpec] = None) -> float:
-    """Dephasing exponent of free precession: (1/pi) int S F0/w^2.
-
-    ``quad`` is deprecated and has no effect.
-    """
-    _warn_quad(quad)
+def ramsey_exponent(S: SpectralDensity, duration: float) -> float:
+    """Dephasing exponent of free precession: (1/pi) int S F0/w^2."""
     return _exponent(S, duration, echo=False)
 
 
-def echo_exponent(S: SpectralDensity, duration: float,
-                  quad: Optional[QuadratureSpec] = None) -> float:
-    """Dephasing exponent of a two-pulse echo: (1/pi) int S F1/w^2.
-
-    ``quad`` is deprecated and has no effect.
-    """
-    _warn_quad(quad)
+def echo_exponent(S: SpectralDensity, duration: float) -> float:
+    """Dephasing exponent of a two-pulse echo: (1/pi) int S F1/w^2."""
     return _exponent(S, duration, echo=True)
 
 
@@ -289,15 +249,12 @@ class DecoherenceTerms:
 
 
 def decoherence_function(S: SpectralDensity, adiabaticity: float,
-                         duration: float,
-                         quad: Optional[QuadratureSpec] = None) -> DecoherenceTerms:
+                         duration: float) -> DecoherenceTerms:
     """chi(T) = A^2 * (F0 term) + (F1 term); both terms returned separately.
 
     The A dependence is a pure A^2 prefactor on the first term, so
-    chi(A) - chi(0) = A^2 * [chi(1) - chi(0)] holds exactly.  ``quad`` is
-    deprecated and has no effect.
+    chi(A) - chi(0) = A^2 * [chi(1) - chi(0)] holds exactly.
     """
-    _warn_quad(quad)
     _check_adiabaticity(adiabaticity)
     i0 = ramsey_exponent(S, duration)
     i1 = echo_exponent(S, duration)
@@ -315,13 +272,9 @@ class CoherenceCurve:
     stretch_exponent: int = 2
 
 
-def coherence_decay(S: SpectralDensity, adiabaticity: float, t_grid,
-                    quad: Optional[QuadratureSpec] = None) -> CoherenceCurve:
-    """W(T) = exp(-chi(T)) on an increasing grid of interaction times.
-
-    ``quad`` is deprecated and has no effect.
-    """
-    _warn_quad(quad)
+def coherence_decay(S: SpectralDensity, adiabaticity: float,
+                    t_grid) -> CoherenceCurve:
+    """W(T) = exp(-chi(T)) on an increasing grid of interaction times."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
         raise InvalidParameter("t_grid must be nonempty and increasing")
@@ -398,7 +351,6 @@ def _one_over_e_time(exponent_fn, S: SpectralDensity, guess: float) -> float:
 
 
 def calibrate_noise(t2_star: float, t2: float,
-                    quad: Optional[QuadratureSpec] = None,
                     tol: float = 0.05) -> Lorentzian:
     """Find (delta, tau_c) whose free-precession and echo 1/e times match targets.
 
@@ -407,9 +359,8 @@ def calibrate_noise(t2_star: float, t2: float,
     the echo target).  Raises CalibrationFailure when the targets cannot be
     met within ``tol`` — in particular for t2 <= t2_star*(1 + 2*tol), where
     the echo gain the family always provides cannot be distinguished from
-    the tolerance.  ``quad`` is deprecated and has no effect.
+    the tolerance.
     """
-    _warn_quad(quad)
     if not 0 < t2_star < math.inf or not 0 < t2 < math.inf:
         raise InvalidParameter("targets must be positive and finite")
     if t2 < t2_star:
@@ -455,21 +406,40 @@ def calibrate_noise(t2_star: float, t2: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _OUKnots:
-    """OU detunings on uniform knots ``times`` (k*dt), linear in between."""
+class OUBank:
+    """Ornstein-Uhlenbeck detuning trajectories on shared uniform knots.
+
+    ``times`` are the knots k*dt and ``values`` has shape (n_steps+1,
+    n_traj): detunings in rad/s, one column per trajectory, linear in
+    between knots.  Calling the bank with times (n,) returns field offsets
+    (detuning / ``gamma``) of shape (n, n_traj), the layout the batched
+    sequence executor consumes.
+    """
 
     times: np.ndarray
     values: np.ndarray
     gamma: float
 
-    def detuning_integral(self, t0: float, t1: float):
+    @property
+    def n_traj(self) -> int:
+        return self.values.shape[1]
+
+    def __call__(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        dt = self.times[1] - self.times[0]
+        idx = np.clip((t / dt).astype(int), 0, len(self.times) - 2)
+        frac = t / dt - idx
+        return (self.values[idx, :]
+                + frac[:, None] * (self.values[idx + 1, :] - self.values[idx, :])
+                ) / self.gamma
+
+    def detuning_integral(self, t0: float, t1: float) -> np.ndarray:
         """Integral of the interpolated detuning over [t0, t1], in rad.
 
         The interpolant is linear between knots, so the integral is the
         trapezoid sum over the knots inside [t0, t1] plus the two partial
-        intervals at the ends, with no quadrature error.  Returns a float
-        for a trajectory and one value per channel, shape (n_traj,), for a
-        bank.
+        intervals at the ends, with no quadrature error.  Returns one value
+        per trajectory, shape (n_traj,).
         """
         dt = self.times[1] - self.times[0]
         v = self.values
@@ -488,34 +458,20 @@ class _OUKnots:
         return dt * (inner + from_knot(k1, f1) - from_knot(k0, f0))
 
 
-@dataclass(frozen=True)
-class OUTrajectory(_OUKnots):
-    """Sampled Ornstein-Uhlenbeck detuning noise, callable as field offset.
-
-    ``values`` are detunings in rad/s; calling the trajectory linearly
-    interpolates and converts to field units through gamma.
-    """
-
-    def __call__(self, t):
-        return np.interp(t, self.times, self.values) / self.gamma
-
-    def detuning(self, t):
-        return np.interp(t, self.times, self.values)
-
-
 def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed,
-                  gamma: float = NV.gamma) -> OUTrajectory:
-    """Exact-discretization OU trajectory matching the Lorentzian PSD.
+                  gamma: float = NV.gamma) -> OUBank:
+    """One exact-discretization OU trajectory, as a one-channel ``OUBank``.
 
     The update x[k+1] = a*x[k] + delta*sqrt(1-a^2)*z with a = exp(-dt/tau_c)
     reproduces the stationary autocovariance delta^2 exp(-|t|/tau_c) at the
     grid points exactly.  ``seed`` is an int or a sequence of ints (a
     ``numpy.random.default_rng`` key); the trajectory is reproducible
-    bit-for-bit for a fixed seed.
+    bit-for-bit for a fixed seed.  The sequence executor applies its one
+    channel to every field.
     """
     n = _ou_steps(S, duration, dt)
-    x = _ou_block(S, n, dt, 1, seed)[:, 0]
-    return OUTrajectory(times=np.arange(n + 1) * dt, values=x, gamma=gamma)
+    return OUBank(times=np.arange(n + 1) * dt,
+                  values=_ou_block(S, n, dt, 1, seed), gamma=gamma)
 
 
 def _ou_steps(S: Lorentzian, duration: float, dt: float) -> int:
@@ -631,29 +587,6 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
         done += m
         chunk_index += 1
     return (total / n_traj).reshape(t_grid.shape)
-
-
-@dataclass(frozen=True)
-class OUBank(_OUKnots):
-    """Ensemble of OU trajectories on a shared uniform grid.
-
-    ``values`` has shape (n_steps+1, n_traj), detunings in rad/s.  Calling
-    the bank with times (n,) returns field offsets of shape (n, n_traj), the
-    layout the batched sequence executor consumes.
-    """
-
-    @property
-    def n_traj(self) -> int:
-        return self.values.shape[1]
-
-    def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        dt = self.times[1] - self.times[0]
-        idx = np.clip((t / dt).astype(int), 0, len(self.times) - 2)
-        frac = t / dt - idx
-        return (self.values[idx, :]
-                + frac[:, None] * (self.values[idx + 1, :] - self.values[idx, :])
-                ) / self.gamma
 
 
 def ou_bank(S: Lorentzian, duration: float, dt: float, n_traj: int, seed: int,

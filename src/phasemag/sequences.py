@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from . import core
 from .constants import NV, TWO_PI, PhysicalConstants
 from .core import StepControl
 from .errors import InvalidParameter
+from .noise import OUBank
 
 __all__ = [
     "IdealPulse",
@@ -178,13 +179,14 @@ def _pulse_matrix(pulse: IdealPulse) -> np.ndarray:
 
 
 def execute(plan: SequencePlan, b: float,
-            noise_trajectory: Optional[Callable[[float], float]] = None,
+            noise_trajectory: Optional[OUBank] = None,
             step_control: Optional[StepControl] = None,
             constants: PhysicalConstants = NV) -> float:
     """Run a plan at static field ``b`` and return the signal P in [-1, 1].
 
     The spin starts in (0, 0, 1); the detuning seen during evolution is
-    gamma*(b + noise(t)) with t measured from the start of the sequence.
+    gamma*(b + noise(t)) with t measured from the start of the sequence,
+    and the noise is a one-channel ``OUBank`` or None.
     """
     return float(execute_batch(plan, np.array([b], dtype=float),
                                noise_trajectory=noise_trajectory,
@@ -193,46 +195,54 @@ def execute(plan: SequencePlan, b: float,
 
 
 def execute_batch(plan: SequencePlan, b_values,
-                  noise_trajectory: Optional[Callable] = None,
+                  noise_trajectory: Optional[OUBank] = None,
                   step_control: Optional[StepControl] = None,
                   constants: PhysicalConstants = NV) -> np.ndarray:
     """Vectorized ``execute`` over a grid of static fields.
 
-    Free evolution over [t0, t1] is a pure z rotation by
-    gamma*B*(t1 - t0) plus the integral of the noise detuning.  An
-    ``OUTrajectory`` or ``OUBank`` interpolates linearly between its knots,
-    so that integral is exact (``detuning_integral``; one value per channel
-    for a bank) and free evolution never needs a mesh.  Knots that end
-    before the plan does raise InvalidParameter.  A plain noise callable
-    without knots runs free evolution as an undriven sweep.
+    ``noise_trajectory`` is None or an ``OUBank`` with one channel, which
+    every field shares, or with one channel per field.  Any other noise, and
+    knots that end before the plan does, raise InvalidParameter.
+
+    Free evolution over [t0, t1] is one z rotation by gamma*B*(t1 - t0)
+    plus the integral of the bank's detuning.  The bank interpolates
+    linearly between its knots, so that integral is exact
+    (``OUBank.detuning_integral``) and free evolution never needs a mesh.
 
     Every sweep passes through the frame that co-rotates with its linearly
     ramped drive phase (``_in_drive_frame``).  Without noise the Larmor
     vector is constant in that frame, so each segment is one closed-form
-    rotation (``_apply_swept_exact``).  With a noise trajectory the frame
-    propagation runs on the Richardson mesh of ``core._swept_refine``
-    (``_run_swept``).  The noise enters only on z and midpoint slicing of
-    the constant rest is exact, so the mesh starts coarse, at 4 slices per
-    Larmor turn and at least ``min_steps``, and the halvings follow the
-    noise, not the Larmor rate or the turns of the drive phase.  All fields
-    share that mesh and the trajectory, and the refinement criterion is the
-    worst Bloch-component change over the batch.
+    rotation (``_apply_swept_exact``).  With noise the frame propagation
+    runs on the Richardson mesh of ``core._swept_refine`` (``_run_swept``).
+    The noise enters only on z and midpoint slicing of the constant rest is
+    exact, so the mesh starts coarse, at 4 slices per Larmor turn and at
+    least ``min_steps``, and the halvings follow the noise, not the Larmor
+    rate or the turns of the drive phase.  All fields share that mesh, and
+    the refinement criterion is the worst Bloch-component change over the
+    batch.
 
     ``step_control`` governs that mesh only: its ``tol``, its ``min_steps``
     and, through the finest mesh allowed, its ``max_depth`` (the finest
-    mesh is ``steps_per_larmor_turn`` slices per Larmor turn halved
-    ``max_depth`` times, as for ``core.propagate_swept``).
-    ``steps_per_phase_turn`` has no effect here.
+    mesh is 64 slices per Larmor turn halved ``max_depth`` times, as for
+    ``core.propagate_swept``).
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if not np.all(np.isfinite(b_values)):
         raise InvalidParameter("fields must be finite")
-    knots = hasattr(noise_trajectory, "detuning_integral")
-    # n*dt may round just below the duration the knots were drawn for
-    if knots and noise_trajectory.times[-1] < plan.duration * (1.0 - 1e-9):
-        raise InvalidParameter(
-            f"noise knots end at {noise_trajectory.times[-1]:g} s, before the "
-            f"plan's {plan.duration:g} s")
+    noise = noise_trajectory
+    if noise is not None:
+        if not isinstance(noise, OUBank):
+            raise InvalidParameter(
+                f"noise must be an OUBank, got {type(noise).__name__}")
+        if noise.n_traj not in (1, b_values.size):
+            raise InvalidParameter(
+                f"a bank of {noise.n_traj} channels does not fit "
+                f"{b_values.size} fields")
+        # n*dt may round just below the duration the knots were drawn for
+        if noise.times[-1] < plan.duration * (1.0 - 1e-9):
+            raise InvalidParameter(
+                f"noise knots end at {noise.times[-1]:g} s, before the "
+                f"plan's {plan.duration:g} s")
     ctl = step_control or StepControl()
     gamma = constants.gamma
 
@@ -247,24 +257,18 @@ def execute_batch(plan: SequencePlan, b_values,
             continue
         if isinstance(seg, FreeEvolution):
             angles = dets_static * seg.duration
-            if noise_trajectory is None:
-                states = _precess_z(states, angles)
-            elif knots:
-                # the knots hold detunings for the trajectory's own gamma
-                noise_phase = noise_trajectory.detuning_integral(
-                    t_start, t_start + seg.duration)
-                states = _precess_z(
-                    states, angles + noise_phase * (gamma / noise_trajectory.gamma))
-            else:
-                states = _run_swept(states, SweptDrive(0.0, 0.0, 0.0, seg.duration),
-                                    dets_static, noise_trajectory, gamma, t_start, ctl)
+            if noise is not None:
+                # the knots hold detunings for the bank's own gamma
+                phase = noise.detuning_integral(t_start, t_start + seg.duration)
+                angles = angles + phase * (gamma / noise.gamma)
+            states = _precess_z(states, angles)
         elif not isinstance(seg, SweptDrive):
             raise InvalidParameter(f"unknown segment type {type(seg)!r}")
-        elif noise_trajectory is None:
+        elif noise is None:
             states = _apply_swept_exact(states, seg, dets_static)
         else:
-            states = _run_swept(states, seg, dets_static, noise_trajectory,
-                                gamma, t_start, ctl)
+            states = _run_swept(states, seg, dets_static, noise, gamma,
+                                t_start, ctl)
         t_start += seg.duration
     return states[:, 2].copy()
 
@@ -314,7 +318,7 @@ def _zero_phase(t):
     return 0.0
 
 
-def _run_swept(states, seg: SweptDrive, dets_static, noise_trajectory, gamma,
+def _run_swept(states, seg: SweptDrive, dets_static, noise: OUBank, gamma,
                t_start, ctl):
     """Mesh propagation of one swept segment under a noise trajectory.
 
@@ -324,19 +328,12 @@ def _run_swept(states, seg: SweptDrive, dets_static, noise_trajectory, gamma,
     the mesh error grows with the noise's slope (about
     T*h^2*rabi*gamma*|b'|/12), not with the Larmor rate: the refinement
     starts coarse (``coarse=True``: h*|R|max <= pi/2) and halves until
-    ``ctl.tol`` holds, never past the finest mesh of the default start.  An
-    undriven sweep (rabi = r = phi0 = 0) enters and leaves the frame through
-    exact identities.
+    ``ctl.tol`` holds, never past the finest mesh of the default start.
     """
     def det_fn(t):
-        t = np.asarray(t, dtype=float)
-        offs = gamma * np.asarray(noise_trajectory(t_start + t), dtype=float)
-        if offs.ndim == 0:
-            offs = np.full(t.shape, float(offs))
-        if offs.ndim == 1:
-            offs = offs[:, None]
-        # offs is now (n, 1) shared noise or (n, m) one stream per channel
-        return dets_static[None, :] + offs - seg.phase_rate
+        # the bank gives (n, 1) noise shared by every field or (n, m), one
+        # channel per field
+        return dets_static[None, :] + gamma * noise(t_start + t) - seg.phase_rate
 
     def propagate(s):
         out, _ = core._swept_refine(s, seg.rabi, _zero_phase, det_fn,

@@ -351,6 +351,10 @@ class TestBadNumbers:
 
     DECOHERE_STATIC = ("decohere", "--t2star-us", "50", "--t2-us", "500")
     DECOHERE_OU = ("decohere", "--delta-rad-s", "31415.9")
+    SWEEP_RAMSEY = ("sweep", "--protocol", "ramsey", "--t-us-list", "1,2,3",
+                    "--b-stop-mt", "0.1", "--b-points", "5")
+    ESTIMATE_RAMSEY = ("estimate", "--protocol", "ramsey", "--p", "0.3",
+                       "--t-us", "1", "--window-stop-mt", "0.5")
 
     @pytest.mark.parametrize("args, want", [
         (("calibrate", "--t2star-us", "1e-300", "--t2-us", "1e300"), 3),
@@ -383,12 +387,24 @@ class TestBadNumbers:
         (("estimate", "--protocol", "ramsey", "--p", "0.5", "--t-us", "1",
           "--window-stop-mt", "0.1", "--gamma-ghz-per-t", "inf"), 3),
         (DECOHERE_STATIC + ("--a-list", "0.1", "--gamma-ghz-per-t", "inf"), 3),
+        (SWEEP_RAMSEY + ("--overhead-us", "-5"), 2),
+        (SWEEP_RAMSEY + ("--overhead-us", "nan"), 2),
+        (SWEEP_RAMSEY + ("--overhead-us", "inf"), 2),
+        (SWEEP_RAMSEY + ("--sigma-p", "inf"), 2),
+        (SWEEP_RAMSEY + ("--sigma-p", "0"), 2),
+        (("estimate", "--protocol", "berry", "--p", "0.3", "--omega-mhz", "5",
+          "--n", "3", "--slope-per-mt", "inf"), 3),
+        (ESTIMATE_RAMSEY + ("--slope-per-mt", "nan"), 3),
+        (ESTIMATE_RAMSEY + ("--sigma", "inf"), 3),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
             "sweep-t-inf", "signal-omega-inf", "signal-gamma-inf",
             "sweep-omega-inf", "sweep-gamma-nan", "estimate-gamma-inf",
-            "decohere-gamma-inf"])
+            "decohere-gamma-inf", "sweep-overhead-negative",
+            "sweep-overhead-nan", "sweep-overhead-inf", "sweep-sigma-p-inf",
+            "sweep-sigma-p-zero", "estimate-berry-slope-inf",
+            "estimate-ramsey-slope-nan", "estimate-sigma-inf"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         assert run_cli(*args, "--out", str(tmp_path / "out")) == want
         assert "error" in capsys.readouterr().err

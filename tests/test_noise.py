@@ -2,17 +2,14 @@
 
 import hashlib
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from phasemag.constants import NV
 from phasemag.errors import CalibrationFailure, FitFailure, InvalidParameter
-from phasemag.harness import (decoherence_regime_scan,
-                              nonadiabatic_sensitivity_scan)
-from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF,
-                            QuadratureSpec, White, _ou_phases, calibrate_noise,
+from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF, White,
+                            _ou_phases, calibrate_noise,
                             coherence_decay, decoherence_function,
                             echo_exponent, filter_function, fit_T2g,
                             mc_free_precession_decay, ou_bank, ou_trajectory,
@@ -146,27 +143,6 @@ class TestDecoherenceFunction:
             chia = decoherence_function(S, a, t).total
             assert chia - chi0 == pytest.approx(a**2 * (chi1 - chi0), rel=1e-12)
 
-    def test_quad_argument_warns_and_changes_nothing(self, calibrated_noise):
-        S = calibrated_noise
-        spec = QuadratureSpec(rel_tol=1e-16, points=2, max_doublings=1)
-        calls = [
-            lambda **kw: ramsey_exponent(S, 2e-5, **kw),
-            lambda **kw: echo_exponent(S, 2e-5, **kw),
-            lambda **kw: decoherence_function(S, 0.3, 2e-5, **kw),
-            lambda **kw: coherence_decay(S, 0.3, [1e-5, 2e-5], **kw),
-            lambda **kw: calibrate_noise(T2_STAR, T2_ECHO, **kw),
-            lambda **kw: decoherence_regime_scan([0.1], S, **kw),
-            lambda **kw: nonadiabatic_sensitivity_scan([0.02], T2_STAR / 2, S,
-                                                       b_points=41, **kw),
-        ]
-        for call in calls:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                plain = call()
-            with pytest.warns(DeprecationWarning, match="quad has no effect") as rec:
-                assert call(quad=spec) == plain
-            assert len(rec) == 1
-
 
 class TestCoherenceDecay:
     def test_zero_spectrum_stays_coherent(self):
@@ -253,7 +229,8 @@ class TestOUTrajectory:
     def test_callable_returns_field_units(self):
         S = Lorentzian(delta=3e4, tau_c=1e-3)
         traj = ou_trajectory(S, 1e-3, 1e-5, seed=7)
-        assert traj(0.0) == pytest.approx(traj.values[0] / NV.gamma)
+        # one channel: a (1, 1) offset, in the bank's (times, channels) layout
+        assert traj(0.0) == pytest.approx(traj.values[:1] / NV.gamma)
 
     def test_stationary_variance(self):
         S = Lorentzian(delta=3e4, tau_c=1e-3)
@@ -288,7 +265,7 @@ class TestPinnedStreams:
 
     def test_ou_trajectory(self):
         x = ou_trajectory(self.S, 2e-6, 1e-7, seed=3).values
-        assert x.shape == (21,)
+        assert x.shape == (21, 1)
         assert self._digest(x) == \
             "c2a094069ce1ebf7fdf3350994688d69469db3454339e885ac5996725d0bb669"
         keyed = ou_trajectory(self.S, 2e-6, 1e-7, seed=[3, 1]).values

@@ -10,13 +10,25 @@ from phasemag.analytic import GeometricModel, berry_field_range
 from phasemag.constants import NV, TWO_PI, angular_from_mhz
 from phasemag.core import SpinState, StepControl
 from phasemag.errors import ConvergenceFailure, InvalidParameter
-from phasemag.noise import Lorentzian, ou_bank, ou_trajectory
+from phasemag.noise import Lorentzian, OUBank, ou_bank, ou_trajectory
 from phasemag.sequences import (READOUT_PHASE, FreeEvolution, IdealPulse,
                                 SequencePlan, SweptDrive, _apply_swept_exact,
                                 build_berry, build_hahn, build_ramsey, execute,
                                 execute_batch)
 
 W5 = angular_from_mhz(5.0)
+
+
+def _knot_bank(duration, fn, n_knots=64, n_traj=1):
+    """A bank whose every channel holds the detuning ``fn(t)`` (rad/s) on
+    ``n_knots`` uniform intervals spanning ``duration``."""
+    times = np.linspace(0.0, duration, n_knots + 1)
+    values = np.repeat(fn(times)[:, None], n_traj, axis=1)
+    return OUBank(times=times, values=values, gamma=NV.gamma)
+
+
+def _zero_bank(duration, n_traj=1):
+    return _knot_bank(duration, np.zeros_like, n_traj=n_traj)
 
 
 class TestConstruction:
@@ -144,6 +156,18 @@ class TestBerryExecution:
         want = analytic.berry_signal(model, bs)
         assert np.max(np.abs(got - want)) <= 0.01
 
+    @pytest.mark.parametrize("a_value", [0.005, 0.01, 0.02, 0.04, 0.075, 0.1])
+    def test_deviation_from_chirp_formula_follows_a_squared(self, a_value):
+        # max|dP| ~ 23*A^2 at N = 3, measured 22.4-23.9 over this grid; the
+        # prefactor grows with N (about 10, 16, 23 and 36 at N = 1, 2, 3, 5)
+        n_rot = 3
+        model = GeometricModel(W5, n_rot)
+        duration = TWO_PI * n_rot / (a_value * W5)
+        bs = np.linspace(0, 1.5 * berry_field_range(model), 400)
+        got = execute_batch(build_berry(W5, n_rot, duration), bs)
+        ratio = np.max(np.abs(got - analytic.berry_signal(model, bs))) / a_value**2
+        assert 20.0 <= ratio <= 26.0
+
     def test_corotating_halves_lose_the_signal(self):
         # same-direction sweeps cancel the geometric phase: the signal stops
         # depending on field through the chirp argument
@@ -217,7 +241,7 @@ class TestSweptClosedFormAgainstMesh:
                               execute_batch(plan, bs))
         with pytest.raises(ConvergenceFailure):
             execute_batch(plan, bs, step_control=starved,
-                          noise_trajectory=lambda t: np.zeros_like(t))
+                          noise_trajectory=_zero_bank(plan.duration))
 
 
 class TestNoisyFrameAgainstLabMesh:
@@ -273,7 +297,8 @@ class TestNoisyFrameAgainstLabMesh:
         bs = np.array([0.0, 1.3e-4, self.RATE / NV.gamma, -2.2e-4])
         got = execute_batch(plan, bs, noise_trajectory=traj)
         for b, p in zip(bs, got):
-            assert p == pytest.approx(self._lab_frame(plan, b, traj), abs=1e-6)
+            ref = self._lab_frame(plan, b, lambda t: traj(t)[:, 0])
+            assert p == pytest.approx(ref, abs=1e-6)
 
     def test_bank_channels_see_their_own_streams(self):
         plan = self._plan(SweptDrive(self.W2, 0.7, self.RATE, 3e-6),
@@ -298,7 +323,8 @@ class TestNoisyFrameAgainstLabMesh:
         traj = ou_trajectory(self.BATH, plan.duration, self.BATH.tau_c / 10, seed=22)
         got = execute_batch(plan, bs, noise_trajectory=traj)
         for b, p in zip(bs, got):
-            assert p == pytest.approx(self._lab_frame(plan, b, traj, fine), abs=1e-8)
+            ref = self._lab_frame(plan, b, lambda t: traj(t)[:, 0], fine)
+            assert p == pytest.approx(ref, abs=1e-8)
         bank = ou_bank(self.BATH, plan.duration, self.BATH.tau_c / 10, 3, seed=5)
         got = execute_batch(plan, bs, noise_trajectory=bank)
         for j, (b, p) in enumerate(zip(bs, got)):
@@ -334,18 +360,20 @@ class TestCoarseNoisyMesh:
         assert np.max(np.abs(got - ref)) <= 1e-6
 
     def test_min_steps_floor_holds_against_aliased_noise(self):
-        # about 1 rad of precession in all, so the coarse start alone is one
-        # slice; its midpoint and both midpoints of two slices sit on crests
+        # an undriven sweep, so the segment reaches the mesh.  About 1 rad of
+        # precession in all, so the coarse start alone is one slice; its
+        # midpoint and both midpoints of two slices sit on knots at crests
         # of this noise, so without the floor the mesh stops at the wrong
         # phase.  The noise integrates to zero over the segment.
         duration = 1e-6
-        amp = 1.0 / (NV.gamma * duration)
-
-        def noise(t):
-            return amp * np.cos(8 * math.pi * np.asarray(t) / duration)
-
+        bank = _knot_bank(duration,
+                          lambda t: np.cos(8 * math.pi * t / duration) / duration)
+        plan = SequencePlan((IdealPulse(0.0, math.pi / 2),
+                             SweptDrive(0.0, 0.0, 0.0, duration),
+                             IdealPulse(READOUT_PHASE, math.pi / 2)),
+                            "undriven", duration)
         bs = np.array([0.0, 1e-6, -1e-6])
-        got = execute_batch(build_ramsey(duration), bs, noise_trajectory=noise)
+        got = execute_batch(plan, bs, noise_trajectory=bank)
         assert np.allclose(got, np.cos(NV.gamma * bs * duration), atol=1e-6,
                            rtol=0)
 
@@ -404,12 +432,22 @@ class TestNoiseInjection:
     def test_zero_noise_trajectory_matches_noiseless(self):
         plan = build_ramsey(1e-6)
         b = 2e-5
-        got = execute(plan, b, noise_trajectory=lambda t: np.zeros_like(np.asarray(t)))
+        got = execute(plan, b, noise_trajectory=_zero_bank(plan.duration))
         assert got == pytest.approx(execute(plan, b), abs=1e-6)
 
+    def test_only_a_fitting_bank_is_noise(self):
+        # a plain callable, and a bank whose channels neither are one nor
+        # match the fields
+        plan = build_ramsey(1e-6)
+        with pytest.raises(InvalidParameter):
+            execute_batch(plan, [0.0], noise_trajectory=lambda t: np.zeros_like(t))
+        with pytest.raises(InvalidParameter):
+            execute_batch(plan, [0.0, 1e-5, 2e-5],
+                          noise_trajectory=_zero_bank(plan.duration, n_traj=2))
+
     def test_knots_must_cover_the_plan(self):
-        # past its last knot a trajectory holds its value and a bank
-        # extrapolates; neither is the noise the plan asked for
+        # past its last knot a bank extrapolates, which is not the noise
+        # the plan asked for
         bath = Lorentzian(delta=2e5, tau_c=2e-6)
         short = ou_trajectory(bath, 2e-6, 2e-7, seed=1)
         with pytest.raises(InvalidParameter):
