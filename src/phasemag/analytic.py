@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .constants import NV, TWO_PI, PhysicalConstants
-from .errors import DegenerateSlope, InvalidParameter
+from .errors import DegenerateSlope, InvalidParameter, OutOfRange
+from .solve import minimize_bounded
 
 __all__ = [
     "DynamicModel",
@@ -147,13 +148,25 @@ def ramsey_ambiguities(m: DynamicModel, p_meas: float,
     return [b for b, _ in _ramsey_ladder(m, p_meas, b_window)]
 
 
+# the fringe ladders enumerate every fringe they cover; beyond this many a
+# list of candidates carries no information and only exhausts memory
+_MAX_FRINGES = 100_000
+
+
+def _check_fringe_count(count: float) -> None:
+    if not count <= _MAX_FRINGES:
+        raise OutOfRange(f"the search covers {count:.3g} fringes; at most "
+                         f"{_MAX_FRINGES} are enumerated")
+
+
 def _ramsey_ladder(m: DynamicModel, p: float,
                    b_window: tuple[float, float]) -> list[tuple[float, int]]:
     """(B, fringe k) pairs in the window with cos(gamma*B*T) = p, |p| <= 1.
 
     B = (2*pi*k +/- acos(p))/(gamma*T), sorted by (B, k); fields within
     1e-12 of the window scale of the previous kept one are merged into it.
-    A non-finite window bound raises InvalidParameter.
+    A non-finite window bound raises InvalidParameter, and a window of more
+    than ``_MAX_FRINGES`` fringes raises OutOfRange before any is listed.
     """
     lo, hi = float(b_window[0]), float(b_window[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -162,6 +175,7 @@ def _ramsey_ladder(m: DynamicModel, p: float,
         return []
     a = math.acos(p)
     gt = m.gamma * m.duration
+    _check_fringe_count((hi - lo) * gt / TWO_PI + 3.0)
     k_lo = math.floor((lo * gt - a) / TWO_PI) - 1
     k_hi = math.ceil((hi * gt + a) / TWO_PI) + 1
     raw = []
@@ -229,9 +243,12 @@ def sensitivity(signal_fn: Callable, slope_fn: Callable | None,
                 grid_points: int = 2001) -> SensitivityReport:
     """Shot-noise sensitivity: sigma_P * sqrt(T + overhead) / max |dP/dB|.
 
-    The slope is maximized over ``b_search`` on a dense grid with a bounded
-    local refinement around the best grid point.  ``slope_fn`` may be None,
-    in which case a central difference of ``signal_fn`` is used.
+    The slope is maximized over ``b_search`` on a dense grid, then refined
+    by Brent's bounded minimiser of -|slope| (``solve.minimize_bounded``)
+    between the best grid point's neighbours, to an absolute tolerance of
+    1e-12 of the window; a refinement worse than the grid point is
+    discarded.  ``slope_fn`` may be None, in which case a central difference
+    of ``signal_fn`` is used.
     """
     if not duration > 0:
         raise InvalidParameter(f"duration must be positive, got {duration}")
@@ -254,12 +271,8 @@ def sensitivity(signal_fn: Callable, slope_fn: Callable | None,
     a = grid[max(0, i - 1)]
     b = grid[min(grid_points - 1, i + 1)]
     if b > a:
-        from scipy import optimize
-
-        res = optimize.minimize_scalar(lambda x: -abs(float(slope_fn(x))),
-                                       bounds=(a, b), method="bounded",
-                                       options={"xatol": (hi - lo) * 1e-12})
-        best_b = float(res.x)
+        best_b = float(minimize_bounded(lambda x: -abs(float(slope_fn(x))),
+                                        a, b, xatol=(hi - lo) * 1e-12))
         best = abs(float(slope_fn(best_b)))
         if best < mags[i]:
             best, best_b = float(mags[i]), float(grid[i])

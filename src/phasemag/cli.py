@@ -357,7 +357,8 @@ def cmd_estimate(cfg: dict) -> int:
         except Unresolvable as exc:
             out.append(f"unresolvable: {exc}")
             _write_text(cfg["out"], "\n".join(_header_lines("estimate", cfg) + out) + "\n")
-            print("\n".join(out))
+            if cfg["out"] != "-":
+                print("\n".join(out))
             return EXIT_UNRESOLVABLE
         out.append(f"B_hat_mT = {fmt(est.b_hat * 1e3)}")
         out.append(f"lobe_index = {est.lobe_index}")
@@ -392,7 +393,11 @@ def cmd_decohere(cfg: dict) -> int:
         raise ConfigError("decohere needs t2star_us/t2_us or delta_rad_s/tau_c_us")
     if cfg["out"] == "-":
         raise ConfigError("decohere writes multiple files; --out is required")
-    a_list = cfg.get("a_list") or list(_DEFAULT_A_LIST)
+    a_list = cfg.get("a_list")
+    if a_list is None:
+        a_list = list(_DEFAULT_A_LIST)
+    elif not a_list:
+        raise ConfigError("a_list must name at least one adiabaticity")
     overlay_a = cfg.get("overlay_a")
     overlay_a = a_list[0] if overlay_a is None else overlay_a
     t_over = cfg.get("overlay_t_us")

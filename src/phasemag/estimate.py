@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import (DynamicModel, GeometricModel, _ramsey_ladder,
-                       berry_field_range, berry_signal, berry_slope,
-                       ramsey_slope)
+from .analytic import (DynamicModel, GeometricModel, _check_fringe_count,
+                       _ramsey_ladder, berry_field_range, berry_signal,
+                       berry_slope, ramsey_slope)
 from .constants import TWO_PI
 from .errors import InvalidParameter, OutOfRange, Unresolvable
 
@@ -118,8 +118,10 @@ def geometric_candidates(m: GeometricModel, p: float) -> list[tuple[float, int]]
     Candidates are the arccos branches of the monotone argument: for
     arg = 2*pi*k +/- acos(p) within [pi, 4*pi*N], invert
     cos(theta) = 1 - arg/(4*pi*N) to a field.  The lobe index counts
-    half-oscillations from B=0.
+    half-oscillations from B=0.  More than ``analytic._MAX_FRINGES``
+    fringes (k = 0 .. 2N) raise OutOfRange before any is listed.
     """
+    _check_fringe_count(2 * m.n_rotations + 1)
     n4pi = 4.0 * math.pi * m.n_rotations
     a = math.acos(max(-1.0, min(1.0, p)))
     args = set()

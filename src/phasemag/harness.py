@@ -24,6 +24,7 @@ from .core import StepControl
 from .errors import (AdiabaticityViolation, DegenerateSlope, FitFailure,
                      InvalidParameter, PhasemagError)
 from .noise import SpectralDensity, decoherence_function
+from .solve import NoRoot, find_root
 
 __all__ = [
     "SweepSpec",
@@ -240,25 +241,12 @@ def _auto_decay_grid(S, a_value, n_points=28):
     def total_chi(t):
         return decoherence_function(S, a_value, t).total - 1.0
 
-    lo, hi = 1e-7, 1e-3
-    f_hi = total_chi(hi)
-    for _ in range(40):
-        if f_hi > 0:
-            break
-        hi *= 2.0
-        f_hi = total_chi(hi)
-    f_lo = total_chi(lo)
-    for _ in range(40):
-        if f_lo < 0:
-            break
-        lo /= 2.0
-        f_lo = total_chi(lo)
-    if not f_lo < 0 < f_hi:
+    try:
+        t1e = find_root(total_chi, 1e-7, 1e-3, grow=2.0, steps=40, xtol=2e-12,
+                        rtol=1e-10)
+    except NoRoot as exc:
         raise InvalidParameter(f"chi(T; A={a_value:g}) does not cross 1 between "
-                               f"{lo:.3g} s and {hi:.3g} s")
-    from scipy import optimize
-
-    t1e = optimize.brentq(total_chi, lo, hi, rtol=1e-10)
+                               f"{exc.lo:.3g} s and {exc.hi:.3g} s") from None
     return np.linspace(0.15 * t1e, 2.1 * t1e, n_points)
 
 

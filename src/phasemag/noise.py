@@ -48,6 +48,7 @@ import numpy as np
 
 from .constants import NV
 from .errors import CalibrationFailure, FitFailure, InvalidParameter
+from .solve import NoRoot, find_root
 
 __all__ = [
     "Lorentzian",
@@ -287,9 +288,19 @@ def coherence_decay(S: SpectralDensity, adiabaticity: float,
 def fit_T2g(samples) -> tuple[float, float]:
     """Least-squares fit of amplitude*exp(-(T/T2g)^2) to (T, P) samples.
 
+    The fit is separable (variable projection; Golub & Pereyra, SIAM J.
+    Numer. Anal. 10, 413 (1973)): for a fixed T2g the best amplitude in
+    [0, 2] is clip(p.e / e.e, 0, 2), with e = exp(-(T/T2g)^2).  The
+    projected cost R(T2g) = |p - amplitude*e|^2 then has the derivative
+    -2 amplitude (p - amplitude*e).de/dT2g.  Starting at the first sample
+    below max(P)/e, the bracket grows downhill until that derivative
+    changes sign, and Brent's root (``solve.find_root``) solves it to
+    rounding: the nearest local least-squares optimum, exact where an
+    iterative fit stops at its tolerance.  Where the derivative is zero at
+    the start (no positive amplitude fits there) the start is returned.
     Returns (T2g, rms residual).  Raises FitFailure when the samples carry
-    no decay (within noise of a constant) and InvalidParameter for fewer
-    than 4 samples.
+    no decay (within noise of a constant, no sign change, or T2g beyond 50
+    times the sampled span) and InvalidParameter for fewer than 4 samples.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
@@ -297,27 +308,35 @@ def fit_T2g(samples) -> tuple[float, float]:
     t, p = arr[:, 0], arr[:, 1]
     if float(np.ptp(p)) < 1e-3:
         raise FitFailure("no decay detected: samples are constant within noise")
+    tt = t * t
 
-    def model(tt, amp, t2g):
-        return amp * np.exp(-((tt / t2g) ** 2))
+    def project(t2g):
+        e = np.exp(-tt / (t2g * t2g))
+        ee = float(e @ e)
+        amp = min(max(float(p @ e) / ee, 0.0), 2.0) if ee > 0 else 0.0
+        return amp, e
+
+    def cost_slope(t2g):
+        # dR/dT2g without its positive factor 4/T2g^3; the sign is all
+        # the root needs
+        amp, e = project(t2g)
+        return -amp * float((p - amp * e) @ (tt * e))
 
     amp0 = float(np.max(p))
     below = t[p < amp0 / math.e]
     t2g0 = float(below[0]) if below.size else float(t[-1])
     t2g0 = max(t2g0, 1e-3 * float(t[-1]))
-    from scipy import optimize
-
     try:
-        popt, _ = optimize.curve_fit(model, t, p, p0=(amp0, t2g0),
-                                     bounds=([0.0, 1e-6 * t[-1]],
-                                             [2.0, 1e6 * t[-1]]),
-                                     maxfev=20000)
-    except Exception as exc:  # scipy raises RuntimeError on non-convergence
-        raise FitFailure(f"squared-exponential fit failed: {exc}") from exc
-    amp, t2g = float(popt[0]), float(popt[1])
+        # a zero slope at the start means the best amplitude there is 0 and
+        # R is flat around it: already a stationary point of the bounded fit
+        t2g = (t2g0 if cost_slope(t2g0) == 0 else
+               find_root(cost_slope, t2g0, t2g0, grow=2.0, steps=60, xtol=0.0))
+    except NoRoot as exc:
+        raise FitFailure(f"squared-exponential fit failed: {exc}") from None
     if t2g > 50.0 * float(t[-1]):
         raise FitFailure("no decay detected within the sampled time span")
-    residual = float(np.sqrt(np.mean((model(t, amp, t2g) - p) ** 2)))
+    amp, e = project(t2g)
+    residual = float(np.sqrt(np.mean((amp * e - p) ** 2)))
     return t2g, residual
 
 
@@ -327,39 +346,37 @@ def fit_T2g(samples) -> tuple[float, float]:
 
 def _one_over_e_time(exponent_fn, S: SpectralDensity, guess: float) -> float:
     """Solve exponent(T) = 1 by bracketed root search (exponent is monotone)."""
+    try:
+        return find_root(lambda t: exponent_fn(S, t) - 1.0, guess, guess,
+                         grow=4.0, steps=60, xtol=guess * 1e-9, rtol=1e-12)
+    except NoRoot:
+        raise CalibrationFailure("could not bracket the 1/e decay time") from None
 
-    def f(t):
-        return exponent_fn(S, t) - 1.0
 
-    lo, hi = guess, guess
-    flo, fhi = f(lo), f(hi)
-    for _ in range(60):
-        if flo < 0:
-            break
-        lo /= 4.0
-        flo = f(lo)
-    for _ in range(60):
-        if fhi > 0:
-            break
-        hi *= 4.0
-        fhi = f(hi)
-    if not (flo < 0 < fhi):
-        raise CalibrationFailure("could not bracket the 1/e decay time")
-    from scipy import optimize
-
-    return float(optimize.brentq(f, lo, hi, xtol=guess * 1e-9, rtol=1e-12))
+def _bracket_inverse(q: float, echo: bool) -> float:
+    """The x > 0 at which the OU bracket (``_ou_bracket``) equals q > 0."""
+    # small-x asymptotes: x^2/2, and x^3/12 for the echo
+    guess = (12.0 * q) ** (1.0 / 3.0) if echo else math.sqrt(2.0 * q)
+    return find_root(lambda x: _ou_bracket(x, echo) - q, guess, guess,
+                     grow=4.0, steps=60, xtol=0.0)
 
 
 def calibrate_noise(t2_star: float, t2: float,
                     tol: float = 0.05) -> Lorentzian:
     """Find (delta, tau_c) whose free-precession and echo 1/e times match targets.
 
-    Two-dimensional root search in log parameters, with the closed-form
-    exponents (pure F0 filter for the free-precession target, pure F1 for
-    the echo target).  Raises CalibrationFailure when the targets cannot be
-    met within ``tol`` — in particular for t2 <= t2_star*(1 + 2*tol), where
-    the echo gain the family always provides cannot be distinguished from
-    the tolerance.
+    A Lorentzian's exponents are delta^2 tau_c^2 g(T/tau_c), with g the
+    free-precession or the echo bracket of ``_ou_bracket``.  With
+    q = 1/(delta*tau_c)^2 each 1/e time is tau_c*g^-1(q), so the ratio
+    t2/t2_star = g_echo^-1(q)/g_free^-1(q) depends on q alone and falls
+    monotonically from about 162 at q = 1e-12 towards 1 at large q.  One
+    bracketed root in q, starting from the quasi-static guess 18*(t2_star/
+    t2)^6, therefore solves the calibration; then tau_c = t2_star/g_free^-1(q)
+    and delta = 1/(tau_c*sqrt(q)).  The result is checked against the
+    targets by solving exponent(T) = 1 for each time afresh.  Raises
+    CalibrationFailure when the targets cannot be met within ``tol`` — in
+    particular for t2 <= t2_star*(1 + 2*tol), where the echo gain the
+    family always provides cannot be distinguished from the tolerance.
     """
     if not 0 < t2_star < math.inf or not 0 < t2 < math.inf:
         raise InvalidParameter("targets must be positive and finite")
@@ -370,28 +387,25 @@ def calibrate_noise(t2_star: float, t2: float,
             f"targets t2={t2:g}, t2_star={t2_star:g} are degenerate for a "
             f"Lorentzian bath at tolerance {tol:g}"
         )
+    log_ratio = math.log(t2) - math.log(t2_star)
 
-    def residual(logp):
-        S = Lorentzian(delta=math.exp(logp[0]), tau_c=math.exp(logp[1]))
-        r = _one_over_e_time(ramsey_exponent, S, t2_star)
-        e = _one_over_e_time(echo_exponent, S, t2)
-        return [math.log(r / t2_star), math.log(e / t2)]
+    def excess(q):
+        # increasing in q: target ratio over the ratio q gives, in logs
+        return log_ratio - math.log(_bracket_inverse(q, True)
+                                    / _bracket_inverse(q, False))
 
-    from scipy import optimize
-
+    q0 = 18.0 * math.exp(-6.0 * log_ratio)
     try:
-        # the quasi-static guess overflows for absurd targets (1e-300, 1e300)
-        delta0 = math.sqrt(2.0) / t2_star
-        tau0 = delta0**2 * t2**3 / 12.0
-        sol = optimize.root(residual, [math.log(delta0), math.log(tau0)],
-                            method="hybr", options={"xtol": 1e-10})
-        S = Lorentzian(delta=math.exp(sol.x[0]), tau_c=math.exp(sol.x[1]))
-        achieved_r = _one_over_e_time(ramsey_exponent, S, t2_star)
-        achieved_e = _one_over_e_time(echo_exponent, S, t2)
-    except CalibrationFailure:
-        raise
-    except Exception as exc:
-        raise CalibrationFailure(f"root search failed: {exc}") from exc
+        q = find_root(excess, q0, q0, grow=4.0, steps=60, xtol=0.0,
+                      rtol=1e-13)
+        tau_c = t2_star / _bracket_inverse(q, False)
+        S = Lorentzian(delta=1.0 / (tau_c * math.sqrt(q)), tau_c=tau_c)
+    except (NoRoot, InvalidParameter) as exc:
+        raise CalibrationFailure(
+            f"no Lorentzian bath meets t2_star={t2_star:g}, t2={t2:g}: {exc}"
+        ) from None
+    achieved_r = _one_over_e_time(ramsey_exponent, S, t2_star)
+    achieved_e = _one_over_e_time(echo_exponent, S, t2)
     if abs(achieved_r / t2_star - 1.0) > tol or abs(achieved_e / t2 - 1.0) > tol:
         raise CalibrationFailure(
             f"best candidate reaches 1/e times ({achieved_r:.3e}, {achieved_e:.3e}) "

@@ -284,6 +284,15 @@ class TestEstimateCommand:
         assert "candidates_mT" in text
         assert "unresolvable" in text
 
+    def test_unresolvable_to_stdout_prints_each_line_once(self, capsys):
+        code = run_cli("estimate", "--protocol", "berry", "--omega-mhz", "5",
+                       "--n", "3", "--p", "1", "--slope-per-mt", "0",
+                       "--out", "-")
+        assert code == 5
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(l.startswith("candidates_mT") for l in lines) == 1
+        assert sum(l.startswith("unresolvable") for l in lines) == 1
+
     def test_dynamic_ladder_printed(self, tmp_path):
         code = run_cli("estimate", "--protocol", "ramsey", "--t-us", "1.0",
                        "--p", "0.5", "--window-stop-mt", "0.178571429",
@@ -396,6 +405,11 @@ class TestBadNumbers:
           "--n", "3", "--slope-per-mt", "inf"), 3),
         (ESTIMATE_RAMSEY + ("--slope-per-mt", "nan"), 3),
         (ESTIMATE_RAMSEY + ("--sigma", "inf"), 3),
+        (DECOHERE_OU + ("--tau-c-us", "20", "--a-list", ""), 2),
+        (ESTIMATE_RAMSEY + ("--t-us", "1e300"), 3),
+        (ESTIMATE_RAMSEY + ("--window-stop-mt", "1e300"), 3),
+        (("estimate", "--protocol", "berry", "--p", "0.3", "--omega-mhz", "5",
+          "--n", "1000000000", "--slope-per-mt", "1"), 3),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
@@ -404,7 +418,9 @@ class TestBadNumbers:
             "decohere-gamma-inf", "sweep-overhead-negative",
             "sweep-overhead-nan", "sweep-overhead-inf", "sweep-sigma-p-inf",
             "sweep-sigma-p-zero", "estimate-berry-slope-inf",
-            "estimate-ramsey-slope-nan", "estimate-sigma-inf"])
+            "estimate-ramsey-slope-nan", "estimate-sigma-inf",
+            "decohere-a-list-empty", "estimate-ramsey-fringes-t",
+            "estimate-ramsey-fringes-window", "estimate-berry-fringes-n"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         assert run_cli(*args, "--out", str(tmp_path / "out")) == want
         assert "error" in capsys.readouterr().err
@@ -496,6 +512,24 @@ class TestStartup:
         res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
                              timeout=60)
         assert res.returncode == 0
+
+    def test_example_commands_load_no_scipy(self, tmp_path):
+        # root finding, the T2g fit and the slope maximum run on
+        # phasemag.solve, so no docs/examples command loads any scipy module
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from phasemag.cli import main\n"
+            f"cfgs = sorted(Path({str(EXAMPLES)!r}).glob('*.cfg'))\n"
+            "codes = [main([c.stem, '--config', str(c)]) for c in cfgs]\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print([c.stem for c in cfgs], codes, loaded[:5], file=sys.stderr)\n"
+            "sys.exit(codes != [0] * 5 or bool(loaded))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                             cwd=tmp_path, capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert "'calibrate', 'decohere', 'estimate', 'signal', 'sweep'" in res.stderr
 
     def test_commands_in_one_process_match_fresh_runs(self, tmp_path):
         # main shares one argument parser per process; back-to-back calls of

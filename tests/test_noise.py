@@ -184,6 +184,47 @@ class TestFitT2g:
         with pytest.raises(InvalidParameter):
             fit_T2g([(1e-6, 1.0), (2e-6, 0.5), (3e-6, 0.1)])
 
+    @pytest.mark.parametrize("a_value", [0.01, 0.0464, 0.1, 1.0])
+    def test_matches_exact_least_squares(self, calibrated_noise, a_value):
+        # the decohere example's eq3 curves.  Levenberg-Marquardt alone
+        # stops 4e-10 to 2e-6 short of the optimum on these flat costs,
+        # depending on its start and Jacobian, so the reference solves the
+        # normal equations J^T r = 0 (analytic J, times in microseconds)
+        # from its answer; an error in the solver's own Jacobian slows it
+        # but cannot move the root
+        from scipy.optimize import least_squares, root
+        from phasemag.harness import _eq3_decay_curve
+        curve = _eq3_decay_curve(calibrated_noise, a_value)
+        t_us, p = np.asarray(curve.times) * 1e6, np.asarray(curve.values)
+
+        def resid(x):
+            return x[0] * np.exp(-((t_us / x[1]) ** 2)) - p
+
+        def jac(x):
+            e = np.exp(-((t_us / x[1]) ** 2))
+            return np.stack([e, x[0] * e * 2.0 * t_us**2 / x[1] ** 3], axis=1)
+
+        t2g, rms = fit_T2g(np.stack([curve.times, curve.values], axis=1))
+        lm = least_squares(resid, [1.0, 0.5 * t2g * 1e6], jac=jac,
+                           method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        # hybr reports "no progress" once the gradient is at rounding level,
+        # so its status says nothing here
+        ref = root(lambda x: jac(x).T @ resid(x), lm.x, method="hybr",
+                   options={"xtol": 1e-15})
+        assert t2g * 1e6 == pytest.approx(ref.x[1], rel=1e-12)
+        assert rms == pytest.approx(np.sqrt(np.mean(resid(ref.x) ** 2)),
+                                    rel=1e-12)
+
+    def test_flat_start_is_kept(self):
+        # no positive amplitude fits near the first 1/e crossing, so the
+        # best amplitude there is 0 and the bounded cost is flat: the fit
+        # stays where it starts and reports the samples' own rms
+        ts = np.linspace(1e-6, 8e-6, 8)
+        p = np.array([-0.3, 0.9, -0.2, -0.1, 0.7, -0.05, -0.4, 0.75])
+        t2g, resid = fit_T2g(np.stack([ts, p], axis=1))
+        assert t2g == ts[0]
+        assert resid == pytest.approx(np.sqrt(np.mean(p**2)), rel=1e-15)
+
     def test_monte_carlo_free_precession_recovery(self, calibrated_noise):
         ts = np.linspace(2e-6, 1.2e-4, 25)
         w = mc_free_precession_decay(calibrated_noise, ts, 2000, seed=5)
@@ -206,6 +247,18 @@ class TestCalibration:
     def test_reversed_targets_rejected(self):
         with pytest.raises(InvalidParameter):
             calibrate_noise(500e-6, 50e-6)
+
+    @pytest.mark.parametrize("t2_star, t2", [
+        (50e-6, 500e-6), (40e-6, 400e-6), (55e-6, 500e-6), (50e-6, 60e-6),
+        (1e-6, 1e-3)])
+    def test_targets_met_to_rounding(self, t2_star, t2):
+        S = calibrate_noise(t2_star, t2)
+        assert ramsey_exponent(S, t2_star) == pytest.approx(1.0, rel=1e-13)
+        assert echo_exponent(S, t2) == pytest.approx(1.0, rel=1e-13)
+
+    def test_ratio_beyond_any_bath_fails(self):
+        with pytest.raises(CalibrationFailure):
+            calibrate_noise(1e-300, 1e300)
 
     def test_scaling_both_targets(self, calibrated_noise):
         S2 = calibrate_noise(2 * T2_STAR, 2 * T2_ECHO)

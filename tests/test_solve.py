@@ -1,0 +1,53 @@
+"""Scalar solvers against scipy's, which stay on the test side."""
+
+import math
+
+import pytest
+from scipy import optimize
+
+from phasemag.solve import NoRoot, find_root, minimize_bounded
+
+ROOT_CASES = [
+    (lambda x: x**3 - 2.0, 0.1, 40.0, 2e-12, 8.881784197001252e-16),
+    (lambda x: math.exp(x) - 7.0, 0.2, 9.0, 1e-9, 1e-12),
+    (lambda x: math.atan(x - 3.0) + 0.1 * x**3 - 2.7, 0.01, 20.0, 1e-6, 1e-10),
+    (lambda x: math.tanh(5.0 * (x - 2.0)) + 1e-3 * (x - 2.0), 1e-3, 30.0,
+     2e-12, 1e-12),
+]
+
+
+class TestFindRoot:
+    @pytest.mark.parametrize("f, lo, hi, xtol, rtol", ROOT_CASES)
+    def test_brent_matches_brentq_bit_for_bit(self, f, lo, hi, xtol, rtol):
+        assert (find_root(f, lo, hi, xtol=xtol, rtol=rtol)
+                == optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol))
+
+    def test_bracket_grows_from_a_point(self):
+        # the root of x^2 - 1e6 lies 10 doublings above the start
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 1e6
+
+        x = find_root(f, 1.0, 1.0, xtol=0.0)
+        assert x == pytest.approx(1e3, rel=1e-15)
+        assert 512.0 in calls and 1024.0 in calls and 2048.0 not in calls
+
+    def test_no_sign_change_reports_the_last_bracket(self):
+        with pytest.raises(NoRoot) as info:
+            find_root(lambda x: x + 1.0, 1.0, 2.0, xtol=0.0, grow=4.0, steps=3)
+        assert (info.value.lo, info.value.hi) == (1.0 / 64.0, 2.0)
+
+
+class TestMinimizeBounded:
+    @pytest.mark.parametrize("f, a, b, xatol", [
+        (lambda x: (x - 1.3) ** 2, -1.0, 3.0, 1e-5),
+        (lambda x: -math.sin(2.0 * x) * math.exp(-0.1 * x), 0.0, 1.5, 1e-12),
+        (lambda x: abs(x - 0.4) ** 1.5 + 0.1 * x, -0.5, 2.0, 1e-9),
+        (lambda x: -abs(math.cos(3.0 * x) * x), 0.5, 1.5, 1e-12),
+    ])
+    def test_matches_bounded_minimize_scalar_bit_for_bit(self, f, a, b, xatol):
+        ref = optimize.minimize_scalar(f, bounds=(a, b), method="bounded",
+                                       options={"xatol": xatol})
+        assert minimize_bounded(f, a, b, xatol) == float(ref.x)
