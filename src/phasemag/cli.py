@@ -269,7 +269,8 @@ def cmd_signal(cfg: dict) -> int:
         constants = _constants(cfg)
         harness.check_curve_request(protocol, engine, S, cfg["ensemble"],
                                     cfg["workers"], [duration], b_grid,
-                                    [omega] if omega is not None else ())
+                                    [omega] if omega is not None else (),
+                                    constants.gamma)
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
     if cfg["hyperfine"] and not (protocol == "ramsey" and engine == "analytic"):
@@ -406,6 +407,13 @@ def cmd_decohere(cfg: dict) -> int:
     if not 0 < t_over < math.inf:
         raise ConfigError(f"overlay_t_us must be positive and finite, got {t_over}")
     t_over *= 1e-6
+    # the overlay is cheap and rejects its own bad numbers, so it goes first
+    w0 = TWO_PI / t_over
+    if not 1e2 * w0 < math.inf:
+        raise ConfigError(f"overlay_t_us is too short: the overlay grid "
+                          f"would reach {1e2 * w0:g} rad/s")
+    omega_grid = np.geomspace(1e-3 * w0, 1e2 * w0, 200)
+    ov = noise_mod.spectral_overlay(S, overlay_a, t_over, omega_grid)
     try:
         rows = harness.decoherence_regime_scan(a_list, S, engine=cfg["engine"],
                                                ensemble=cfg["ensemble"],
@@ -413,9 +421,6 @@ def cmd_decohere(cfg: dict) -> int:
                                                constants=constants)
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
-    w0 = TWO_PI / t_over
-    omega_grid = np.geomspace(1e-3 * w0, 1e2 * w0, 200)
-    ov = noise_mod.spectral_overlay(S, overlay_a, t_over, omega_grid)
 
     header = _header_lines("decohere", cfg)
 

@@ -14,13 +14,18 @@ deterministic.
 
 Propagation is always by exact axis-angle rotations.  Time-dependent controls
 are handled on a mesh that is refined (halving the step) until a Richardson
-error estimate meets tolerance.  Each slice of ``propagate_swept`` is the
-4th-order commutator-free Magnus step (Blanes & Moan, Appl. Numer. Math. 56,
-1519 (2006); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): with R
+error estimate meets tolerance; both meshes below share that loop
+(``_refine``).  Each slice of ``propagate_swept`` is the 4th-order
+commutator-free Magnus step (Blanes & Moan, Appl. Numer. Math. 56, 1519
+(2006); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): with R
 sampled at the two Gauss nodes of the slice, two exact rotations about
 h*(a1*R1 + a2*R2) and then h*(a2*R1 + a1*R2), a1,2 = 1/4 +- sqrt(3)/6.  The
-noisy co-rotating mesh of ``sequences.execute_batch`` keeps the midpoint
-step, one rotation about h*R(t + h/2) per slice (see ``_swept_refine``).
+noisy co-rotating mesh of ``sequences.execute_batch`` sees
+R(t) = (Omega, 0, w(t)) with w linear between the noise knots, so it cuts
+each knot interval into equal slices and takes the classic 4th-order Magnus
+step there, one exact rotation about h*R(t_mid) + (h^3/12) R' x R(t_mid)
+per slice (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); see
+``_knot_refine``).
 """
 
 from __future__ import annotations
@@ -52,16 +57,12 @@ _NORM_SLACK = 1e-6
 # default start: slices per 2*pi of drive-phase sweep and per Larmor turn
 _STEPS_PER_PHASE_TURN = 64
 _STEPS_PER_LARMOR_TURN = 64
-# coarse-start density: h*|R|max <= pi/2 keeps the first Richardson
-# difference in its asymptotic regime
-_COARSE_STEPS_PER_TURN = 4
-# Step rules as (nodes, rows): a slice [t, t + h] samples R at t + c*h for
-# each node c, then applies one exact rotation about h * sum_j row[j] * R_j
-# per row, first row first.
-_MIDPOINT = ((0.5,), ((1.0,),))
-# 4th-order commutator-free Magnus step at the two Gauss nodes (Blanes &
-# Moan, Appl. Numer. Math. 56, 1519 (2006)); the first exponential leans
-# on the earlier node
+# The lab-frame step rule as (nodes, rows): a slice [t, t + h] samples R at
+# t + c*h for each node c, then applies one exact rotation about
+# h * sum_j row[j] * R_j per row, first row first.  It is the 4th-order
+# commutator-free Magnus step at the two Gauss nodes (Blanes & Moan, Appl.
+# Numer. Math. 56, 1519 (2006)); the first exponential leans on the
+# earlier node
 _SQRT3_6 = math.sqrt(3.0) / 6.0
 _CF4 = ((0.5 - _SQRT3_6, 0.5 + _SQRT3_6),
         ((0.25 + _SQRT3_6, 0.25 - _SQRT3_6),
@@ -143,10 +144,12 @@ class StepControl:
     ``core.propagate_swept`` takes a 4th-order step on each slice, so from
     this start one halving usually meets ``tol``.
 
-    The noisy swept segments of ``sequences.execute_batch`` take the
-    2nd-order midpoint step and start coarser, at 4 slices per Larmor turn
-    and at least ``min_steps``, and halve until ``tol`` holds, but never
-    past the finest mesh of the start above (``max_depth`` halvings of it).
+    The noisy swept segments of ``sequences.execute_batch`` run on a mesh
+    aligned with the noise knots: each knot interval is cut into 2**j
+    equal slices, j the smallest that keeps h*|R| <= pi on every slice and
+    gives at least ``min_steps`` slices, and each slice takes one 4th-order
+    Magnus rotation.  That mesh halves from there under the same ``tol``
+    and ``max_depth``.
     """
 
     tol: float = 1e-6
@@ -229,9 +232,6 @@ def _combine(rows, comp: np.ndarray) -> np.ndarray:
     Row k of the result for slice i is sum_j rows[k][j] * comp[i, j], and
     the rows of one slice are consecutive, so the stack stays time-ordered.
     """
-    if rows == ((1.0,),):
-        # one unit-weight node: the samples themselves, with no copy
-        return comp[:, 0]
     out = []
     for row in rows:
         acc = row[0] * comp[:, 0]
@@ -240,6 +240,20 @@ def _combine(rows, comp: np.ndarray) -> np.ndarray:
         out.append(acc)
     stacked = np.stack(out, axis=1)
     return stacked.reshape((-1,) + stacked.shape[2:])
+
+
+def _unit_axes(wx, wy, wz, dt):
+    """Unit axes and angles of the rotations about dt * (wx, wy, wz).
+
+    A zero vector gives the +z axis and angle 0.
+    """
+    r = np.sqrt(wx * wx + wy * wy + wz * wz)
+    pos = r > 0.0
+    safe = np.where(pos, r, 1.0)
+    nx = np.where(pos, wx / safe, 0.0)
+    ny = np.where(pos, wy / safe, 0.0)
+    nz = np.where(pos, wz / safe, 1.0)
+    return nx, ny, nz, np.where(pos, r * dt, 0.0)
 
 
 def _step_axes(rabi: float, phases: np.ndarray, dets: np.ndarray, rows,
@@ -258,13 +272,7 @@ def _step_axes(rabi: float, phases: np.ndarray, dets: np.ndarray, rows,
         rx = rx[..., None]
         ry = ry[..., None]
     wx, wy, wz = (_combine(rows, c) for c in (rx, ry, dets))
-    r = np.sqrt(wx * wx + wy * wy + wz * wz)
-    pos = r > 0.0
-    safe = np.where(pos, r, 1.0)
-    nx = np.where(pos, wx / safe, 0.0)
-    ny = np.where(pos, wy / safe, 0.0)
-    nz = np.where(pos, wz / safe, 1.0)
-    return nx, ny, nz, np.where(pos, r * dt, 0.0)
+    return _unit_axes(wx, wy, wz, dt)
 
 
 def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
@@ -282,50 +290,82 @@ def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
     return np.array([float(fn(t)) for t in ts], dtype=float)
 
 
-def _compose_swept(states: np.ndarray, rabi: float, phase_fn, det_fn,
-                   duration: float, n_steps: int,
-                   coarse: bool = False) -> np.ndarray:
-    """Apply ``n_steps`` slices of a step rule to ``states``.
+def _compose(states: np.ndarray, n_slices: int, per_slice: int,
+             axes: Callable) -> np.ndarray:
+    """Apply the rotations of ``n_slices`` mesh slices to ``states``.
 
-    The rule is ``_CF4`` (4th order) by default and the midpoint rule
-    (2nd order) for a ``coarse`` mesh; see ``_swept_refine``.  ``states``
-    is (3,) or (m, 3); ``det_fn`` evaluated on an array of n times must
-    return (n,) or (n, m) to match.  The phase and the detuning are sampled
-    block by block, at most ``_BLOCK`` rotations' worth at a time, so the
-    memory does not grow with the mesh.
+    ``axes(start, stop)`` returns the unit axes and angles of the
+    ``per_slice`` rotations of each slice in [start, stop), in the order
+    they act along the first dimension.  It is called block by block, at
+    most ``_BLOCK`` rotations' worth over all channels at a time, so the
+    memory does not grow with the mesh.  ``states`` is (3,) or (m, 3).
     """
-    nodes, rows = _MIDPOINT if coarse else _CF4
-    dt = duration / n_steps
     batch = states.ndim == 2
     m = states.shape[0] if batch else 1
-    block = max(1, _BLOCK // (m * len(rows)))
+    block = max(1, _BLOCK // (m * per_slice))
     total = None
-    for start in range(0, n_steps, block):
-        stop = min(start + block, n_steps)
-        ts = ((np.arange(start, stop)[:, None] + np.asarray(nodes)) * dt).ravel()
-        shape = (stop - start, len(nodes))
-        phases = _sample(phase_fn, ts).reshape(shape)
-        dets = _sample(det_fn, ts)
-        dets = dets.reshape(shape + dets.shape[1:])
-        nx, ny, nz, ang = _step_axes(rabi, phases, dets, rows, dt)
-        mats = _rotation_matrices(nx, ny, nz, ang)
-        part = _reduce_time_ordered(mats)
+    for start in range(0, n_slices, block):
+        stop = min(start + block, n_slices)
+        part = _reduce_time_ordered(_rotation_matrices(*axes(start, stop)))
         total = part if total is None else part @ total
     if batch:
         return np.einsum("mij,mj->mi", total, states)
     return total @ states
 
 
-def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
-                  ctl: StepControl, coarse: bool = False) -> tuple[int, int]:
-    """First mesh and finest allowed mesh of a refinement, in slices.
+def _compose_swept(states: np.ndarray, rabi: float, phase_fn, det_fn,
+                   duration: float, n_steps: int) -> np.ndarray:
+    """Apply ``n_steps`` equal ``_CF4`` slices to ``states``.
 
-    The default start puts ``_STEPS_PER_PHASE_TURN`` slices in each turn of
-    the drive phase and ``_STEPS_PER_LARMOR_TURN`` in each Larmor turn, and
-    at least ``ctl.min_steps`` in all; the finest mesh is that start halved
-    ``ctl.max_depth`` times.  A ``coarse`` start takes
-    ``_COARSE_STEPS_PER_TURN`` slices per Larmor turn instead (never more
-    than the default start) under the same finest mesh.
+    ``states`` is (3,) or (m, 3); ``det_fn`` evaluated on an array of n
+    times must return (n,) or (n, m) to match.  The phase and the detuning
+    are sampled block by block (``_compose``).
+    """
+    nodes, rows = _CF4
+    dt = duration / n_steps
+
+    def axes(start, stop):
+        ts = ((np.arange(start, stop)[:, None] + np.asarray(nodes)) * dt).ravel()
+        shape = (stop - start, len(nodes))
+        phases = _sample(phase_fn, ts).reshape(shape)
+        dets = _sample(det_fn, ts)
+        dets = dets.reshape(shape + dets.shape[1:])
+        return _step_axes(rabi, phases, dets, rows, dt)
+
+    return _compose(states, n_steps, len(rows), axes)
+
+
+def _compose_knots(states: np.ndarray, rabi: float, lengths: np.ndarray,
+                   dets: np.ndarray, depth: int) -> np.ndarray:
+    """Apply the knot-aligned Magnus mesh of ``_knot_refine`` to ``states``.
+
+    Interval k, of length ``lengths[k]``, is cut into 2**depth equal
+    slices; ``dets`` (K+1, m) holds w at the interval edges for each of the
+    m states (m, 3).  On a slice of length h where w changes by dw, R(t) =
+    (rabi, 0, w(t)) is linear, and the 4th-order Magnus exponent
+    h*R(t_mid) + (h^3/12) R' x R(t_mid) is the single rotation about
+    h * (rabi, rabi*h*dw/12, w(t_mid)).
+    """
+    sub = 1 << depth
+
+    def axes(start, stop):
+        idx = np.arange(start, stop)
+        k = idx >> depth
+        h = (lengths[k] / sub)[:, None]
+        dw = (dets[k + 1] - dets[k]) / sub
+        w_mid = dets[k] + ((idx & (sub - 1)) + 0.5)[:, None] * dw
+        return _unit_axes(rabi, rabi * h * dw / 12.0, w_mid, h)
+
+    return _compose(states, lengths.size << depth, 1, axes)
+
+
+def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
+                  ctl: StepControl) -> int:
+    """First mesh of a lab-frame refinement, in slices.
+
+    It puts ``_STEPS_PER_PHASE_TURN`` slices in each turn of the drive phase
+    and ``_STEPS_PER_LARMOR_TURN`` in each Larmor turn, and at least
+    ``ctl.min_steps`` in all.
     """
     ts = np.linspace(0.0, duration, 257)
     phases = _sample(phase_fn, ts)
@@ -335,50 +375,77 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
     turns = duration * r_max / TWO_PI
     n_phase = _STEPS_PER_PHASE_TURN * span / TWO_PI
     n_larmor = _STEPS_PER_LARMOR_TURN * turns
-    n0 = max(ctl.min_steps, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
-    finest = n0 << ctl.max_depth
-    if coarse:
-        n0 = min(n0, max(ctl.min_steps,
-                         int(math.ceil(_COARSE_STEPS_PER_TURN * turns))))
-    return n0, finest
+    return max(ctl.min_steps, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
 
 
-def _swept_refine(states: np.ndarray, rabi: float, phase_fn, det_fn,
-                  duration: float, ctl: StepControl, coarse: bool = False):
-    """Richardson-refined composition.  Core of ``propagate_swept``.
+def _refine(compose: Callable, ctl: StepControl):
+    """Richardson refinement, shared by the lab-frame and the knot mesh.
 
-    The mesh halves from the start of ``_initial_mesh`` until the change
-    under one halving is at most ``ctl.tol``, and never past its finest
-    mesh.  Each slice is a ``_CF4`` step.  ``coarse`` is for a Larmor
-    vector that is constant apart from a slowly varying part, as in the
-    co-rotating frame of a noisy sweep: midpoint slicing of the constant
-    part is exact, so the error follows the slow part and the halvings, not
-    the Larmor rate, set the mesh.  A coarse mesh keeps the ``_MIDPOINT``
-    step: it already stops after one halving, which is there for the error
-    estimate rather than for accuracy, so a 4th-order step would only
-    double the rotations per slice.
+    ``compose(d)`` propagates on the start mesh halved d times and returns
+    the states and the slice count.  The mesh halves until the change of
+    every Bloch component under one halving is at most ``ctl.tol``;
+    ``ConvergenceFailure`` after ``ctl.max_depth`` halvings.
     """
-    if duration == 0.0:
-        return states.copy(), ConvergenceReport(0, (), True)
-    n, finest = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl, coarse)
     history = []
     prev = None
-    while True:
-        out = _compose_swept(states, rabi, phase_fn, det_fn, duration, n, coarse)
+    for depth in range(ctl.max_depth + 1):
+        out, steps = compose(depth)
         if prev is not None:
             err = float(np.max(np.abs(out - prev)))
             history.append(err)
             if err <= ctl.tol:
-                return out, ConvergenceReport(n, tuple(history), True)
-        if 2 * n > finest:
-            break
+                return out, ConvergenceReport(steps, tuple(history), True)
         prev = out
-        n *= 2
     raise ConvergenceFailure(
-        f"mesh refinement stalled at {n} steps with error "
+        f"mesh refinement stalled at {steps} steps with error "
         f"{history[-1]:.3e} > tol {ctl.tol:.1e}",
         error_history=history,
     )
+
+
+def _swept_refine(states: np.ndarray, rabi: float, phase_fn, det_fn,
+                  duration: float, ctl: StepControl):
+    """Richardson-refined ``_CF4`` composition.  Core of ``propagate_swept``.
+
+    The mesh halves from the start of ``_initial_mesh`` (``_refine``).
+    """
+    if duration == 0.0:
+        return states.copy(), ConvergenceReport(0, (), True)
+    n0 = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl)
+    return _refine(lambda d: (_compose_swept(states, rabi, phase_fn, det_fn,
+                                             duration, n0 << d), n0 << d),
+                   ctl)
+
+
+def _knot_refine(states: np.ndarray, rabi: float, lengths: np.ndarray,
+                 dets: np.ndarray, ctl: StepControl):
+    """Richardson-refined propagation under R(t) = (rabi, 0, w(t)), w
+    linear on each of K intervals.  Core of the noisy co-rotating mesh.
+
+    ``lengths`` (K,) are the interval lengths and ``dets`` (K+1, m) the
+    values of w at their edges, one column per state of ``states`` (m, 3).
+    Each interval is cut into 2**j equal slices and each slice takes the
+    one-rotation 4th-order Magnus step of ``_compose_knots``, which is
+    exact for constant R, so the error follows the slope of w alone.  The
+    start j is the smallest that gives at least ``ctl.min_steps`` slices
+    and h*|R| <= pi on every slice (the convergence radius of the Magnus
+    series); |w| is piecewise linear, so its maximum on an interval sits at
+    an edge and that bound is exact.  The mesh halves from there
+    (``_refine``).
+    """
+    if not np.any(lengths > 0.0):
+        return states.copy(), ConvergenceReport(0, (), True)
+    r_max = np.hypot(rabi, np.max(np.maximum(np.abs(dets[:-1]),
+                                             np.abs(dets[1:])), axis=1))
+    reach = float(np.max(lengths * r_max)) / math.pi
+    if not math.isfinite(reach):
+        raise InvalidParameter("the Larmor rate must be finite")
+    start = 0
+    while (lengths.size << start) < ctl.min_steps or reach > (1 << start):
+        start += 1
+    return _refine(lambda d: (_compose_knots(states, rabi, lengths, dets,
+                                             start + d),
+                              lengths.size << (start + d)), ctl)
 
 
 # ---------------------------------------------------------------------------

@@ -67,18 +67,25 @@ def check_count(name: str, value: int) -> None:
         raise InvalidParameter(f"{name} must be >= 1, got {value}")
 
 
+# largest Larmor phase a curve may reach: beyond 2^52 rad adjacent doubles
+# are 1 rad apart, so the phase, and the signal, carry no information
+_MAX_PHASE = 2.0**52
+
+
 def check_curve_request(protocol: str, engine: str,
                         noise: Optional[SpectralDensity], ensemble: int,
                         workers: int, durations: Sequence[float],
                         b_grid: Sequence[float],
-                        omegas: Sequence[float] = ()) -> None:
+                        omegas: Sequence[float] = (),
+                        gamma: float = NV.gamma) -> None:
     """The one validity rule for signal-curve requests (``signal`` and sweeps).
 
     Raises InvalidParameter for an unknown protocol or engine, the analytic
     engine on the echo protocol, numeric+noise without a noise model, an
-    ``ensemble`` or ``workers`` below 1, and a non-finite interaction time,
-    field or drive frequency (``omegas``, rad/s).  ``workers`` has no
-    effect; values above 1 emit a DeprecationWarning.
+    ``ensemble`` or ``workers`` below 1, a non-finite interaction time,
+    field or drive frequency (``omegas``, rad/s), and a Larmor phase
+    gamma*|B|*T above ``_MAX_PHASE``.  ``workers`` has no effect; values
+    above 1 emit a DeprecationWarning.
     """
     if protocol not in _PROTOCOLS:
         raise InvalidParameter(f"unknown protocol {protocol!r}")
@@ -96,6 +103,13 @@ def check_curve_request(protocol: str, engine: str,
         raise InvalidParameter("fields must be finite")
     if not np.all(np.isfinite(np.asarray(omegas, dtype=float))):
         raise InvalidParameter("drive frequencies must be finite")
+    # Python floats, so that an overflow is inf and not a numpy warning
+    phase = (abs(gamma) * float(np.max(np.abs(b_grid), initial=0.0))
+             * float(np.max(np.abs(durations), initial=0.0)))
+    if not phase <= _MAX_PHASE:
+        raise InvalidParameter(
+            f"the Larmor phase gamma*|B|*T reaches {phase:.3g} rad, above "
+            f"{_MAX_PHASE:.3g} rad")
     if workers > 1:
         warnings.warn("workers has no effect: sweep points run serially; the "
                       "key will be removed", DeprecationWarning, stacklevel=2)
@@ -127,7 +141,8 @@ class SweepSpec:
     def __post_init__(self):
         check_curve_request(self.protocol, self.engine, self.noise,
                             self.ensemble, self.workers, self.times,
-                            self.b_grid, self.omegas or ())
+                            self.b_grid, self.omegas or (),
+                            self.constants.gamma)
         if len(self.times) == 0 or len(self.b_grid) < 2:
             raise InvalidParameter("times nonempty and b_grid of length >= 2 required")
         if self.protocol == "berry" and (not self.omegas or not self.n_rotations):

@@ -88,6 +88,10 @@ class Lorentzian:
     def __post_init__(self):
         if not 0 < self.delta < math.inf or not 0 < self.tau_c < math.inf:
             raise InvalidParameter("delta and tau_c must be positive and finite")
+        if not 2.0 * self.delta * self.delta * self.tau_c < math.inf:
+            raise InvalidParameter(
+                f"the spectral level 2*delta^2*tau_c overflows for "
+                f"delta={self.delta:g}, tau_c={self.tau_c:g}")
 
     def psd(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -488,8 +492,17 @@ def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed,
                   values=_ou_block(S, n, dt, 1, seed), gamma=gamma)
 
 
+# most dt steps one trajectory may span: 8 MiB of knots per channel, and
+# the noisy swept-drive mesh puts at least one slice in each knot interval
+_MAX_OU_STEPS = 1 << 20
+
+
 def _ou_steps(S: Lorentzian, duration: float, dt: float) -> int:
-    """Number of dt steps spanning ``duration``, after validating the grid."""
+    """Number of dt steps spanning ``duration``, after validating the grid.
+
+    Raises InvalidParameter above ``_MAX_OU_STEPS`` steps, before anything
+    is allocated.
+    """
     if not isinstance(S, Lorentzian):
         raise InvalidParameter("trajectory generation needs a Lorentzian density")
     if not duration > 0 or not dt > 0:
@@ -498,7 +511,12 @@ def _ou_steps(S: Lorentzian, duration: float, dt: float) -> int:
         raise InvalidParameter(
             f"dt={dt:g} too coarse; need dt <= tau_c/10 = {S.tau_c / 10.0:g}"
         )
-    return int(math.ceil(duration / dt))
+    steps = duration / dt
+    if not steps <= _MAX_OU_STEPS:
+        raise InvalidParameter(
+            f"an OU trajectory of {duration:g} s in steps of {dt:g} s needs "
+            f"{steps:.3g} steps, more than {_MAX_OU_STEPS}")
+    return int(math.ceil(steps))
 
 
 def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
@@ -629,6 +647,14 @@ def spectral_overlay(S: SpectralDensity, adiabaticity: float, duration: float,
     omega = np.asarray(omega_grid, dtype=float)
     if omega.size == 0 or np.any(omega <= 0) or np.any(np.diff(omega) <= 0):
         raise InvalidParameter("omega_grid must be positive and increasing")
+    # the weights are at most 2*A^2/w^2 and 8/w^2; w^2 and those bounds
+    # must neither underflow to 0 nor overflow
+    lo, hi = float(omega[0]), float(omega[-1])
+    top = max(2.0 * adiabaticity * adiabaticity, 8.0)
+    if not (lo * lo > 0.0 and hi * hi < math.inf and top / (lo * lo) < math.inf):
+        raise InvalidParameter(
+            f"omega_grid [{lo:g}, {hi:g}] rad/s: w^2 or the filter weights "
+            f"leave the float range")
     x = omega * duration
     f0 = filter_function(FilterFunctionKind.GEOMETRIC_F0, x)
     f1 = filter_function(FilterFunctionKind.DYNAMIC_F1, x)

@@ -201,8 +201,9 @@ def execute_batch(plan: SequencePlan, b_values,
     """Vectorized ``execute`` over a grid of static fields.
 
     ``noise_trajectory`` is None or an ``OUBank`` with one channel, which
-    every field shares, or with one channel per field.  Any other noise, and
-    knots that end before the plan does, raise InvalidParameter.
+    every field shares, or with one channel per field.  Any other noise,
+    knots that end before the plan does, and a gamma*B that overflows raise
+    InvalidParameter.
 
     Free evolution over [t0, t1] is one z rotation by gamma*B*(t1 - t0)
     plus the integral of the bank's detuning.  The bank interpolates
@@ -212,19 +213,18 @@ def execute_batch(plan: SequencePlan, b_values,
     Every sweep passes through the frame that co-rotates with its linearly
     ramped drive phase (``_in_drive_frame``).  Without noise the Larmor
     vector is constant in that frame, so each segment is one closed-form
-    rotation (``_apply_swept_exact``).  With noise the frame propagation
-    runs on the Richardson mesh of ``core._swept_refine`` (``_run_swept``).
-    The noise enters only on z and midpoint slicing of the constant rest is
-    exact, so the mesh starts coarse, at 4 slices per Larmor turn and at
-    least ``min_steps``, and the halvings follow the noise, not the Larmor
-    rate or the turns of the drive phase.  All fields share that mesh, and
-    the refinement criterion is the worst Bloch-component change over the
-    batch.
+    rotation (``_apply_swept_exact``).  With noise only its z component
+    varies, linearly between the bank's knots, and the frame propagation
+    runs on a Richardson mesh aligned with those knots (``_run_swept``):
+    each knot interval is cut into 2**j equal slices, j the smallest that
+    keeps h*|R| <= pi and gives at least ``min_steps`` slices, and each
+    slice takes one 4th-order Magnus rotation, exact for the constant part.
+    So the halvings follow the noise, not the Larmor rate or the turns of
+    the drive phase.  All fields share that mesh, and the refinement
+    criterion is the worst Bloch-component change over the batch.
 
     ``step_control`` governs that mesh only: its ``tol``, its ``min_steps``
-    and, through the finest mesh allowed, its ``max_depth`` (the finest
-    mesh is 64 slices per Larmor turn halved ``max_depth`` times, as for
-    ``core.propagate_swept``).
+    and its ``max_depth`` (halvings past the start).
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if not np.all(np.isfinite(b_values)):
@@ -245,6 +245,9 @@ def execute_batch(plan: SequencePlan, b_values,
                 f"plan's {plan.duration:g} s")
     ctl = step_control or StepControl()
     gamma = constants.gamma
+    # a Python float, so that an overflow is inf and not a numpy warning
+    if not abs(gamma) * float(np.max(np.abs(b_values), initial=0.0)) < math.inf:
+        raise InvalidParameter("gamma*B overflows")
 
     states = np.zeros((b_values.size, 3), dtype=float)
     states[:, 2] = 1.0
@@ -314,30 +317,29 @@ def _apply_swept_exact(states, seg: SweptDrive, dets_static):
                            lambda s: np.einsum("mij,mj->mi", frame, s))
 
 
-def _zero_phase(t):
-    return 0.0
-
-
 def _run_swept(states, seg: SweptDrive, dets_static, noise: OUBank, gamma,
                t_start, ctl):
     """Mesh propagation of one swept segment under a noise trajectory.
 
-    The mesh runs in the co-rotating frame of ``_in_drive_frame`` with drive
-    phase 0 and detuning gamma*(B + b(t)) - r, so the drive phase never
-    turns on it.  That Larmor vector is constant apart from the noise, so
-    the mesh error grows with the noise's slope (about
-    T*h^2*rabi*gamma*|b'|/12), not with the Larmor rate: the refinement
-    starts coarse (``coarse=True``: h*|R|max <= pi/2) and halves until
-    ``ctl.tol`` holds, never past the finest mesh of the default start.
+    The mesh runs in the co-rotating frame of ``_in_drive_frame``, where the
+    Larmor vector is (rabi, 0, w(t)) with w = gamma*(B + b(t)) - r.  The bank
+    interpolates b linearly between its knots, so w is exactly linear
+    between the knots inside the segment.  The mesh edges are those knots
+    and the segment ends, with w taken from the knot values
+    (``core._knot_refine``): each interval is cut into equal slices that
+    each take one 4th-order Magnus rotation, and the slices halve until
+    ``ctl.tol`` holds.
     """
-    def det_fn(t):
-        # the bank gives (n, 1) noise shared by every field or (n, m), one
-        # channel per field
-        return dets_static[None, :] + gamma * noise(t_start + t) - seg.phase_rate
+    t_end = t_start + seg.duration
+    inner = (noise.times > t_start) & (noise.times < t_end)
+    edges = np.concatenate(([t_start], noise.times[inner], [t_end]))
+    # field offsets at the edges, (K+1, 1) shared by every field or (K+1, m)
+    offsets = np.concatenate((noise(t_start), noise.values[inner] / noise.gamma,
+                              noise(t_end)))
+    dets = dets_static[None, :] + gamma * offsets - seg.phase_rate
 
     def propagate(s):
-        out, _ = core._swept_refine(s, seg.rabi, _zero_phase, det_fn,
-                                    seg.duration, ctl, coarse=True)
+        out, _ = core._knot_refine(s, seg.rabi, np.diff(edges), dets, ctl)
         return out
 
     return _in_drive_frame(states, seg, propagate)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +365,10 @@ class TestBadNumbers:
                     "--b-stop-mt", "0.1", "--b-points", "5")
     ESTIMATE_RAMSEY = ("estimate", "--protocol", "ramsey", "--p", "0.3",
                        "--t-us", "1", "--window-stop-mt", "0.5")
+    # the OU knots of a 1e300 us trajectory: 5e299, past the cap
+    SIGNAL_OU = ("signal", "--protocol", "ramsey", "--engine", "numeric+noise",
+                 "--b-points", "3", "--delta-rad-s", "31415.9",
+                 "--tau-c-us", "20")
 
     @pytest.mark.parametrize("args, want", [
         (("calibrate", "--t2star-us", "1e-300", "--t2-us", "1e300"), 3),
@@ -410,6 +415,16 @@ class TestBadNumbers:
         (ESTIMATE_RAMSEY + ("--window-stop-mt", "1e300"), 3),
         (("estimate", "--protocol", "berry", "--p", "0.3", "--omega-mhz", "5",
           "--n", "1000000000", "--slope-per-mt", "1"), 3),
+        (("decohere", "--delta-rad-s", "1e300", "--tau-c-us", "20",
+          "--a-list", "0.1,0.5"), 3),
+        (SIGNAL_OU + ("--t-us", "1e300", "--b-stop-mt", "0.1"), 2),
+        (SIGNAL_OU + ("--t-us", "1e300", "--b-stop-mt", "0"), 3),
+        (("sweep", "--config", str(EXAMPLES / "sweep.cfg"),
+          "--b-stop-mt", "1e300"), 2),
+        (("decohere", "--config", str(EXAMPLES / "decohere.cfg"),
+          "--overlay-t-us", "1e300"), 3),
+        (("decohere", "--config", str(EXAMPLES / "decohere.cfg"),
+          "--overlay-t-us", "1e-300"), 2),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
@@ -420,10 +435,18 @@ class TestBadNumbers:
             "sweep-sigma-p-zero", "estimate-berry-slope-inf",
             "estimate-ramsey-slope-nan", "estimate-sigma-inf",
             "decohere-a-list-empty", "estimate-ramsey-fringes-t",
-            "estimate-ramsey-fringes-window", "estimate-berry-fringes-n"])
+            "estimate-ramsey-fringes-window", "estimate-berry-fringes-n",
+            "lorentzian-level-overflows", "signal-larmor-phase",
+            "signal-ou-knots", "sweep-larmor-phase", "overlay-t-long",
+            "overlay-t-short"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
-        assert run_cli(*args, "--out", str(tmp_path / "out")) == want
-        assert "error" in capsys.readouterr().err
+        # rejected by validation: one error line on stderr and no warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*args, "--out", str(tmp_path / "out")) == want
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "error" in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
 

@@ -201,28 +201,38 @@ class TestPropagateSwept:
         assert len(exc.value.error_history) >= 1
 
     @staticmethod
-    def _fixed_mesh_errors(coarse):
+    def _fixed_mesh_errors():
         w = angular_from_mhz(2.0)
         v = np.array([0.0, -1.0, 0.0])
         ref = _compose_swept(v, w, lambda t: 5e6 * t, lambda t: 3e5, 4e-6,
-                             1 << 14, coarse)
+                             1 << 14)
         errs = []
         for n in (128, 256, 512, 1024):
             out = _compose_swept(v, w, lambda t: 5e6 * t, lambda t: 3e5, 4e-6,
-                                 n, coarse)
+                                 n)
             errs.append(np.max(np.abs(out - ref)))
         return [b / a for a, b in zip(errs, errs[1:])]
 
     def test_fixed_mesh_error_scaling(self):
         # the lab-frame step is the 4th-order commutator-free Magnus step:
         # the error drops 16x per halving (ratio 0.0625 measured)
-        for ratio in self._fixed_mesh_errors(coarse=False):
+        for ratio in self._fixed_mesh_errors():
             assert ratio <= 0.1
 
-    def test_coarse_mesh_step_stays_second_order(self):
-        # the noisy co-rotating mesh keeps the midpoint step: 4x per halving
-        for ratio in self._fixed_mesh_errors(coarse=True):
-            assert 0.2 <= ratio <= 0.3
+    def test_knot_mesh_step_is_fourth_order(self):
+        # the noisy co-rotating mesh takes one Magnus rotation per slice of
+        # a piecewise-linear R = (rabi, 0, w): without its commutator term
+        # the step would be the 2nd-order midpoint rule (ratio 0.25); with
+        # it the error drops 16x per halving (0.0625 measured)
+        w = angular_from_mhz(2.0)
+        lengths = np.full(8, 0.5e-6)
+        dets = np.random.default_rng(5).uniform(-3e6, 3e6, (9, 1))
+        v = np.array([[0.0, -1.0, 0.0]])
+        ref = core._compose_knots(v, w, lengths, dets, 12)
+        errs = [np.max(np.abs(core._compose_knots(v, w, lengths, dets, d) - ref))
+                for d in (2, 3, 4, 5)]
+        for a, b in zip(errs, errs[1:]):
+            assert b / a <= 0.1
 
     # the four quadratic-ramp cells of the signal_numeric benchmark
     # (Omega/2pi in MHz, T in us, phase turns, chirp fraction, B in mT) with
@@ -263,25 +273,43 @@ class TestPropagateSwept:
         assert report.converged and len(report.error_history) <= 2
         assert report.steps <= midpoint_steps / 8
 
-    @pytest.mark.parametrize("coarse", [False, True])
-    def test_mesh_is_sampled_block_by_block(self, monkeypatch, coarse):
-        # a fine mesh on a wide batch must never sample the whole mesh at
-        # once; splitting it into more blocks leaves the result unchanged
-        m, n_steps = 64, 5000
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_mesh_is_sampled_block_by_block(self, monkeypatch, noisy):
+        # a fine mesh on a wide batch must never sample (lab frame) or
+        # rotate (knot mesh of the noisy sweeps) the whole mesh at once;
+        # splitting it into more blocks leaves the result unchanged
+        m = 64
         dets = np.linspace(-2e6, 2e6, m)
-        calls = []
-
-        def det_fn(t):
-            calls.append(t.size)
-            return dets[None, :] + 1e5 * np.sin(3e5 * t)[:, None]
-
         states = np.tile([0.0, -1.0, 0.0], (m, 1))
-        args = (states, 3e6, lambda t: 0.0, det_fn, 5e-6, n_steps, coarse)
-        out = _compose_swept(*args)
-        assert len(calls) > 1
-        assert max(calls) * m <= core._BLOCK
+        sizes = []
+        if noisy:
+            knots = np.linspace(0.0, 5e-6, 101)
+            edge_dets = dets[None, :] + 1e5 * np.sin(3e5 * knots)[:, None]
+            rotate = core._rotation_matrices
+
+            def spy(*args):
+                sizes.append(np.broadcast(*args).size)
+                return rotate(*args)
+
+            monkeypatch.setattr(core, "_rotation_matrices", spy)
+
+            def run():
+                # 100 intervals of 64 slices, 64 channels: 409600 rotations
+                return core._compose_knots(states, 3e6, np.diff(knots),
+                                           edge_dets, 6)
+        else:
+            def det_fn(t):
+                sizes.append(t.size * m)
+                return dets[None, :] + 1e5 * np.sin(3e5 * t)[:, None]
+
+            def run():
+                return _compose_swept(states, 3e6, lambda t: 0.0, det_fn,
+                                      5e-6, 5000)
+        out = run()
+        assert len(sizes) > 1
+        assert max(sizes) <= core._BLOCK
         monkeypatch.setattr(core, "_BLOCK", core._BLOCK // 8)
-        assert np.allclose(_compose_swept(*args), out, rtol=0, atol=1e-12)
+        assert np.allclose(run(), out, rtol=0, atol=1e-12)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(InvalidParameter):

@@ -300,16 +300,16 @@ class TestRegimeScan:
                                                 calibrated_noise):
         # with a start of 64 slices per Larmor turn these scans ended on
         # meshes of 173404 (calibrated bath) and 98464 (fast bath) steps in
-        # all; the coarse start must need at most a quarter of that
+        # all; the knot-aligned mesh must need at most a quarter of that
         steps = []
-        refine = core._swept_refine
+        refine = core._knot_refine
 
         def spy(*args, **kw):
             out, report = refine(*args, **kw)
             steps.append(report.steps)
             return out, report
 
-        monkeypatch.setattr(core, "_swept_refine", spy)
+        monkeypatch.setattr(core, "_knot_refine", spy)
         for S, before in ((calibrated_noise, 173404), (self.FAST, 98464)):
             steps.clear()
             rows = decoherence_regime_scan([0.1, 1.0, 2.0], S,

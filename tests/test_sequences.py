@@ -16,6 +16,8 @@ from phasemag.sequences import (READOUT_PHASE, FreeEvolution, IdealPulse,
                                 build_berry, build_hahn, build_ramsey, execute,
                                 execute_batch)
 
+from conftest import rotation_matrix
+
 W5 = angular_from_mhz(5.0)
 
 
@@ -345,12 +347,13 @@ class TestNoisyFrameAgainstLabMesh:
 
 
 class TestCoarseNoisyMesh:
-    """The noisy co-rotating mesh starts at 4 slices per Larmor turn, at
-    least ``min_steps``, and halves until ``tol`` holds."""
+    """The noisy co-rotating mesh cuts each knot interval into the fewest
+    equal slices that keep h*|R| <= pi and give ``min_steps`` in all, and
+    halves until ``tol`` holds."""
 
     def test_wide_field_berry_curve_matches_a_fine_mesh(self, calibrated_noise):
-        # the frame Larmor rate, and so the coarse start, is largest at the
-        # top of the 0-0.6 mT range
+        # the frame Larmor rate, and so the slices per knot interval, is
+        # largest at the top of the 0-0.6 mT range
         plan = build_berry(W5, 3, 8e-6)
         bs = np.linspace(0.0, 6e-4, 7)
         traj = ou_trajectory(calibrated_noise, 8e-6, 8e-6 / 256, seed=3)
@@ -361,10 +364,10 @@ class TestCoarseNoisyMesh:
 
     def test_min_steps_floor_holds_against_aliased_noise(self):
         # an undriven sweep, so the segment reaches the mesh.  About 1 rad of
-        # precession in all, so the coarse start alone is one slice; its
-        # midpoint and both midpoints of two slices sit on knots at crests
-        # of this noise, so without the floor the mesh stops at the wrong
-        # phase.  The noise integrates to zero over the segment.
+        # precession in all: a mesh of one or two slices whose nodes sit on
+        # knots at crests of this noise would stop at the wrong phase.  The
+        # knot-aligned mesh integrates the interpolant between knots, so it
+        # cannot alias it.  The noise integrates to zero over the segment.
         duration = 1e-6
         bank = _knot_bank(duration,
                           lambda t: np.cos(8 * math.pi * t / duration) / duration)
@@ -376,6 +379,77 @@ class TestCoarseNoisyMesh:
         got = execute_batch(plan, bs, noise_trajectory=bank)
         assert np.allclose(got, np.cos(NV.gamma * bs * duration), atol=1e-6,
                            rtol=0)
+
+
+class TestNoisyMeshAgainstOde:
+    """An oracle for the noisy driven path that shares no code with it:
+    DOP853 on ds/dt = R(t) x s in the lab frame, with the bank's knot
+    interpolant written out per knot interval and integrated one knot
+    interval at a time, so that no kink of the noise falls inside a step."""
+
+    FAST = Lorentzian(delta=TWO_PI * 5e3, tau_c=20e-6)
+
+    @staticmethod
+    def _lab_ode(plan, bs, bank):
+        from scipy.integrate import solve_ivp
+
+        knots = bank.times
+        noise = bank.values[:, 0] * (NV.gamma / bank.gamma)
+        m = bs.size
+        s = np.tile([0.0, 0.0, 1.0], (m, 1))
+        t0 = 0.0
+        for seg in plan.segments:
+            if isinstance(seg, IdealPulse):
+                axis = [math.cos(seg.axis_phase), math.sin(seg.axis_phase), 0.0]
+                s = s @ rotation_matrix(axis, seg.angle).T
+                continue
+            assert isinstance(seg, SweptDrive)
+            t1 = t0 + seg.duration
+            edges = np.concatenate(
+                ([t0], knots[(knots > t0) & (knots < t1)], [t1]))
+            for a, b in zip(edges[:-1], edges[1:]):
+                k = min(int(np.searchsorted(knots, a, side="right")) - 1,
+                        knots.size - 2)
+                slope = (noise[k + 1] - noise[k]) / (knots[k + 1] - knots[k])
+
+                def rhs(t, y, seg=seg, t0=t0, k=k, slope=slope):
+                    phase = seg.phase_start + seg.phase_rate * (t - t0)
+                    r = np.empty((m, 3))
+                    r[:, 0] = seg.rabi * math.cos(phase)
+                    r[:, 1] = seg.rabi * math.sin(phase)
+                    r[:, 2] = (NV.gamma * bs + noise[k]
+                               + slope * (t - knots[k]))
+                    return np.cross(r, y.reshape(m, 3)).ravel()
+
+                s = solve_ivp(rhs, (a, b), s.ravel(), method="DOP853",
+                              rtol=1e-12, atol=1e-12).y[:, -1].reshape(m, 3)
+            t0 = t1
+        return s[:, 2]
+
+    @pytest.mark.parametrize("bath, cell, seed", [
+        ("calibrated", (5.0, 3, 8e-6), 11),
+        ("fast", (5.0, 3, 8e-6), 12),
+        ("fast", (2.0, 1, 3e-6), 11),
+    ], ids=["calibrated-5MHz", "fast-5MHz", "fast-2MHz"])
+    def test_berry_under_ou_noise(self, calibrated_noise, bath, cell, seed):
+        # the knots of ``harness.signal_curve``: min(tau_c/10, T/256) apart
+        S = calibrated_noise if bath == "calibrated" else self.FAST
+        om_mhz, n_rot, duration = cell
+        plan = build_berry(angular_from_mhz(om_mhz), n_rot, duration)
+        bs = np.linspace(0.0, 2e-4, 5)
+        traj = ou_trajectory(S, duration, min(S.tau_c / 10, duration / 256),
+                             seed=(seed,))
+        ref = self._lab_ode(plan, bs, traj)
+        got = execute_batch(plan, bs, noise_trajectory=traj)
+        # the mesh tol; 2e-8 or better measured
+        assert np.max(np.abs(got - ref)) <= 1e-6
+        # the start mesh halved once, whatever the change: the 4th-order
+        # step is that accurate there already, while a defect that leaves
+        # the step consistent but of lower order, which further halvings
+        # would rescue, is not
+        once = execute_batch(plan, bs, noise_trajectory=traj,
+                             step_control=StepControl(tol=1.0, max_depth=1))
+        assert np.max(np.abs(once - ref)) <= 1e-6
 
 
 class TestOdeCrossValidation:
@@ -462,6 +536,16 @@ class TestNoiseInjection:
         assert traj.times[-1] < duration
         p = execute_batch(build_ramsey(duration), [0.0], noise_trajectory=traj)
         assert abs(p[0]) <= 1.0
+
+    def test_overflowing_larmor_rate_rejected(self, recwarn):
+        # gamma*B overflows to inf: the noisy mesh could not size its
+        # slices, and the closed form would turn it into nan
+        plan = build_berry(W5, 2, 4e-6)
+        with pytest.raises(InvalidParameter):
+            execute_batch(plan, [1e300], noise_trajectory=_zero_bank(4e-6))
+        with pytest.raises(InvalidParameter):
+            execute_batch(plan, [1e300])
+        assert len(recwarn) == 0
 
     def test_noise_is_deterministic_given_seed(self, calibrated_noise):
         plan = build_berry(W5, 2, 4e-6)
