@@ -29,7 +29,15 @@ With these conventions the Ornstein-Uhlenbeck time-domain oracle satisfies
 which the tests check against the closed-form exponents.  The oracle
 (``mc_free_precession_decay``) draws each trajectory's detuning and its
 time integral jointly and exactly at the requested times only (Gillespie,
-Phys. Rev. E 54, 2084 (1996)), so no time step enters.  The sequence
+Phys. Rev. E 54, 2084 (1996)), so no time step enters.  Those draws are a
+fixed linear map of the normals, so each call builds the map once, from
+the gap coefficients, and applies it to every chunk of trajectories: one
+normals draw (the same ``default_rng([seed, chunk])`` stream and row layout
+as the gap-by-gap recursion), one matrix product per block of gaps, one
+cos and one sum.  The echo's 2 I(T/2) - I(T) is folded into the map's
+rows.  Up to ``_ONE_BLOCK`` gaps (32 echo times) are one block; longer
+grids go in blocks of ``_GAP_BLOCK`` gaps, so besides the chunk's normals
+memory is of order times x block size, never gaps x gaps.  The sequence
 executor takes its noise as an ``OUBank``: trajectories sampled exactly on
 uniform knots and interpolated linearly, one per column (``ou_bank`` draws
 many, ``ou_trajectory`` one).  ``OUBank.detuning_integral`` gives the exact
@@ -40,6 +48,7 @@ rotation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -95,7 +104,16 @@ class Lorentzian:
 
     def psd(self, omega):
         omega = np.asarray(omega, dtype=float)
-        return 2.0 * self.delta**2 * self.tau_c / (1.0 + (omega * self.tau_c) ** 2)
+        level = 2.0 * self.delta**2 * self.tau_c
+        # (w tau_c)^2 overflows above w tau_c ~ 1.3e154.  Beyond 1e150 the 1
+        # is below rounding, and level / (w tau_c) / (w tau_c) underflows
+        # towards the limit 0 instead; w tau_c itself overflows only where
+        # that quotient is 0 anyway.
+        with np.errstate(over="ignore"):
+            u = omega * self.tau_c
+        near, far = np.minimum(u, 1e150), np.maximum(u, 1e150)
+        return np.where(u <= 1e150, level / (1.0 + near * near),
+                        level / far / far)
 
 
 @dataclass(frozen=True)
@@ -183,6 +201,20 @@ def _ou_bracket(x: float, echo: bool) -> float:
         term *= -x / k
         total += term * (4.0 / 2.0**k - 1.0 if echo else 1.0)
     return total
+
+
+# the echo bracket's Taylor series as a table: the powers k = 2..19 of x
+# and their coefficients (4/2^k - 1) (-1)^k / k!
+_ECHO_POWERS = np.arange(2, 20)
+_ECHO_COEFS = np.array([(4.0 / 2.0**k - 1.0) * (-1.0)**k / math.factorial(k)
+                        for k in range(2, 20)])
+
+
+def _echo_brackets(x: np.ndarray) -> np.ndarray:
+    """``_ou_bracket(x, echo=True)`` of each element of the array x >= 0."""
+    small = np.minimum(x, 0.5)
+    return np.where(x >= 0.5, x - 3.0 + 4.0 * np.exp(-0.5 * x) - np.exp(-x),
+                    np.power.outer(small, _ECHO_POWERS) @ _ECHO_COEFS)
 
 
 def _one_over_f_primitive(u: float, echo: bool) -> float:
@@ -546,6 +578,146 @@ def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
     return x
 
 
+def _check_count(name: str, value) -> int:
+    """``value`` as an int, or InvalidParameter unless it is an integer >= 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+# gaps per block of the Monte-Carlo phase map.  Up to _ONE_BLOCK gaps (an
+# echo grid of 32 requested times) are one block, applied as one product.
+# Longer grids are cut into blocks of _GAP_BLOCK gaps: no (gaps x gaps)
+# array is formed, and a block costs about 4*_GAP_BLOCK multiply-adds per
+# requested phase and trajectory, against about 10 per gap and trajectory
+# for the gap-by-gap recursion.
+_ONE_BLOCK = 64
+_GAP_BLOCK = 16
+
+
+def _gap_block(a, l11, l21, l22, mean):
+    """Coefficients of I and x at the knots of one block of OU gaps.
+
+    Returns (P, X), each (n+1, 2n+1) for n gaps.  Row j holds the
+    coefficients of I(knot j) - I(knot 0), resp. x(knot j), on column 0,
+    the value x at the block's first knot, and on columns 2i+1 and 2i+2,
+    the two normals that drive gap i (``_ou_phases``).  Of a value that
+    enters x at knot c, a_c ... a_(j-1) is left at knot j: a cumulative
+    product down each column.
+    """
+    n = a.size
+    j = np.arange(n + 1)
+    # source c = 0 is the block's start value, c = i+1 the value noise of
+    # gap i, which enters x at knot i+1; knot j holds those with c <= j
+    held = j[:, None] >= j
+    steps = np.ones((n + 1, n + 1))
+    steps[1:] = np.where(held[:n], a[:, None], 1.0)
+    x_src = np.where(held, np.cumprod(steps, axis=0), 0.0)
+    x_src[:, 1:] *= l11
+    rise = mean[:, None] * x_src[:n]
+    rise[j[:n], j[1:]] = l21
+    p_src = np.zeros((n + 1, n + 1))
+    np.cumsum(rise, axis=0, out=p_src[1:])
+    P = np.empty((n + 1, 2 * n + 1))
+    X = np.zeros((n + 1, 2 * n + 1))
+    P[:, 0], P[:, 1::2] = p_src[:, 0], p_src[:, 1:]
+    P[:, 2::2] = np.where(held[:, 1:], l22, 0.0)
+    X[:, 0], X[:, 1::2] = x_src[:, 0], x_src[:, 1:]
+    return P, X
+
+
+@dataclass(frozen=True)
+class _PhaseMap:
+    """The phases at the requested times as a linear map of the normals.
+
+    ``n_normals`` is the row count of the normals block the map takes.
+    ``blocks`` holds (rows, lo, hi, matrix, start) for each block of gaps:
+    ``matrix`` takes normals rows [lo, hi), and ``start`` the (I, x) at the
+    block's first knot, to the block's share of the outputs ``rows``
+    followed by the (I, x) at its last knot.  The first block has no
+    ``start``: its x starts as delta times normals row 0, which is in its
+    ``matrix``.  A single block is one product.
+    """
+
+    n_normals: int
+    n_out: int
+    blocks: tuple
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """(n_out, n_traj) phases for the (n_normals, n_traj) normals ``z``."""
+        if len(self.blocks) == 1:
+            return self.blocks[0][3] @ z
+        out = np.zeros((self.n_out, z.shape[1]))
+        state = None
+        for rows, lo, hi, matrix, start in self.blocks:
+            y = matrix @ z[lo:hi]
+            if start is not None:
+                y += start @ state
+            out[rows] += y[:rows.size]
+            state = y[rows.size:]
+        return out
+
+
+def _phase_map(S: Lorentzian, t_grid: np.ndarray, echo: bool) -> _PhaseMap:
+    """Build the map from a chunk's normals to its phases at ``t_grid``.
+
+    The gaps between the knots (0, the requested times and, for the echo,
+    their halves) get their Gillespie coefficients once (``_ou_phases``).
+    Each block of gaps (all of them up to ``_ONE_BLOCK``, else
+    ``_GAP_BLOCK``) then becomes one matrix, whose rows are the requested
+    phases it contributes to, with the echo's 2 I(T/2) - I(T) folded in,
+    plus its end state when a block follows.
+    """
+    knots = np.unique(np.concatenate(
+        ([0.0], t_grid, t_grid / 2.0) if echo else ([0.0], t_grid)))
+    # each requested phase sums weight * I over one knot, or two for the echo
+    idx = np.searchsorted(knots, t_grid)[:, None]
+    weight = np.array([1.0])
+    if echo:
+        idx = np.hstack([np.searchsorted(knots, t_grid / 2.0)[:, None], idx])
+        weight = np.array([2.0, -1.0])
+
+    y = np.diff(knots) / S.tau_c
+    one_minus_a = -np.expm1(-y)
+    a = 1.0 - one_minus_a
+    tau_d = S.tau_c * S.delta
+    l11 = S.delta * np.sqrt(one_minus_a * (1.0 + a))
+    r21 = one_minus_a * np.sqrt(one_minus_a / (1.0 + a))
+    l21 = tau_d * r21
+    l22 = tau_d * np.sqrt(_echo_brackets(2.0 * y) - r21 * r21)
+    mean_i = S.tau_c * one_minus_a
+
+    n_gaps = y.size
+    size = max(1, n_gaps if n_gaps <= _ONE_BLOCK else _GAP_BLOCK)
+    n_blocks = max(1, -(-n_gaps // size))
+    # knot k > 0 ends gap k-1; knot 0 starts block 0
+    block_of = np.maximum(idx - 1, 0) // size
+    blocks = []
+    for b in range(n_blocks):
+        k0, k1 = b * size, min((b + 1) * size, n_gaps)
+        gaps = slice(k0, k1)
+        P, X = _gap_block(a[gaps], l11[gaps], l21[gaps], l22[gaps],
+                          mean_i[gaps])
+        hit = block_of == b
+        rows = np.flatnonzero(hit.any(axis=1))
+        w = np.where(hit[rows], weight, 0.0)
+        local = np.where(hit[rows], idx[rows] - k0, 0)
+        coef = sum(w[:, i, None] * P[local[:, i]] for i in range(weight.size))
+        start_i = w.sum(axis=1)
+        if b < n_blocks - 1:
+            coef = np.vstack([coef, P[-1], X[-1]])
+            start_i = np.concatenate([start_i, [1.0, 0.0]])
+        if b == 0:
+            coef[:, 0] *= S.delta
+            blocks.append((rows, 0, 2 * k1 + 1, coef, None))
+        else:
+            blocks.append((rows, 2 * k0 + 1, 2 * k1 + 1, coef[:, 1:],
+                           np.column_stack([start_i, coef[:, 0]])))
+    return _PhaseMap(n_normals=2 * n_gaps + 1, n_out=t_grid.size,
+                     blocks=tuple(blocks))
+
+
 def _ou_phases(S: Lorentzian, t_grid: np.ndarray, echo: bool, rng,
                n_traj: int) -> np.ndarray:
     """(n_traj, len(t_grid)) accumulated phases of stationary OU trajectories.
@@ -559,31 +731,12 @@ def _ou_phases(S: Lorentzian, t_grid: np.ndarray, echo: bool, rng,
     free of cancellation), and covariance delta^2 tau_c (1-a)^2; it is
     drawn through the 2x2 Cholesky factor.  The phase is I(T), or
     2 I(T/2) - I(T) for the echo.  Row 0 of the normals from ``rng`` seeds
-    the stationary start, rows 2k+1 and 2k+2 drive gap k.
+    the stationary start, rows 2k+1 and 2k+2 drive gap k.  The phases are
+    therefore a fixed linear map of the normals (``_phase_map``), applied
+    here to one draw of (2 gaps + 1, n_traj) normals.
     """
-    knots = np.unique(np.concatenate(
-        ([0.0], t_grid, t_grid / 2.0) if echo else ([0.0], t_grid)))
-    y = np.diff(knots) / S.tau_c
-    one_minus_a = -np.expm1(-y)
-    a = 1.0 - one_minus_a
-    tau_d = S.tau_c * S.delta
-    l11 = S.delta * np.sqrt(one_minus_a * (1.0 + a))
-    l21 = tau_d * one_minus_a * np.sqrt(one_minus_a / (1.0 + a))
-    var_i = np.array([_ou_bracket(2.0 * v, echo=True) for v in y]) * tau_d**2
-    l22 = np.sqrt(var_i - l21 * l21)
-    mean_i = S.tau_c * one_minus_a
-
-    z = rng.standard_normal((2 * y.size + 1, n_traj))
-    x = S.delta * z[0]
-    phase = np.zeros((knots.size, n_traj))
-    for k in range(y.size):
-        z1, z2 = z[2 * k + 1], z[2 * k + 2]
-        phase[k + 1] = phase[k] + mean_i[k] * x + l21[k] * z1 + l22[k] * z2
-        x = a[k] * x + l11[k] * z1
-    at_t = phase[np.searchsorted(knots, t_grid)]
-    if echo:
-        at_t = 2.0 * phase[np.searchsorted(knots, t_grid / 2.0)] - at_t
-    return at_t.T
+    phase_map = _phase_map(S, t_grid, echo)
+    return phase_map(rng.standard_normal((phase_map.n_normals, n_traj))).T
 
 
 def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
@@ -598,32 +751,36 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
     error is the sampling error of ``n_traj`` runs.  Trajectories are
     generated in chunks whose random streams derive from (seed, chunk
     index), so the result does not depend on the order the chunks run in.
+    The map from normals to phases is built once per call; each chunk is
+    then one normals draw, one matrix product per block of gaps, one cos
+    and one sum.  Besides the chunk's (2 gaps + 1, chunk) normals, memory
+    holds the (times, chunk) phases and the block matrices: at most about
+    times x (2 ``_ONE_BLOCK`` + 1) numbers for one block, and
+    4 times x ``_GAP_BLOCK`` + 4 gaps for more.
     """
     if not isinstance(S, Lorentzian):
         raise InvalidParameter("the Monte-Carlo decay needs a Lorentzian density")
-    if n_traj < 1:
-        raise InvalidParameter(f"n_traj must be >= 1, got {n_traj}")
+    n_traj = _check_count("n_traj", n_traj)
+    chunk = _check_count("chunk", chunk)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or not np.all((t_grid >= 0) & (t_grid < math.inf)):
         raise InvalidParameter("times must be nonnegative and finite, at least one")
     if float(np.max(t_grid)) == 0.0:
         return np.ones_like(t_grid)
-    flat = t_grid.ravel()
-    total = np.zeros_like(flat)
-    done = 0
-    chunk_index = 0
-    while done < n_traj:
-        m = min(chunk, n_traj - done)
-        rng = np.random.default_rng([seed, chunk_index])
-        total += np.sum(np.cos(_ou_phases(S, flat, echo, rng, m)), axis=0)
-        done += m
-        chunk_index += 1
+    phase_map = _phase_map(S, t_grid.ravel(), echo)
+    total = np.zeros(t_grid.size)
+    for index, done in enumerate(range(0, n_traj, chunk)):
+        z = np.random.default_rng([seed, index]).standard_normal(
+            (phase_map.n_normals, min(chunk, n_traj - done)))
+        phases = phase_map(z)
+        total += np.sum(np.cos(phases, out=phases), axis=1)
     return (total / n_traj).reshape(t_grid.shape)
 
 
 def ou_bank(S: Lorentzian, duration: float, dt: float, n_traj: int, seed: int,
             gamma: float = NV.gamma) -> OUBank:
     """Generate ``n_traj`` exact-discretization OU trajectories at once."""
+    n_traj = _check_count("n_traj", n_traj)
     n = _ou_steps(S, duration, dt)
     return OUBank(times=np.arange(n + 1) * dt,
                   values=_ou_block(S, n, dt, n_traj, [seed, 0]), gamma=gamma)

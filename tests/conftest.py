@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasemag.noise import Lorentzian, OneOverF, calibrate_noise
+from phasemag.noise import Lorentzian, OneOverF, _ou_bracket, calibrate_noise
 
 # coherence-time targets used across the noise and acceptance tests
 T2_STAR = 50e-6
@@ -119,3 +119,38 @@ def chi_reference(S, echo, duration):
     tail = 0.0 if isinstance(S, OneOverF) else f_max * float(S.psd(hi)) / hi
     assert tail <= 1e-14 * total
     return total / math.pi
+
+
+def ou_phases_reference(S, t_grid, echo, rng, n_traj):
+    """(n_traj, len(t_grid)) OU phases by the gap-by-gap Gillespie recursion.
+
+    An oracle for ``noise._ou_phases``, which applies the same recursion as
+    one precomputed linear map: this one walks the gaps between the knots
+    (0, the times and, for the echo, their halves) one at a time on the
+    same normals.  Row 0 of the (2 gaps + 1, n_traj) draw from ``rng``
+    seeds the stationary start, rows 2k+1 and 2k+2 drive gap k.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    knots = np.unique(np.concatenate(
+        ([0.0], t_grid, t_grid / 2.0) if echo else ([0.0], t_grid)))
+    y = np.diff(knots) / S.tau_c
+    one_minus_a = -np.expm1(-y)
+    a = 1.0 - one_minus_a
+    tau_d = S.tau_c * S.delta
+    l11 = S.delta * np.sqrt(one_minus_a * (1.0 + a))
+    l21 = tau_d * one_minus_a * np.sqrt(one_minus_a / (1.0 + a))
+    var_i = np.array([_ou_bracket(2.0 * v, echo=True) for v in y]) * tau_d**2
+    l22 = np.sqrt(var_i - l21 * l21)
+    mean_i = S.tau_c * one_minus_a
+
+    z = rng.standard_normal((2 * y.size + 1, n_traj))
+    x = S.delta * z[0]
+    phase = np.zeros((knots.size, n_traj))
+    for k in range(y.size):
+        z1, z2 = z[2 * k + 1], z[2 * k + 2]
+        phase[k + 1] = phase[k] + mean_i[k] * x + l21[k] * z1 + l22[k] * z2
+        x = a[k] * x + l11[k] * z1
+    at_t = phase[np.searchsorted(knots, t_grid)]
+    if echo:
+        at_t = 2.0 * phase[np.searchsorted(knots, t_grid / 2.0)] - at_t
+    return at_t.T

@@ -87,6 +87,66 @@ class TestAggregate:
         assert agg["metrics"]["run_s"]["change"]["n"] == 4
 
 
+class TestVerdict:
+    """The acceptance rule on a synthetic runs dict of 10 pairs per workload."""
+
+    BOUNDS = {"run_s": 0.25, "peak_rss_mb": 0.1}
+
+    @staticmethod
+    def _runs():
+        def pairs(parent, change):
+            return [(bench_pairs.parse_run(_stdout(*p)),
+                     bench_pairs.parse_run(_stdout(*c)))
+                    for p, c in zip(parent, change)]
+        steady = [0.20 + 0.002 * i for i in range(10)]  # IQR 0.009
+        spread = [0.10 + 0.02 * i for i in range(10)]  # IQR 0.09
+        return {
+            # run_s wins 10 of 10 by 0.05; peak memory rises by 15 % > 10 %
+            "clear": pairs([(t, 100.0) for t in steady],
+                           [(t - 0.05, 115.0) for t in steady]),
+            # run_s wins only 8 of 10; peak memory rises by 5 % < 10 %
+            "mixed": pairs([(t, 100.0) for t in steady],
+                           [(t - 0.05 if i < 8 else t + 0.1, 105.0)
+                            for i, t in enumerate(steady)]),
+            # run_s wins 10 of 10, but by 0.01, inside the parent's IQR
+            "noisy": pairs([(t, 100.0) for t in spread],
+                           [(t - 0.01, 100.0) for t in spread]),
+        }
+
+    def test_verdicts(self):
+        report = bench_pairs.build_report(self._runs(), DIRECTIONS, 13, 30,
+                                          list(range(10)), bounds=self.BOUNDS)
+        got = {(w, name): m["verdict"]
+               for w, agg in report["workloads"].items()
+               for name, m in agg["metrics"].items()}
+        assert got == {("clear", "run_s"): "better",
+                       ("clear", "peak_rss_mb"): "worse",
+                       ("mixed", "run_s"): "unresolved",
+                       ("mixed", "peak_rss_mb"): "unresolved",
+                       ("noisy", "run_s"): "unresolved",
+                       ("noisy", "peak_rss_mb"): "unresolved"}
+        lines = bench_pairs.verdict_lines(report)
+        assert len(lines) == 6
+        assert lines[0] == ("clear run_s: better (parent 0.209, change 0.159, "
+                            "change won 10 of 10)")
+
+    def test_higher_is_better_and_few_pairs(self):
+        # for a higher-is-better metric a 24 % drop is worse past a 0.2
+        # bound, and a steady 5 % rise is better
+        runs = self._runs()
+        report = bench_pairs.build_report(
+            runs, {"run_s": "higher", "peak_rss_mb": "higher"}, 13, 30,
+            list(range(10)), bounds={"run_s": 0.2, "peak_rss_mb": 0.1})
+        assert report["workloads"]["clear"]["metrics"]["run_s"]["verdict"] == "worse"
+        assert (report["workloads"]["mixed"]["metrics"]["peak_rss_mb"]["verdict"]
+                == "better")
+        # five pairs cannot show 9 wins in 10, however clear the gain
+        five = bench_pairs.aggregate(runs["clear"][:5], DIRECTIONS,
+                                     bounds=self.BOUNDS)
+        assert five["metrics"]["run_s"]["verdict"] == "unresolved"
+        assert five["metrics"]["run_s"]["change_wins"] == 5
+
+
 class TestReport:
     def test_previous_file_values(self, tmp_path):
         old = bench_pairs.build_report({"signal_numeric": _pairs()}, DIRECTIONS,

@@ -425,6 +425,8 @@ class TestBadNumbers:
           "--overlay-t-us", "1e300"), 3),
         (("decohere", "--config", str(EXAMPLES / "decohere.cfg"),
           "--overlay-t-us", "1e-300"), 2),
+        (("decohere", "--delta-rad-s", "1e-60", "--tau-c-us", "1e160",
+          "--a-list", "0.1"), 3),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
@@ -438,7 +440,7 @@ class TestBadNumbers:
             "estimate-ramsey-fringes-window", "estimate-berry-fringes-n",
             "lorentzian-level-overflows", "signal-larmor-phase",
             "signal-ou-knots", "sweep-larmor-phase", "overlay-t-long",
-            "overlay-t-short"])
+            "overlay-t-short", "lorentzian-psd-tail"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         # rejected by validation: one error line on stderr and no warning
         with warnings.catch_warnings(record=True) as caught:

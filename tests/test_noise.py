@@ -1,11 +1,14 @@
 """Spectral densities, filter functions, dephasing integral and its oracle."""
 
+import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from phasemag import noise
 from phasemag.constants import NV
 from phasemag.errors import CalibrationFailure, FitFailure, InvalidParameter
 from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF, White,
@@ -15,7 +18,7 @@ from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF, White,
                             mc_free_precession_decay, ou_bank, ou_trajectory,
                             ramsey_exponent, spectral_overlay)
 
-from conftest import T2_ECHO, T2_STAR, chi_reference
+from conftest import T2_ECHO, T2_STAR, chi_reference, ou_phases_reference
 
 F0 = FilterFunctionKind.GEOMETRIC_F0
 F1 = FilterFunctionKind.DYNAMIC_F1
@@ -386,10 +389,28 @@ class TestExactOUSampling:
 
     @pytest.mark.parametrize("S, times, n_traj", [
         (FAST, [], 10), (FAST, [1e-6, math.nan], 10), (FAST, [-1e-6], 10),
-        (FAST, [math.inf], 10), (FAST, [1e-6], 0), (White(1.0), [1e-6], 10)])
+        (FAST, [math.inf], 10), (FAST, [1e-6], 0), (White(1.0), [1e-6], 10),
+        (FAST, [1e-6], -1), (FAST, [1e-6], 2.5), (FAST, [1e-6], 10.0)])
     def test_bad_input_rejected(self, S, times, n_traj):
         with pytest.raises(InvalidParameter):
             mc_free_precession_decay(S, times, n_traj, seed=1)
+
+    @pytest.mark.parametrize("call", [
+        # with chunk = 0 the chunk loop would never advance
+        functools.partial(mc_free_precession_decay, FAST, [1e-6], 10, 1,
+                          chunk=0),
+        functools.partial(mc_free_precession_decay, FAST, [1e-6], 10, 1,
+                          chunk=-4),
+        functools.partial(mc_free_precession_decay, FAST, [1e-6], 10, 1,
+                          chunk=2.5),
+        functools.partial(ou_bank, FAST, 1e-5, 1e-6, 0, 1),
+        functools.partial(ou_bank, FAST, 1e-5, 1e-6, -1, 1),
+        functools.partial(ou_bank, FAST, 1e-5, 1e-6, 2.5, 1)],
+        ids=["mc-chunk-0", "mc-chunk-negative", "mc-chunk-fraction",
+             "bank-0", "bank-negative", "bank-fraction"])
+    def test_bad_counts_rejected(self, call):
+        with pytest.raises(InvalidParameter):
+            call()
 
     def test_times_need_not_be_sorted(self, calibrated_noise):
         ts = np.array([3e-5, 0.0, 1e-5, 3e-5])
@@ -398,6 +419,68 @@ class TestExactOUSampling:
                                        seed=2, echo=True)
         assert w[1] == 1.0
         assert list(w) == [ref[2], ref[0], ref[1], ref[3]]
+
+
+class TestPhaseMapAgainstRecursion:
+    """``_ou_phases``, one precomputed linear map, against the gap-by-gap
+    recursion it replaced (``conftest.ou_phases_reference``).
+
+    Both draw their normals from the same seed with the same row layout, so
+    they must agree to rounding.  The bound is relative to the largest
+    phase of each case: the echo's 2 I(T/2) - I(T) cancels, in both, to
+    the rounding of I(T).
+    """
+
+    FAST = Lorentzian(delta=2 * math.pi * 5e3, tau_c=20e-6)
+    GRIDS = {
+        "unsorted": np.array([3e-5, 0.0, 1e-5, 3e-5, 7e-5, 0.0, 1e-5, 2e-6]),
+        "long": np.random.default_rng(6).uniform(0.0, 2e-4, 300),
+    }
+
+    @pytest.fixture(params=["static", "fast"])
+    def bath(self, request, calibrated_noise):
+        return calibrated_noise if request.param == "static" else self.FAST
+
+    @staticmethod
+    def _deviation(S, ts, echo):
+        got = _ou_phases(S, ts, echo, np.random.default_rng(17), 64)
+        want = ou_phases_reference(S, ts, echo, np.random.default_rng(17), 64)
+        assert got.shape == want.shape == (64, ts.size)
+        return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("grid", ["unsorted", "long"])
+    @pytest.mark.parametrize("echo", [False, True])
+    def test_matches_recursion(self, bath, grid, echo):
+        ts = self.GRIDS[grid]
+        if grid == "long":
+            assert len(noise._phase_map(bath, ts, echo).blocks) >= 5
+        assert self._deviation(bath, ts, echo) <= 1e-13
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("echo", [False, True])
+    def test_block_size_is_immaterial(self, monkeypatch, calibrated_noise,
+                                      block, echo):
+        monkeypatch.setattr(noise, "_ONE_BLOCK", 0)
+        monkeypatch.setattr(noise, "_GAP_BLOCK", block)
+        ts = self.GRIDS["unsorted"]
+        assert len(noise._phase_map(calibrated_noise, ts, echo).blocks) > 1
+        assert self._deviation(calibrated_noise, ts, echo) <= 1e-13
+
+    def test_memory_stays_near_one_normals_block(self, calibrated_noise):
+        # a 2000-time echo grid: 4000 gaps, so a (times x gaps) map would be
+        # 4x the chunk's normals on its own
+        ts = np.linspace(1e-6, 1e-3, 2000)
+        gaps = np.unique(np.concatenate(([0.0], ts, ts / 2.0))).size - 1
+        normals_bytes = (2 * gaps + 1) * 512 * 8
+        tracemalloc.start()
+        try:
+            w = mc_free_precession_decay(calibrated_noise, ts, 512, seed=3,
+                                         echo=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.abs(w) <= 1.0)
+        assert peak <= 2 * normals_bytes
 
 
 class TestOracleEquivalence:

@@ -15,6 +15,8 @@ end-to-end metric of the change tree's ``BENCHMARK.json``:
   change_wins      pairs in which the change was better than the parent
   previous         the change median recorded for that metric by the newest
                    ``BENCH_<n>.json`` (n < N) beside the output, if any
+  verdict          "better", "worse" or "unresolved" by the acceptance rule
+                   (``verdict``), also printed to stdout, one line each
 
 plus each tree's ``correct``/``failed`` totals, the raw runs and the distinct
 ``env`` lines.  Runs are serial: a pair is only comparable when nothing else
@@ -76,11 +78,37 @@ def _better(direction: str, change: float, parent: float) -> bool:
     return change < parent if direction == "lower" else change > parent
 
 
-def aggregate(pairs, directions: dict, previous: dict | None = None) -> dict:
+def verdict(entry: dict, bound: float | None) -> str:
+    """The acceptance rule's reading of one aggregated metric entry.
+
+    "worse": the change median is worse than the parent's by more than
+    ``bound``, a fraction of the parent median.  "better": over at least
+    10 pairs the change won at least 9 in 10, and its median is better
+    than the parent's by more than the parent's interquartile range.
+    Anything else is "unresolved".
+    """
+    parent, change = entry["parent"], entry["change"]
+    if parent is None or change is None:
+        return "unresolved"
+    gain = parent["median"] - change["median"]
+    if entry["better"] == "higher":
+        gain = -gain
+    if bound is not None and -gain > bound * abs(parent["median"]):
+        return "worse"
+    pairs = parent["n"]
+    if (pairs >= 10 and 10 * entry["change_wins"] >= 9 * pairs
+            and gain > parent["q3"] - parent["q1"]):
+        return "better"
+    return "unresolved"
+
+
+def aggregate(pairs, directions: dict, previous: dict | None = None,
+              bounds: dict | None = None) -> dict:
     """Summarise one workload's (parent_run, change_run) pairs.
 
     ``directions`` maps metric name to "lower" or "higher"; ``previous`` is
-    the same workload's entry of an earlier BENCH file, or None.
+    the same workload's entry of an earlier BENCH file, or None; ``bounds``
+    maps metric name to its relative bound, for the verdict.
     """
     out = {"pairs": len(pairs), "metrics": {}}
     for i, side in enumerate(SIDES):
@@ -100,6 +128,7 @@ def aggregate(pairs, directions: dict, previous: dict | None = None) -> dict:
             for p, c in both)
         prev = (previous or {}).get("metrics", {}).get(name, {}).get("change")
         entry["previous"] = prev["median"] if prev else None
+        entry["verdict"] = verdict(entry, (bounds or {}).get(name))
         out["metrics"][name] = entry
     return out
 
@@ -120,7 +149,7 @@ def previous_bench(out_path: str, pr: int):
 
 
 def build_report(runs: dict, directions: dict, pr: int, seconds: int, seeds,
-                 previous_name=None, previous=None) -> dict:
+                 previous_name=None, previous=None, bounds=None) -> dict:
     """``runs`` maps workload -> list of (parent_run, change_run) pairs."""
     prev_workloads = (previous or {}).get("workloads", {})
     envs = sorted({r["env"] for pairs in runs.values() for p in pairs
@@ -132,15 +161,31 @@ def build_report(runs: dict, directions: dict, pr: int, seconds: int, seeds,
         "order": "pair i runs the parent first when i is even",
         "environment": envs,
         "previous_file": previous_name,
-        "workloads": {w: aggregate(pairs, directions, prev_workloads.get(w))
+        "workloads": {w: aggregate(pairs, directions, prev_workloads.get(w),
+                                   bounds)
                       for w, pairs in runs.items()},
     }
 
 
-def _directions(tree: str) -> dict:
+def verdict_lines(report: dict) -> list:
+    """One line per workload and metric: its verdict, medians and wins."""
+    lines = []
+    for w, agg in report["workloads"].items():
+        for name, m in agg["metrics"].items():
+            med = [f"{m[side]['median']:.6g}" if m[side] else "-"
+                   for side in SIDES]
+            lines.append(f"{w} {name}: {m['verdict']} (parent {med[0]}, "
+                         f"change {med[1]}, change won {m['change_wins']} of "
+                         f"{m['parent']['n'] if m['parent'] else 0})")
+    return lines
+
+
+def _end_to_end(tree: str):
+    """(directions, bounds) of the end-to-end metrics in BENCHMARK.json."""
     with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return ({m["name"]: m["better"] for m in spec["end_to_end"]},
+            {m["name"]: m["bound"] for m in spec["end_to_end"]})
 
 
 def main(argv=None) -> int:
@@ -169,11 +214,13 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
             runs[w].append(tuple(pair))
     name, previous = previous_bench(out, args.pr)
-    report = build_report(runs, _directions(args.change), args.pr,
-                          args.seconds, seeds, name, previous)
+    directions, bounds = _end_to_end(args.change)
+    report = build_report(runs, directions, args.pr, args.seconds, seeds,
+                          name, previous, bounds)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    print("\n".join(verdict_lines(report)))
     return 0
 
 
