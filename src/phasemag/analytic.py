@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import NV, TWO_PI, PhysicalConstants
 from .errors import DegenerateSlope, InvalidParameter, OutOfRange
-from .solve import minimize_bounded
+from .solve import NoRoot, find_root
 
 __all__ = [
     "DynamicModel",
@@ -237,18 +237,24 @@ def berry_field_range(m: GeometricModel) -> float:
 # sensitivity
 # ---------------------------------------------------------------------------
 
+# grid on which the best slope is first located, before refinement
+_GRID_POINTS = 2001
+
+
 def sensitivity(signal_fn: Callable, slope_fn: Callable | None,
                 b_search: tuple[float, float], duration: float,
-                sigma_p: float = 1.0, overhead: float = 0.0,
-                grid_points: int = 2001) -> SensitivityReport:
+                sigma_p: float = 1.0, overhead: float = 0.0) -> SensitivityReport:
     """Shot-noise sensitivity: sigma_P * sqrt(T + overhead) / max |dP/dB|.
 
-    The slope is maximized over ``b_search`` on a dense grid, then refined
-    by Brent's bounded minimiser of -|slope| (``solve.minimize_bounded``)
-    between the best grid point's neighbours, to an absolute tolerance of
-    1e-12 of the window; a refinement worse than the grid point is
-    discarded.  ``slope_fn`` may be None, in which case a central difference
-    of ``signal_fn`` is used.
+    |dP/dB| is maximized on a grid of ``_GRID_POINTS`` points over
+    ``b_search``, then refined between the best point's neighbours a and b
+    to 1e-12 of the window, as the root (``solve.find_root``, bracket
+    fixed) of the fall s*(slope(x - e) - slope(x + e)), e = 1e-3 (b - a),
+    s the sign of the best grid slope.  Near the peak that is the fall of
+    |slope|, bit for bit, but it has no root where the slope crosses zero.
+    With no root in [a, b] (a peak at the window's edge), or a smaller
+    |slope| at it, the grid point stands.  ``slope_fn`` may be None, in
+    which case a central difference of ``signal_fn`` is used.
     """
     if not duration > 0:
         raise InvalidParameter(f"duration must be positive, got {duration}")
@@ -265,19 +271,26 @@ def sensitivity(signal_fn: Callable, slope_fn: Callable | None,
             return (np.asarray(signal_fn(np.asarray(b) + 0.5 * db))
                     - np.asarray(signal_fn(np.asarray(b) - 0.5 * db))) / db
 
-    grid = np.linspace(lo, hi, grid_points)
-    mags = np.abs(np.asarray(slope_fn(grid), dtype=float))
-    i = int(np.argmax(mags))
-    a = grid[max(0, i - 1)]
-    b = grid[min(grid_points - 1, i + 1)]
-    if b > a:
-        best_b = float(minimize_bounded(lambda x: -abs(float(slope_fn(x))),
-                                        a, b, xatol=(hi - lo) * 1e-12))
-        best = abs(float(slope_fn(best_b)))
-        if best < mags[i]:
-            best, best_b = float(mags[i]), float(grid[i])
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+    slopes = np.asarray(slope_fn(grid), dtype=float)
+    i = int(np.argmax(np.abs(slopes)))
+    best, best_b = abs(float(slopes[i])), float(grid[i])
+    a = float(grid[max(0, i - 1)])
+    b = float(grid[min(_GRID_POINTS - 1, i + 1)])
+    eps = 1e-3 * (b - a)
+    sign = math.copysign(1.0, slopes[i])
+
+    def fall(x):
+        return sign * (float(slope_fn(x - eps)) - float(slope_fn(x + eps)))
+
+    try:
+        x = find_root(fall, a, b, steps=0, xtol=(hi - lo) * 1e-12)
+    except NoRoot:
+        pass
     else:
-        best, best_b = float(mags[i]), float(grid[i])
+        refined = abs(float(slope_fn(x)))
+        if refined >= best:
+            best, best_b = refined, x
 
     if best < 1e-15:
         raise DegenerateSlope(

@@ -196,6 +196,8 @@ def _resolve(command: str, config_path: Optional[str], overrides: dict) -> dict:
         harness.check_count("workers", resolved["workers"])
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
+    if resolved["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 

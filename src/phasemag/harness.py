@@ -23,7 +23,7 @@ from .constants import NV, TWO_PI, PhysicalConstants
 from .core import StepControl
 from .errors import (AdiabaticityViolation, DegenerateSlope, FitFailure,
                      InvalidParameter, PhasemagError)
-from .noise import SpectralDensity, decoherence_function
+from .noise import SpectralDensity, check_count, decoherence_function
 from .solve import NoRoot, find_root
 
 __all__ = [
@@ -59,12 +59,6 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".9g")
-
-
-def check_count(name: str, value: int) -> None:
-    """Raise InvalidParameter unless the count ``value`` (ensemble, workers) is >= 1."""
-    if value < 1:
-        raise InvalidParameter(f"{name} must be >= 1, got {value}")
 
 
 # largest Larmor phase a curve may reach: beyond 2^52 rad adjacent doubles
@@ -282,17 +276,13 @@ def _eval_point(spec: SweepSpec, index, omega, n_rot, duration):
         else:
             b_max = None
 
-        if spec.engine == "analytic" and spec.protocol == "ramsey":
+        if spec.engine == "analytic":
+            signal_fn, slope_fn = (
+                (analytic.ramsey_signal, analytic.ramsey_slope)
+                if spec.protocol == "ramsey"
+                else (analytic.berry_signal, analytic.berry_slope))
             rep = analytic.sensitivity(
-                lambda b: analytic.ramsey_signal(model, b),
-                lambda b: analytic.ramsey_slope(model, b),
-                (float(b_grid[0]), float(b_grid[-1])), duration,
-                spec.sigma_p, spec.overhead)
-            eta, max_slope = rep.eta, rep.max_slope
-        elif spec.engine == "analytic":
-            rep = analytic.sensitivity(
-                lambda b: analytic.berry_signal(model, b),
-                lambda b: analytic.berry_slope(model, b),
+                lambda b: signal_fn(model, b), lambda b: slope_fn(model, b),
                 (float(b_grid[0]), float(b_grid[-1])), duration,
                 spec.sigma_p, spec.overhead)
             eta, max_slope = rep.eta, rep.max_slope

@@ -514,7 +514,7 @@ def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed,
 
     The update x[k+1] = a*x[k] + delta*sqrt(1-a^2)*z with a = exp(-dt/tau_c)
     reproduces the stationary autocovariance delta^2 exp(-|t|/tau_c) at the
-    grid points exactly.  ``seed`` is an int or a sequence of ints (a
+    grid points exactly.  ``seed`` is an int >= 0 or a sequence of them (a
     ``numpy.random.default_rng`` key); the trajectory is reproducible
     bit-for-bit for a fixed seed.  The sequence executor applies its one
     channel to every field.
@@ -562,7 +562,7 @@ def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
     runs the recursion on Python floats, which is the same IEEE arithmetic
     as the row operation without its per-step numpy overhead.
     """
-    z = np.random.default_rng(seed_key).standard_normal((n_steps + 1, n_traj))
+    z = _rng(seed_key).standard_normal((n_steps + 1, n_traj))
     a = math.exp(-dt / S.tau_c)
     sigma_step = S.delta * math.sqrt(1.0 - a * a)
     x = sigma_step * z
@@ -578,12 +578,22 @@ def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
     return x
 
 
-def _check_count(name: str, value) -> int:
+def check_count(name: str, value) -> int:
     """``value`` as an int, or InvalidParameter unless it is an integer >= 1."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < 1):
-        raise InvalidParameter(f"{name} must be an integer >= 1, got {value!r}")
+        raise InvalidParameter(f"{name} must be >= 1 and an integer, "
+                               f"got {value!r}")
     return int(value)
+
+
+def _rng(seed_key) -> np.random.Generator:
+    """``default_rng(seed_key)``, or InvalidParameter for a key numpy refuses."""
+    try:
+        return np.random.default_rng(seed_key)
+    except (TypeError, ValueError):
+        raise InvalidParameter("seeds must be integers >= 0, got the key "
+                               f"{seed_key!r}") from None
 
 
 # gaps per block of the Monte-Carlo phase map.  Up to _ONE_BLOCK gaps (an
@@ -760,8 +770,8 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
     """
     if not isinstance(S, Lorentzian):
         raise InvalidParameter("the Monte-Carlo decay needs a Lorentzian density")
-    n_traj = _check_count("n_traj", n_traj)
-    chunk = _check_count("chunk", chunk)
+    n_traj = check_count("n_traj", n_traj)
+    chunk = check_count("chunk", chunk)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or not np.all((t_grid >= 0) & (t_grid < math.inf)):
         raise InvalidParameter("times must be nonnegative and finite, at least one")
@@ -770,7 +780,7 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
     phase_map = _phase_map(S, t_grid.ravel(), echo)
     total = np.zeros(t_grid.size)
     for index, done in enumerate(range(0, n_traj, chunk)):
-        z = np.random.default_rng([seed, index]).standard_normal(
+        z = _rng([seed, index]).standard_normal(
             (phase_map.n_normals, min(chunk, n_traj - done)))
         phases = phase_map(z)
         total += np.sum(np.cos(phases, out=phases), axis=1)
@@ -780,7 +790,7 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
 def ou_bank(S: Lorentzian, duration: float, dt: float, n_traj: int, seed: int,
             gamma: float = NV.gamma) -> OUBank:
     """Generate ``n_traj`` exact-discretization OU trajectories at once."""
-    n_traj = _check_count("n_traj", n_traj)
+    n_traj = check_count("n_traj", n_traj)
     n = _ou_steps(S, duration, dt)
     return OUBank(times=np.arange(n + 1) * dt,
                   values=_ou_block(S, n, dt, n_traj, [seed, 0]), gamma=gamma)

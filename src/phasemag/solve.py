@@ -1,18 +1,14 @@
-"""Scalar solvers: one bracketed root and one bounded minimiser.
+"""Scalar solver: one bracketed root.
 
-Every solve in phasemag is one-dimensional: the 1/e times and the decay
-grid are roots of a monotone exponent, calibration is a root in
-q = 1/(delta*tau_c)^2, the T2g fit is a root of the projected gradient,
-and the best slope is a bounded maximum.  Both routines are plain Python
-on floats, so a process that solves never imports an optimisation
-library.
-
-* ``find_root`` widens a bracket geometrically and then runs Brent's
-  (1973) method, step for step as in the classic zeroin: inverse
-  quadratic interpolation or secant steps, guarded by bisection.
-* ``minimize_bounded`` is Brent's (1973) derivative-free minimiser on a
-  closed interval (golden section with parabolic steps), the fminbound
-  algorithm of Forsythe, Malcolm and Moler (1977).
+Every solve in phasemag is one root of a one-dimensional function: the
+1/e times and the decay grid are roots of a monotone exponent, calibration
+is a root in q = 1/(delta*tau_c)^2, the T2g fit is a root of the projected
+gradient, and the best slope is the root of the fall of |slope| across a
+small step.  ``find_root`` widens a bracket geometrically (or keeps it
+fixed, with ``steps=0``) and then runs Brent's (1973) method, step for
+step as in the classic zeroin: inverse quadratic interpolation or secant
+steps, guarded by bisection.  It is plain Python on floats, so a process
+that solves never imports an optimisation library.
 """
 
 from __future__ import annotations
@@ -21,13 +17,12 @@ import math
 
 from .errors import PhasemagError
 
-__all__ = ["NoRoot", "find_root", "minimize_bounded"]
+__all__ = ["NoRoot", "find_root"]
 
 _EPS = 2.220446049250313e-16
-# iteration caps: Brent's root needs a few dozen steps at most and the
-# bounded minimiser a few dozen evaluations on the solves in this package
+# iteration cap: Brent's root needs a few dozen steps at most on the solves
+# in this package
 _MAX_ROOT_ITER = 100
-_MAX_MIN_EVALS = 500
 
 
 class NoRoot(PhasemagError):
@@ -47,9 +42,11 @@ def find_root(f, lo: float, hi: float, *, xtol: float, grow: float = 2.0,
 
     ``lo`` is divided by ``grow`` until f(lo) < 0 and ``hi`` multiplied by
     it until f(hi) > 0, at most ``steps`` times each; ``lo == hi`` is a
-    valid start.  Brent's method then narrows the bracket until it is
-    shorter than xtol + rtol*|x|.  Raises NoRoot when either end fails to
-    change sign or the iteration does not converge in 100 steps.
+    valid start.  ``steps=0`` keeps the bracket as given, so [lo, hi] may
+    then be any finite interval, of either sign.  Brent's method then
+    narrows the bracket until it is shorter than xtol + rtol*|x|.  Raises
+    NoRoot when either end fails to change sign or the iteration does not
+    converge in 100 steps.
     """
     flo = f(lo)
     for _ in range(steps):
@@ -102,73 +99,3 @@ def find_root(f, lo: float, hi: float, *, xtol: float, grow: float = 2.0,
         if not math.isfinite(fcur):
             break
     raise NoRoot("Brent iteration did not converge", lo, hi)
-
-
-def minimize_bounded(f, a: float, b: float, xatol: float) -> float:
-    """Brent's bounded minimiser of ``f`` on [a, b]; returns the abscissa.
-
-    Stops when the bracket around the best point is within
-    2*(sqrt(eps)*|x| + xatol/3) of it, or after 500 evaluations.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAX_MIN_EVALS:
-            break
-    return xf

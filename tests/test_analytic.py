@@ -11,7 +11,7 @@ from phasemag.analytic import (DynamicModel, GeometricModel, HyperfineModel,
                                berry_field_range, berry_phase_argument,
                                berry_signal, berry_slope, hyperfine_average,
                                ramsey_ambiguities, ramsey_field_range,
-                               ramsey_signal, sensitivity)
+                               ramsey_signal, ramsey_slope, sensitivity)
 from phasemag.constants import NV, TWO_PI, PhysicalConstants, angular_from_mhz
 from phasemag.errors import DegenerateSlope, InvalidParameter
 
@@ -186,6 +186,52 @@ class TestSensitivity:
         with pytest.raises(DegenerateSlope):
             sensitivity(lambda b: np.ones_like(np.asarray(b, dtype=float)),
                         None, (0.0, 1e-3), 1e-6)
+
+    @pytest.mark.parametrize("mhz, n, t, stop", [
+        (5.0, 3, 8e-6, 1.0), (5.0, 1, 16e-6, 0.5), (1.0, 6, 50e-6, 1.2),
+        (20.0, 2, 4e-6, 0.8), (0.3, 11, 80e-6, 1.5),
+    ])
+    def test_berry_peak_matches_bounded_minimize_scalar(self, mhz, n, t, stop):
+        # reference: scipy's bounded minimiser of -|slope| between the
+        # neighbours of the best point of the same 2001-point grid, at an
+        # absolute xatol of 1e-15 of the window
+        m = GeometricModel(angular_from_mhz(mhz), n)
+        hi = stop * berry_field_range(m)
+        grid = np.linspace(0.0, hi, 2001)
+        j = int(np.argmax(np.abs(berry_slope(m, grid))))
+        ref = optimize.minimize_scalar(
+            lambda x: -abs(float(berry_slope(m, x))),
+            bounds=(grid[j - 1], grid[j + 1]), method="bounded",
+            options={"xatol": 1e-15 * hi})
+        rep = sensitivity(lambda b: berry_signal(m, b),
+                          lambda b: berry_slope(m, b), (0.0, hi), t)
+        assert rep.max_slope == pytest.approx(-ref.fun, rel=1e-13)
+        assert rep.max_slope == abs(float(berry_slope(m, rep.b_at_max_slope)))
+
+    @pytest.mark.parametrize("t, fringes", [
+        (1e-6, 1.0), (1e-6, 3.7), (8e-6, 40.0), (2e-5, 400.0),
+        # 2.5 to 5 grid points per fringe: the bracket between the best
+        # grid point's neighbours holds a zero of the slope
+        (1e-5, 800.0), (1e-5, 600.0), (3e-5, 450.0),
+    ])
+    def test_ramsey_peak_is_gamma_t(self, t, fringes):
+        m = DynamicModel(t)
+        rep = sensitivity(lambda b: ramsey_signal(m, b),
+                          lambda b: ramsey_slope(m, b),
+                          (0.0, fringes * ramsey_field_range(m)), t)
+        assert rep.max_slope == pytest.approx(NV.gamma * t, rel=1e-14)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 0.2), (0.1, 0.23), (0.55, 0.7)])
+    def test_window_ending_on_a_rising_slope_returns_the_end(self, lo, hi):
+        # |slope| = gamma*T*|sin(2 pi B/B_range)| rises over these windows
+        # (in units of the fringe B_range), so the window's end is the peak
+        m = DynamicModel(1e-6)
+        unit = ramsey_field_range(m)
+        rep = sensitivity(lambda b: ramsey_signal(m, b),
+                          lambda b: ramsey_slope(m, b), (lo * unit, hi * unit),
+                          1e-6)
+        assert rep.b_at_max_slope == hi * unit
+        assert rep.max_slope == abs(float(ramsey_slope(m, hi * unit)))
 
 
 class TestHyperfineAverage:

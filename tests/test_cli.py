@@ -39,6 +39,13 @@ def data_rows(path):
     return [l.split(",") for l in lines[1:]]
 
 
+def _eta_and_slope(path):
+    """(eta, max_slope) strings of each point record of a sweep file."""
+    records = [json.loads(l) for l in read_lines(path) if not l.startswith("#")]
+    return [(r["eta"], r["max_slope"]) for r in records
+            if r["record"] == "point"]
+
+
 class TestSignalCommand:
     def test_ramsey_curve_period(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -219,6 +226,19 @@ class TestSweepCommand:
         eta_fit = next(f for f in fits if f["response"] == "eta")
         assert set(eta_fit["exponents"]) == {"omega", "n_rotations", "duration"}
         assert float(eta_fit["exponents"]["duration"]) == pytest.approx(0.5, abs=0.05)
+
+    def test_berry_sweep_values_pinned(self, tmp_path):
+        # the refined best slope of analytic.sensitivity, digit for digit
+        out = tmp_path / "berry.jsonl"
+        assert run_cli("sweep", "--protocol", "berry", "--omega-mhz-list", "5",
+                       "--n-list", "1,2,3,5", "--t-us-list", "8,16",
+                       "--b-stop-mt", "0.4", "--b-points", "81",
+                       "--out", str(out)) == 0
+        assert _eta_and_slope(out) == [
+            ("4.11349146e-08", "68759.7665"), ("5.81735541e-08", "68759.7665"),
+            ("2.02141117e-08", "139923.394"), ("2.85870709e-08", "139923.394"),
+            ("1.34324556e-08", "210566.645"), ("1.8996361e-08", "210566.645"),
+            ("8.04607482e-09", "351528.812"), ("1.13788681e-08", "351528.812")]
 
     def test_partial_failure_exit_code(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
@@ -427,6 +447,11 @@ class TestBadNumbers:
           "--overlay-t-us", "1e-300"), 2),
         (("decohere", "--delta-rad-s", "1e-60", "--tau-c-us", "1e160",
           "--a-list", "0.1"), 3),
+        (("signal", "--config", str(EXAMPLES / "signal.cfg"), "--engine",
+          "numeric+noise", "--b-points", "3", "--ensemble", "2",
+          "--t2star-us", "50", "--t2-us", "500", "--seed", "-1"), 2),
+        (("decohere", "--config", str(EXAMPLES / "decohere.cfg"), "--engine",
+          "monte-carlo", "--ensemble", "2", "--seed", "-1"), 2),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
@@ -440,7 +465,8 @@ class TestBadNumbers:
             "estimate-ramsey-fringes-window", "estimate-berry-fringes-n",
             "lorentzian-level-overflows", "signal-larmor-phase",
             "signal-ou-knots", "sweep-larmor-phase", "overlay-t-long",
-            "overlay-t-short", "lorentzian-psd-tail"])
+            "overlay-t-short", "lorentzian-psd-tail", "signal-seed-negative",
+            "decohere-seed-negative"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         # rejected by validation: one error line on stderr and no warning
         with warnings.catch_warnings(record=True) as caught:
@@ -464,6 +490,11 @@ class TestExampleConfigs:
         code = run_cli("sweep", "--config", str(repo_docs / "sweep.cfg"),
                        "--out", str(tmp_path / "s.jsonl"))
         assert code == 0
+        # the refined best slope of analytic.sensitivity, digit for digit
+        assert _eta_and_slope(tmp_path / "s.jsonl") == [
+            ("1.27100454e-08", "35185.8377"), ("8.9873593e-09", "70371.6754"),
+            ("6.35502271e-09", "140743.351"), ("5.18885431e-09", "211115.026"),
+            ("4.49367965e-09", "281486.702"), ("4.01926927e-09", "351858.377")]
 
     def test_estimate_example(self, tmp_path, repo_docs, capsys):
         code = run_cli("estimate", "--config", str(repo_docs / "estimate.cfg"),

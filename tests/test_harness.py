@@ -144,10 +144,16 @@ class TestRunSweep:
         with pytest.raises(InvalidParameter):
             SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
                       engine="numeric+noise")
-        for bad in ({"ensemble": 0}, {"ensemble": -3}, {"workers": 0}):
+        for bad in ({"ensemble": 0}, {"ensemble": -3}, {"workers": 0},
+                    {"workers": 1.5}):
             with pytest.raises(InvalidParameter):
                 SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
                           **bad)
+        # a fractional ensemble passed the spec and ended run_sweep in a
+        # TypeError; counts are integers >= 1, checked before any point runs
+        with pytest.raises(InvalidParameter, match="ensemble must be >= 1"):
+            SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
+                      engine="numeric+noise", noise=White(1.0), ensemble=2.5)
 
 
 class TestFitPowerLaw:

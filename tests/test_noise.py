@@ -412,6 +412,21 @@ class TestExactOUSampling:
         with pytest.raises(InvalidParameter):
             call()
 
+    @pytest.mark.parametrize("call", [
+        functools.partial(mc_free_precession_decay, FAST, [1e-6], 10, -1),
+        functools.partial(mc_free_precession_decay, FAST, [1e-6], 10, 2.5),
+        functools.partial(ou_bank, FAST, 1e-5, 1e-6, 4, -1),
+        functools.partial(ou_trajectory, FAST, 1e-5, 1e-6, -1),
+        functools.partial(ou_trajectory, FAST, 1e-5, 1e-6, (3, -1, 0)),
+        functools.partial(ou_trajectory, FAST, 1e-5, 1e-6, "seed")],
+        ids=["mc-negative", "mc-fraction", "bank-negative",
+             "trajectory-negative", "trajectory-negative-key",
+             "trajectory-text"])
+    def test_bad_seeds_rejected(self, call):
+        # numpy's SeedSequence would raise its own ValueError or TypeError
+        with pytest.raises(InvalidParameter, match="seed"):
+            call()
+
     def test_times_need_not_be_sorted(self, calibrated_noise):
         ts = np.array([3e-5, 0.0, 1e-5, 3e-5])
         w = mc_free_precession_decay(calibrated_noise, ts, 64, seed=2, echo=True)

@@ -1,11 +1,11 @@
-"""Scalar solvers against scipy's, which stay on the test side."""
+"""The scalar root against scipy's brentq, which stays on the test side."""
 
 import math
 
 import pytest
 from scipy import optimize
 
-from phasemag.solve import NoRoot, find_root, minimize_bounded
+from phasemag.solve import NoRoot, find_root
 
 ROOT_CASES = [
     (lambda x: x**3 - 2.0, 0.1, 40.0, 2e-12, 8.881784197001252e-16),
@@ -39,15 +39,19 @@ class TestFindRoot:
             find_root(lambda x: x + 1.0, 1.0, 2.0, xtol=0.0, grow=4.0, steps=3)
         assert (info.value.lo, info.value.hi) == (1.0 / 64.0, 2.0)
 
+    def test_fixed_bracket_is_not_widened(self):
+        # steps=0: the root at -3 lies outside [-2, 2], and no end moves
+        calls = []
 
-class TestMinimizeBounded:
-    @pytest.mark.parametrize("f, a, b, xatol", [
-        (lambda x: (x - 1.3) ** 2, -1.0, 3.0, 1e-5),
-        (lambda x: -math.sin(2.0 * x) * math.exp(-0.1 * x), 0.0, 1.5, 1e-12),
-        (lambda x: abs(x - 0.4) ** 1.5 + 0.1 * x, -0.5, 2.0, 1e-9),
-        (lambda x: -abs(math.cos(3.0 * x) * x), 0.5, 1.5, 1e-12),
-    ])
-    def test_matches_bounded_minimize_scalar_bit_for_bit(self, f, a, b, xatol):
-        ref = optimize.minimize_scalar(f, bounds=(a, b), method="bounded",
-                                       options={"xatol": xatol})
-        assert minimize_bounded(f, a, b, xatol) == float(ref.x)
+        def f(x):
+            calls.append(x)
+            return x + 3.0
+
+        with pytest.raises(NoRoot) as info:
+            find_root(f, -2.0, 2.0, xtol=0.0, steps=0)
+        assert (info.value.lo, info.value.hi) == (-2.0, 2.0)
+        assert calls == [-2.0, 2.0]
+
+    def test_fixed_bracket_of_either_sign(self):
+        x = find_root(lambda x: x + 3.0, -5.0, 1.0, xtol=1e-12, steps=0)
+        assert x == pytest.approx(-3.0, abs=1e-12)
