@@ -7,9 +7,7 @@ estimators that demonstrate unique phase unwrapping, and a sweep harness with
 power-law fitting.
 """
 
-from .constants import (NV, PhysicalConstants, angular_from_mhz,
-                        mhz_from_angular, mt_from_tesla, seconds_from_us,
-                        tesla_from_mt, us_from_seconds)
+from .constants import NV, PhysicalConstants, angular_from_mhz
 from .core import (ConvergenceReport, DriveParams, LarmorVector, SpinState,
                    StepControl, apply_ideal_pulse, apply_resonant_pulse,
                    larmor_from_drive, propagate_constant, propagate_swept,

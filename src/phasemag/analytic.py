@@ -214,10 +214,14 @@ def berry_signal(m: GeometricModel, b):
 
 
 def berry_slope(m: GeometricModel, b):
-    """Analytic dP/dB = sin(arg) * 4*pi*N*gamma*Omega^2 / R^3."""
+    """Analytic dP/dB = sin(arg) * 4*pi*N*gamma*Omega^2 / R^3.
+
+    The envelope is evaluated as (Omega/R)^2 / R, so Omega^2 and R^3 cannot
+    overflow or underflow where the quotient itself is a float.
+    """
     det = m.gamma * np.asarray(b, dtype=float)
     r = np.hypot(det, m.rabi)
-    envelope = 4.0 * math.pi * m.n_rotations * m.gamma * m.rabi**2 / r**3
+    envelope = 4.0 * math.pi * m.n_rotations * m.gamma * (m.rabi / r)**2 / r
     return np.sin(berry_phase_argument(m, b)) * envelope
 
 

@@ -241,6 +241,20 @@ def _header_lines(command: str, cfg: dict) -> list[str]:
     return lines
 
 
+def _field_grid(cfg: dict, min_points: int, what: str = "") -> np.ndarray:
+    """The ``b_points`` fields from ``b_start_mt`` to ``b_stop_mt``, in tesla.
+
+    ConfigError for fewer than ``min_points`` points (``what`` ends that
+    message) and for a window numpy could not span without a warning.
+    """
+    if cfg["b_points"] < min_points:
+        raise ConfigError(f"b_points must be >= {min_points}{what}")
+    start, stop = cfg["b_start_mt"], cfg["b_stop_mt"]
+    if not math.isfinite(stop - start):
+        raise ConfigError("fields must be finite")
+    return np.linspace(start, stop, cfg["b_points"]) * 1e-3
+
+
 def _write_text(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
@@ -257,15 +271,13 @@ def cmd_signal(cfg: dict) -> int:
     _require(cfg, "protocol", "b_stop_mt", "b_points")
     protocol = cfg["protocol"]
     engine = cfg["engine"]
-    if cfg["b_points"] < 1:
-        raise ConfigError("b_points must be >= 1")
+    b_grid = _field_grid(cfg, 1)
     if protocol == "berry":
         _require(cfg, "omega_mhz", "n", "t_us")
     else:
         _require(cfg, "t_us")
     S = _noise_model(cfg)
     duration = cfg["t_us"] * 1e-6
-    b_grid = np.linspace(cfg["b_start_mt"], cfg["b_stop_mt"], cfg["b_points"]) * 1e-3
     omega = angular_from_mhz(cfg["omega_mhz"]) if protocol == "berry" else None
     try:
         constants = _constants(cfg)
@@ -301,14 +313,11 @@ def cmd_signal(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     _require(cfg, "protocol", "t_us_list", "b_stop_mt", "b_points")
-    if cfg["b_points"] < 2:
-        raise ConfigError("b_points must be >= 2 for sweeps")
+    b_grid = list(_field_grid(cfg, 2, " for sweeps"))
     S = _noise_model(cfg)
     times = [t * 1e-6 for t in cfg["t_us_list"]]
     omegas = ([angular_from_mhz(f) for f in cfg["omega_mhz_list"]]
               if cfg.get("omega_mhz_list") else None)
-    b_grid = list(np.linspace(cfg["b_start_mt"], cfg["b_stop_mt"],
-                              cfg["b_points"]) * 1e-3)
     try:
         constants = _constants(cfg)
         spec = SweepSpec(protocol=cfg["protocol"], times=times, b_grid=b_grid,

@@ -12,15 +12,19 @@ vector from +x toward +y (right-handed about +z).  Signal formulas produced by
 the sequence layer are even in this choice; it is fixed here so tests are
 deterministic.
 
-Propagation is always by exact axis-angle rotations.  Time-dependent controls
-are handled on a mesh that is refined (halving the step) until a Richardson
-error estimate meets tolerance; both meshes below share that loop
-(``_refine``).  Each slice of ``propagate_swept`` is the 4th-order
-commutator-free Magnus step (Blanes & Moan, Appl. Numer. Math. 56, 1519
-(2006); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): with R
-sampled at the two Gauss nodes of the slice, two exact rotations about
-h*(a1*R1 + a2*R2) and then h*(a2*R1 + a1*R2), a1,2 = 1/4 +- sqrt(3)/6.  The
-noisy co-rotating mesh of ``sequences.execute_batch`` sees
+Propagation is always by exact axis-angle rotations, all built by one
+kernel (``_rotation_matrices``).  Time-dependent controls are handled on a
+mesh that is refined (halving the step) until a Richardson error estimate
+meets tolerance; both meshes below share that loop (``_refine``).
+``propagate_swept`` carries one state.  It samples the drive phase and the
+detuning through functions of an array of times, each returning a scalar
+or one value per time (any other shape is rejected), and each of its
+slices is the 4th-order commutator-free Magnus step (Blanes & Moan, Appl.
+Numer. Math. 56, 1519 (2006); Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+151 (2009)): with R sampled at the two Gauss nodes of the slice, two exact
+rotations about h*(A1*R1 + A2*R2) and then h*(A2*R1 + A1*R2),
+A1,2 = 1/4 +- sqrt(3)/6.  The noisy co-rotating mesh of
+``sequences.execute_batch`` carries a batch of states and sees
 R(t) = (Omega, 0, w(t)) with w linear between the noise knots, so it cuts
 each knot interval into equal slices and takes the classic 4th-order Magnus
 step there, one exact rotation about h*R(t_mid) + (h^3/12) R' x R(t_mid)
@@ -57,17 +61,16 @@ _NORM_SLACK = 1e-6
 # default start: slices per 2*pi of drive-phase sweep and per Larmor turn
 _STEPS_PER_PHASE_TURN = 64
 _STEPS_PER_LARMOR_TURN = 64
-# The lab-frame step rule as (nodes, rows): a slice [t, t + h] samples R at
-# t + c*h for each node c, then applies one exact rotation about
-# h * sum_j row[j] * R_j per row, first row first.  It is the 4th-order
-# commutator-free Magnus step at the two Gauss nodes (Blanes & Moan, Appl.
-# Numer. Math. 56, 1519 (2006)); the first exponential leans on the
-# earlier node
+# The lab-frame step, the 4th-order commutator-free Magnus step (Blanes &
+# Moan, Appl. Numer. Math. 56, 1519 (2006)): a slice [t, t + h] samples R at
+# the Gauss nodes t + C1*h and t + C2*h, then rotates exactly about
+# h*(A1*R1 + A2*R2) and then about h*(A2*R1 + A1*R2), so the first rotation
+# leans on the earlier node
 _SQRT3_6 = math.sqrt(3.0) / 6.0
-_CF4 = ((0.5 - _SQRT3_6, 0.5 + _SQRT3_6),
-        ((0.25 + _SQRT3_6, 0.25 - _SQRT3_6),
-         (0.25 - _SQRT3_6, 0.25 + _SQRT3_6)))
-# rotations per block of the composition (slices x rows x channels)
+_NODES = (0.5 - _SQRT3_6, 0.5 + _SQRT3_6)
+_A1 = 0.25 + _SQRT3_6
+_A2 = 0.25 - _SQRT3_6
+# rotations per block of the composition (slices x rotations x states)
 _BLOCK = 262144
 
 
@@ -176,14 +179,6 @@ class ConvergenceReport:
 # rotations
 # ---------------------------------------------------------------------------
 
-def _rotate(vec: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate ``vec`` about unit ``axis`` by ``angle`` (right-handed)."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    cross = np.cross(axis, vec)
-    return vec * c + cross * s + axis * np.dot(axis, vec) * (1.0 - c)
-
-
 def _rotation_matrices(nx, ny, nz, angle) -> np.ndarray:
     """Axis-angle rotation matrices, vectorized over leading dimensions.
 
@@ -226,22 +221,6 @@ def _reduce_time_ordered(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _combine(rows, comp: np.ndarray) -> np.ndarray:
-    """Weighted node sums, one per row: (n, J, ...) -> (n * K, ...).
-
-    Row k of the result for slice i is sum_j rows[k][j] * comp[i, j], and
-    the rows of one slice are consecutive, so the stack stays time-ordered.
-    """
-    out = []
-    for row in rows:
-        acc = row[0] * comp[:, 0]
-        for j in range(1, len(row)):
-            acc = acc + row[j] * comp[:, j]
-        out.append(acc)
-    stacked = np.stack(out, axis=1)
-    return stacked.reshape((-1,) + stacked.shape[2:])
-
-
 def _unit_axes(wx, wy, wz, dt):
     """Unit axes and angles of the rotations about dt * (wx, wy, wz).
 
@@ -256,38 +235,21 @@ def _unit_axes(wx, wy, wz, dt):
     return nx, ny, nz, np.where(pos, r * dt, 0.0)
 
 
-def _step_axes(rabi: float, phases: np.ndarray, dets: np.ndarray, rows,
-               dt: float):
-    """Unit rotation axes and angles of the exponentials of a step rule.
-
-    ``phases`` has shape (n, J) and ``dets`` (n, J) or (n, J, m) for a
-    batch of m detuning channels sharing one phase profile, sampled at the
-    J nodes of each of n slices.  Each row of ``rows`` gives one rotation
-    about dt * sum_j row[j] * R_j; the result is flattened to n * K
-    rotations in the order they act.
-    """
-    rx = rabi * np.cos(phases)
-    ry = rabi * np.sin(phases)
-    if dets.ndim == 3:
-        rx = rx[..., None]
-        ry = ry[..., None]
-    wx, wy, wz = (_combine(rows, c) for c in (rx, ry, dets))
-    return _unit_axes(wx, wy, wz, dt)
-
-
 def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
     """Evaluate a time function on an array of times.
 
-    ``fn`` is called with the whole array, and whatever it raises
-    propagates.  A scalar result is broadcast over ``ts``; a result whose
-    shape does not follow ``ts`` is replaced by one call per time.
+    ``fn`` is called once, with the whole array, and whatever it raises
+    propagates.  A scalar result is broadcast over ``ts``; any other result
+    must hold one value per time, else ``InvalidParameter``.
     """
     vals = np.asarray(fn(ts), dtype=float)
     if vals.ndim == 0:
         return np.full(ts.shape, float(vals))
-    if vals.shape[0] == ts.shape[0] and vals.ndim <= 2:
-        return vals
-    return np.array([float(fn(t)) for t in ts], dtype=float)
+    if vals.shape != ts.shape:
+        raise InvalidParameter(
+            f"a phase or detuning function must return a scalar or one value "
+            f"per time; got shape {vals.shape} for {ts.size} times")
+    return vals
 
 
 def _compose(states: np.ndarray, n_slices: int, per_slice: int,
@@ -313,26 +275,29 @@ def _compose(states: np.ndarray, n_slices: int, per_slice: int,
     return total @ states
 
 
-def _compose_swept(states: np.ndarray, rabi: float, phase_fn, det_fn,
+def _compose_swept(state: np.ndarray, rabi: float, phase_fn, det_fn,
                    duration: float, n_steps: int) -> np.ndarray:
-    """Apply ``n_steps`` equal ``_CF4`` slices to ``states``.
+    """Apply ``n_steps`` equal lab-frame slices to one state (3,).
 
-    ``states`` is (3,) or (m, 3); ``det_fn`` evaluated on an array of n
-    times must return (n,) or (n, m) to match.  The phase and the detuning
-    are sampled block by block (``_compose``).
+    Each slice is two rotations, about h*(A1*R1 + A2*R2) and then
+    h*(A2*R1 + A1*R2), with R sampled at its two Gauss nodes.  The phase
+    and the detuning are sampled block by block (``_compose``), both nodes
+    of every slice in one call each.
     """
-    nodes, rows = _CF4
     dt = duration / n_steps
 
     def axes(start, stop):
-        ts = ((np.arange(start, stop)[:, None] + np.asarray(nodes)) * dt).ravel()
-        shape = (stop - start, len(nodes))
-        phases = _sample(phase_fn, ts).reshape(shape)
-        dets = _sample(det_fn, ts)
-        dets = dets.reshape(shape + dets.shape[1:])
-        return _step_axes(rabi, phases, dets, rows, dt)
+        ts = ((np.arange(start, stop)[:, None] + _NODES) * dt).ravel()
+        phases = _sample(phase_fn, ts)
+        w = []
+        for comp in (rabi * np.cos(phases), rabi * np.sin(phases),
+                     _sample(det_fn, ts)):
+            r1, r2 = comp[0::2], comp[1::2]
+            w.append(np.stack((_A1 * r1 + _A2 * r2, _A2 * r1 + _A1 * r2),
+                              axis=1).ravel())
+        return _unit_axes(*w, dt)
 
-    return _compose(states, n_steps, len(rows), axes)
+    return _compose(state, n_steps, 2, axes)
 
 
 def _compose_knots(states: np.ndarray, rabi: float, lengths: np.ndarray,
@@ -403,16 +368,17 @@ def _refine(compose: Callable, ctl: StepControl):
     )
 
 
-def _swept_refine(states: np.ndarray, rabi: float, phase_fn, det_fn,
+def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
                   duration: float, ctl: StepControl):
-    """Richardson-refined ``_CF4`` composition.  Core of ``propagate_swept``.
+    """Richardson-refined ``_compose_swept`` of one state.  Core of
+    ``propagate_swept``.
 
     The mesh halves from the start of ``_initial_mesh`` (``_refine``).
     """
     if duration == 0.0:
-        return states.copy(), ConvergenceReport(0, (), True)
+        return state.copy(), ConvergenceReport(0, (), True)
     n0 = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl)
-    return _refine(lambda d: (_compose_swept(states, rabi, phase_fn, det_fn,
+    return _refine(lambda d: (_compose_swept(state, rabi, phase_fn, det_fn,
                                              duration, n0 << d), n0 << d),
                    ctl)
 
@@ -479,12 +445,10 @@ def propagate_constant(state: SpinState, d: DriveParams, duration: float) -> Spi
     r = math.hypot(d.rabi, d.detuning)
     if r == 0.0 or duration == 0.0:
         return state
-    axis = np.array([
-        d.rabi * math.cos(d.phase) / r,
-        d.rabi * math.sin(d.phase) / r,
-        d.detuning / r,
-    ])
-    return SpinState.from_array(_rotate(state.as_array(), axis, r * duration))
+    rot = _rotation_matrices(d.rabi * math.cos(d.phase) / r,
+                             d.rabi * math.sin(d.phase) / r, d.detuning / r,
+                             r * duration)
+    return SpinState.from_array(rot @ state.as_array())
 
 
 def propagate_swept(state: SpinState, rabi: float,
@@ -502,8 +466,9 @@ def propagate_swept(state: SpinState, rabi: float,
     ``max_depth`` halvings.
 
     ``phase_fn`` and ``detuning_fn`` are called with arrays of times and
-    may return a scalar (a constant) or one value per time; an exception
-    they raise propagates unchanged.
+    may return a scalar (a constant) or one value per time; any other
+    shape raises ``InvalidParameter``, and an exception they raise
+    propagates unchanged.  One state is propagated per call.
     """
     out, _ = propagate_swept_report(state, rabi, phase_fn, detuning_fn,
                                     duration, step_control)
@@ -533,8 +498,9 @@ def apply_ideal_pulse(state: SpinState, axis_phase: float, angle: float) -> Spin
     right-handed about that axis, so (0,0,1) under a pi/2 pulse about +x
     goes to (0,-1,0).
     """
-    axis = np.array([math.cos(axis_phase), math.sin(axis_phase), 0.0])
-    return SpinState.from_array(_rotate(state.as_array(), axis, angle))
+    rot = _rotation_matrices(math.cos(axis_phase), math.sin(axis_phase), 0.0,
+                             angle)
+    return SpinState.from_array(rot @ state.as_array())
 
 
 def apply_resonant_pulse(state: SpinState, rabi: float, axis_phase: float,

@@ -23,13 +23,6 @@ class ConvergenceFailure(PhasemagError):
         self.error_history = tuple(error_history)
 
 
-class QuadratureFailure(PhasemagError):
-    """Frequency-domain integration missed its relative error target.
-
-    No longer raised: every spectral density has a closed-form exponent.
-    """
-
-
 class FitFailure(PhasemagError):
     """A least-squares fit could not be performed on the given samples."""
 

@@ -409,6 +409,10 @@ def fit_power_law(result: SweepResult, response: str,
 # decoupled-control demonstration
 # ---------------------------------------------------------------------------
 
+# largest zero-field adiabaticity the decoupled-control curve may reach
+_SMART_A_LIMIT = 0.1
+
+
 @dataclass(frozen=True)
 class SmartControlRow:
     k: float
@@ -428,14 +432,14 @@ class SmartControlResult:
     eta_held_within: float  # max |eta_ratio - 1|
 
 
-def smart_control_curve(base: GeometricModel, duration: float, k_grid,
-                        sigma_p: float = 1.0, overhead: float = 0.0,
-                        a_limit: float = 0.1) -> SmartControlResult:
+def smart_control_curve(base: GeometricModel, duration: float,
+                        k_grid) -> SmartControlResult:
     """Scale Omega -> k*Omega, N -> round(k*N) at fixed T and Omega/N ratio.
 
-    Sensitivity stays constant (max slope tracks N/Omega) while the field
-    range grows like k^(3/2).  Raises AdiabaticityViolation naming the
-    first k at which the zero-field adiabaticity exceeds ``a_limit``.
+    Sensitivity, at sigma_P = 1 and no overhead, stays constant (max slope
+    tracks N/Omega) while the field range grows like k^(3/2).  Raises
+    AdiabaticityViolation naming the first k at which the zero-field
+    adiabaticity exceeds ``_SMART_A_LIMIT``.
     """
     k_grid = sorted(float(k) for k in k_grid)
     if not k_grid or k_grid[0] <= 0:
@@ -446,16 +450,16 @@ def smart_control_curve(base: GeometricModel, duration: float, k_grid,
         omega = k * base.rabi
         n_rot = max(1, int(round(k * base.n_rotations)))
         a_val = adiabaticity(omega, n_rot, duration, 0.0, base.gamma)
-        if a_val > a_limit:
+        if a_val > _SMART_A_LIMIT:
             raise AdiabaticityViolation(
-                f"adiabaticity {a_val:.3g} exceeds {a_limit:g} at k={k:g}",
+                f"adiabaticity {a_val:.3g} exceeds {_SMART_A_LIMIT:g} at k={k:g}",
                 scale=k)
         model = GeometricModel(omega, n_rot, base.gamma)
         b_max = analytic.berry_field_range(model)
         rep = analytic.sensitivity(
             lambda b: analytic.berry_signal(model, b),
             lambda b: analytic.berry_slope(model, b),
-            (0.0, b_max), duration, sigma_p, overhead)
+            (0.0, b_max), duration)
         if base_eta is None:
             base_eta, base_bmax = rep.eta, b_max
         rows.append(SmartControlRow(

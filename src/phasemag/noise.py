@@ -51,7 +51,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -300,13 +300,10 @@ def decoherence_function(S: SpectralDensity, adiabaticity: float,
 
 @dataclass(frozen=True)
 class CoherenceCurve:
-    """Sampled coherence decay with an optional squared-exponential fit."""
+    """Sampled coherence decay W(T) at increasing times T."""
 
     times: tuple
     values: tuple
-    t2g: Optional[float] = None
-    residual: Optional[float] = None
-    stretch_exponent: int = 2
 
 
 def coherence_decay(S: SpectralDensity, adiabaticity: float,
@@ -380,6 +377,10 @@ def fit_T2g(samples) -> tuple[float, float]:
 # calibration
 # ---------------------------------------------------------------------------
 
+# relative tolerance of a calibrated bath's 1/e times on their targets
+_CALIBRATE_TOL = 0.05
+
+
 def _one_over_e_time(exponent_fn, S: SpectralDensity, guess: float) -> float:
     """Solve exponent(T) = 1 by bracketed root search (exponent is monotone)."""
     try:
@@ -397,8 +398,7 @@ def _bracket_inverse(q: float, echo: bool) -> float:
                      grow=4.0, steps=60, xtol=0.0)
 
 
-def calibrate_noise(t2_star: float, t2: float,
-                    tol: float = 0.05) -> Lorentzian:
+def calibrate_noise(t2_star: float, t2: float) -> Lorentzian:
     """Find (delta, tau_c) whose free-precession and echo 1/e times match targets.
 
     A Lorentzian's exponents are delta^2 tau_c^2 g(T/tau_c), with g the
@@ -410,18 +410,19 @@ def calibrate_noise(t2_star: float, t2: float,
     t2)^6, therefore solves the calibration; then tau_c = t2_star/g_free^-1(q)
     and delta = 1/(tau_c*sqrt(q)).  The result is checked against the
     targets by solving exponent(T) = 1 for each time afresh.  Raises
-    CalibrationFailure when the targets cannot be met within ``tol`` — in
-    particular for t2 <= t2_star*(1 + 2*tol), where the echo gain the
-    family always provides cannot be distinguished from the tolerance.
+    CalibrationFailure when the targets cannot be met within 5 %
+    (``_CALIBRATE_TOL``) — in particular for t2 <= 1.1*t2_star, where the
+    echo gain the family always provides cannot be distinguished from the
+    tolerance.
     """
     if not 0 < t2_star < math.inf or not 0 < t2 < math.inf:
         raise InvalidParameter("targets must be positive and finite")
     if t2 < t2_star:
         raise InvalidParameter("echo target must not be below the free-precession target")
-    if t2 <= t2_star * (1.0 + 2.0 * tol):
+    if t2 <= t2_star * (1.0 + 2.0 * _CALIBRATE_TOL):
         raise CalibrationFailure(
             f"targets t2={t2:g}, t2_star={t2_star:g} are degenerate for a "
-            f"Lorentzian bath at tolerance {tol:g}"
+            f"Lorentzian bath at tolerance {_CALIBRATE_TOL:g}"
         )
     log_ratio = math.log(t2) - math.log(t2_star)
 
@@ -442,7 +443,8 @@ def calibrate_noise(t2_star: float, t2: float,
         ) from None
     achieved_r = _one_over_e_time(ramsey_exponent, S, t2_star)
     achieved_e = _one_over_e_time(echo_exponent, S, t2)
-    if abs(achieved_r / t2_star - 1.0) > tol or abs(achieved_e / t2 - 1.0) > tol:
+    if (abs(achieved_r / t2_star - 1.0) > _CALIBRATE_TOL
+            or abs(achieved_e / t2 - 1.0) > _CALIBRATE_TOL):
         raise CalibrationFailure(
             f"best candidate reaches 1/e times ({achieved_r:.3e}, {achieved_e:.3e}) "
             f"vs targets ({t2_star:.3e}, {t2:.3e})",

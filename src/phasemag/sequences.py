@@ -94,7 +94,7 @@ Segment = Union[IdealPulse, FreeEvolution, SweptDrive]
 
 @dataclass(frozen=True)
 class SequencePlan:
-    """Ordered segments plus the declared control settings.
+    """Ordered segments with a label.
 
     ``duration`` is the total interaction time; construction checks that the
     evolution segments actually add up to it.
@@ -103,8 +103,6 @@ class SequencePlan:
     segments: tuple
     label: str
     duration: float
-    rabi: Optional[float] = None
-    n_rotations: Optional[int] = None
 
     def __post_init__(self):
         total = sum(s.duration for s in self.segments)
@@ -165,8 +163,7 @@ def build_berry(rabi: float, n_rotations: int, duration: float) -> SequencePlan:
         SweptDrive(rabi, TWO_PI * n_rotations, -rate, half),
         IdealPulse(READOUT_PHASE, math.pi / 2.0),
     )
-    return SequencePlan(segments, "berry", duration, rabi=rabi,
-                        n_rotations=n_rotations)
+    return SequencePlan(segments, "berry", duration)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import phasemag
-from phasemag.cli import SIGNAL_HEADER, main
+from phasemag.cli import _COMMAND_KEYS, SIGNAL_HEADER, main
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -376,6 +376,18 @@ class TestDecohereCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+# every float key of every command at each bad value, on top of the
+# command's example config; estimate's time and window keys on the ramsey
+# form of the estimate example
+BAD_NUMBER_TABLE = [(command, key, value)
+                    for command, registry in sorted(_COMMAND_KEYS.items())
+                    for key, (conv, _) in registry.items() if conv is float
+                    for value in ("nan", "inf", "-inf", "1e300", "-1e300",
+                                  "1e-300")]
+ESTIMATE_RAMSEY_KEYS = ("t_us", "window_start_mt", "window_stop_mt")
+ESTIMATE_RAMSEY_FORM = ("--protocol=ramsey", "--t-us=1", "--window-stop-mt=0.5")
+
+
 class TestBadNumbers:
     """Absurd but parseable numbers end in exit 2 or 3 and write no file."""
 
@@ -476,6 +488,26 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert "error" in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, key, value", BAD_NUMBER_TABLE,
+                             ids=["-".join(case) for case in BAD_NUMBER_TABLE])
+    def test_every_float_key(self, tmp_path, monkeypatch, capsys, command,
+                             key, value):
+        # exits with a documented code, warns nothing, says at most one
+        # line on stderr, and a rejected run writes no file
+        monkeypatch.chdir(tmp_path)
+        args = [command, "--config", str(EXAMPLES / f"{command}.cfg")]
+        if command == "estimate" and key in ESTIMATE_RAMSEY_KEYS:
+            args += ESTIMATE_RAMSEY_FORM
+        args.append(f"--{key.replace('_', '-')}={value}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        assert code in (0, 2, 3, 4, 5)
+        assert [str(w.message) for w in caught] == []
+        assert len(capsys.readouterr().err.splitlines()) <= 1
+        if code in (2, 3):
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestExampleConfigs:

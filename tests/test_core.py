@@ -275,41 +275,48 @@ class TestPropagateSwept:
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_mesh_is_sampled_block_by_block(self, monkeypatch, noisy):
-        # a fine mesh on a wide batch must never sample (lab frame) or
-        # rotate (knot mesh of the noisy sweeps) the whole mesh at once;
-        # splitting it into more blocks leaves the result unchanged
-        m = 64
-        dets = np.linspace(-2e6, 2e6, m)
-        states = np.tile([0.0, -1.0, 0.0], (m, 1))
+        # a fine mesh must never sample and rotate the whole mesh at once,
+        # neither the lab-frame mesh of one state nor the knot mesh of a
+        # batch (the noisy sweeps); splitting it into more blocks leaves
+        # the result unchanged
         sizes = []
+        rotate = core._rotation_matrices
+
+        def spy(*args):
+            sizes.append(np.broadcast(*args).size)
+            return rotate(*args)
+
+        monkeypatch.setattr(core, "_rotation_matrices", spy)
         if noisy:
+            m = 64
+            dets = np.linspace(-2e6, 2e6, m)
+            states = np.tile([0.0, -1.0, 0.0], (m, 1))
             knots = np.linspace(0.0, 5e-6, 101)
             edge_dets = dets[None, :] + 1e5 * np.sin(3e5 * knots)[:, None]
-            rotate = core._rotation_matrices
-
-            def spy(*args):
-                sizes.append(np.broadcast(*args).size)
-                return rotate(*args)
-
-            monkeypatch.setattr(core, "_rotation_matrices", spy)
 
             def run():
                 # 100 intervals of 64 slices, 64 channels: 409600 rotations
                 return core._compose_knots(states, 3e6, np.diff(knots),
                                            edge_dets, 6)
         else:
-            def det_fn(t):
-                sizes.append(t.size * m)
-                return dets[None, :] + 1e5 * np.sin(3e5 * t)[:, None]
-
             def run():
-                return _compose_swept(states, 3e6, lambda t: 0.0, det_fn,
-                                      5e-6, 5000)
+                # 200000 slices of two rotations each
+                return _compose_swept(np.array([0.0, -1.0, 0.0]), 3e6,
+                                      lambda t: 0.0,
+                                      lambda t: 2e6 + 1e5 * np.sin(3e5 * t),
+                                      5e-6, 200000)
         out = run()
         assert len(sizes) > 1
         assert max(sizes) <= core._BLOCK
         monkeypatch.setattr(core, "_BLOCK", core._BLOCK // 8)
         assert np.allclose(run(), out, rtol=0, atol=1e-12)
+
+    def test_time_function_of_another_shape_rejected(self):
+        # one value per time or a scalar; a batch of detunings per time is
+        # not retried time by time
+        with pytest.raises(InvalidParameter, match="one value per time"):
+            propagate_swept(SpinState.up(), 1e6, lambda t: 0.0,
+                            lambda t: np.zeros((np.size(t), 2)), 1e-6)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(InvalidParameter):

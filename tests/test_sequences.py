@@ -186,8 +186,7 @@ class TestBerryExecution:
                 SweptDrive(W5, TWO_PI * n_rot, rate, half),
                 standard.segments[4],
             ),
-            label="berry-corotating", duration=duration, rabi=W5,
-            n_rotations=n_rot)
+            label="berry-corotating", duration=duration)
         model = GeometricModel(W5, n_rot)
         bs = np.linspace(0.05, 0.95, 12) * berry_field_range(model)
         p_std = execute_batch(standard, bs)
