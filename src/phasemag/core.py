@@ -12,10 +12,17 @@ vector from +x toward +y (right-handed about +z).  Signal formulas produced by
 the sequence layer are even in this choice; it is fixed here so tests are
 deterministic.
 
-Propagation is always by exact axis-angle rotations, all built by one
-kernel (``_rotation_matrices``).  Time-dependent controls are handled on a
-mesh that is refined (halving the step) until a Richardson error estimate
-meets tolerance; both meshes below share that loop (``_refine``).
+Propagation is always by exact rotations, each held as its Cayley-Klein
+pair (a, b), the first row of its SU(2) matrix [[a, b], [-b*, a*]]
+(Goldstein, Classical Mechanics, sec. 4.5).  One kernel serves every
+propagator: ``_pairs`` builds the pairs of rotations about given vectors
+from their half angles, ``_mul`` composes two pairs with four complex
+multiplies, ``_reduce`` takes the time-ordered product of a stack of them
+pairwise, and ``_apply`` rotates Bloch vectors by a pair once, at the end.
+From |0> a pair reaches (a, -b*), so the readout s_z is |a|^2 - |b|^2.
+Time-dependent controls are handled on a mesh that is refined (halving the
+step) until a Richardson error estimate meets tolerance; both meshes below
+share that loop (``_refine``).
 ``propagate_swept`` carries one state.  It samples the drive phase and the
 detuning through functions of an array of times, each returning a scalar
 or one value per time (any other shape is rejected), and each of its
@@ -24,7 +31,7 @@ Numer. Math. 56, 1519 (2006); Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 151 (2009)): with R sampled at the two Gauss nodes of the slice, two exact
 rotations about h*(A1*R1 + A2*R2) and then h*(A2*R1 + A1*R2),
 A1,2 = 1/4 +- sqrt(3)/6.  The noisy co-rotating mesh of
-``sequences.execute_batch`` carries a batch of states and sees
+``sequences.execute_batch`` returns one pair per field and sees
 R(t) = (Omega, 0, w(t)) with w linear between the noise knots, so it cuts
 each knot interval into equal slices and takes the classic 4th-order Magnus
 step there, one exact rotation about h*R(t_mid) + (h^3/12) R' x R(t_mid)
@@ -176,63 +183,84 @@ class ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# rotations
+# rotations as Cayley-Klein pairs
 # ---------------------------------------------------------------------------
 
-def _rotation_matrices(nx, ny, nz, angle) -> np.ndarray:
-    """Axis-angle rotation matrices, vectorized over leading dimensions.
+def _pairs(wx, wy, wz, dt, r=None):
+    """Cayley-Klein pairs of the rotations about (wx, wy, wz) by |w|*dt.
 
-    ``nx, ny, nz`` are unit-axis components and ``angle`` rotation angles,
-    all broadcastable to a common shape; returns that shape + (3, 3).
+    The arguments broadcast to a common shape, which is the shape of both
+    returned arrays: with r = |w|, a = cos(r dt/2) - i sin(r dt/2) wz/r and
+    b = -sin(r dt/2) (wy + i wx)/r.  A zero w gives the identity.  A caller
+    may pass r itself: a rotation by many turns is off by r's rounding
+    times its angle, and ``np.hypot`` keeps that rounding within an ulp.
     """
-    nx, ny, nz, angle = np.broadcast_arrays(nx, ny, nz, angle)
-    c = np.cos(angle)
-    s = np.sin(angle)
-    k = 1.0 - c
-    # products shared between entries, evaluated as k * nx * ny = (k*nx)*ny
-    kx, ky, kz = k * nx, k * ny, k * nz
-    kxy, kxz, kyz = kx * ny, kx * nz, ky * nz
-    sx, sy, sz = s * nx, s * ny, s * nz
-    mats = np.empty(angle.shape + (3, 3), dtype=float)
-    mats[..., 0, 0] = c + kx * nx
-    mats[..., 0, 1] = kxy - sz
-    mats[..., 0, 2] = kxz + sy
-    mats[..., 1, 0] = kxy + sz
-    mats[..., 1, 1] = c + ky * ny
-    mats[..., 1, 2] = kyz - sx
-    mats[..., 2, 0] = kxz - sy
-    mats[..., 2, 1] = kyz + sx
-    mats[..., 2, 2] = c + kz * nz
-    return mats
+    if r is None:
+        r = np.sqrt(wx * wx + wy * wy + wz * wz)
+    half = 0.5 * (r * dt)
+    # -sin(r dt/2)/r, written straight into the parts of a and b
+    k = np.divide(np.sin(-half), r, out=np.zeros(half.shape), where=r > 0.0)
+    a = np.empty(half.shape, dtype=complex)
+    b = np.empty(half.shape, dtype=complex)
+    np.cos(half, out=a.real)
+    np.multiply(k, wz, out=a.imag)
+    np.multiply(k, wy, out=b.real)
+    np.multiply(k, wx, out=b.imag)
+    return a, b
 
 
-def _reduce_time_ordered(mats: np.ndarray) -> np.ndarray:
-    """Product of a stack of matrices preserving time order.
+def _axis_pair(axis_phase: float, angle: float):
+    """Pair of the rotation by ``angle`` about the equatorial axis
+    (cos axis_phase, sin axis_phase, 0), as Python complex numbers."""
+    s = math.sin(0.5 * angle)
+    return (complex(math.cos(0.5 * angle)),
+            complex(-s * math.sin(axis_phase), -s * math.cos(axis_phase)))
 
-    ``mats[0]`` acts first, so the result equals ``mats[-1] @ ... @ mats[0]``.
-    Pairwise reduction keeps the pass count logarithmic.
-    """
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2 == 1:
-            tail = mats[-1:]
-            mats = np.concatenate([np.matmul(mats[1:-1:2], mats[0:-1:2]), tail], axis=0)
+
+def _mul(later, earlier):
+    """Pair of the rotation ``earlier`` followed by ``later``."""
+    a2, b2 = later
+    a1, b1 = earlier
+    return a2 * a1 - b2 * np.conj(b1), a2 * b1 + b2 * np.conj(a1)
+
+
+def _reduce(a: np.ndarray, b: np.ndarray):
+    """Time-ordered product of pairs along the first axis, ``a[0], b[0]``
+    acting first.  Pairwise reduction keeps the pass count logarithmic."""
+    while a.shape[0] > 1:
+        if a.shape[0] % 2 == 1:
+            pa, pb = _mul((a[1:-1:2], b[1:-1:2]), (a[0:-1:2], b[0:-1:2]))
+            a, b = np.concatenate((pa, a[-1:])), np.concatenate((pb, b[-1:]))
         else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
+            a, b = _mul((a[1::2], b[1::2]), (a[0::2], b[0::2]))
+    return a[0], b[0]
 
 
-def _unit_axes(wx, wy, wz, dt):
-    """Unit axes and angles of the rotations about dt * (wx, wy, wz).
+def _apply(a, b, v) -> np.ndarray:
+    """Rotate the Bloch vectors ``v`` (..., 3) by the pairs (a, b) (...).
 
-    A zero vector gives the +z axis and angle 0.
+    This is U (v.sigma) U^dagger with U = [[a, b], [-b*, a*]], the
+    quaternion rotation q v q* written in the pair: with xi = v_x + i v_y,
+
+        xi' = a*^2 xi - b*^2 xi* - 2 a* b* v_z,
+        v_z' = (|a|^2 - |b|^2) v_z + 2 Re(a* b xi),
+
+    divided by |q|^2 = |a|^2 + |b|^2, which keeps the rounding drift of a
+    product of many rotations out of the length of v.
     """
-    r = np.sqrt(wx * wx + wy * wy + wz * wz)
-    pos = r > 0.0
-    safe = np.where(pos, r, 1.0)
-    nx = np.where(pos, wx / safe, 0.0)
-    ny = np.where(pos, wy / safe, 0.0)
-    nz = np.where(pos, wz / safe, 1.0)
-    return nx, ny, nz, np.where(pos, r * dt, 0.0)
+    ca, cb = np.conj(a), np.conj(b)
+    xi = v[..., 0] + 1j * v[..., 1]
+    na = (a * ca).real
+    nb = (b * cb).real
+    vz = v[..., 2]
+    z = (na - nb) * vz + 2.0 * (ca * b * xi).real
+    turned = ca * ca * xi - cb * cb * np.conj(xi) - 2.0 * vz * (ca * cb)
+    norm = na + nb
+    out = np.empty(np.shape(turned) + (3,))
+    np.divide(turned.real, norm, out=out[..., 0])
+    np.divide(turned.imag, norm, out=out[..., 1])
+    np.divide(z, norm, out=out[..., 2])
+    return out
 
 
 def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
@@ -252,64 +280,63 @@ def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _compose(states: np.ndarray, n_slices: int, per_slice: int,
-             axes: Callable) -> np.ndarray:
-    """Apply the rotations of ``n_slices`` mesh slices to ``states``.
+def _compose(n_slices: int, per_slice: int, width: int, axes: Callable):
+    """Pair of the rotations of ``n_slices`` mesh slices, in time order.
 
-    ``axes(start, stop)`` returns the unit axes and angles of the
+    ``axes(start, stop)`` returns the arguments of ``_pairs`` for the
     ``per_slice`` rotations of each slice in [start, stop), in the order
-    they act along the first dimension.  It is called block by block, at
-    most ``_BLOCK`` rotations' worth over all channels at a time, so the
-    memory does not grow with the mesh.  ``states`` is (3,) or (m, 3).
+    they act along the first dimension, for ``width`` channels along the
+    second (or none for one).  It is called block by block, at most
+    ``_BLOCK`` rotations' worth over all channels at a time, so the memory
+    does not grow with the mesh.
     """
-    batch = states.ndim == 2
-    m = states.shape[0] if batch else 1
-    block = max(1, _BLOCK // (m * per_slice))
+    block = max(1, _BLOCK // (width * per_slice))
     total = None
     for start in range(0, n_slices, block):
         stop = min(start + block, n_slices)
-        part = _reduce_time_ordered(_rotation_matrices(*axes(start, stop)))
-        total = part if total is None else part @ total
-    if batch:
-        return np.einsum("mij,mj->mi", total, states)
-    return total @ states
+        part = _reduce(*_pairs(*axes(start, stop)))
+        total = part if total is None else _mul(part, total)
+    return total
 
 
-def _compose_swept(state: np.ndarray, rabi: float, phase_fn, det_fn,
-                   duration: float, n_steps: int) -> np.ndarray:
-    """Apply ``n_steps`` equal lab-frame slices to one state (3,).
+def _swept_axes(rabi: float, phase_fn, det_fn, dt: float, start: int,
+                stop: int):
+    """Arguments of ``_pairs`` for lab-frame slices [start, stop) of length dt.
 
-    Each slice is two rotations, about h*(A1*R1 + A2*R2) and then
-    h*(A2*R1 + A1*R2), with R sampled at its two Gauss nodes.  The phase
-    and the detuning are sampled block by block (``_compose``), both nodes
-    of every slice in one call each.
+    Each slice is two rotations, about A1*R1 + A2*R2 and then A2*R1 + A1*R2
+    by dt times their length, with R sampled at its two Gauss nodes; both
+    nodes of every slice are sampled in one call of each function.
     """
+    ts = ((np.arange(start, stop)[:, None] + _NODES) * dt).ravel()
+    phases = _sample(phase_fn, ts)
+    w = []
+    for comp in (rabi * np.cos(phases), rabi * np.sin(phases),
+                 _sample(det_fn, ts)):
+        r1, r2 = comp[0::2], comp[1::2]
+        w.append(np.stack((_A1 * r1 + _A2 * r2, _A2 * r1 + _A1 * r2),
+                          axis=1).ravel())
+    return (*w, dt)
+
+
+def _compose_swept(rabi: float, phase_fn, det_fn, duration: float,
+                   n_steps: int):
+    """Pair of ``n_steps`` equal lab-frame slices (``_swept_axes``),
+    sampled and composed block by block (``_compose``)."""
     dt = duration / n_steps
-
-    def axes(start, stop):
-        ts = ((np.arange(start, stop)[:, None] + _NODES) * dt).ravel()
-        phases = _sample(phase_fn, ts)
-        w = []
-        for comp in (rabi * np.cos(phases), rabi * np.sin(phases),
-                     _sample(det_fn, ts)):
-            r1, r2 = comp[0::2], comp[1::2]
-            w.append(np.stack((_A1 * r1 + _A2 * r2, _A2 * r1 + _A1 * r2),
-                              axis=1).ravel())
-        return _unit_axes(*w, dt)
-
-    return _compose(state, n_steps, 2, axes)
+    return _compose(n_steps, 2, 1, lambda start, stop: _swept_axes(
+        rabi, phase_fn, det_fn, dt, start, stop))
 
 
-def _compose_knots(states: np.ndarray, rabi: float, lengths: np.ndarray,
-                   dets: np.ndarray, depth: int) -> np.ndarray:
-    """Apply the knot-aligned Magnus mesh of ``_knot_refine`` to ``states``.
+def _compose_knots(rabi: float, lengths: np.ndarray, dets: np.ndarray,
+                   depth: int):
+    """Pairs (m,) of the knot-aligned Magnus mesh of ``_knot_refine``.
 
     Interval k, of length ``lengths[k]``, is cut into 2**depth equal
-    slices; ``dets`` (K+1, m) holds w at the interval edges for each of the
-    m states (m, 3).  On a slice of length h where w changes by dw, R(t) =
+    slices; ``dets`` (K+1, m) holds w at the interval edges for each of m
+    channels.  On a slice of length h where w changes by dw, R(t) =
     (rabi, 0, w(t)) is linear, and the 4th-order Magnus exponent
     h*R(t_mid) + (h^3/12) R' x R(t_mid) is the single rotation about
-    h * (rabi, rabi*h*dw/12, w(t_mid)).
+    (rabi, rabi*h*dw/12, w(t_mid)) by h times its length.
     """
     sub = 1 << depth
 
@@ -319,9 +346,9 @@ def _compose_knots(states: np.ndarray, rabi: float, lengths: np.ndarray,
         h = (lengths[k] / sub)[:, None]
         dw = (dets[k + 1] - dets[k]) / sub
         w_mid = dets[k] + ((idx & (sub - 1)) + 0.5)[:, None] * dw
-        return _unit_axes(rabi, rabi * h * dw / 12.0, w_mid, h)
+        return rabi, rabi * h * dw / 12.0, w_mid, h
 
-    return _compose(states, lengths.size << depth, 1, axes)
+    return _compose(lengths.size << depth, 1, dets.shape[1], axes)
 
 
 def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
@@ -343,23 +370,25 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
     return max(ctl.min_steps, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
 
 
-def _refine(compose: Callable, ctl: StepControl):
+def _refine(compose: Callable, states: np.ndarray, ctl: StepControl):
     """Richardson refinement, shared by the lab-frame and the knot mesh.
 
-    ``compose(d)`` propagates on the start mesh halved d times and returns
-    the states and the slice count.  The mesh halves until the change of
-    every Bloch component under one halving is at most ``ctl.tol``;
+    ``compose(d)`` returns the pair of the start mesh halved d times and
+    its slice count.  The mesh halves until the change of every Bloch
+    component of ``states`` under one halving is at most ``ctl.tol``; it
+    returns the pair, the rotated states and the report, and raises
     ``ConvergenceFailure`` after ``ctl.max_depth`` halvings.
     """
     history = []
     prev = None
     for depth in range(ctl.max_depth + 1):
-        out, steps = compose(depth)
+        pair, steps = compose(depth)
+        out = _apply(*pair, states)
         if prev is not None:
             err = float(np.max(np.abs(out - prev)))
             history.append(err)
             if err <= ctl.tol:
-                return out, ConvergenceReport(steps, tuple(history), True)
+                return pair, out, ConvergenceReport(steps, tuple(history), True)
         prev = out
     raise ConvergenceFailure(
         f"mesh refinement stalled at {steps} steps with error "
@@ -370,37 +399,42 @@ def _refine(compose: Callable, ctl: StepControl):
 
 def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
                   duration: float, ctl: StepControl):
-    """Richardson-refined ``_compose_swept`` of one state.  Core of
-    ``propagate_swept``.
+    """Richardson-refined ``_compose_swept`` applied to one state (3,).
+    Core of ``propagate_swept``.
 
     The mesh halves from the start of ``_initial_mesh`` (``_refine``).
     """
     if duration == 0.0:
         return state.copy(), ConvergenceReport(0, (), True)
     n0 = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl)
-    return _refine(lambda d: (_compose_swept(state, rabi, phase_fn, det_fn,
-                                             duration, n0 << d), n0 << d),
-                   ctl)
+    _, out, report = _refine(
+        lambda d: (_compose_swept(rabi, phase_fn, det_fn, duration, n0 << d),
+                   n0 << d), state, ctl)
+    return out, report
 
 
 def _knot_refine(states: np.ndarray, rabi: float, lengths: np.ndarray,
                  dets: np.ndarray, ctl: StepControl):
-    """Richardson-refined propagation under R(t) = (rabi, 0, w(t)), w
-    linear on each of K intervals.  Core of the noisy co-rotating mesh.
+    """Richardson-refined pairs (a, b) of the propagation under R(t) =
+    (rabi, 0, w(t)), w linear on each of K intervals, and the report.
+    Core of the noisy co-rotating mesh.
 
     ``lengths`` (K,) are the interval lengths and ``dets`` (K+1, m) the
-    values of w at their edges, one column per state of ``states`` (m, 3).
-    Each interval is cut into 2**j equal slices and each slice takes the
-    one-rotation 4th-order Magnus step of ``_compose_knots``, which is
-    exact for constant R, so the error follows the slope of w alone.  The
-    start j is the smallest that gives at least ``ctl.min_steps`` slices
-    and h*|R| <= pi on every slice (the convergence radius of the Magnus
-    series); |w| is piecewise linear, so its maximum on an interval sits at
-    an edge and that bound is exact.  The mesh halves from there
-    (``_refine``).
+    values of w at their edges, one column per state of ``states`` (m, 3),
+    the states the propagation starts from; the mesh refines until their
+    Bloch components settle.  Each interval is cut into 2**j equal slices
+    and each slice takes the one-rotation 4th-order Magnus step of
+    ``_compose_knots``, which is exact for constant R, so the error follows
+    the slope of w alone.  The start j is the smallest that gives at least
+    ``ctl.min_steps`` slices and h*|R| <= pi on every slice (the
+    convergence radius of the Magnus series); |w| is piecewise linear, so
+    its maximum on an interval sits at an edge and that bound is exact.
+    The mesh halves from there (``_refine``).
     """
     if not np.any(lengths > 0.0):
-        return states.copy(), ConvergenceReport(0, (), True)
+        m = states.shape[0]
+        identity = (np.ones(m, dtype=complex), np.zeros(m, dtype=complex))
+        return identity, ConvergenceReport(0, (), True)
     r_max = np.hypot(rabi, np.max(np.maximum(np.abs(dets[:-1]),
                                              np.abs(dets[1:])), axis=1))
     reach = float(np.max(lengths * r_max)) / math.pi
@@ -409,9 +443,10 @@ def _knot_refine(states: np.ndarray, rabi: float, lengths: np.ndarray,
     start = 0
     while (lengths.size << start) < ctl.min_steps or reach > (1 << start):
         start += 1
-    return _refine(lambda d: (_compose_knots(states, rabi, lengths, dets,
-                                             start + d),
-                              lengths.size << (start + d)), ctl)
+    pair, _, report = _refine(
+        lambda d: (_compose_knots(rabi, lengths, dets, start + d),
+                   lengths.size << (start + d)), states, ctl)
+    return pair, report
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +480,9 @@ def propagate_constant(state: SpinState, d: DriveParams, duration: float) -> Spi
     r = math.hypot(d.rabi, d.detuning)
     if r == 0.0 or duration == 0.0:
         return state
-    rot = _rotation_matrices(d.rabi * math.cos(d.phase) / r,
-                             d.rabi * math.sin(d.phase) / r, d.detuning / r,
-                             r * duration)
-    return SpinState.from_array(rot @ state.as_array())
+    pair = _pairs(d.rabi * math.cos(d.phase), d.rabi * math.sin(d.phase),
+                  d.detuning, duration)
+    return SpinState.from_array(_apply(*pair, state.as_array()))
 
 
 def propagate_swept(state: SpinState, rabi: float,
@@ -498,9 +532,8 @@ def apply_ideal_pulse(state: SpinState, axis_phase: float, angle: float) -> Spin
     right-handed about that axis, so (0,0,1) under a pi/2 pulse about +x
     goes to (0,-1,0).
     """
-    rot = _rotation_matrices(math.cos(axis_phase), math.sin(axis_phase), 0.0,
-                             angle)
-    return SpinState.from_array(rot @ state.as_array())
+    return SpinState.from_array(_apply(*_axis_pair(axis_phase, angle),
+                                       state.as_array()))
 
 
 def apply_resonant_pulse(state: SpinState, rabi: float, axis_phase: float,

@@ -138,6 +138,8 @@ def geometric_candidates(m: GeometricModel, p: float) -> list[tuple[float, int]]
         if c >= 1.0:
             continue
         b = m.rabi * c / math.sqrt(1.0 - c * c) / m.gamma
+        if not math.isfinite(b):
+            raise OutOfRange(f"the candidate field at phase {g:.6g} overflows")
         lobe = int((n4pi - g) // math.pi)
         out.append((b, lobe))
     return out
@@ -156,13 +158,16 @@ def estimate_geometric(m: GeometricModel, meas: Measurement) -> FieldEstimate:
     cands = geometric_candidates(m, p)
     if not cands:
         raise Unresolvable("no candidates in range", candidates=())
+    # slope scale of the model (envelope at small field), not of the candidates:
+    # at signal extrema every candidate slope collapses to ~0 and must tie.
+    # It bounds every candidate's slope, so a finite scale keeps them finite.
+    slope_scale = 4.0 * math.pi * m.n_rotations * m.gamma / m.rabi
+    if not math.isfinite(slope_scale):
+        raise OutOfRange("the slope envelope 4*pi*N*gamma/Omega overflows")
     slopes = np.array([float(berry_slope(m, b)) for b, _ in cands])
     resid = np.abs(slopes - meas.slope)
     order = np.argsort(resid)
     best = int(order[0])
-    # slope scale of the model (envelope at small field), not of the candidates:
-    # at signal extrema every candidate slope collapses to ~0 and must tie
-    slope_scale = 4.0 * math.pi * m.n_rotations * m.gamma / m.rabi
     tie_tol = max(3.0 * meas.slope_sigma, 1e-9 * slope_scale)
     if len(cands) > 1:
         second = int(order[1])

@@ -21,6 +21,7 @@ at the first half's final phase value so the control path stays closed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -52,6 +53,8 @@ __all__ = [
 PREP_PHASE = 0.0
 REFOCUS_PHASE = math.pi / 2.0
 READOUT_PHASE = math.pi
+# the Bloch vector of |0>
+_UP = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -170,11 +173,6 @@ def build_berry(rabi: float, n_rotations: int, duration: float) -> SequencePlan:
 # execution
 # ---------------------------------------------------------------------------
 
-def _pulse_matrix(pulse: IdealPulse) -> np.ndarray:
-    axis = (math.cos(pulse.axis_phase), math.sin(pulse.axis_phase), 0.0)
-    return core._rotation_matrices(*axis, pulse.angle)
-
-
 def execute(plan: SequencePlan, b: float,
             noise_trajectory: Optional[OUBank] = None,
             step_control: Optional[StepControl] = None,
@@ -202,23 +200,29 @@ def execute_batch(plan: SequencePlan, b_values,
     knots that end before the plan does, and a gamma*B that overflows raise
     InvalidParameter.
 
-    Free evolution over [t0, t1] is one z rotation by gamma*B*(t1 - t0)
-    plus the integral of the bank's detuning.  The bank interpolates
+    Each field carries one Cayley-Klein pair (a, b) (``phasemag.core``)
+    from |0> to the readout, where P = |a|^2 - |b|^2; every segment
+    composes its own pair onto it.  A pulse is a pair of Python complex
+    numbers.  Free evolution over [t0, t1] is a z rotation by
+    gamma*B*(t1 - t0) plus the integral of the bank's detuning, which
+    multiplies both members by exp(-i angle/2).  The bank interpolates
     linearly between its knots, so that integral is exact
     (``OUBank.detuning_integral``) and free evolution never needs a mesh.
 
     Every sweep passes through the frame that co-rotates with its linearly
-    ramped drive phase (``_in_drive_frame``).  Without noise the Larmor
+    ramped drive phase (``_in_drive_frame``), whose two z rotations become
+    two scalar phase factors on the frame's pair.  Without noise the Larmor
     vector is constant in that frame, so each segment is one closed-form
-    rotation (``_apply_swept_exact``).  With noise only its z component
-    varies, linearly between the bank's knots, and the frame propagation
-    runs on a Richardson mesh aligned with those knots (``_run_swept``):
-    each knot interval is cut into 2**j equal slices, j the smallest that
-    keeps h*|R| <= pi and gives at least ``min_steps`` slices, and each
-    slice takes one 4th-order Magnus rotation, exact for the constant part.
-    So the halvings follow the noise, not the Larmor rate or the turns of
-    the drive phase.  All fields share that mesh, and the refinement
-    criterion is the worst Bloch-component change over the batch.
+    rotation per field (``_apply_swept_exact``).  With noise only its z
+    component varies, linearly between the bank's knots, and the frame
+    propagation runs on a Richardson mesh aligned with those knots
+    (``_run_swept``): each knot interval is cut into 2**j equal slices, j
+    the smallest that keeps h*|R| <= pi and gives at least ``min_steps``
+    slices, and each slice takes one 4th-order Magnus rotation, exact for
+    the constant part.  So the halvings follow the noise, not the Larmor
+    rate or the turns of the drive phase.  All fields share that mesh, and
+    the refinement criterion is the worst change of a Bloch component over
+    the states that enter the segment.
 
     ``step_control`` governs that mesh only: its ``tol``, its ``min_steps``
     and its ``max_depth`` (halvings past the start).
@@ -246,14 +250,15 @@ def execute_batch(plan: SequencePlan, b_values,
     if not abs(gamma) * float(np.max(np.abs(b_values), initial=0.0)) < math.inf:
         raise InvalidParameter("gamma*B overflows")
 
-    states = np.zeros((b_values.size, 3), dtype=float)
-    states[:, 2] = 1.0
+    # the pair of each field, from |0> to the readout
+    pair = (np.ones(b_values.size, dtype=complex),
+            np.zeros(b_values.size, dtype=complex))
     dets_static = gamma * b_values
 
     t_start = 0.0
     for seg in plan.segments:
         if isinstance(seg, IdealPulse):
-            states = states @ _pulse_matrix(seg).T
+            pair = core._mul(core._axis_pair(seg.axis_phase, seg.angle), pair)
             continue
         if isinstance(seg, FreeEvolution):
             angles = dets_static * seg.duration
@@ -261,60 +266,65 @@ def execute_batch(plan: SequencePlan, b_values,
                 # the knots hold detunings for the bank's own gamma
                 phase = noise.detuning_integral(t_start, t_start + seg.duration)
                 angles = angles + phase * (gamma / noise.gamma)
-            states = _precess_z(states, angles)
+            pair = _precess_z(pair, angles)
         elif not isinstance(seg, SweptDrive):
             raise InvalidParameter(f"unknown segment type {type(seg)!r}")
         elif noise is None:
-            states = _apply_swept_exact(states, seg, dets_static)
+            pair = _apply_swept_exact(pair, seg, dets_static)
         else:
-            states = _run_swept(states, seg, dets_static, noise, gamma,
-                                t_start, ctl)
+            pair = _run_swept(pair, seg, dets_static, noise, gamma, t_start,
+                              ctl)
         t_start += seg.duration
-    return states[:, 2].copy()
+    a, b = pair
+    return a.real**2 + a.imag**2 - (b.real**2 + b.imag**2)
 
 
-def _precess_z(states, angles):
-    """Rotate each state (m, 3) about +z by its own angle (m,)."""
-    c, s = np.cos(angles), np.sin(angles)
-    x = states[:, 0] * c - states[:, 1] * s
-    y = states[:, 0] * s + states[:, 1] * c
-    return np.stack([x, y, states[:, 2]], axis=1)
+def _precess_z(pair, angles):
+    """Follow each field's pair (m,) by a z rotation by its own angle (m,).
+
+    Rz(angle) has the pair (exp(-i angle/2), 0), so both members take that
+    phase factor.
+    """
+    phase = np.exp(-0.5j * angles)
+    return pair[0] * phase, pair[1] * phase
 
 
-def _in_drive_frame(states, seg: SweptDrive, propagate):
-    """Apply a linearly swept segment through its co-rotating frame.
+def _in_drive_frame(pair, seg: SweptDrive, frame):
+    """Follow ``pair`` by a linearly swept segment, given the pairs (m,)
+    ``frame`` of its evolution U in the co-rotating frame.
 
     In the frame that co-rotates with the drive phase phi(t) = phi0 + r*t the
     Larmor vector is (rabi, 0, gamma*(B + b(t)) - r): the phase ramp becomes
     a constant detuning offset and only the noise b(t) varies.  The segment is
 
-        s <- Rz(phi0 + r*T) . U . Rz(-phi0) . s
+        Rz(phi1) . U . Rz(-phi0),   phi1 = phi0 + r*T
 
-    where ``propagate`` applies the frame evolution U to the (m, 3) states
-    (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167 (1954)).
+    (Rabi, Ramsey & Schwinger, Rev. Mod. Phys. 26, 167 (1954)).  With U =
+    (a, b) that is the pair (a exp(i(phi0 - phi1)/2), b exp(-i(phi0 +
+    phi1)/2)).
     """
-    states = _precess_z(states, -seg.phase_start)
-    states = propagate(states)
-    return _precess_z(states, seg.phase_start + seg.phase_rate * seg.duration)
+    phi0 = seg.phase_start
+    phi1 = phi0 + seg.phase_rate * seg.duration
+    a, b = frame
+    return core._mul((a * cmath.exp(0.5j * (phi0 - phi1)),
+                      b * cmath.exp(-0.5j * (phi0 + phi1))), pair)
 
 
-def _apply_swept_exact(states, seg: SweptDrive, dets_static):
+def _apply_swept_exact(pair, seg: SweptDrive, dets_static):
     """Closed-form propagation of a noise-free linearly swept drive.
 
     The frame Larmor vector (rabi, 0, gamma*B - r) is constant, so U is one
-    rotation by |.|*T, evaluated as an (m, 3, 3) stack over the field grid.
+    rotation per field, by its length times T.
     """
     if seg.rabi == 0.0:
         # no drive, so the phase ramp is irrelevant: plain free evolution
-        return _precess_z(states, dets_static * seg.duration)
+        return _precess_z(pair, dets_static * seg.duration)
     wz = dets_static - seg.phase_rate
-    r = np.hypot(seg.rabi, wz)
-    frame = core._rotation_matrices(seg.rabi / r, 0.0, wz / r, r * seg.duration)
-    return _in_drive_frame(states, seg,
-                           lambda s: np.einsum("mij,mj->mi", frame, s))
+    return _in_drive_frame(pair, seg, core._pairs(
+        seg.rabi, 0.0, wz, seg.duration, np.hypot(seg.rabi, wz)))
 
 
-def _run_swept(states, seg: SweptDrive, dets_static, noise: OUBank, gamma,
+def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, gamma,
                t_start, ctl):
     """Mesh propagation of one swept segment under a noise trajectory.
 
@@ -325,7 +335,8 @@ def _run_swept(states, seg: SweptDrive, dets_static, noise: OUBank, gamma,
     and the segment ends, with w taken from the knot values
     (``core._knot_refine``): each interval is cut into equal slices that
     each take one 4th-order Magnus rotation, and the slices halve until
-    ``ctl.tol`` holds.
+    the Bloch vectors that enter the frame, carried through it, move by
+    at most ``ctl.tol`` under one halving.
     """
     t_end = t_start + seg.duration
     inner = (noise.times > t_start) & (noise.times < t_end)
@@ -334,9 +345,8 @@ def _run_swept(states, seg: SweptDrive, dets_static, noise: OUBank, gamma,
     offsets = np.concatenate((noise(t_start), noise.values[inner] / noise.gamma,
                               noise(t_end)))
     dets = dets_static[None, :] + gamma * offsets - seg.phase_rate
-
-    def propagate(s):
-        out, _ = core._knot_refine(s, seg.rabi, np.diff(edges), dets, ctl)
-        return out
-
-    return _in_drive_frame(states, seg, propagate)
+    # the Bloch vectors that enter the frame, after Rz(-phi0)
+    into = cmath.exp(0.5j * seg.phase_start)
+    states = core._apply(pair[0] * into, pair[1] * into, _UP)
+    frame, _ = core._knot_refine(states, seg.rabi, np.diff(edges), dets, ctl)
+    return _in_drive_frame(pair, seg, frame)

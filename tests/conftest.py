@@ -37,6 +37,49 @@ def rotation_matrix(axis, angle):
     ])
 
 
+def rotation_matrices(nx, ny, nz, angle) -> np.ndarray:
+    """Axis-angle rotation matrices, vectorized over leading dimensions.
+
+    The 3x3 kernel the propagators used before they composed Cayley-Klein
+    pairs, kept as a reference for them.  ``nx, ny, nz`` are unit-axis
+    components and ``angle`` rotation angles, all broadcastable to a common
+    shape; returns that shape + (3, 3), in the inputs' float type (so
+    ``np.longdouble`` inputs give an extended-precision reference).
+    """
+    nx, ny, nz, angle = np.broadcast_arrays(nx, ny, nz, angle)
+    c = np.cos(angle)
+    s = np.sin(angle)
+    k = 1.0 - c
+    kx, ky, kz = k * nx, k * ny, k * nz
+    kxy, kxz, kyz = kx * ny, kx * nz, ky * nz
+    sx, sy, sz = s * nx, s * ny, s * nz
+    mats = np.empty(angle.shape + (3, 3), dtype=np.result_type(c, nx))
+    mats[..., 0, 0] = c + kx * nx
+    mats[..., 0, 1] = kxy - sz
+    mats[..., 0, 2] = kxz + sy
+    mats[..., 1, 0] = kxy + sz
+    mats[..., 1, 1] = c + ky * ny
+    mats[..., 1, 2] = kyz - sx
+    mats[..., 2, 0] = kxz - sy
+    mats[..., 2, 1] = kyz + sx
+    mats[..., 2, 2] = c + kz * nz
+    return mats
+
+
+def reduce_time_ordered(mats: np.ndarray) -> np.ndarray:
+    """Product of a stack of matrices preserving time order.
+
+    ``mats[0]`` acts first, so the result equals ``mats[-1] @ ... @ mats[0]``.
+    """
+    while mats.shape[0] > 1:
+        if mats.shape[0] % 2 == 1:
+            tail = mats[-1:]
+            mats = np.concatenate([np.matmul(mats[1:-1:2], mats[0:-1:2]), tail], axis=0)
+        else:
+            mats = np.matmul(mats[1::2], mats[0::2])
+    return mats[0]
+
+
 def swept_exact(state_vec, rabi, detuning, phase_start, phase_rate, duration):
     """Closed-form propagation for a linear phase sweep.
 

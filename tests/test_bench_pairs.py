@@ -126,9 +126,36 @@ class TestVerdict:
                        ("noisy", "run_s"): "unresolved",
                        ("noisy", "peak_rss_mb"): "unresolved"}
         lines = bench_pairs.verdict_lines(report)
-        assert len(lines) == 6
-        assert lines[0] == ("clear run_s: better (parent 0.209, change 0.159, "
+        assert len(lines) == 9
+        assert lines[0] == "clear requests failed: parent 0/1000, change 0/1000"
+        assert lines[1] == ("clear run_s: better (parent 0.209, change 0.159, "
                             "change won 10 of 10)")
+
+    def test_change_failing_more_requests_is_invalid(self):
+        # requests that raise return early: a change that failed 564 of
+        # 5217 requests read "better" on run_s and on peak memory before
+        # failures entered the verdict
+        runs = self._runs()
+        runs["clear"] = [(p, bench_pairs.parse_run(_stdout(
+            c["metrics"]["run_s"], 90.0, failed=2 if i == 3 else 0)))
+            for i, (p, c) in enumerate(runs["clear"])]
+        # the parent failing as often as the change leaves the rule alone
+        runs["mixed"] = [(bench_pairs.parse_run(_stdout(
+            p["metrics"]["run_s"], 100.0, failed=1)),
+            bench_pairs.parse_run(_stdout(c["metrics"]["run_s"], 105.0,
+                                          failed=1)))
+            for p, c in runs["mixed"]]
+        report = bench_pairs.build_report(runs, DIRECTIONS, 13, 30,
+                                          list(range(10)), bounds=self.BOUNDS)
+        verdicts = {w: {n: m["verdict"] for n, m in agg["metrics"].items()}
+                    for w, agg in report["workloads"].items()}
+        assert verdicts["clear"] == {"run_s": "invalid", "peak_rss_mb": "invalid"}
+        assert verdicts["mixed"] == {"run_s": "unresolved",
+                                     "peak_rss_mb": "unresolved"}
+        assert verdicts["noisy"]["run_s"] == "unresolved"
+        lines = bench_pairs.verdict_lines(report)
+        assert "clear requests failed: parent 0/1000, change 2/1000" in lines
+        assert "mixed requests failed: parent 10/1000, change 10/1000" in lines
 
     def test_higher_is_better_and_few_pairs(self):
         # for a higher-is-better metric a 24 % drop is worse past a 0.2

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes, config handling."""
 
+import hashlib
 import json
 import math
 import os
@@ -464,6 +465,12 @@ class TestBadNumbers:
           "--t2star-us", "50", "--t2-us", "500", "--seed", "-1"), 2),
         (("decohere", "--config", str(EXAMPLES / "decohere.cfg"), "--engine",
           "monte-carlo", "--ensemble", "2", "--seed", "-1"), 2),
+        # a 1e300 MHz drive puts a candidate field past the float range, and
+        # a 1e-300 MHz drive the slope envelope 4*pi*N*gamma/Omega
+        (("estimate", "--config", str(EXAMPLES / "estimate.cfg"),
+          "--omega-mhz=1e300", "--n=1000"), 3),
+        (("estimate", "--config", str(EXAMPLES / "estimate.cfg"),
+          "--omega-mhz=1e-300", "--n=1000"), 3),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
@@ -478,7 +485,8 @@ class TestBadNumbers:
             "lorentzian-level-overflows", "signal-larmor-phase",
             "signal-ou-knots", "sweep-larmor-phase", "overlay-t-long",
             "overlay-t-short", "lorentzian-psd-tail", "signal-seed-negative",
-            "decohere-seed-negative"])
+            "decohere-seed-negative", "estimate-candidate-overflows",
+            "estimate-slope-envelope-overflows"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         # rejected by validation: one error line on stderr and no warning
         with warnings.catch_warnings(record=True) as caught:
@@ -517,6 +525,25 @@ class TestExampleConfigs:
         code = run_cli("signal", "--config", str(repo_docs / "signal.cfg"),
                        "--b-points", "61", "--out", str(tmp_path / "s.csv"))
         assert code == 0
+
+    @pytest.mark.parametrize("extra, digest", [
+        (("--engine", "numeric", "--b-points", "61"),
+         "09cbcb3ecaf19c5749cdf342dde2c7bf89cdf0f8cf7a623394b646c3afe07c4e"),
+        (("--engine", "numeric+noise", "--b-points", "7", "--ensemble", "2",
+          "--t2star-us", "50", "--t2-us", "500", "--seed", "3"),
+         "0864203dddef6362e2d1e0c27806ae45851757701c0a496332c70a0481761240"),
+    ], ids=["numeric", "numeric-noise"])
+    def test_signal_example_output_pinned(self, tmp_path, repo_docs, extra,
+                                          digest):
+        # sha256 of every line below the '#' header (which embeds --out),
+        # taken from the 3x3-matrix propagators: composing Cayley-Klein
+        # pairs moves P by rounding only, and no printed digit
+        out = tmp_path / "s.csv"
+        assert run_cli("signal", "--config", str(repo_docs / "signal.cfg"),
+                       *extra, "--out", str(out)) == 0
+        rows = [l for l in out.read_bytes().splitlines(keepends=True)
+                if not l.startswith(b"#")]
+        assert hashlib.sha256(b"".join(rows)).hexdigest() == digest
 
     def test_sweep_example(self, tmp_path, repo_docs):
         code = run_cli("sweep", "--config", str(repo_docs / "sweep.cfg"),

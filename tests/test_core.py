@@ -14,7 +14,7 @@ from phasemag.core import (DriveParams, SpinState, StepControl,
                            _compose_swept)
 from phasemag.errors import ConvergenceFailure, InvalidParameter
 
-from conftest import swept_exact
+from conftest import reduce_time_ordered, rotation_matrices, swept_exact
 
 
 class TestLarmorFromDrive:
@@ -124,6 +124,94 @@ class TestIdealPulses:
         assert np.allclose(a.as_array(), b.as_array(), atol=1e-9)
 
 
+class TestPairKernel:
+    """Cayley-Klein pairs against the 3x3 reference kernel of conftest."""
+
+    @staticmethod
+    def _random(rng, shape):
+        # rotations about random axes by angles in [-20, 20] rad, with
+        # exact zeros: a zero vector and a zero step
+        w = rng.standard_normal((3,) + shape) * 1e7
+        dt = rng.uniform(-2e-6, 2e-6, shape)
+        w.reshape(3, -1)[:, 0] = 0.0
+        dt.reshape(-1)[1] = 0.0
+        r = np.sqrt(np.sum(w * w, axis=0))
+        unit = w / np.where(r > 0, r, 1.0)
+        unit[2][r == 0] = 1.0  # the reference needs an axis for angle 0
+        return w, dt, unit, r * dt
+
+    @staticmethod
+    def _states(rng, n):
+        v = rng.standard_normal((n, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    def test_single_rotations(self):
+        rng = np.random.default_rng(31)
+        w, dt, unit, angle = self._random(rng, (200,))
+        v = self._states(rng, 200)
+        got = core._apply(*core._pairs(*w, dt), v)
+        ref = np.einsum("nij,nj->ni", rotation_matrices(*unit, angle), v)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        assert np.any(angle < 0) and np.any(angle == 0)
+
+    def test_equatorial_pulses(self):
+        rng = np.random.default_rng(32)
+        v = self._states(rng, 50)
+        for phase, angle in zip(rng.uniform(-4, 4, 50),
+                                np.concatenate(([0.0, -math.pi],
+                                                rng.uniform(-10, 10, 48)))):
+            got = core._apply(*core._axis_pair(phase, angle), v)
+            ref = v @ rotation_matrices(math.cos(phase), math.sin(phase), 0.0,
+                                        angle).T
+            assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 67])
+    def test_time_ordered_products(self, n):
+        rng = np.random.default_rng(33 + n)
+        w, dt, unit, angle = self._random(rng, (n, 4))
+        v = self._states(rng, 4)
+        got = core._apply(*core._reduce(*core._pairs(*w, dt)), v)
+        total = reduce_time_ordered(rotation_matrices(*unit, angle))
+        ref = np.einsum("mij,mj->mi", total, v)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        # one product: the first rotation, then the last
+        pair = core._mul(core._pairs(*w[:, -1], dt[-1]),
+                         core._pairs(*w[:, 0], dt[0]))
+        total = (rotation_matrices(*unit[:, -1], angle[-1])
+                 @ rotation_matrices(*unit[:, 0], angle[0]))
+        ref = np.einsum("mij,mj->mi", total, v)
+        assert np.max(np.abs(core._apply(*pair, v) - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("depth", [6, 7])
+    def test_near_identity_lab_mesh_against_longdouble(self, depth):
+        # the mesh of test_refinement_errors_decrease: 514 * 2**depth
+        # slices of two rotations by at most 0.01 rad each.  Measured at
+        # depths 6 and 7: the pairs are off the extended-precision product
+        # by 7.2e-16 and 1.7e-15, the 3x3 reference kernel in doubles by
+        # 1.0e-14 and 6.8e-14, and the pairs without the division by
+        # |q|^2 in _apply by 6.1e-13 and 2.2e-12
+        if np.finfo(np.longdouble).eps >= 1e-17:
+            pytest.skip("np.longdouble is no wider than a double here")
+        w = angular_from_mhz(2.0)
+
+        def phase(t):
+            return 3e6 * t
+
+        def det(t):
+            return 1e6 * np.cos(2e6 * t)
+
+        n = core._initial_mesh(w, phase, det, 4e-6, StepControl()) << depth
+        v = np.array([0.0, -1.0, 0.0])
+        got = core._apply(*_compose_swept(w, phase, det, 4e-6, n), v)
+        *comps, dt = core._swept_axes(w, phase, det, 4e-6 / n, 0, n)
+        comps = [np.asarray(c, dtype=np.longdouble) for c in comps]
+        r = np.sqrt(sum(c * c for c in comps))
+        total = reduce_time_ordered(rotation_matrices(
+            *(c / r for c in comps), r * np.longdouble(dt)))
+        ref = (total @ v.astype(np.longdouble)).astype(float)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+
 class TestPropagateSwept:
     def test_constant_functions_reduce_to_constant_case(self):
         w = angular_from_mhz(3.0)
@@ -204,13 +292,13 @@ class TestPropagateSwept:
     def _fixed_mesh_errors():
         w = angular_from_mhz(2.0)
         v = np.array([0.0, -1.0, 0.0])
-        ref = _compose_swept(v, w, lambda t: 5e6 * t, lambda t: 3e5, 4e-6,
-                             1 << 14)
-        errs = []
-        for n in (128, 256, 512, 1024):
-            out = _compose_swept(v, w, lambda t: 5e6 * t, lambda t: 3e5, 4e-6,
-                                 n)
-            errs.append(np.max(np.abs(out - ref)))
+
+        def run(n):
+            pair = _compose_swept(w, lambda t: 5e6 * t, lambda t: 3e5, 4e-6, n)
+            return core._apply(*pair, v)
+
+        ref = run(1 << 14)
+        errs = [np.max(np.abs(run(n) - ref)) for n in (128, 256, 512, 1024)]
         return [b / a for a, b in zip(errs, errs[1:])]
 
     def test_fixed_mesh_error_scaling(self):
@@ -228,9 +316,12 @@ class TestPropagateSwept:
         lengths = np.full(8, 0.5e-6)
         dets = np.random.default_rng(5).uniform(-3e6, 3e6, (9, 1))
         v = np.array([[0.0, -1.0, 0.0]])
-        ref = core._compose_knots(v, w, lengths, dets, 12)
-        errs = [np.max(np.abs(core._compose_knots(v, w, lengths, dets, d) - ref))
-                for d in (2, 3, 4, 5)]
+
+        def run(depth):
+            return core._apply(*core._compose_knots(w, lengths, dets, depth), v)
+
+        ref = run(12)
+        errs = [np.max(np.abs(run(d) - ref)) for d in (2, 3, 4, 5)]
         for a, b in zip(errs, errs[1:]):
             assert b / a <= 0.1
 
@@ -280,13 +371,13 @@ class TestPropagateSwept:
         # batch (the noisy sweeps); splitting it into more blocks leaves
         # the result unchanged
         sizes = []
-        rotate = core._rotation_matrices
+        build = core._pairs
 
         def spy(*args):
             sizes.append(np.broadcast(*args).size)
-            return rotate(*args)
+            return build(*args)
 
-        monkeypatch.setattr(core, "_rotation_matrices", spy)
+        monkeypatch.setattr(core, "_pairs", spy)
         if noisy:
             m = 64
             dets = np.linspace(-2e6, 2e6, m)
@@ -296,15 +387,14 @@ class TestPropagateSwept:
 
             def run():
                 # 100 intervals of 64 slices, 64 channels: 409600 rotations
-                return core._compose_knots(states, 3e6, np.diff(knots),
-                                           edge_dets, 6)
+                return core._apply(*core._compose_knots(
+                    3e6, np.diff(knots), edge_dets, 6), states)
         else:
             def run():
                 # 200000 slices of two rotations each
-                return _compose_swept(np.array([0.0, -1.0, 0.0]), 3e6,
-                                      lambda t: 0.0,
-                                      lambda t: 2e6 + 1e5 * np.sin(3e5 * t),
-                                      5e-6, 200000)
+                return core._apply(*_compose_swept(
+                    3e6, lambda t: 0.0, lambda t: 2e6 + 1e5 * np.sin(3e5 * t),
+                    5e-6, 200000), np.array([0.0, -1.0, 0.0]))
         out = run()
         assert len(sizes) > 1
         assert max(sizes) <= core._BLOCK

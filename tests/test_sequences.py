@@ -214,7 +214,10 @@ class TestSweptClosedFormAgainstMesh:
                              rng.uniform(-4e-4, 4e-4, 4)])
         states = rng.standard_normal((bs.size, 3))
         states /= np.linalg.norm(states, axis=1, keepdims=True)
-        got = _apply_swept_exact(states, seg, NV.gamma * bs)
+        identity = (np.ones(bs.size, dtype=complex),
+                    np.zeros(bs.size, dtype=complex))
+        got = core._apply(*_apply_swept_exact(identity, seg, NV.gamma * bs),
+                          states)
         for v, b, out in zip(states, bs, got):
             det = NV.gamma * b
             ref = core.propagate_swept(

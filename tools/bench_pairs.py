@@ -16,7 +16,11 @@ end-to-end metric of the change tree's ``BENCHMARK.json``:
   previous         the change median recorded for that metric by the newest
                    ``BENCH_<n>.json`` (n < N) beside the output, if any
   verdict          "better", "worse" or "unresolved" by the acceptance rule
-                   (``verdict``), also printed to stdout, one line each
+                   (``verdict``), or "invalid" for every metric of a
+                   workload whose change tree failed a larger share of its
+                   requests than the parent tree; also printed to stdout,
+                   one line each after a line of both trees' failed and
+                   attempted request counts
 
 plus each tree's ``correct``/``failed`` totals, the raw runs and the distinct
 ``env`` lines.  Runs are serial: a pair is only comparable when nothing else
@@ -102,6 +106,10 @@ def verdict(entry: dict, bound: float | None) -> str:
     return "unresolved"
 
 
+def _failed_share(side: dict) -> float:
+    return side["failed"] / side["attempted"] if side["attempted"] else 0.0
+
+
 def aggregate(pairs, directions: dict, previous: dict | None = None,
               bounds: dict | None = None) -> dict:
     """Summarise one workload's (parent_run, change_run) pairs.
@@ -117,6 +125,9 @@ def aggregate(pairs, directions: dict, previous: dict | None = None,
                      "failed": sum(r["failed"] or 0 for r in runs),
                      "attempted": sum(r["attempted"] or 0 for r in runs),
                      "runs": runs}
+    # a request that raises returns early, so its run reads fast: no metric
+    # of a change that fails more often than the parent can be compared
+    invalid = _failed_share(out["change"]) > _failed_share(out["parent"])
     for name, direction in directions.items():
         both = [(p, c) for p, c in pairs
                 if name in p["metrics"] and name in c["metrics"]]
@@ -128,7 +139,8 @@ def aggregate(pairs, directions: dict, previous: dict | None = None,
             for p, c in both)
         prev = (previous or {}).get("metrics", {}).get(name, {}).get("change")
         entry["previous"] = prev["median"] if prev else None
-        entry["verdict"] = verdict(entry, (bounds or {}).get(name))
+        entry["verdict"] = ("invalid" if invalid
+                            else verdict(entry, (bounds or {}).get(name)))
         out["metrics"][name] = entry
     return out
 
@@ -168,9 +180,13 @@ def build_report(runs: dict, directions: dict, pr: int, seconds: int, seeds,
 
 
 def verdict_lines(report: dict) -> list:
-    """One line per workload and metric: its verdict, medians and wins."""
+    """Per workload, one line of both trees' failed/attempted request
+    counts, then one line per metric: its verdict, medians and wins."""
     lines = []
     for w, agg in report["workloads"].items():
+        lines.append(f"{w} requests failed: " + ", ".join(
+            f"{side} {agg[side]['failed']}/{agg[side]['attempted']}"
+            for side in SIDES))
         for name, m in agg["metrics"].items():
             med = [f"{m[side]['median']:.6g}" if m[side] else "-"
                    for side in SIDES]
