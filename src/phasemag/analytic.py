@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import NV, TWO_PI, PhysicalConstants
+from .constants import MAX_TURNS, NV, TWO_PI, PhysicalConstants
 from .errors import DegenerateSlope, InvalidParameter, OutOfRange
 from .solve import NoRoot, find_root
 
@@ -83,6 +83,9 @@ class GeometricModel:
             raise InvalidParameter(
                 f"n_rotations must be a positive integer, got {self.n_rotations}"
             )
+        if self.n_rotations > MAX_TURNS:
+            raise InvalidParameter(
+                f"n_rotations must be <= {MAX_TURNS}, got {self.n_rotations}")
 
 
 @dataclass(frozen=True)

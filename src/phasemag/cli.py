@@ -169,6 +169,9 @@ _COMMAND_KEYS = {
     },
 }
 
+# most fields a curve may hold: 166 times the 601 of the example curve
+_MAX_FIELDS = 100_000
+
 _DEFAULT_A_LIST = [0.01, 0.0215, 0.0464, 0.1, 0.147, 0.215,
                    0.316, 0.464, 0.681, 1.0, 1.47, 2.0]
 
@@ -245,10 +248,13 @@ def _field_grid(cfg: dict, min_points: int, what: str = "") -> np.ndarray:
     """The ``b_points`` fields from ``b_start_mt`` to ``b_stop_mt``, in tesla.
 
     ConfigError for fewer than ``min_points`` points (``what`` ends that
-    message) and for a window numpy could not span without a warning.
+    message) or more than ``_MAX_FIELDS``, before numpy allocates, and for
+    a window numpy could not span without a warning.
     """
     if cfg["b_points"] < min_points:
         raise ConfigError(f"b_points must be >= {min_points}{what}")
+    if cfg["b_points"] > _MAX_FIELDS:
+        raise ConfigError(f"b_points must be <= {_MAX_FIELDS}")
     start, stop = cfg["b_start_mt"], cfg["b_stop_mt"]
     if not math.isfinite(stop - start):
         raise ConfigError("fields must be finite")

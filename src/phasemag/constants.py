@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from .errors import InvalidParameter
 
 TWO_PI = 2.0 * math.pi
+# most drive-phase turns per half of the phase-swept sequence: its chirp
+# phase 4*pi*N*(1 - cos theta) reaches 8*pi*N, which must stay below 2^52
+# rad, past which adjacent doubles are a radian apart
+MAX_TURNS = 2**47
 
 
 @dataclass(frozen=True)

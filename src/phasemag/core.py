@@ -18,11 +18,16 @@ pair (a, b), the first row of its SU(2) matrix [[a, b], [-b*, a*]]
 propagator: ``_pairs`` builds the pairs of rotations about given vectors
 from their half angles, ``_mul`` composes two pairs with four complex
 multiplies, ``_reduce`` takes the time-ordered product of a stack of them
-pairwise, and ``_apply`` rotates Bloch vectors by a pair once, at the end.
-From |0> a pair reaches (a, -b*), so the readout s_z is |a|^2 - |b|^2.
+pairwise along its last axis (the slices; any leading axes, such as
+channels, are carried along), and ``_apply`` rotates Bloch vectors by a
+pair once, at the end.  From |0> a pair reaches (a, -b*), so the readout
+s_z is |a|^2 - |b|^2.
 Time-dependent controls are handled on a mesh that is refined (halving the
 step) until a Richardson error estimate meets tolerance; both meshes below
-share that loop (``_refine``).
+share that loop (``_refine``), which compares two depths of the mesh per
+pass and refuses a start mesh of more than ``_MAX_MESH`` slices times
+channels.  The knot mesh composes both depths in one pass; the lab-frame
+mesh composes each depth once and keeps it for the next halving.
 ``propagate_swept`` carries one state.  It samples the drive phase and the
 detuning through functions of an array of times, each returning a scalar
 or one value per time (any other shape is rejected), and each of its
@@ -41,6 +46,7 @@ per slice (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -77,8 +83,15 @@ _SQRT3_6 = math.sqrt(3.0) / 6.0
 _NODES = (0.5 - _SQRT3_6, 0.5 + _SQRT3_6)
 _A1 = 0.25 + _SQRT3_6
 _A2 = 0.25 - _SQRT3_6
-# rotations per block of the composition (slices x rotations x states)
-_BLOCK = 262144
+# rotations per block of the composition (slices x rotations x states):
+# 2**15 keeps a block's arrays near a core's cache; on a 2-core VM 2**17
+# made the knot mesh of 61 fields 1.3-1.8 times and of 601 fields 1.9
+# times slower
+_BLOCK = 32768
+# most slices times channels a mesh may start from (both meshes), checked
+# before composing: 109 times the 256 x 601 of the largest shipped noisy
+# run, and about 8 s of knot-mesh work per pass on a 2-core VM
+_MAX_MESH = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -159,7 +172,11 @@ class StepControl:
     equal slices, j the smallest that keeps h*|R| <= pi on every slice and
     gives at least ``min_steps`` slices, and each slice takes one 4th-order
     Magnus rotation.  That mesh halves from there under the same ``tol``
-    and ``max_depth``.
+    and ``max_depth``, composing the depths j and j+1 of each comparison
+    in one pass.
+
+    Either mesh refuses, with InvalidParameter, a start of more than
+    ``core._MAX_MESH`` slices times channels (fields), before composing.
     """
 
     tol: float = 1e-6
@@ -225,15 +242,21 @@ def _mul(later, earlier):
 
 
 def _reduce(a: np.ndarray, b: np.ndarray):
-    """Time-ordered product of pairs along the first axis, ``a[0], b[0]``
-    acting first.  Pairwise reduction keeps the pass count logarithmic."""
-    while a.shape[0] > 1:
-        if a.shape[0] % 2 == 1:
-            pa, pb = _mul((a[1:-1:2], b[1:-1:2]), (a[0:-1:2], b[0:-1:2]))
-            a, b = np.concatenate((pa, a[-1:])), np.concatenate((pb, b[-1:]))
+    """Time-ordered product of pairs along the last axis, ``a[..., 0],
+    b[..., 0]`` acting first.  Pairwise reduction keeps the pass count
+    logarithmic, and with the slices on the last axis each level runs
+    numpy's inner loop along the slices rather than once per row of
+    channels."""
+    while a.shape[-1] > 1:
+        if a.shape[-1] % 2 == 1:
+            pa, pb = _mul((a[..., 1:-1:2], b[..., 1:-1:2]),
+                          (a[..., 0:-1:2], b[..., 0:-1:2]))
+            a = np.concatenate((pa, a[..., -1:]), axis=-1)
+            b = np.concatenate((pb, b[..., -1:]), axis=-1)
         else:
-            a, b = _mul((a[1::2], b[1::2]), (a[0::2], b[0::2]))
-    return a[0], b[0]
+            a, b = _mul((a[..., 1::2], b[..., 1::2]),
+                        (a[..., 0::2], b[..., 0::2]))
+    return a[..., 0], b[..., 0]
 
 
 def _apply(a, b, v) -> np.ndarray:
@@ -280,21 +303,22 @@ def _sample(fn: Callable, ts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _compose(n_slices: int, per_slice: int, width: int, axes: Callable):
-    """Pair of the rotations of ``n_slices`` mesh slices, in time order.
+def _compose(n_slices: int, per_slice: int, pairs: Callable):
+    """Pairs of the rotations of ``n_slices`` mesh slices, in time order.
 
-    ``axes(start, stop)`` returns the arguments of ``_pairs`` for the
-    ``per_slice`` rotations of each slice in [start, stop), in the order
-    they act along the first dimension, for ``width`` channels along the
-    second (or none for one).  It is called block by block, at most
-    ``_BLOCK`` rotations' worth over all channels at a time, so the memory
-    does not grow with the mesh.
+    ``pairs(start, stop)`` returns the pairs of the rotations of the slices
+    in [start, stop), in the order they act along the last axis; the
+    leading axes (depths, channels) are kept.  It is called block by block,
+    at most ``_BLOCK`` rotations' worth at a time, ``per_slice`` being the
+    rotations of one slice over every leading axis, so the memory does not
+    grow with the mesh.
     """
-    block = max(1, _BLOCK // (width * per_slice))
+    # a power of two, so that the pairwise tree of a full block halves
+    # evenly at every level and never copies an odd slice along
+    block = 1 << max(0, (_BLOCK // per_slice).bit_length() - 1)
     total = None
     for start in range(0, n_slices, block):
-        stop = min(start + block, n_slices)
-        part = _reduce(*_pairs(*axes(start, stop)))
+        part = _reduce(*pairs(start, min(start + block, n_slices)))
         total = part if total is None else _mul(part, total)
     return total
 
@@ -323,32 +347,54 @@ def _compose_swept(rabi: float, phase_fn, det_fn, duration: float,
     """Pair of ``n_steps`` equal lab-frame slices (``_swept_axes``),
     sampled and composed block by block (``_compose``)."""
     dt = duration / n_steps
-    return _compose(n_steps, 2, 1, lambda start, stop: _swept_axes(
-        rabi, phase_fn, det_fn, dt, start, stop))
+    return _compose(n_steps, 2, lambda start, stop: _pairs(*_swept_axes(
+        rabi, phase_fn, det_fn, dt, start, stop)))
 
 
 def _compose_knots(rabi: float, lengths: np.ndarray, dets: np.ndarray,
                    depth: int):
-    """Pairs (m,) of the knot-aligned Magnus mesh of ``_knot_refine``.
+    """Pairs (2, m) of the knot-aligned Magnus mesh of ``_knot_refine`` at
+    depths ``depth`` and ``depth + 1``, composed in one pass.
 
-    Interval k, of length ``lengths[k]``, is cut into 2**depth equal
+    At depth d interval k, of length ``lengths[k]``, is cut into 2**d equal
     slices; ``dets`` (K+1, m) holds w at the interval edges for each of m
     channels.  On a slice of length h where w changes by dw, R(t) =
     (rabi, 0, w(t)) is linear, and the 4th-order Magnus exponent
     h*R(t_mid) + (h^3/12) R' x R(t_mid) is the single rotation about
     (rabi, rabi*h*dw/12, w(t_mid)) by h times its length.
+
+    Each coarse slice is sampled at its midpoint and at the midpoints of
+    its two halves, (3, m, n) rotations in one ``_pairs`` call; the halves
+    are multiplied into one pair per coarse slice, and both depths, stacked
+    as (2, m, n), are reduced along the slices together.  That product of
+    the halves is the first level of the finer depth's pairwise tree, so
+    within a block each depth is the product it would be alone.
     """
     sub = 1 << depth
+    # per channel, w at the start of each interval and its change over it,
+    # each channel's row contiguous for np.take below
+    edges = np.ascontiguousarray(dets.T)
+    w_start, w_step = edges[:, :-1], edges[:, 1:] - edges[:, :-1]
+    # for the coarse slice and its two halves: the slices per interval,
+    # each one's index per coarse index, and its midpoint in its own length
+    scale = np.array([1.0, 2.0, 2.0])[:, None, None]
+    per = sub * scale
+    mid = np.array([0.5, 0.5, 1.5])[:, None, None]
 
-    def axes(start, stop):
+    def pairs(start, stop):
         idx = np.arange(start, stop)
         k = idx >> depth
-        h = (lengths[k] / sub)[:, None]
-        dw = (dets[k + 1] - dets[k]) / sub
-        w_mid = dets[k] + ((idx & (sub - 1)) + 0.5)[:, None] * dw
-        return rabi, rabi * h * dw / 12.0, w_mid, h
+        h = lengths[k] / per
+        # np.take keeps the slices innermost in memory, as the reduction
+        # wants them; indexing [:, k] would put the channels there
+        dw = np.take(w_step, k, axis=1) / per
+        w_mid = (np.take(w_start, k, axis=1)
+                 + ((idx & (sub - 1)) * scale + mid) * dw)
+        a, b = _pairs(rabi, rabi * h * dw / 12.0, w_mid, h)
+        a[1], b[1] = _mul((a[2], b[2]), (a[1], b[1]))
+        return a[:2], b[:2]
 
-    return _compose(lengths.size << depth, 1, dets.shape[1], axes)
+    return _compose(lengths.size << depth, 3 * dets.shape[1], pairs)
 
 
 def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
@@ -370,26 +416,34 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
     return max(ctl.min_steps, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
 
 
-def _refine(compose: Callable, states: np.ndarray, ctl: StepControl):
+def _refine(compose: Callable, slices: int, states: np.ndarray,
+            ctl: StepControl):
     """Richardson refinement, shared by the lab-frame and the knot mesh.
 
-    ``compose(d)`` returns the pair of the start mesh halved d times and
-    its slice count.  The mesh halves until the change of every Bloch
-    component of ``states`` under one halving is at most ``ctl.tol``; it
-    returns the pair, the rotated states and the report, and raises
-    ``ConvergenceFailure`` after ``ctl.max_depth`` halvings.
+    ``slices`` is the start mesh's slice count, and ``compose(d)`` returns
+    the pairs of the start mesh halved d and d + 1 times, stacked along a
+    first axis of 2.  The mesh halves until the change of every Bloch
+    component of ``states`` (..., 3) between those two depths is at most
+    ``ctl.tol``; it returns the finer pair, the states it rotates and the
+    report (the finer slice count, one change per halving), and raises
+    ``ConvergenceFailure`` after ``ctl.max_depth`` halvings.  A start mesh
+    of more than ``_MAX_MESH`` slices times channels raises
+    ``InvalidParameter`` before anything is composed.
     """
+    width = states.size // 3
+    if not slices * width <= _MAX_MESH:
+        raise InvalidParameter(
+            f"the mesh would start at {slices:.3g} slices for {width} "
+            f"channels, more than {_MAX_MESH} in all")
     history = []
-    prev = None
-    for depth in range(ctl.max_depth + 1):
-        pair, steps = compose(depth)
-        out = _apply(*pair, states)
-        if prev is not None:
-            err = float(np.max(np.abs(out - prev)))
-            history.append(err)
-            if err <= ctl.tol:
-                return pair, out, ConvergenceReport(steps, tuple(history), True)
-        prev = out
+    for depth in range(ctl.max_depth):
+        a, b = compose(depth)
+        steps = slices << (depth + 1)
+        out = _apply(a, b, states)
+        history.append(float(np.max(np.abs(out[1] - out[0]))))
+        if history[-1] <= ctl.tol:
+            return (a[1], b[1]), out[1], ConvergenceReport(
+                steps, tuple(history), True)
     raise ConvergenceFailure(
         f"mesh refinement stalled at {steps} steps with error "
         f"{history[-1]:.3e} > tol {ctl.tol:.1e}",
@@ -403,13 +457,16 @@ def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
     Core of ``propagate_swept``.
 
     The mesh halves from the start of ``_initial_mesh`` (``_refine``).
+    Each depth is composed once: the finer depth of one halving is kept
+    for the next.
     """
     if duration == 0.0:
         return state.copy(), ConvergenceReport(0, (), True)
     n0 = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl)
+    at = functools.cache(lambda d: _compose_swept(rabi, phase_fn, det_fn,
+                                                  duration, n0 << d))
     _, out, report = _refine(
-        lambda d: (_compose_swept(rabi, phase_fn, det_fn, duration, n0 << d),
-                   n0 << d), state, ctl)
+        lambda d: tuple(map(np.stack, zip(at(d), at(d + 1)))), n0, state, ctl)
     return out, report
 
 
@@ -429,7 +486,8 @@ def _knot_refine(states: np.ndarray, rabi: float, lengths: np.ndarray,
     ``ctl.min_steps`` slices and h*|R| <= pi on every slice (the
     convergence radius of the Magnus series); |w| is piecewise linear, so
     its maximum on an interval sits at an edge and that bound is exact.
-    The mesh halves from there (``_refine``).
+    The mesh halves from there (``_refine``), each pass composing one
+    depth and the next.
     """
     if not np.any(lengths > 0.0):
         m = states.shape[0]
@@ -444,8 +502,8 @@ def _knot_refine(states: np.ndarray, rabi: float, lengths: np.ndarray,
     while (lengths.size << start) < ctl.min_steps or reach > (1 << start):
         start += 1
     pair, _, report = _refine(
-        lambda d: (_compose_knots(rabi, lengths, dets, start + d),
-                   lengths.size << (start + d)), states, ctl)
+        lambda d: _compose_knots(rabi, lengths, dets, start + d),
+        lengths.size << start, states, ctl)
     return pair, report
 
 

@@ -64,6 +64,16 @@ def fmt(x) -> str:
 # largest Larmor phase a curve may reach: beyond 2^52 rad adjacent doubles
 # are 1 rad apart, so the phase, and the signal, carry no information
 _MAX_PHASE = 2.0**52
+# most runs an ensemble may average: 500 times the largest shipped default
+_MAX_ENSEMBLE = 100_000
+
+
+def _check_ensemble(ensemble) -> None:
+    """InvalidParameter unless ``ensemble`` is a count of at most
+    ``_MAX_ENSEMBLE`` runs, checked before any run is drawn."""
+    if check_count("ensemble", ensemble) > _MAX_ENSEMBLE:
+        raise InvalidParameter(f"ensemble must be <= {_MAX_ENSEMBLE}, "
+                               f"got {ensemble}")
 
 
 def check_curve_request(protocol: str, engine: str,
@@ -76,7 +86,8 @@ def check_curve_request(protocol: str, engine: str,
 
     Raises InvalidParameter for an unknown protocol or engine, the analytic
     engine on the echo protocol, numeric+noise without a noise model, an
-    ``ensemble`` or ``workers`` below 1, a non-finite interaction time,
+    ``ensemble`` or ``workers`` below 1, an ``ensemble`` above
+    ``_MAX_ENSEMBLE``, a non-finite interaction time,
     field or drive frequency (``omegas``, rad/s), and a Larmor phase
     gamma*|B|*T above ``_MAX_PHASE``.  ``workers`` has no effect; values
     above 1 emit a DeprecationWarning.
@@ -89,7 +100,7 @@ def check_curve_request(protocol: str, engine: str,
         raise InvalidParameter("analytic engine is not defined for the echo protocol")
     if engine == "numeric+noise" and noise is None:
         raise InvalidParameter("numeric+noise engine needs a noise model")
-    check_count("ensemble", ensemble)
+    _check_ensemble(ensemble)
     check_count("workers", workers)
     if not np.all(np.isfinite(np.asarray(durations, dtype=float))):
         raise InvalidParameter("interaction times must be finite")
@@ -576,11 +587,11 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
     the turn count with T (nearest integer; N >= 1).  The Monte-Carlo path
     is the authoritative model in the strongly nonadiabatic limit and is
     markedly slower.  Raises InvalidParameter for an unknown engine or an
-    ``ensemble`` below 1.
+    ``ensemble`` below 1 or above ``_MAX_ENSEMBLE``.
     """
     if engine not in ("eq3", "monte-carlo"):
         raise InvalidParameter(f"unknown engine {engine!r}")
-    check_count("ensemble", ensemble)
+    _check_ensemble(ensemble)
     rows = []
     for a_value in sorted(float(a) for a in a_grid):
         try:

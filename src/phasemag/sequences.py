@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import core
-from .constants import NV, TWO_PI, PhysicalConstants
+from .constants import MAX_TURNS, NV, TWO_PI, PhysicalConstants
 from .core import StepControl
 from .errors import InvalidParameter
 from .noise import OUBank
@@ -154,6 +154,9 @@ def build_berry(rabi: float, n_rotations: int, duration: float) -> SequencePlan:
         raise InvalidParameter(
             f"n_rotations must be a positive integer, got {n_rotations}"
         )
+    if n_rotations > MAX_TURNS:
+        raise InvalidParameter(
+            f"n_rotations must be <= {MAX_TURNS}, got {n_rotations}")
     if not duration > 0:
         raise InvalidParameter(f"duration must be positive, got {duration}")
     n_rotations = int(n_rotations)

@@ -12,7 +12,8 @@ from phasemag.analytic import (DynamicModel, GeometricModel, HyperfineModel,
                                berry_signal, berry_slope, hyperfine_average,
                                ramsey_ambiguities, ramsey_field_range,
                                ramsey_signal, ramsey_slope, sensitivity)
-from phasemag.constants import NV, TWO_PI, PhysicalConstants, angular_from_mhz
+from phasemag.constants import (MAX_TURNS, NV, TWO_PI, PhysicalConstants,
+                                angular_from_mhz)
 from phasemag.errors import DegenerateSlope, InvalidParameter
 
 W5 = angular_from_mhz(5.0)
@@ -135,6 +136,13 @@ class TestBerryFieldRange:
         m = GeometricModel(W5, n)
         ratio = berry_field_range(m) * NV.gamma / (W5 * math.sqrt(2 * n))
         assert abs(ratio - 1.0) <= 3.0 / (16.0 * n) * 1.2
+
+    def test_turn_count_past_the_phase_cap_rejected(self):
+        # at 2**63 turns cos(theta) = 1 - 1/(4N) rounds to 1 and the range
+        # divided by zero; the largest accepted count keeps it finite
+        assert math.isfinite(berry_field_range(GeometricModel(W5, MAX_TURNS)))
+        with pytest.raises(InvalidParameter, match="n_rotations must be <="):
+            GeometricModel(W5, MAX_TURNS + 1)
 
 
 class TestNonFiniteModelParameters:

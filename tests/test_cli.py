@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import phasemag
+from phasemag import cli, noise
 from phasemag.cli import _COMMAND_KEYS, SIGNAL_HEADER, main
 
 
@@ -387,6 +388,26 @@ BAD_NUMBER_TABLE = [(command, key, value)
                                   "1e-300")]
 ESTIMATE_RAMSEY_KEYS = ("t_us", "window_start_mt", "window_stop_mt")
 ESTIMATE_RAMSEY_FORM = ("--protocol=ramsey", "--t-us=1", "--window-stop-mt=0.5")
+INT_KEY_TABLE = [(command, key, value)
+                 for command, registry in sorted(_COMMAND_KEYS.items())
+                 for key, (conv, _) in registry.items()
+                 if conv in (int, cli._parse_int_list)
+                 for value in ("0", "-1", str(2**31), str(2**63))]
+# forms of the example configs on which every count is used: the noisy
+# engines loop over the ensemble, and the berry plans take n turns
+INT_KEY_FORMS = {
+    "signal": ("--engine=numeric+noise", "--b-points=3", "--ensemble=1",
+               "--t2star-us=50", "--t2-us=500"),
+    "sweep": ("--protocol=berry", "--engine=numeric+noise",
+              "--omega-mhz-list=5", "--n-list=3", "--t-us-list=8",
+              "--b-points=3", "--ensemble=1", "--t2star-us=50",
+              "--t2-us=500"),
+    "decohere": ("--engine=monte-carlo", "--a-list=1", "--ensemble=1"),
+}
+# what a guarded run may ask for: more means a count reached numpy or a
+# loop unchecked
+GUARD_POINTS = 10**6
+GUARD_RUNS = 64
 
 
 class TestBadNumbers:
@@ -471,6 +492,11 @@ class TestBadNumbers:
           "--omega-mhz=1e300", "--n=1000"), 3),
         (("estimate", "--config", str(EXAMPLES / "estimate.cfg"),
           "--omega-mhz=1e-300", "--n=1000"), 3),
+        # 2**31 turns put the knot mesh's start at 2**25 slices per knot
+        # interval, about 4.3e9 per depth: refused before composing
+        (("signal", "--config", str(EXAMPLES / "signal.cfg"), "--engine",
+          "numeric+noise", "--b-points", "3", "--ensemble", "1",
+          "--t2star-us", "50", "--t2-us", "500", "--n", "2147483648"), 3),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
@@ -486,7 +512,7 @@ class TestBadNumbers:
             "signal-ou-knots", "sweep-larmor-phase", "overlay-t-long",
             "overlay-t-short", "lorentzian-psd-tail", "signal-seed-negative",
             "decohere-seed-negative", "estimate-candidate-overflows",
-            "estimate-slope-envelope-overflows"])
+            "estimate-slope-envelope-overflows", "signal-knot-mesh-start"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         # rejected by validation: one error line on stderr and no warning
         with warnings.catch_warnings(record=True) as caught:
@@ -513,6 +539,53 @@ class TestBadNumbers:
             code = main(args)
         assert code in (0, 2, 3, 4, 5)
         assert [str(w.message) for w in caught] == []
+        assert len(capsys.readouterr().err.splitlines()) <= 1
+        if code in (2, 3):
+            assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _guard_counts(monkeypatch):
+        """Fail, rather than allocate or loop, when a count goes unchecked:
+        a field grid past GUARD_POINTS, a bank of more channels, or more
+        than GUARD_RUNS ensemble runs of one curve."""
+        linspace, bank, trajectory = np.linspace, noise.ou_bank, noise.ou_trajectory
+        runs = []
+
+        def guarded_linspace(start, stop, num=50, *args, **kw):
+            assert num <= GUARD_POINTS, f"np.linspace asked for {num} points"
+            return linspace(start, stop, num, *args, **kw)
+
+        def guarded_bank(S, duration, dt, n_traj, *args, **kw):
+            assert n_traj <= GUARD_POINTS, f"ou_bank asked for {n_traj} runs"
+            return bank(S, duration, dt, n_traj, *args, **kw)
+
+        def guarded_trajectory(*args, **kw):
+            runs.append(None)
+            assert len(runs) <= GUARD_RUNS, "the ensemble loop ran on"
+            return trajectory(*args, **kw)
+
+        monkeypatch.setattr(np, "linspace", guarded_linspace)
+        monkeypatch.setattr(noise, "ou_bank", guarded_bank)
+        monkeypatch.setattr(noise, "ou_trajectory", guarded_trajectory)
+
+    @pytest.mark.parametrize("command, key, value", INT_KEY_TABLE,
+                             ids=["-".join(case) for case in INT_KEY_TABLE])
+    def test_every_int_key(self, tmp_path, monkeypatch, capsys, command, key,
+                           value):
+        # the same contract as the float keys, on a form that uses the
+        # count; workers above 1 only warns that it has no effect
+        monkeypatch.chdir(tmp_path)
+        self._guard_counts(monkeypatch)
+        args = [command, "--config", str(EXAMPLES / f"{command}.cfg"),
+                *INT_KEY_FORMS.get(command, ()),
+                f"--{key.replace('_', '-')}={value}"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        assert code in (0, 2, 3, 4, 5)
+        allowed = {DeprecationWarning} if key == "workers" else set()
+        assert {w.category for w in caught} <= allowed, [
+            str(w.message) for w in caught]
         assert len(capsys.readouterr().err.splitlines()) <= 1
         if code in (2, 3):
             assert list(tmp_path.iterdir()) == []
@@ -544,6 +617,22 @@ class TestExampleConfigs:
         rows = [l for l in out.read_bytes().splitlines(keepends=True)
                 if not l.startswith(b"#")]
         assert hashlib.sha256(b"".join(rows)).hexdigest() == digest
+
+    def test_monte_carlo_decohere_output_pinned(self, tmp_path, repo_docs):
+        # sha256 of the lines below the '#' headers of the three files, in
+        # the order coherence, regimes, overlay: the regime rows run the
+        # noisy knot mesh at tol 1e-3 over 4 runs
+        prefix = tmp_path / "mc"
+        assert run_cli("decohere", "--config", str(repo_docs / "decohere.cfg"),
+                       "--engine", "monte-carlo", "--ensemble", "4",
+                       "--a-list", "0.1,1", "--out", str(prefix)) == 0
+        digest = hashlib.sha256()
+        for suffix in ("_coherence.csv", "_regimes.csv", "_overlay.csv"):
+            lines = Path(f"{prefix}{suffix}").read_bytes().splitlines(
+                keepends=True)
+            digest.update(b"".join(l for l in lines if not l.startswith(b"#")))
+        assert digest.hexdigest() == (
+            "3e6ebef479d53b74c6b5e19c514b33dac048b610584fa9b1f75099ef6a99af7e")
 
     def test_sweep_example(self, tmp_path, repo_docs):
         code = run_cli("sweep", "--config", str(repo_docs / "sweep.cfg"),

@@ -170,7 +170,9 @@ class TestPairKernel:
         rng = np.random.default_rng(33 + n)
         w, dt, unit, angle = self._random(rng, (n, 4))
         v = self._states(rng, 4)
-        got = core._apply(*core._reduce(*core._pairs(*w, dt)), v)
+        # _reduce takes the slices on the last axis
+        got = core._apply(*core._reduce(*core._pairs(*w.transpose(0, 2, 1),
+                                                     dt.T)), v)
         total = reduce_time_ordered(rotation_matrices(*unit, angle))
         ref = np.einsum("mij,mj->mi", total, v)
         assert np.max(np.abs(got - ref)) <= 1e-13
@@ -210,6 +212,62 @@ class TestPairKernel:
             *(c / r for c in comps), r * np.longdouble(dt)))
         ref = (total @ v.astype(np.longdouble)).astype(float)
         assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+class TestKnotComposition:
+    """The knot mesh composes two Richardson depths in one pass."""
+
+    @staticmethod
+    def _mesh(k, m):
+        # k intervals of 0.05-0.15 us, w within +-30 Mrad/s at the edges
+        rng = np.random.default_rng(40 + k + m)
+        lengths = rng.uniform(0.05e-6, 0.15e-6, k)
+        dets = rng.uniform(-3e7, 3e7, (k + 1, m))
+        states = rng.standard_normal((m, 3))
+        return lengths, dets, states / np.linalg.norm(states, axis=1,
+                                                      keepdims=True)
+
+    @staticmethod
+    def _reference(rabi, lengths, dets, depth, states):
+        # the slices of one depth written out from the step's definition,
+        # one rotation about (rabi, rabi*h*dw/12, w_mid) by h times its
+        # length each, multiplied as 3x3 matrices
+        sub = 1 << depth
+        h = np.repeat(lengths / sub, sub)[:, None]
+        dw = np.repeat((dets[1:] - dets[:-1]) / sub, sub, axis=0)
+        mid = np.tile(np.arange(sub) + 0.5, lengths.size)[:, None]
+        axis = np.broadcast_arrays(rabi, rabi * h * dw / 12.0,
+                                   np.repeat(dets[:-1], sub, axis=0) + mid * dw)
+        r = np.sqrt(sum(c * c for c in axis))
+        total = reduce_time_ordered(rotation_matrices(*(c / r for c in axis),
+                                                      r * h))
+        return np.einsum("mij,mj->mi", total, states)
+
+    @pytest.mark.parametrize("m", [1, 3, 12])
+    @pytest.mark.parametrize("k", [7, 64])
+    def test_each_depth_matches_the_reference(self, k, m):
+        rabi = angular_from_mhz(5.0)
+        lengths, dets, states = self._mesh(k, m)
+        for depth in (0, 2):
+            got = core._apply(*core._compose_knots(rabi, lengths, dets, depth),
+                              states)
+            assert got.shape == (2, m, 3)
+            for i in (0, 1):
+                ref = self._reference(rabi, lengths, dets, depth + i, states)
+                assert np.max(np.abs(got[i] - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 3, 12])
+    @pytest.mark.parametrize("k", [7, 64])
+    def test_fine_depth_is_the_next_coarse_depth(self, k, m):
+        # the product of two half slices is the first level of the finer
+        # depth's tree, so one pass's fine depth is the next pass's coarse
+        # one (bit for bit where measured)
+        rabi = angular_from_mhz(5.0)
+        lengths, dets, _ = self._mesh(k, m)
+        passes = [core._compose_knots(rabi, lengths, dets, d) for d in range(4)]
+        for (fa, fb), (ca, cb) in zip(passes, passes[1:]):
+            assert np.max(np.abs(fa[1] - ca[0])) <= 1e-15
+            assert np.max(np.abs(fb[1] - cb[0])) <= 1e-15
 
 
 class TestPropagateSwept:
@@ -318,7 +376,9 @@ class TestPropagateSwept:
         v = np.array([[0.0, -1.0, 0.0]])
 
         def run(depth):
-            return core._apply(*core._compose_knots(w, lengths, dets, depth), v)
+            # the coarser of the two depths of one pass
+            return core._apply(*core._compose_knots(w, lengths, dets, depth),
+                               v)[0]
 
         ref = run(12)
         errs = [np.max(np.abs(run(d) - ref)) for d in (2, 3, 4, 5)]
@@ -386,7 +446,8 @@ class TestPropagateSwept:
             edge_dets = dets[None, :] + 1e5 * np.sin(3e5 * knots)[:, None]
 
             def run():
-                # 100 intervals of 64 slices, 64 channels: 409600 rotations
+                # 100 intervals of 64 and of 128 slices, 64 channels:
+                # 1228800 rotations
                 return core._apply(*core._compose_knots(
                     3e6, np.diff(knots), edge_dets, 6), states)
         else:
@@ -407,6 +468,24 @@ class TestPropagateSwept:
         with pytest.raises(InvalidParameter, match="one value per time"):
             propagate_swept(SpinState.up(), 1e6, lambda t: 0.0,
                             lambda t: np.zeros((np.size(t), 2)), 1e-6)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_start_mesh_beyond_the_cap_refused(self, monkeypatch, noisy):
+        # a phase ramp of 1e16 rad/s starts the lab-frame mesh at 1e10
+        # slices, and w = 1e16 rad/s the knot mesh of 128 intervals at
+        # 2**25 slices each: refused before anything is composed
+        def compose(*args):
+            raise AssertionError("composed a mesh past the cap")
+
+        monkeypatch.setattr(core, "_compose", compose)
+        with pytest.raises(InvalidParameter, match="mesh would start"):
+            if noisy:
+                core._knot_refine(np.array([[0.0, -1.0, 0.0]]), 1e6,
+                                  np.full(128, 1e-6 / 128),
+                                  np.full((129, 1), 1e16), StepControl())
+            else:
+                propagate_swept(SpinState.up(), 1e6, lambda t: 1e16 * t,
+                                lambda t: 0.0, 1e-6)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(InvalidParameter):

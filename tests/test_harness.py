@@ -145,7 +145,7 @@ class TestRunSweep:
             SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
                       engine="numeric+noise")
         for bad in ({"ensemble": 0}, {"ensemble": -3}, {"workers": 0},
-                    {"workers": 1.5}):
+                    {"workers": 1.5}, {"ensemble": 2**31}):
             with pytest.raises(InvalidParameter):
                 SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
                           **bad)
@@ -349,7 +349,7 @@ class TestRegimeScan:
         rows = decoherence_regime_scan([1.0, 1e100], calibrated_noise)
         assert [r.status for r in rows] == ["ok", "error"]
 
-    @pytest.mark.parametrize("ensemble", [0, -2])
+    @pytest.mark.parametrize("ensemble", [0, -2, 2**31])
     def test_empty_ensemble_rejected_before_the_loop(self, calibrated_noise,
                                                      monkeypatch, ensemble):
         import phasemag.harness as harness

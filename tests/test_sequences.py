@@ -7,7 +7,7 @@ import pytest
 
 from phasemag import analytic, core
 from phasemag.analytic import GeometricModel, berry_field_range
-from phasemag.constants import NV, TWO_PI, angular_from_mhz
+from phasemag.constants import MAX_TURNS, NV, TWO_PI, angular_from_mhz
 from phasemag.core import SpinState, StepControl
 from phasemag.errors import ConvergenceFailure, InvalidParameter
 from phasemag.noise import Lorentzian, OUBank, ou_bank, ou_trajectory
@@ -76,6 +76,8 @@ class TestConstruction:
             build_berry(W5, 0, 1e-6)
         with pytest.raises(InvalidParameter):
             build_berry(W5, 2.5, 1e-6)
+        with pytest.raises(InvalidParameter, match="n_rotations must be <="):
+            build_berry(W5, MAX_TURNS + 1, 1e-6)
 
     def test_plan_duration_consistency_enforced(self):
         with pytest.raises(InvalidParameter):
