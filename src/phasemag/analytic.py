@@ -12,7 +12,10 @@ Two signal families:
 
 Slopes are analytic derivatives; the sensitivity figure is the per-shot
 signal noise divided by the best slope, scaled by the square root of the
-shot duration.
+shot duration.  The best slope is exact: gamma*T for ramsey wherever the
+window holds a peak, and for berry the best of at most two lobes on each
+side of the window point nearest zero field, since the slope envelope falls
+with |B| and a whole lobe reaches it (``sensitivity``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .constants import MAX_TURNS, NV, TWO_PI, PhysicalConstants
 from .errors import DegenerateSlope, InvalidParameter, OutOfRange
-from .solve import NoRoot, find_root
+from .solve import find_root
 
 __all__ = [
     "DynamicModel",
@@ -116,8 +119,6 @@ class SensitivityReport:
     eta: float
     max_slope: float
     b_at_max_slope: float
-    sigma_p: float
-    overhead: float
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,9 @@ def ramsey_ambiguities(m: DynamicModel, p_meas: float,
     """
     if not -1.0 <= p_meas <= 1.0:
         raise InvalidParameter(f"|P| must be <= 1, got {p_meas}")
-    return [b for b, _ in _ramsey_ladder(m, p_meas, b_window)]
+    gt = m.gamma * m.duration
+    return [phi / gt for phi, _ in
+            _fringe_phases(p_meas, b_window[0] * gt, b_window[1] * gt)]
 
 
 # the fringe ladders enumerate every fringe they cover; beyond this many a
@@ -156,43 +159,31 @@ def ramsey_ambiguities(m: DynamicModel, p_meas: float,
 _MAX_FRINGES = 100_000
 
 
-def _check_fringe_count(count: float) -> None:
+def _fringe_phases(p: float, lo: float, hi: float) -> list[tuple[float, int]]:
+    """(phase, k) pairs with phase = 2*pi*k +/- acos(p) in [lo, hi], |p| <= 1,
+    sorted: the preimage of cos that both fringe ladders and the ramsey peak
+    test list.  A phase within 1e-12 max(|lo|, |hi|, 1) of the last kept one
+    is merged into it, and one that close outside [lo, hi] moved onto its
+    end.  A non-finite interval raises InvalidParameter, and one of more
+    than ``_MAX_FRINGES`` fringes OutOfRange, before any phase is listed.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParameter(f"phase interval must be finite, got [{lo}, {hi}]")
+    count = (hi - lo) / TWO_PI + 3.0
     if not count <= _MAX_FRINGES:
         raise OutOfRange(f"the search covers {count:.3g} fringes; at most "
                          f"{_MAX_FRINGES} are enumerated")
-
-
-def _ramsey_ladder(m: DynamicModel, p: float,
-                   b_window: tuple[float, float]) -> list[tuple[float, int]]:
-    """(B, fringe k) pairs in the window with cos(gamma*B*T) = p, |p| <= 1.
-
-    B = (2*pi*k +/- acos(p))/(gamma*T), sorted by (B, k); fields within
-    1e-12 of the window scale of the previous kept one are merged into it.
-    A non-finite window bound raises InvalidParameter, and a window of more
-    than ``_MAX_FRINGES`` fringes raises OutOfRange before any is listed.
-    """
-    lo, hi = float(b_window[0]), float(b_window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidParameter(f"field window must be finite, got {b_window}")
-    if hi < lo:
-        return []
     a = math.acos(p)
-    gt = m.gamma * m.duration
-    _check_fringe_count((hi - lo) * gt / TWO_PI + 3.0)
-    k_lo = math.floor((lo * gt - a) / TWO_PI) - 1
-    k_hi = math.ceil((hi * gt + a) / TWO_PI) + 1
-    raw = []
-    for k in range(k_lo, k_hi + 1):
-        for phi in (TWO_PI * k + a, TWO_PI * k - a):
-            b = phi / gt
-            if lo - 1e-18 <= b <= hi + 1e-18:
-                raw.append((b, k))
-    raw.sort()
+    tol = 1e-12 * max(abs(lo), abs(hi), 1.0)
+    raw = sorted((min(max(phi, lo), hi), k)
+                 for k in range(math.floor((lo - a) / TWO_PI) - 1,
+                                math.ceil((hi + a) / TWO_PI) + 2)
+                 for phi in (TWO_PI * k + a, TWO_PI * k - a)
+                 if lo - tol <= phi <= hi + tol)
     ladder = []
-    scale = max(abs(hi), abs(lo), 1.0 / gt)
-    for b, k in raw:
-        if not ladder or b - ladder[-1][0] > 1e-12 * scale:
-            ladder.append((b, k))
+    for phi, k in raw:
+        if not ladder or phi - ladder[-1][0] > tol:
+            ladder.append((phi, k))
     return ladder
 
 
@@ -216,16 +207,28 @@ def berry_signal(m: GeometricModel, b):
     return np.cos(berry_phase_argument(m, b))
 
 
-def berry_slope(m: GeometricModel, b):
-    """Analytic dP/dB = sin(arg) * 4*pi*N*gamma*Omega^2 / R^3.
+def _berry_envelope(m: GeometricModel, r):
+    """4*pi*N*gamma*Omega^2/R^3 at Larmor rate R, evaluated as (Omega/R)^2/R
+    so that Omega^2 and R^3 cannot overflow or underflow where the quotient
+    itself is a float."""
+    return 4.0 * math.pi * m.n_rotations * m.gamma * (m.rabi / r)**2 / r
 
-    The envelope is evaluated as (Omega/R)^2 / R, so Omega^2 and R^3 cannot
-    overflow or underflow where the quotient itself is a float.
-    """
+
+def berry_slope(m: GeometricModel, b):
+    """Analytic dP/dB = sin(arg) * 4*pi*N*gamma*Omega^2 / R^3."""
     det = m.gamma * np.asarray(b, dtype=float)
     r = np.hypot(det, m.rabi)
-    envelope = 4.0 * math.pi * m.n_rotations * m.gamma * (m.rabi / r)**2 / r
-    return np.sin(berry_phase_argument(m, b)) * envelope
+    return np.sin(berry_phase_argument(m, b)) * _berry_envelope(m, r)
+
+
+def _berry_field(m: GeometricModel, u: float) -> float:
+    """Inverse of ``berry_phase_argument``: the field where it is 4*pi*N*u,
+    gamma*B = Omega*c/sqrt(1 - c^2) with c = 1 - u; +-inf past u = 0 and 2."""
+    c = 1.0 - u
+    s = 1.0 - c * c
+    if not s > 0:
+        return math.copysign(math.inf, c)
+    return m.rabi * c / math.sqrt(s) / m.gamma
 
 
 def berry_field_range(m: GeometricModel) -> float:
@@ -236,76 +239,92 @@ def berry_field_range(m: GeometricModel) -> float:
         gamma*B_max = Omega * c / sqrt(1 - c^2)  with c = 1 - 1/(4N).
     Asymptotically gamma*B_max -> Omega*sqrt(2N).
     """
-    c = 1.0 - 1.0 / (4.0 * m.n_rotations)
-    return m.rabi * c / math.sqrt(1.0 - c * c) / m.gamma
+    return _berry_field(m, 1.0 / (4.0 * m.n_rotations))
 
 
 # ---------------------------------------------------------------------------
 # sensitivity
 # ---------------------------------------------------------------------------
 
-# grid on which the best slope is first located, before refinement
-_GRID_POINTS = 2001
-
-
-def sensitivity(signal_fn: Callable, slope_fn: Callable | None,
+def sensitivity(model: DynamicModel | GeometricModel,
                 b_search: tuple[float, float], duration: float,
                 sigma_p: float = 1.0, overhead: float = 0.0) -> SensitivityReport:
     """Shot-noise sensitivity: sigma_P * sqrt(T + overhead) / max |dP/dB|.
 
-    |dP/dB| is maximized on a grid of ``_GRID_POINTS`` points over
-    ``b_search``, then refined between the best point's neighbours a and b
-    to 1e-12 of the window, as the root (``solve.find_root``, bracket
-    fixed) of the fall s*(slope(x - e) - slope(x + e)), e = 1e-3 (b - a),
-    s the sign of the best grid slope.  Near the peak that is the fall of
-    |slope|, bit for bit, but it has no root where the slope crosses zero.
-    With no root in [a, b] (a peak at the window's edge), or a smaller
-    |slope| at it, the grid point stands.  ``slope_fn`` may be None, in
-    which case a central difference of ``signal_fn`` is used.
+    The maximum of |dP/dB| over the finite window ``b_search`` is exact.
+    Ramsey: gamma*T where the window holds a phase gamma*B*T = pi/2 + k*pi
+    (``_fringe_phases`` at p = 0; a window that holds one holds one within
+    half a fringe of its point nearest zero field), else the larger end.
+    Berry: dP/dB = sin(phi) E, and the envelope E = 4*pi*N*gamma*Omega^2/R^3
+    falls with |B|.  Lobes are the spans between fields where phi = k*pi.
+    Out from the window point nearest zero field the second lobe is whole,
+    so |sin phi| reaches 1 in it at an E no lower than anywhere beyond: the
+    maximum lies in the first two lobes on each side.  The slope's
+    derivative is -E h(B) with h = E cos(phi) + 3 gamma^2 B sin(phi) / R^2,
+    and h = +-E at the lobe edges, so a lobe's peak is the one root of h in
+    it (``solve.find_root``, bracket fixed, xtol 1e-12 of the lobe); the
+    window's ends are candidates too.
+    A non-finite window raises InvalidParameter, and a berry envelope that
+    overflows at the window point nearest zero field OutOfRange.
     """
     if not duration > 0:
         raise InvalidParameter(f"duration must be positive, got {duration}")
     if not sigma_p > 0:
         raise InvalidParameter(f"sigma_p must be positive, got {sigma_p}")
     lo, hi = float(b_search[0]), float(b_search[1])
-    if not hi > lo:
-        raise InvalidParameter("b_search must be a nonempty interval")
-
-    if slope_fn is None:
-        db = (hi - lo) * 1e-6
-
-        def slope_fn(b):
-            return (np.asarray(signal_fn(np.asarray(b) + 0.5 * db))
-                    - np.asarray(signal_fn(np.asarray(b) - 0.5 * db))) / db
-
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    slopes = np.asarray(slope_fn(grid), dtype=float)
-    i = int(np.argmax(np.abs(slopes)))
-    best, best_b = abs(float(slopes[i])), float(grid[i])
-    a = float(grid[max(0, i - 1)])
-    b = float(grid[min(_GRID_POINTS - 1, i + 1)])
-    eps = 1e-3 * (b - a)
-    sign = math.copysign(1.0, slopes[i])
-
-    def fall(x):
-        return sign * (float(slope_fn(x - eps)) - float(slope_fn(x + eps)))
-
-    try:
-        x = find_root(fall, a, b, steps=0, xtol=(hi - lo) * 1e-12)
-    except NoRoot:
-        pass
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise InvalidParameter(
+            f"b_search must be a finite nonempty interval, got {b_search}")
+    b0 = min(max(0.0, lo), hi)  # the window point nearest zero field
+    if isinstance(model, DynamicModel):
+        gt = model.gamma * model.duration
+        p0 = b0 * gt
+        peaks = _fringe_phases(0.0, max(lo * gt, p0 - math.pi),
+                               min(hi * gt, p0 + math.pi))
+        best, best_b = (gt, peaks[0][0] / gt) if peaks else max(
+            (abs(float(ramsey_slope(model, b))), b) for b in (lo, hi))
+    elif isinstance(model, GeometricModel):
+        best, best_b = _berry_peak(model, lo, hi, b0)
     else:
-        refined = abs(float(slope_fn(x)))
-        if refined >= best:
-            best, best_b = refined, x
-
+        raise InvalidParameter(
+            f"sensitivity needs a DynamicModel or GeometricModel, got {model!r}")
     if best < 1e-15:
         raise DegenerateSlope(
             f"max |dP/dB| = {best:.3e} over [{lo:.3e}, {hi:.3e}]"
         )
     eta = sigma_p * math.sqrt(duration + overhead) / best
-    return SensitivityReport(eta=eta, max_slope=best, b_at_max_slope=best_b,
-                             sigma_p=sigma_p, overhead=overhead)
+    return SensitivityReport(eta=eta, max_slope=best, b_at_max_slope=best_b)
+
+
+def _berry_peak(m: GeometricModel, lo: float, hi: float, b0: float) -> tuple[float, float]:
+    """Best |dP/dB| over [lo, hi] and its field, from at most two lobes on
+    each side of b0, the window point nearest zero field (``sensitivity``)."""
+    x0 = m.gamma * b0
+    r0 = math.hypot(x0, m.rabi)
+    if not math.isfinite(_berry_envelope(m, r0)):
+        raise OutOfRange(f"the slope envelope 4*pi*N*gamma*Omega^2/R^3 "
+                         f"overflows at B = {b0:.3g} T")
+    quarters = 4.0 * m.n_rotations
+    n4pi = math.pi * quarters
+
+    def h(b):  # h(B) / E
+        x = m.gamma * b
+        r = math.hypot(x, m.rabi)
+        phi = n4pi * (1.0 - x / r)
+        return math.cos(phi) + 3.0 * math.sin(phi) * (r / m.rabi) * (x / m.rabi) / n4pi
+
+    # phi(b0)/pi; phi = k*pi at the lobe edges, and phi falls as B grows
+    j = quarters * (1.0 - x0 / r0)
+    ks = (math.floor(j) + 2, math.floor(j) + 1, math.ceil(j) - 1, math.ceil(j) - 2)
+    edges = sorted({b0, *(min(max(_berry_field(m, k / quarters), lo), hi)
+                          for k in ks)})
+    fields = set(edges)
+    for a, b in zip(edges, edges[1:]):
+        if h(a) * h(b) < 0:
+            sign = math.copysign(1.0, h(b))
+            fields.add(find_root(lambda x: sign * h(x), a, b, steps=0,
+                                 xtol=1e-12 * (b - a)))
+    return max((abs(float(berry_slope(m, x))), x) for x in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +356,8 @@ def adiabaticity(rabi: float, n_rotations: int, duration: float, b: float,
         raise InvalidParameter(f"duration must be positive, got {duration}")
     r_sq = rabi**2 + (gamma * b) ** 2
     if r_sq == 0.0:
-        raise InvalidParameter("rabi and field cannot both be zero")
+        raise InvalidParameter(f"rabi^2 + (gamma*B)^2 is zero in floating point "
+                               f"at rabi = {rabi:.3g}, gamma*B = {gamma * b:.3g} rad/s")
     return (4.0 * math.pi * n_rotations / duration) * rabi / (2.0 * r_sq)
 
 

@@ -408,6 +408,8 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
     ts = np.linspace(0.0, duration, 257)
     phases = _sample(phase_fn, ts)
     dets = _sample(det_fn, ts)
+    if not (np.all(np.isfinite(phases)) and np.all(np.isfinite(dets))):
+        raise InvalidParameter("the drive phase and detuning must be finite")
     span = float(np.sum(np.abs(np.diff(phases))))
     r_max = math.hypot(rabi, float(np.max(np.abs(dets))) if dets.size else 0.0)
     turns = duration * r_max / TWO_PI
@@ -573,10 +575,9 @@ def propagate_swept_report(state: SpinState, rabi: float,
                            duration: float,
                            step_control: StepControl | None = None):
     """Like ``propagate_swept`` but also returns the ConvergenceReport."""
-    if not duration >= 0:
-        raise InvalidParameter(f"duration must be >= 0, got {duration}")
-    if not rabi >= 0:
-        raise InvalidParameter(f"rabi must be >= 0, got {rabi}")
+    if not (0 <= duration < math.inf and 0 <= rabi < math.inf):
+        raise InvalidParameter(f"duration and rabi must be finite and >= 0, "
+                               f"got {duration} and {rabi}")
     ctl = step_control or StepControl()
     out, report = _swept_refine(state.as_array(), rabi, phase_fn, detuning_fn,
                                 duration, ctl)

@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import (DynamicModel, GeometricModel, _check_fringe_count,
-                       _ramsey_ladder, berry_field_range, berry_signal,
-                       berry_slope, ramsey_slope)
-from .constants import TWO_PI
+from .analytic import (DynamicModel, GeometricModel, _berry_envelope,
+                       _berry_field, _fringe_phases, berry_field_range,
+                       berry_signal, berry_slope, ramsey_field_range,
+                       ramsey_signal, ramsey_slope)
 from .errors import InvalidParameter, OutOfRange, Unresolvable
 
 __all__ = [
@@ -96,10 +96,10 @@ def measure_geometric(m: GeometricModel, b: float, delta_b: Optional[float] = No
 def measure_dynamic(m: DynamicModel, b: float, delta_b: Optional[float] = None) -> Measurement:
     """Forward model for the free-precession signal (noiseless)."""
     if delta_b is None:
-        delta_b = TWO_PI / (m.gamma * m.duration) / 1e3
-    p = float(np.cos(m.gamma * b * m.duration))
-    slope = float((np.cos(m.gamma * (b + delta_b / 2) * m.duration)
-                   - np.cos(m.gamma * (b - delta_b / 2) * m.duration)) / delta_b)
+        delta_b = ramsey_field_range(m) / 1e3
+    p = float(ramsey_signal(m, b))
+    slope = float((ramsey_signal(m, b + delta_b / 2)
+                   - ramsey_signal(m, b - delta_b / 2)) / delta_b)
     return Measurement(p=min(1.0, max(-1.0, p)), slope=slope)
 
 
@@ -115,33 +115,19 @@ def _clamp_signal(meas: Measurement) -> tuple[float, bool]:
 def geometric_candidates(m: GeometricModel, p: float) -> list[tuple[float, int]]:
     """All fields in [0, B_max] with the given signal, as (B, lobe) pairs.
 
-    Candidates are the arccos branches of the monotone argument: for
-    arg = 2*pi*k +/- acos(p) within [pi, 4*pi*N], invert
-    cos(theta) = 1 - arg/(4*pi*N) to a field.  The lobe index counts
+    Candidates are the arccos branches of the monotone argument: each
+    arg = 2*pi*k +/- acos(p) within [pi, 4*pi*N] (``_fringe_phases``) is
+    inverted to a field (``_berry_field``).  The lobe index counts
     half-oscillations from B=0.  More than ``analytic._MAX_FRINGES``
-    fringes (k = 0 .. 2N) raise OutOfRange before any is listed.
+    fringes raise OutOfRange before any is listed.
     """
-    _check_fringe_count(2 * m.n_rotations + 1)
     n4pi = 4.0 * math.pi * m.n_rotations
-    a = math.acos(max(-1.0, min(1.0, p)))
-    args = set()
-    k = 0
-    while TWO_PI * k - a <= n4pi + 1e-12:
-        for g in (TWO_PI * k + a, TWO_PI * k - a):
-            if math.pi - 1e-12 <= g <= n4pi + 1e-12:
-                args.add(round(g, 12))
-        k += 1
     out = []
-    for g in sorted(args, reverse=True):
-        g = min(g, n4pi)
-        c = 1.0 - g / n4pi
-        if c >= 1.0:
-            continue
-        b = m.rabi * c / math.sqrt(1.0 - c * c) / m.gamma
+    for g, _ in reversed(_fringe_phases(max(-1.0, min(1.0, p)), math.pi, n4pi)):
+        b = _berry_field(m, g / n4pi)
         if not math.isfinite(b):
             raise OutOfRange(f"the candidate field at phase {g:.6g} overflows")
-        lobe = int((n4pi - g) // math.pi)
-        out.append((b, lobe))
+        out.append((b, int((n4pi - g) // math.pi)))
     return out
 
 
@@ -161,7 +147,7 @@ def estimate_geometric(m: GeometricModel, meas: Measurement) -> FieldEstimate:
     # slope scale of the model (envelope at small field), not of the candidates:
     # at signal extrema every candidate slope collapses to ~0 and must tie.
     # It bounds every candidate's slope, so a finite scale keeps them finite.
-    slope_scale = 4.0 * math.pi * m.n_rotations * m.gamma / m.rabi
+    slope_scale = _berry_envelope(m, m.rabi)
     if not math.isfinite(slope_scale):
         raise OutOfRange("the slope envelope 4*pi*N*gamma/Omega overflows")
     slopes = np.array([float(berry_slope(m, b)) for b, _ in cands])
@@ -197,13 +183,14 @@ def estimate_dynamic(m: DynamicModel, meas: Measurement,
     best slope match first within equal fields.
     """
     p, clamped = _clamp_signal(meas)
-    ladder = _ramsey_ladder(m, p, prior_window)
+    gt = m.gamma * m.duration  # phase per tesla, and the largest |dP/dB|
+    ladder = _fringe_phases(p, prior_window[0] * gt, prior_window[1] * gt)
     estimates = []
-    slope_scale = m.gamma * m.duration  # largest attainable |dP/dB|
-    for b, k in ladder:
+    for phi, k in ladder:
+        b = phi / gt
         if meas.slope is not None:
             resid = abs(float(ramsey_slope(m, b)) - meas.slope)
-            conf = 1.0 / (1.0 + resid / slope_scale)
+            conf = 1.0 / (1.0 + resid / gt)
         else:
             conf = 0.0
         estimates.append(FieldEstimate(

@@ -288,14 +288,8 @@ def _eval_point(spec: SweepSpec, index, omega, n_rot, duration):
             b_max = None
 
         if spec.engine == "analytic":
-            signal_fn, slope_fn = (
-                (analytic.ramsey_signal, analytic.ramsey_slope)
-                if spec.protocol == "ramsey"
-                else (analytic.berry_signal, analytic.berry_slope))
-            rep = analytic.sensitivity(
-                lambda b: signal_fn(model, b), lambda b: slope_fn(model, b),
-                (float(b_grid[0]), float(b_grid[-1])), duration,
-                spec.sigma_p, spec.overhead)
+            rep = analytic.sensitivity(model, (b_grid[0], b_grid[-1]), duration,
+                                       spec.sigma_p, spec.overhead)
             eta, max_slope = rep.eta, rep.max_slope
         else:
             eta, max_slope = _sensitivity_from_curve(
@@ -467,10 +461,7 @@ def smart_control_curve(base: GeometricModel, duration: float,
                 scale=k)
         model = GeometricModel(omega, n_rot, base.gamma)
         b_max = analytic.berry_field_range(model)
-        rep = analytic.sensitivity(
-            lambda b: analytic.berry_signal(model, b),
-            lambda b: analytic.berry_slope(model, b),
-            (0.0, b_max), duration)
+        rep = analytic.sensitivity(model, (0.0, b_max), duration)
         if base_eta is None:
             base_eta, base_bmax = rep.eta, b_max
         rows.append(SmartControlRow(

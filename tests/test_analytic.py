@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from phasemag import analytic
 from phasemag.analytic import (DynamicModel, GeometricModel, HyperfineModel,
                                adiabaticity, adiabaticity_small_field,
                                berry_field_range, berry_phase_argument,
@@ -14,7 +15,7 @@ from phasemag.analytic import (DynamicModel, GeometricModel, HyperfineModel,
                                ramsey_signal, ramsey_slope, sensitivity)
 from phasemag.constants import (MAX_TURNS, NV, TWO_PI, PhysicalConstants,
                                 angular_from_mhz)
-from phasemag.errors import DegenerateSlope, InvalidParameter
+from phasemag.errors import DegenerateSlope, InvalidParameter, OutOfRange
 
 W5 = angular_from_mhz(5.0)
 
@@ -177,57 +178,142 @@ class TestSensitivity:
     def test_ramsey_closed_form(self):
         t = 1e-6
         m = DynamicModel(t)
-        rep = sensitivity(lambda b: ramsey_signal(m, b),
-                          lambda b: -NV.gamma * t * np.sin(NV.gamma * np.asarray(b) * t),
-                          (0.0, ramsey_field_range(m)), t)
+        rep = sensitivity(m, (0.0, ramsey_field_range(m)), t)
         assert rep.max_slope == pytest.approx(NV.gamma * t, rel=1e-9)
         assert rep.eta == pytest.approx(1.0 / (NV.gamma * math.sqrt(t)), rel=1e-9)
 
     def test_linear_in_signal_noise(self):
         t = 1e-6
         m = DynamicModel(t)
-        args = (lambda b: ramsey_signal(m, b), None, (0.0, ramsey_field_range(m)), t)
+        args = (m, (0.0, ramsey_field_range(m)), t)
         assert (sensitivity(*args, sigma_p=2.0).eta
                 == pytest.approx(2.0 * sensitivity(*args, sigma_p=1.0).eta))
 
     def test_degenerate_slope(self):
+        # a thousand tesla past a 5 MHz drive's range the signal is flat:
+        # the slope there is about 1e-28 per tesla
         with pytest.raises(DegenerateSlope):
-            sensitivity(lambda b: np.ones_like(np.asarray(b, dtype=float)),
-                        None, (0.0, 1e-3), 1e-6)
+            sensitivity(GeometricModel(W5, 1), (1e3, 1e4), 1e-6)
+
+    def test_other_models_are_refused(self):
+        with pytest.raises(InvalidParameter):
+            sensitivity(HyperfineModel(), (0.0, 1e-3), 1e-6)
+
+    @staticmethod
+    def _lobe_reference(m, lo, hi, points=200_001):
+        # the best |slope| of a fine grid, and scipy's bounded minimiser of
+        # -|slope| on every lobe the grid sees (between the neighbours of
+        # its first and last grid point), at an xatol of 1e-15 of the window
+        grid = np.linspace(lo, hi, points)
+        best = float(np.max(np.abs(berry_slope(m, grid))))
+        lobes = np.floor(berry_phase_argument(m, grid) / math.pi)
+        edges = np.flatnonzero(np.diff(lobes)) + 1
+        for first, last in zip(np.r_[0, edges], np.r_[edges, points] - 1):
+            ref = optimize.minimize_scalar(
+                lambda x: -abs(float(berry_slope(m, x))),
+                bounds=(grid[max(first - 1, 0)], grid[min(last + 1, points - 1)]),
+                method="bounded",
+                options={"xatol": 1e-15 * max(abs(lo), abs(hi))})
+            best = max(best, -ref.fun)
+        return best
 
     @pytest.mark.parametrize("mhz, n, t, stop", [
         (5.0, 3, 8e-6, 1.0), (5.0, 1, 16e-6, 0.5), (1.0, 6, 50e-6, 1.2),
         (20.0, 2, 4e-6, 0.8), (0.3, 11, 80e-6, 1.5),
     ])
     def test_berry_peak_matches_bounded_minimize_scalar(self, mhz, n, t, stop):
-        # reference: scipy's bounded minimiser of -|slope| between the
-        # neighbours of the best point of the same 2001-point grid, at an
-        # absolute xatol of 1e-15 of the window
+        # the global maximum: on the (0.3 MHz, N = 11) row a 2001-point grid
+        # refined around its best point stops 0.15 % low
         m = GeometricModel(angular_from_mhz(mhz), n)
         hi = stop * berry_field_range(m)
-        grid = np.linspace(0.0, hi, 2001)
-        j = int(np.argmax(np.abs(berry_slope(m, grid))))
-        ref = optimize.minimize_scalar(
-            lambda x: -abs(float(berry_slope(m, x))),
-            bounds=(grid[j - 1], grid[j + 1]), method="bounded",
-            options={"xatol": 1e-15 * hi})
-        rep = sensitivity(lambda b: berry_signal(m, b),
-                          lambda b: berry_slope(m, b), (0.0, hi), t)
-        assert rep.max_slope == pytest.approx(-ref.fun, rel=1e-13)
+        rep = sensitivity(m, (0.0, hi), t)
+        assert rep.max_slope == pytest.approx(self._lobe_reference(m, 0.0, hi),
+                                              rel=1e-13)
         assert rep.max_slope == abs(float(berry_slope(m, rep.b_at_max_slope)))
+
+    def test_berry_aliasing_cell(self):
+        m = GeometricModel(angular_from_mhz(0.3), 11)
+        rep = sensitivity(m, (0.0, 1.5 * berry_field_range(m)), 80e-6)
+        assert rep.max_slope == pytest.approx(12_898_975.31, rel=1e-9)
+
+    @pytest.fixture
+    def slope_calls(self, monkeypatch):
+        # one entry per berry_slope call made inside phasemag.analytic
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return berry_slope(*args)
+
+        monkeypatch.setattr(analytic, "berry_slope", counted)
+        return calls
+
+    def test_never_below_a_fine_grid(self, slope_calls):
+        # random cells, windows from zero, off zero and across zero: the
+        # best slope is never below that of a 200 001-point grid, and no
+        # call evaluates more than two lobes per side (five lobe edges and
+        # four roots)
+        rng = np.random.default_rng(18)
+        for cell in range(120):
+            m = GeometricModel(angular_from_mhz(10**rng.uniform(-1, math.log10(20))),
+                               int(rng.integers(1, 12)))
+            hi = rng.uniform(0.3, 1.5) * berry_field_range(m)
+            lo = (0.0, rng.uniform(0.0, 0.8) * hi,
+                  -rng.uniform(0.0, 1.0) * hi)[cell % 3]
+            slope_calls.clear()
+            rep = sensitivity(m, (lo, hi), rng.uniform(2e-6, 100e-6))
+            assert len(slope_calls) <= 9
+            grid = np.abs(berry_slope(m, np.linspace(lo, hi, 200_001)))
+            assert rep.max_slope >= float(np.max(grid)) * (1.0 - 1e-13), cell
+
+    def test_max_turns_stops_after_two_lobes(self, slope_calls):
+        # lobes near zero field are 3e-19 T wide at 2**47 turns; a walk
+        # over every lobe in the window would take millions of them
+        m = GeometricModel(W5, MAX_TURNS)
+        rep = sensitivity(m, (0.0, 0.6e-3), 8e-6)
+        assert len(slope_calls) <= 5
+        assert 0 < rep.max_slope <= 4 * math.pi * MAX_TURNS * NV.gamma / W5
+
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 0.0),
+                                        (math.nan, 1e-3), (0.0, math.nan)])
+    @pytest.mark.parametrize("model", [DynamicModel(1e-6), GeometricModel(W5, 3)],
+                             ids=["ramsey", "berry"])
+    def test_non_finite_window(self, model, window):
+        with pytest.raises(InvalidParameter):
+            sensitivity(model, window, 1e-6)
+
+    @pytest.mark.parametrize("window", [(0.0, 1e300), (-1e300, 1e300),
+                                        (-1e300, 0.0)])
+    def test_huge_window(self, window):
+        ramsey = DynamicModel(1e-6)
+        assert sensitivity(ramsey, window, 1e-6).max_slope == NV.gamma * 1e-6
+        berry = GeometricModel(W5, 3)
+        near_zero = sensitivity(berry, (0.0, berry_field_range(berry)), 1e-6)
+        assert (sensitivity(berry, window, 1e-6).max_slope
+                == near_zero.max_slope)
+
+    def test_envelope_overflow(self):
+        # 4*pi*N*gamma/Omega is past the float range at zero field
+        m = GeometricModel(angular_from_mhz(1e-300), MAX_TURNS)
+        with pytest.raises(OutOfRange):
+            sensitivity(m, (0.0, 0.6e-3), 8e-6)
 
     @pytest.mark.parametrize("t, fringes", [
         (1e-6, 1.0), (1e-6, 3.7), (8e-6, 40.0), (2e-5, 400.0),
-        # 2.5 to 5 grid points per fringe: the bracket between the best
-        # grid point's neighbours holds a zero of the slope
         (1e-5, 800.0), (1e-5, 600.0), (3e-5, 450.0),
     ])
     def test_ramsey_peak_is_gamma_t(self, t, fringes):
         m = DynamicModel(t)
-        rep = sensitivity(lambda b: ramsey_signal(m, b),
-                          lambda b: ramsey_slope(m, b),
-                          (0.0, fringes * ramsey_field_range(m)), t)
-        assert rep.max_slope == pytest.approx(NV.gamma * t, rel=1e-14)
+        rep = sensitivity(m, (0.0, fringes * ramsey_field_range(m)), t)
+        assert rep.max_slope == NV.gamma * t
+
+    def test_ramsey_window_off_zero_is_gamma_t(self):
+        # phases 0.43 to 262.32 rad: a refined 2001-point grid stopped
+        # 6.8e-6 below gamma*T here
+        m = DynamicModel(36.35e-6)
+        gt = m.gamma * m.duration
+        rep = sensitivity(m, (0.43 / gt, 262.32 / gt), m.duration)
+        assert rep.max_slope == gt
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 0.2), (0.1, 0.23), (0.55, 0.7)])
     def test_window_ending_on_a_rising_slope_returns_the_end(self, lo, hi):
@@ -235,9 +321,7 @@ class TestSensitivity:
         # (in units of the fringe B_range), so the window's end is the peak
         m = DynamicModel(1e-6)
         unit = ramsey_field_range(m)
-        rep = sensitivity(lambda b: ramsey_signal(m, b),
-                          lambda b: ramsey_slope(m, b), (lo * unit, hi * unit),
-                          1e-6)
+        rep = sensitivity(m, (lo * unit, hi * unit), 1e-6)
         assert rep.b_at_max_slope == hi * unit
         assert rep.max_slope == abs(float(ramsey_slope(m, hi * unit)))
 
@@ -285,6 +369,12 @@ class TestAdiabaticity:
         a_short = adiabaticity_small_field(W5, 3, 8e-6)
         assert a_short == pytest.approx(0.0119366, rel=1e-4)
         assert adiabaticity(W5, 3, 8e-6, 0.0) == pytest.approx(TWO_PI * a_short)
+
+    def test_zero_larmor_rate_names_its_cause(self):
+        # a 1e-300 MHz drive: Omega^2 underflows, Omega itself does not
+        with pytest.raises(InvalidParameter,
+                           match="zero in floating point at rabi = 6.28e-294"):
+            adiabaticity(angular_from_mhz(1e-300), 1, 8e-6, 0.0)
 
     def test_monotone_decreasing_in_duration(self):
         ts = np.linspace(1e-6, 50e-6, 20)

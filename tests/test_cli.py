@@ -404,6 +404,18 @@ INT_KEY_FORMS = {
               "--t2-us=500"),
     "decohere": ("--engine=monte-carlo", "--a-list=1", "--ensemble=1"),
 }
+# extreme drive and turn-count pairs on the berry form of each command
+# that takes them: the slope envelope 4*pi*N*gamma/Omega overflows, Omega^2
+# underflows, and a candidate field leaves the float range
+BERRY_FORMS = {
+    "signal": ("--n={n}", "--omega-mhz={omega}"),
+    "sweep": ("--protocol=berry", "--n-list={n}", "--omega-mhz-list={omega}",
+              "--t-us-list=8", "--b-stop-mt=0.6", "--b-points=61"),
+    "estimate": ("--n={n}", "--omega-mhz={omega}"),
+}
+BERRY_PAIR_TABLE = [(command, omega, n) for command in sorted(BERRY_FORMS)
+                    for omega in ("1e-300", "1e-290", "1e300")
+                    for n in ("1", str(2**47))]
 # what a guarded run may ask for: more means a count reached numpy or a
 # loop unchecked
 GUARD_POINTS = 10**6
@@ -534,6 +546,23 @@ class TestBadNumbers:
         if command == "estimate" and key in ESTIMATE_RAMSEY_KEYS:
             args += ESTIMATE_RAMSEY_FORM
         args.append(f"--{key.replace('_', '-')}={value}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        assert code in (0, 2, 3, 4, 5)
+        assert [str(w.message) for w in caught] == []
+        assert len(capsys.readouterr().err.splitlines()) <= 1
+        if code in (2, 3):
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, omega, n", BERRY_PAIR_TABLE,
+                             ids=["-".join(case) for case in BERRY_PAIR_TABLE])
+    def test_extreme_berry_pairs(self, tmp_path, monkeypatch, capsys, command,
+                                 omega, n):
+        # the float-key contract, for two keys at once
+        monkeypatch.chdir(tmp_path)
+        args = [command, "--config", str(EXAMPLES / f"{command}.cfg"),
+                *(arg.format(omega=omega, n=n) for arg in BERRY_FORMS[command])]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(args)

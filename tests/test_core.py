@@ -492,6 +492,16 @@ class TestPropagateSwept:
             propagate_swept(SpinState.up(), 1.0, lambda t: 0.0,
                             lambda t: 0.0, -1.0)
 
+    @pytest.mark.parametrize("rabi, phase, detuning, duration", [
+        (1e6, lambda t: np.where(t > 0.5e-6, np.inf, 0.0), lambda t: 0.0, 1e-6),
+        (1e6, lambda t: 0.0, lambda t: np.nan, 1e-6),
+        (np.inf, lambda t: 0.0, lambda t: 0.0, 1e-6),
+        (1e6, lambda t: 0.0, lambda t: 0.0, np.inf),
+    ], ids=["phase-inf-late", "detuning-nan", "rabi-inf", "duration-inf"])
+    def test_non_finite_input_rejected(self, rabi, phase, detuning, duration):
+        with pytest.raises(InvalidParameter):
+            propagate_swept(SpinState.up(), rabi, phase, detuning, duration)
+
     def test_error_in_user_function_propagates(self):
         # a detuning that fails on arrays must not be retried time by time
         def detuning(t):
