@@ -21,6 +21,7 @@ with |B| and a whole lobe reaches it (``sensitivity``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -279,10 +280,15 @@ def sensitivity(model: DynamicModel | GeometricModel,
     if isinstance(model, DynamicModel):
         gt = model.gamma * model.duration
         p0 = b0 * gt
-        peaks = _fringe_phases(0.0, max(lo * gt, p0 - math.pi),
-                               min(hi * gt, p0 + math.pi))
-        best, best_b = (gt, peaks[0][0] / gt) if peaks else max(
-            (abs(float(ramsey_slope(model, b))), b) for b in (lo, hi))
+        if not math.isfinite(p0):
+            # |B0| > 1.8e308/(gamma*T) needs gamma*T > 1, so one float step
+            # of B spans more than 2**-52 * 1.8e308 rad: many peaks
+            best, best_b = gt, b0
+        else:
+            peaks = _fringe_phases(0.0, max(lo * gt, p0 - math.pi),
+                                   min(hi * gt, p0 + math.pi))
+            best, best_b = (gt, peaks[0][0] / gt) if peaks else max(
+                (abs(float(ramsey_slope(model, b))), b) for b in (lo, hi))
     elif isinstance(model, GeometricModel):
         best, best_b = _berry_peak(model, lo, hi, b0)
     else:
@@ -355,10 +361,15 @@ def adiabaticity(rabi: float, n_rotations: int, duration: float, b: float,
     if not duration > 0:
         raise InvalidParameter(f"duration must be positive, got {duration}")
     r_sq = rabi**2 + (gamma * b) ** 2
+    if r_sq >= sys.float_info.min:
+        return (4.0 * math.pi * n_rotations / duration) * rabi / (2.0 * r_sq)
+    # R^2 is subnormal or zero: the same quotient on Omega and gamma*B scaled
+    # up by 2^600, which is exact and makes R^2 a normal float
+    scale = 2.0**600
+    r_sq = (rabi * scale)**2 + (gamma * b * scale) ** 2
     if r_sq == 0.0:
-        raise InvalidParameter(f"rabi^2 + (gamma*B)^2 is zero in floating point "
-                               f"at rabi = {rabi:.3g}, gamma*B = {gamma * b:.3g} rad/s")
-    return (4.0 * math.pi * n_rotations / duration) * rabi / (2.0 * r_sq)
+        raise InvalidParameter("rabi and gamma*B are both zero")
+    return (4.0 * math.pi * n_rotations / duration) * (rabi * scale) / (2.0 * r_sq) * scale
 
 
 def adiabaticity_small_field(rabi: float, n_rotations: int, duration: float) -> float:

@@ -5,12 +5,25 @@ Interface units are MHz for drive frequencies (ordinary, i.e. Omega/2pi),
 microseconds for times and millitesla for fields; everything is converted
 to internal angular-frequency units at this boundary.
 
+Usage: ``phasemag COMMAND [--config FILE] [--key value | --key=value ...]``.
+Every key of a command is listed in ``_COMMAND_KEYS`` with the converter
+that reads its text, and an option spells the key with dashes for
+underscores (``--t-us`` for ``t_us``).  A long option may be shortened to
+any prefix that names one option only, a repeated option keeps its last
+value, and a value that starts with '-' is taken as one when it reads as a
+negative number (``--p -0.5``); any other needs ``--key=value``.
+``-h``/``--help`` lists the commands, or after a command its keys, and
+``--version`` prints the version; both exit 0.
+
 Configuration comes from an optional flat key-value file (``key = value``
-per line, ``#`` comments) selected with ``--config``; command-line options
-override file values.  Unknown keys are rejected.  Every output file embeds
-a comment block with the fully resolved configuration and the tool version,
-and all numbers are printed with 9 significant digits, so identical config
-plus seed yields byte-identical output.
+per line, ``#`` comments) selected with ``--config``; its texts go through
+the same converters, and command-line options override file values.  An
+unknown, ambiguous or valueless option, a value its converter rejects, and
+an unknown config key are configuration errors: exit 2 with one
+``config error: ...`` line on stderr and no file written.  Every output
+file embeds a comment block with the fully resolved configuration and the
+tool version, and all numbers are printed with 9 significant digits, so
+identical config plus seed yields byte-identical output.
 
 Exit codes: 0 ok, 2 configuration error, 3 computation error, 4 partial
 sweep failure (file still written), 5 unresolvable estimate.
@@ -18,9 +31,8 @@ sweep failure (file still written), 5 unresolvable estimate.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
+import re
 import sys
 from typing import Optional
 
@@ -176,25 +188,24 @@ _DEFAULT_A_LIST = [0.01, 0.0215, 0.0464, 0.1, 0.147, 0.215,
                    0.316, 0.464, 0.681, 1.0, 1.47, 2.0]
 
 
+def _convert(registry: dict, key: str, text: str, where: str):
+    conv, _ = registry[key]
+    try:
+        return conv(text)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _resolve(command: str, config_path: Optional[str], overrides: dict) -> dict:
+    """Defaults, then the config file's values, then ``overrides``."""
     registry = _COMMAND_KEYS[command]
     resolved = {k: default for k, (_, default) in registry.items()}
     if config_path:
-        raw = read_config_file(config_path)
-        for key, text in raw.items():
+        for key, text in read_config_file(config_path).items():
             if key not in registry:
                 raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-            conv, _ = registry[key]
-            try:
-                resolved[key] = conv(text)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        if key not in registry:
-            raise ConfigError(f"unknown option {key!r} for command {command!r}")
-        resolved[key] = val
+            resolved[key] = _convert(registry, key, text, f"config key {key!r}")
+    resolved.update(overrides)
     try:
         harness.check_count("workers", resolved["workers"])
     except InvalidParameter as exc:
@@ -493,48 +504,127 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (``parse_args`` leaves it
-    unchanged, so every ``main`` call can share it)."""
-    parser = argparse.ArgumentParser(
-        prog="phasemag",
-        description="Dynamic- and geometric-phase magnetometry simulator")
-    parser.add_argument("--version", action="version",
-                        version=f"phasemag {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, registry in _COMMAND_KEYS.items():
-        p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="key = value config file")
-        for key, (conv, _) in registry.items():
-            if conv is _parse_bool:
-                p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                               default=None, type=_parse_bool, metavar="BOOL")
-            elif conv in (_parse_float_list, _parse_int_list):
-                p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                               default=None, type=conv, metavar="LIST")
-            else:
-                p.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                               default=None, type=conv)
-    return parser
+# a token that reads as a negative number, not an option: such a token, or
+# one holding a space, can be an option's value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+_TOP_FLAGS = {"-h": "help", "--help": "help", "--version": "version"}
+_FLAGS = {command: {"-h": "help", "--help": "help", "--config": "config",
+                    **{f"--{key.replace('_', '-')}": key for key in registry}}
+          for command, registry in _COMMAND_KEYS.items()}
+
+
+def _flag(token: str, flags: dict):
+    """What ``token`` names among ``flags``: None for a value, else (key,
+    value after '=' or None), with key None for an unknown option.
+
+    A long option may be shortened to any prefix that begins one flag only;
+    one that begins several is a ConfigError.  A token that does not start
+    with '-', is '-' alone, or names no flag but reads as a negative number
+    or holds a space is a value.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "--":
+        return None, None
+    if token in flags:
+        return flags[token], None
+    name, eq, value = token.partition("=")
+    value = value if eq else None
+    if name in flags:
+        return flags[name], value
+    if token[1] == "-":
+        matches = [f for f in flags if f.startswith(name)]
+        if len(matches) > 1:
+            raise ConfigError(f"ambiguous option {name}: could be {', '.join(matches)}")
+        if matches:
+            return flags[matches[0]], value
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _help(command: Optional[str] = None) -> str:
+    if command is None:
+        return ("usage: phasemag COMMAND [--config FILE] [--KEY VALUE ...]\n"
+                "Dynamic- and geometric-phase magnetometry simulator.\n"
+                f"commands: {', '.join(_COMMAND_KEYS)}\n"
+                "'phasemag COMMAND --help' lists the keys of one command.")
+    names = {_parse_bool: "BOOL", _parse_float_list: "NUMBERS",
+             _parse_int_list: "INTEGERS"}
+    lines = [f"usage: phasemag {command} [--config FILE] [--KEY VALUE ...]",
+             "keys (a config file spells them with underscores):"]
+    for key, (conv, default) in _COMMAND_KEYS[command].items():
+        line = f"  --{key.replace('_', '-')} {names.get(conv, conv.__name__.upper())}"
+        lines.append(line if default is None else f"{line} (default {default})")
+    return "\n".join(lines)
+
+
+def _parse_argv(argv: list[str]):
+    """``COMMAND --key value ...`` as (command, config path or None, {key:
+    value}), or the text to print for ``--help`` and ``--version``.
+
+    Options are ``--key value`` or ``--key=value``, with dashes for the
+    underscores of the key.  Each value goes through its key's converter as
+    it is read, and a repeated option keeps its last value.  An ambiguous
+    option is refused before any option is read, and an unknown option or
+    a stray argument once all are read, so ``--help`` wins over those.
+    """
+    if not argv:
+        raise ConfigError(f"missing command; expected one of {', '.join(_COMMAND_KEYS)}")
+    command = argv[0]
+    if command not in _COMMAND_KEYS:
+        key, value = _flag(command, _TOP_FLAGS) or (None, None)
+        if key is None or value is not None:
+            raise ConfigError(f"expected a command ({', '.join(_COMMAND_KEYS)}), "
+                              f"--help or --version, got {command!r}")
+        return _help() if key == "help" else f"phasemag {__version__}"
+    flags, registry = _FLAGS[command], _COMMAND_KEYS[command]
+    tokens = argv[1:]
+    # no token after a bare '--' is an option; '--' itself is unknown
+    end = tokens.index("--") + 1 if "--" in tokens else len(tokens)
+    options = [_flag(token, flags) for token in tokens[:end]] + [None] * (len(tokens) - end)
+    values, pending, stray = {}, None, None
+    for token, option in zip(tokens, options):
+        if pending is not None:
+            if option is not None:
+                raise ConfigError(f"option --{pending.replace('_', '-')} needs a "
+                                  f"value, got {token!r} (a value that starts "
+                                  f"with '-' can follow '=')")
+            key, text = pending, token
+        elif option is None or option[0] is None:
+            stray = stray or (f"unknown option {token!r}" if option
+                              else f"unexpected argument {token!r}")
+            continue
+        else:
+            key, text = option
+            if key == "help":
+                if text is not None:
+                    raise ConfigError(f"option --help takes no value, got {token!r}")
+                return _help(command)
+            if text is None:
+                pending = key
+                continue
+        pending = None
+        # --config names a file; every other option's text is converted
+        values[key] = text if key == "config" else _convert(
+            registry, key, text, f"option --{key.replace('_', '-')}")
+    if pending is not None:
+        raise ConfigError(f"option --{pending.replace('_', '-')} needs a value")
+    if stray:
+        raise ConfigError(f"{stray} for command {command!r}")
+    return command, values.pop("config", None), values
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; returns its exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, matching the config error code
-        return int(exc.code) if exc.code else 0
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config")}
-    try:
-        cfg = _resolve(args.command, args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](cfg)
+        parsed = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(parsed, str):
+            print(parsed)
+            return EXIT_OK
+        command, config_path, overrides = parsed
+        return _COMMANDS[command](_resolve(command, config_path, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

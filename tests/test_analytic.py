@@ -292,6 +292,15 @@ class TestSensitivity:
         assert (sensitivity(berry, window, 1e-6).max_slope
                 == near_zero.max_slope)
 
+    @pytest.mark.parametrize("window", [(1.1e303, 1.2e303),
+                                        (-1.2e303, -1.1e303)])
+    def test_window_past_the_phase_range_is_gamma_t(self, window):
+        # gamma*T*B overflows on the whole window, whose one float step of
+        # B already spans many fringes
+        rep = sensitivity(DynamicModel(1e-6), window, 1e-6)
+        assert rep.max_slope == NV.gamma * 1e-6
+        assert window[0] <= rep.b_at_max_slope <= window[1]
+
     def test_envelope_overflow(self):
         # 4*pi*N*gamma/Omega is past the float range at zero field
         m = GeometricModel(angular_from_mhz(1e-300), MAX_TURNS)
@@ -371,10 +380,25 @@ class TestAdiabaticity:
         assert adiabaticity(W5, 3, 8e-6, 0.0) == pytest.approx(TWO_PI * a_short)
 
     def test_zero_larmor_rate_names_its_cause(self):
-        # a 1e-300 MHz drive: Omega^2 underflows, Omega itself does not
-        with pytest.raises(InvalidParameter,
-                           match="zero in floating point at rabi = 6.28e-294"):
-            adiabaticity(angular_from_mhz(1e-300), 1, 8e-6, 0.0)
+        with pytest.raises(InvalidParameter, match="both zero"):
+            adiabaticity(0.0, 1, 8e-6, 0.0)
+
+    @pytest.mark.parametrize("mhz", [1e-300, 1e-290, 1e-170, 1e-162])
+    def test_underflowing_rabi_squared(self, mhz):
+        # Omega^2 underflows (to zero or a subnormal), Omega itself does not:
+        # A is still 2*pi*N/(Omega*T) at zero field, to rounding
+        rabi = angular_from_mhz(mhz)
+        a = adiabaticity(rabi, 1, 8e-6, 0.0)
+        assert a == pytest.approx(TWO_PI / (rabi * 8e-6), rel=1e-15)
+
+    def test_normal_larmor_rates_unchanged(self):
+        # the scaled form is only taken where R^2 is not a normal float
+        rng = np.random.default_rng(7)
+        for rabi, b in zip(10.0 ** rng.uniform(-150, 9, 2000),
+                           rng.choice([0.0, 1e-3], 2000) * rng.uniform(0, 1, 2000)):
+            r_sq = rabi**2 + (NV.gamma * b) ** 2
+            assert adiabaticity(rabi, 3, 8e-6, b) == (
+                (4.0 * math.pi * 3 / 8e-6) * rabi / (2.0 * r_sq))
 
     def test_monotone_decreasing_in_duration(self):
         ts = np.linspace(1e-6, 50e-6, 20)

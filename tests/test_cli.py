@@ -268,6 +268,18 @@ class TestSweepCommand:
                        "--b-points", "11", "--out", str(tmp_path / "x.jsonl"))
         assert code == 2
 
+    def test_underflowing_drive_rows_are_ok(self, tmp_path):
+        # Omega^2 underflows at these drives; A = 2*pi*N/(Omega*T) does not
+        out = tmp_path / "tiny.jsonl"
+        assert run_cli("sweep", "--protocol", "berry",
+                       "--omega-mhz-list", "1e-300,1e-290", "--n-list", "1",
+                       "--t-us-list", "8", "--b-stop-mt", "0.6",
+                       "--b-points", "61", "--out", str(out)) == 0
+        points = [json.loads(l) for l in read_lines(out)
+                  if not l.startswith("#")]
+        assert [p["status"] for p in points] == ["ok", "ok"]
+        assert [p["adiabaticity"] for p in points] == ["1.25e+299", "1.25e+289"]
+
     @pytest.mark.parametrize("option, value", [
         ("--workers", "0"), ("--workers", "-1"), ("--ensemble", "0")])
     def test_bad_counts_are_config_errors(self, tmp_path, option, value):
@@ -620,6 +632,171 @@ class TestBadNumbers:
             assert list(tmp_path.iterdir()) == []
 
 
+def _reference_parser():
+    """The argparse parser the CLI built from ``_COMMAND_KEYS`` before it
+    read its options itself: the reference for what each argv means."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="phasemag")
+    parser.add_argument("--version", action="version",
+                        version=f"phasemag {phasemag.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, registry in _COMMAND_KEYS.items():
+        p = sub.add_parser(command)
+        p.add_argument("--config", default=None)
+        for key, (conv, _) in registry.items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                           default=None, type=conv)
+    return parser
+
+
+# one value each converter reads; the float is negative, so that
+# "--key -0.25" must read it as a value and not as an option
+SAMPLE_TEXT = {int: "7", float: "-0.25", str: "ramsey", cli._parse_bool: "yes",
+               cli._parse_float_list: "1,2.5", cli._parse_int_list: "3,4"}
+
+
+def _shortest_prefix(flag, flags):
+    """The shortest prefix of ``flag`` that begins no other flag (or the
+    flag itself, when it begins another)."""
+    return next(flag[:i] for i in range(3, len(flag) + 1)
+                if flag[:i] == flag
+                or not any(f.startswith(flag[:i]) for f in flags if f != flag))
+
+
+def _flags(command):
+    return ["--config", "--help", *(f"--{key.replace('_', '-')}"
+                                    for key in _COMMAND_KEYS[command])]
+
+
+EQUIVALENT_ARGVS = [
+    *((command, f"--{key.replace('_', '-')}", SAMPLE_TEXT[conv])
+      for command, registry in _COMMAND_KEYS.items()
+      for key, (conv, _) in registry.items()),
+    *((command, f"--{key.replace('_', '-')}={SAMPLE_TEXT[conv]}")
+      for command, registry in _COMMAND_KEYS.items()
+      for key, (conv, _) in registry.items()),
+    *((command, _shortest_prefix(f"--{key.replace('_', '-')}",
+                                 _flags(command)), SAMPLE_TEXT[conv])
+      for command, registry in _COMMAND_KEYS.items()
+      for key, (conv, _) in registry.items()),
+    *((command, "--seed", "1", "--seed=2", "--se", "3")
+      for command in _COMMAND_KEYS),
+    *((command, "--config", str(EXAMPLES / f"{command}.cfg"), "--out", "o.txt")
+      for command in _COMMAND_KEYS),
+    ("estimate", "--conf", str(EXAMPLES / "estimate.cfg"), "--p", "-1",
+     "--sigma", "-.5", "--slope-per-mt=-2e3"),
+]
+
+
+class TestParseEquivalence:
+    """Every argv means what the argparse reference made of it."""
+
+    REFERENCE = _reference_parser()
+
+    @staticmethod
+    def _record(monkeypatch):
+        """The cfg each command is called with, in place of running it."""
+        calls = []
+        for command in _COMMAND_KEYS:
+            monkeypatch.setitem(cli._COMMANDS, command,
+                                lambda cfg, c=command: calls.append((c, cfg)) or 0)
+        return calls
+
+    @pytest.mark.parametrize("argv", EQUIVALENT_ARGVS,
+                             ids=[" ".join(a).replace(str(EXAMPLES), "ex")
+                                  for a in EQUIVALENT_ARGVS])
+    def test_same_resolved_cfg(self, monkeypatch, argv):
+        ns = self.REFERENCE.parse_args(list(argv))
+        want = {**cli._resolve(ns.command, ns.config, {}),
+                **{k: v for k, v in vars(ns).items()
+                   if v is not None and k not in ("command", "config")}}
+        calls = self._record(monkeypatch)
+        assert main(list(argv)) == 0
+        assert [c for c, _ in calls] == [ns.command]
+        got = calls[0][1]
+        assert sorted(got.items()) == sorted(want.items())
+        assert [type(got[k]) for k in sorted(got)] == [type(want[k])
+                                                       for k in sorted(want)]
+
+    @pytest.mark.parametrize("argv", [
+        ("signal", "--bogus", "1"),
+        ("signal", "--t_us", "1"),
+        ("signal", "--t", "1"),
+        ("signal", "--h"),
+        ("signal", "--t-us"),
+        ("signal", "--t-us", "--b-points", "3"),
+        ("signal", "--t-us", "-inf"),
+        ("signal", "--t-us", "abc"),
+        ("sweep", "--b-points", "1.5"),
+        (),
+        ("bogus", "--t-us", "1"),
+        ("signal", "stray"),
+        ("signal", "--t-us", "1", "2"),
+        ("signal", "--t-us", "--", "1"),
+        ("signal", "--", "--help"),
+        ("signal", "--help=1"),
+        ("--version=1",),
+    ], ids=["unknown-key", "underscores", "ambiguous-prefix",
+            "ambiguous-help-prefix", "missing-value-at-end",
+            "missing-value-before-option", "option-like-value",
+            "rejected-float", "rejected-int", "missing-command",
+            "unknown-command", "stray-positional", "stray-after-value",
+            "dashdash-as-value", "help-after-dashdash", "help-with-value",
+            "version-with-value"])
+    def test_refused(self, tmp_path, monkeypatch, capsys, argv):
+        # a file would be named by --out, placed first so as not to change
+        # what the rest of the argv means
+        if argv and argv[0] in _COMMAND_KEYS:
+            argv = (argv[0], "--out=o.txt", *argv[1:])
+        with pytest.raises(SystemExit) as exc:
+            self.REFERENCE.parse_args(list(argv))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("signal", "--hyperfine", "maybe"), ("sweep", "--n-list", "1.5"),
+        ("sweep", "--omega-mhz-list", "x"),
+    ], ids=["bool", "int-list", "float-list"])
+    def test_rejected_text_of_own_converters(self, tmp_path, monkeypatch,
+                                             capsys, argv):
+        # the reference let these converters' ConfigError escape as a
+        # traceback; now they exit 2 like a rejected number
+        argv = (argv[0], "--out=o.txt", *argv[1:])
+        with pytest.raises(cli.ConfigError):
+            self.REFERENCE.parse_args(list(argv))
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: option --") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, want", [
+        (("--help",), "commands: signal, sweep, estimate, decohere, calibrate"),
+        (("-h",), "commands: signal, sweep, estimate, decohere, calibrate"),
+        (("--he",), "commands: signal, sweep, estimate, decohere, calibrate"),
+        (("estimate", "--help"), "  --slope-per-mt FLOAT"),
+        (("sweep", "--bogus", "-h"), "  --n-list INTEGERS"),
+        (("--version",), f"phasemag {phasemag.__version__}"),
+        (("--vers", "signal"), f"phasemag {phasemag.__version__}"),
+    ])
+    def test_help_and_version_exit_0(self, tmp_path, monkeypatch, capsys,
+                                     argv, want):
+        with pytest.raises(SystemExit) as exc:
+            self.REFERENCE.parse_args(list(argv))
+        assert exc.value.code == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == 0
+        assert want in capsys.readouterr().out.splitlines()
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExampleConfigs:
     """The canonical configs shipped in docs/examples stay runnable."""
 
@@ -764,9 +941,26 @@ class TestStartup:
         assert res.returncode == 0, res.stderr
         assert "'calibrate', 'decohere', 'estimate', 'signal', 'sweep'" in res.stderr
 
+    def test_cli_loads_no_argparse(self, tmp_path):
+        # the CLI reads its options from _COMMAND_KEYS; argparse cost
+        # 4-5 ms to import and more than a physics step to parse
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from phasemag.cli import main\n"
+            f"cfgs = sorted(Path({str(EXAMPLES)!r}).glob('*.cfg'))\n"
+            "codes = [main([c.stem, '--config', str(c)]) for c in cfgs]\n"
+            "print([c.stem for c in cfgs], codes, file=sys.stderr)\n"
+            "sys.exit(codes != [0] * 5 or 'argparse' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                             cwd=tmp_path, capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert "'calibrate', 'decohere', 'estimate', 'signal', 'sweep'" in res.stderr
+
     def test_commands_in_one_process_match_fresh_runs(self, tmp_path):
-        # main shares one argument parser per process; back-to-back calls of
-        # different commands, and a usage error between them, must not leak
+        # back-to-back calls of different commands, and a usage error
+        # between them, must not leak state from one call to the next
         runs = [("estimate", "--config", str(EXAMPLES / "estimate.cfg")),
                 ("calibrate", "--t2star-us", "abc", "--t2-us", "500"),
                 ("signal", "--config", str(EXAMPLES / "signal.cfg"),
