@@ -102,8 +102,10 @@ class HyperfineModel:
     def __post_init__(self):
         if len(self.detunings) != len(self.weights):
             raise InvalidParameter("detunings and weights must have equal length")
-        if any(w < 0 for w in self.weights):
-            raise InvalidParameter("weights must be nonnegative")
+        if not all(math.isfinite(d) for d in self.detunings):
+            raise InvalidParameter("detunings must be finite")
+        if not all(0 <= w < math.inf for w in self.weights):
+            raise InvalidParameter("weights must be nonnegative and finite")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise InvalidParameter("weights must sum to 1")
 
@@ -268,10 +270,13 @@ def sensitivity(model: DynamicModel | GeometricModel,
     A non-finite window raises InvalidParameter, and a berry envelope that
     overflows at the window point nearest zero field OutOfRange.
     """
-    if not duration > 0:
-        raise InvalidParameter(f"duration must be positive, got {duration}")
-    if not sigma_p > 0:
-        raise InvalidParameter(f"sigma_p must be positive, got {sigma_p}")
+    if not 0 < duration < math.inf:
+        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
+    if not 0 < sigma_p < math.inf:
+        raise InvalidParameter(f"sigma_p must be positive and finite, got {sigma_p}")
+    if not 0 <= overhead < math.inf:
+        raise InvalidParameter(
+            f"overhead must be nonnegative and finite, got {overhead}")
     lo, hi = float(b_search[0]), float(b_search[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise InvalidParameter(
@@ -357,9 +362,15 @@ def adiabaticity(rabi: float, n_rotations: int, duration: float, b: float,
     With the sweep rate 4*pi*N/T and sin(theta) = Omega/R this is
     A = (4*pi*N/T) * Omega / (2*R^2); at B=0 it reduces to 2*pi*N/(Omega*T).
     A << 1 means the Bloch vector follows the rotating Larmor vector.
+    Non-finite arguments and a duration <= 0 raise InvalidParameter.
     """
-    if not duration > 0:
-        raise InvalidParameter(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise InvalidParameter(
+            f"duration must be positive and finite, got {duration}")
+    if not all(math.isfinite(v) for v in (rabi, n_rotations, b, gamma)):
+        raise InvalidParameter(
+            f"rabi, n_rotations, b and gamma must be finite, got "
+            f"{rabi}, {n_rotations}, {b}, {gamma}")
     r_sq = rabi**2 + (gamma * b) ** 2
     if r_sq >= sys.float_info.min:
         return (4.0 * math.pi * n_rotations / duration) * rabi / (2.0 * r_sq)
@@ -374,8 +385,8 @@ def adiabaticity(rabi: float, n_rotations: int, duration: float, b: float,
 
 def adiabaticity_small_field(rabi: float, n_rotations: int, duration: float) -> float:
     """Shorthand A ~ N/(Omega*T) with Omega angular; 2*pi below the exact B=0 value."""
-    if not duration > 0:
-        raise InvalidParameter(f"duration must be positive, got {duration}")
-    if not rabi > 0:
-        raise InvalidParameter(f"rabi must be positive, got {rabi}")
+    if not 0 < duration < math.inf:
+        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
+    if not 0 < rabi < math.inf:
+        raise InvalidParameter(f"rabi must be positive and finite, got {rabi}")
     return n_rotations / (rabi * duration)

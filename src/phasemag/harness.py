@@ -233,7 +233,7 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
     dt = min(noise.tau_c / 10.0, duration / 256.0)
     total = np.zeros_like(b_grid)
     for k in range(ensemble):
-        traj = noise_mod.ou_trajectory(noise, duration, dt, seed_key + (k,), gamma)
+        traj = noise_mod.ou_trajectory(noise, duration, dt, seed_key + (k,))
         total += sequences.execute_batch(plan, b_grid, noise_trajectory=traj,
                                          constants=constants)
     return total / ensemble
@@ -337,18 +337,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 # power-law fitting
 # ---------------------------------------------------------------------------
 
-_CONTROL_GETTERS = {
-    "omega": lambda r: r.omega,
-    "n_rotations": lambda r: r.n_rotations,
-    "duration": lambda r: r.duration,
-    "adiabaticity": lambda r: r.adiabaticity,
-}
-
-_RESPONSE_GETTERS = {
-    "eta": lambda r: r.eta,
-    "b_max": lambda r: r.b_max,
-    "t2g": lambda r: r.t2g,
-}
+# the SweepRecord attributes a power law may fit
+_CONTROLS = ("omega", "n_rotations", "duration", "adiabaticity")
+_RESPONSES = ("eta", "b_max", "t2g")
 
 
 @dataclass(frozen=True)
@@ -370,17 +361,17 @@ def fit_power_law(result: SweepResult, response: str,
     Requires at least 3 distinct values per fitted control among the
     successful records, and positive responses.
     """
-    if response not in _RESPONSE_GETTERS:
+    if response not in _RESPONSES:
         raise InvalidParameter(f"unknown response {response!r}")
     for c in controls:
-        if c not in _CONTROL_GETTERS:
+        if c not in _CONTROLS:
             raise InvalidParameter(f"unknown control {c!r}")
     rows = [r for r in result.records if r.status == "ok"]
     y = []
     x = []
     for r in rows:
-        yv = _RESPONSE_GETTERS[response](r)
-        cv = [_CONTROL_GETTERS[c](r) for c in controls]
+        yv = getattr(r, response)
+        cv = [getattr(r, c) for c in controls]
         if yv is None or any(v is None for v in cv):
             continue
         if yv <= 0 or any(v <= 0 for v in cv):
@@ -620,8 +611,7 @@ def _mc_decay_samples(S, a_value, omega, t_grid, ensemble, seed, constants):
         n_rot = max(1, int(round(a_value * omega * t / TWO_PI)))
         plan = sequences.build_berry(omega, n_rot, float(t))
         dt = min(S.tau_c / 10.0, float(t) / 128.0)
-        bank = noise_mod.ou_bank(S, float(t), dt, ensemble, seed + j,
-                                 gamma=constants.gamma)
+        bank = noise_mod.ou_bank(S, float(t), dt, ensemble, seed + j)
         p = sequences.execute_batch(plan, np.zeros(ensemble),
                                     noise_trajectory=bank,
                                     step_control=ctl, constants=constants)

@@ -31,18 +31,18 @@ which the tests check against the closed-form exponents.  The oracle
 time integral jointly and exactly at the requested times only (Gillespie,
 Phys. Rev. E 54, 2084 (1996)), so no time step enters.  Those draws are a
 fixed linear map of the normals, so each call builds the map once, from
-the gap coefficients, and applies it to every chunk of trajectories: one
-normals draw (the same ``default_rng([seed, chunk])`` stream and row layout
-as the gap-by-gap recursion), one matrix product per block of gaps, one
-cos and one sum.  The echo's 2 I(T/2) - I(T) is folded into the map's
-rows.  Up to ``_ONE_BLOCK`` gaps (32 echo times) are one block; longer
-grids go in blocks of ``_GAP_BLOCK`` gaps, so besides the chunk's normals
-memory is of order times x block size, never gaps x gaps.  The sequence
-executor takes its noise as an ``OUBank``: trajectories sampled exactly on
-uniform knots and interpolated linearly, one per column (``ou_bank`` draws
-many, ``ou_trajectory`` one).  ``OUBank.detuning_integral`` gives the exact
-integral of that interpolant, which makes noisy free evolution one z
-rotation.
+the gap coefficients, and applies it to every chunk of ``_CHUNK``
+trajectories: one normals draw (chunk k from ``default_rng([seed, k])``,
+in the gap-by-gap recursion's row layout), one matrix product per block of
+gaps, one cos and one sum.  The echo's 2 I(T/2) - I(T) is folded into the
+map's rows.  Up to ``_ONE_BLOCK`` gaps (32 echo times) are one block;
+longer grids go in blocks of ``_GAP_BLOCK`` gaps, so besides the chunk's
+normals memory is of order times x block size, never gaps x gaps.  The
+sequence executor takes its noise as an ``OUBank``: detunings delta(t) in
+rad/s, sampled exactly on uniform knots and linear in between, one per
+column (``ou_bank`` draws many, ``ou_trajectory`` one), so ``execute``
+sees gamma*b + delta(t).  ``OUBank.detuning_integral`` integrates that
+exactly, which makes noisy free evolution one z rotation.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from typing import Union
 
 import numpy as np
 
-from .constants import NV
 from .errors import CalibrationFailure, FitFailure, InvalidParameter
 from .solve import NoRoot, find_root
 
@@ -463,14 +462,13 @@ class OUBank:
 
     ``times`` are the knots k*dt and ``values`` has shape (n_steps+1,
     n_traj): detunings in rad/s, one column per trajectory, linear in
-    between knots.  Calling the bank with times (n,) returns field offsets
-    (detuning / ``gamma``) of shape (n, n_traj), the layout the batched
-    sequence executor consumes.
+    between knots.  Calling the bank with times (n,) returns the detunings
+    there, in rad/s, of shape (n, n_traj), the layout the batched sequence
+    executor consumes: it adds them to gamma*B.
     """
 
     times: np.ndarray
     values: np.ndarray
-    gamma: float
 
     @property
     def n_traj(self) -> int:
@@ -482,8 +480,7 @@ class OUBank:
         idx = np.clip((t / dt).astype(int), 0, len(self.times) - 2)
         frac = t / dt - idx
         return (self.values[idx, :]
-                + frac[:, None] * (self.values[idx + 1, :] - self.values[idx, :])
-                ) / self.gamma
+                + frac[:, None] * (self.values[idx + 1, :] - self.values[idx, :]))
 
     def detuning_integral(self, t0: float, t1: float) -> np.ndarray:
         """Integral of the interpolated detuning over [t0, t1], in rad.
@@ -510,8 +507,7 @@ class OUBank:
         return dt * (inner + from_knot(k1, f1) - from_knot(k0, f0))
 
 
-def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed,
-                  gamma: float = NV.gamma) -> OUBank:
+def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed) -> OUBank:
     """One exact-discretization OU trajectory, as a one-channel ``OUBank``.
 
     The update x[k+1] = a*x[k] + delta*sqrt(1-a^2)*z with a = exp(-dt/tau_c)
@@ -522,8 +518,7 @@ def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed,
     channel to every field.
     """
     n = _ou_steps(S, duration, dt)
-    return OUBank(times=np.arange(n + 1) * dt,
-                  values=_ou_block(S, n, dt, 1, seed), gamma=gamma)
+    return OUBank(times=np.arange(n + 1) * dt, values=_ou_block(S, n, dt, 1, seed))
 
 
 # most dt steps one trajectory may span: 8 MiB of knots per channel, and
@@ -606,6 +601,8 @@ def _rng(seed_key) -> np.random.Generator:
 # for the gap-by-gap recursion.
 _ONE_BLOCK = 64
 _GAP_BLOCK = 16
+# trajectories per Monte-Carlo normals draw; it fixes every seed's streams
+_CHUNK = 512
 
 
 def _gap_block(a, l11, l21, l22, mean):
@@ -752,28 +749,26 @@ def _ou_phases(S: Lorentzian, t_grid: np.ndarray, echo: bool, rng,
 
 
 def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
-                             echo: bool = False,
-                             chunk: int = 512) -> np.ndarray:
+                             echo: bool = False) -> np.ndarray:
     """Monte-Carlo <cos(accumulated phase)> over OU detuning trajectories.
 
     ``echo=False`` integrates the detuning straight over [0, T]; ``echo=True``
     flips the sign at T/2 (two-pulse echo).  Each trajectory's value and
     integral are sampled exactly at the requested times and their halves
     (``_ou_phases``; Gillespie, Phys. Rev. E 54, 2084 (1996)), so the only
-    error is the sampling error of ``n_traj`` runs.  Trajectories are
-    generated in chunks whose random streams derive from (seed, chunk
-    index), so the result does not depend on the order the chunks run in.
-    The map from normals to phases is built once per call; each chunk is
-    then one normals draw, one matrix product per block of gaps, one cos
-    and one sum.  Besides the chunk's (2 gaps + 1, chunk) normals, memory
-    holds the (times, chunk) phases and the block matrices: at most about
-    times x (2 ``_ONE_BLOCK`` + 1) numbers for one block, and
-    4 times x ``_GAP_BLOCK`` + 4 gaps for more.
+    error is the sampling error of ``n_traj`` runs.  Trajectories come in
+    chunks of ``_CHUNK``, chunk k from the stream (seed, k), so the result
+    does not depend on the order the chunks run in.  The map from normals
+    to phases is built once per call; each chunk is then one normals draw,
+    one matrix product per block of gaps, one cos and one sum.  Besides the
+    chunk's (2 gaps + 1, _CHUNK) normals, memory holds its (times, _CHUNK)
+    phases and the block matrices: at most about times x (2 ``_ONE_BLOCK``
+    + 1) numbers for one block, and 4 times x ``_GAP_BLOCK`` + 4 gaps for
+    more.
     """
     if not isinstance(S, Lorentzian):
         raise InvalidParameter("the Monte-Carlo decay needs a Lorentzian density")
     n_traj = check_count("n_traj", n_traj)
-    chunk = check_count("chunk", chunk)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or not np.all((t_grid >= 0) & (t_grid < math.inf)):
         raise InvalidParameter("times must be nonnegative and finite, at least one")
@@ -781,21 +776,21 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
         return np.ones_like(t_grid)
     phase_map = _phase_map(S, t_grid.ravel(), echo)
     total = np.zeros(t_grid.size)
-    for index, done in enumerate(range(0, n_traj, chunk)):
+    for index, done in enumerate(range(0, n_traj, _CHUNK)):
         z = _rng([seed, index]).standard_normal(
-            (phase_map.n_normals, min(chunk, n_traj - done)))
+            (phase_map.n_normals, min(_CHUNK, n_traj - done)))
         phases = phase_map(z)
         total += np.sum(np.cos(phases, out=phases), axis=1)
     return (total / n_traj).reshape(t_grid.shape)
 
 
-def ou_bank(S: Lorentzian, duration: float, dt: float, n_traj: int, seed: int,
-            gamma: float = NV.gamma) -> OUBank:
+def ou_bank(S: Lorentzian, duration: float, dt: float, n_traj: int,
+            seed: int) -> OUBank:
     """Generate ``n_traj`` exact-discretization OU trajectories at once."""
     n_traj = check_count("n_traj", n_traj)
     n = _ou_steps(S, duration, dt)
     return OUBank(times=np.arange(n + 1) * dt,
-                  values=_ou_block(S, n, dt, n_traj, [seed, 0]), gamma=gamma)
+                  values=_ou_block(S, n, dt, n_traj, [seed, 0]))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,11 @@ class IdealPulse:
     axis_phase: float
     angle: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.axis_phase) and math.isfinite(self.angle)):
+            raise InvalidParameter(f"the pulse axis phase and angle must be finite, "
+                                   f"got {self.axis_phase} and {self.angle}")
+
     @property
     def duration(self) -> float:
         return 0.0
@@ -72,8 +77,9 @@ class FreeEvolution:
     duration: float
 
     def __post_init__(self):
-        if not self.duration >= 0:
-            raise InvalidParameter(f"duration must be >= 0, got {self.duration}")
+        if not 0 <= self.duration < math.inf:
+            raise InvalidParameter(
+                f"duration must be >= 0 and finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +92,15 @@ class SweptDrive:
     duration: float
 
     def __post_init__(self):
-        if not self.rabi >= 0:
-            raise InvalidParameter(f"rabi must be >= 0, got {self.rabi}")
-        if not self.duration >= 0:
-            raise InvalidParameter(f"duration must be >= 0, got {self.duration}")
+        if not 0 <= self.rabi < math.inf:
+            raise InvalidParameter(f"rabi must be >= 0 and finite, got {self.rabi}")
+        if not (math.isfinite(self.phase_start) and math.isfinite(self.phase_rate)):
+            raise InvalidParameter(
+                f"the drive phase must be finite, got start {self.phase_start} "
+                f"and rate {self.phase_rate}")
+        if not 0 <= self.duration < math.inf:
+            raise InvalidParameter(
+                f"duration must be >= 0 and finite, got {self.duration}")
 
 
 Segment = Union[IdealPulse, FreeEvolution, SweptDrive]
@@ -109,7 +120,8 @@ class SequencePlan:
 
     def __post_init__(self):
         total = sum(s.duration for s in self.segments)
-        if abs(total - self.duration) > 1e-12 * max(self.duration, 1e-30):
+        if not (math.isfinite(self.duration)
+                and abs(total - self.duration) <= 1e-12 * max(self.duration, 1e-30)):
             raise InvalidParameter(
                 f"segment durations sum to {total}, expected {self.duration}"
             )
@@ -182,9 +194,9 @@ def execute(plan: SequencePlan, b: float,
             constants: PhysicalConstants = NV) -> float:
     """Run a plan at static field ``b`` and return the signal P in [-1, 1].
 
-    The spin starts in (0, 0, 1); the detuning seen during evolution is
-    gamma*(b + noise(t)) with t measured from the start of the sequence,
-    and the noise is a one-channel ``OUBank`` or None.
+    The spin starts in (0, 0, 1) and sees the detuning gamma*b + delta(t),
+    delta(t) the rad/s noise of a one-channel ``OUBank`` (0 for None), with
+    t measured from the start of the sequence.
     """
     return float(execute_batch(plan, np.array([b], dtype=float),
                                noise_trajectory=noise_trajectory,
@@ -207,7 +219,7 @@ def execute_batch(plan: SequencePlan, b_values,
     from |0> to the readout, where P = |a|^2 - |b|^2; every segment
     composes its own pair onto it.  A pulse is a pair of Python complex
     numbers.  Free evolution over [t0, t1] is a z rotation by
-    gamma*B*(t1 - t0) plus the integral of the bank's detuning, which
+    gamma*B*(t1 - t0) plus the integral of the bank's detuning delta, which
     multiplies both members by exp(-i angle/2).  The bank interpolates
     linearly between its knots, so that integral is exact
     (``OUBank.detuning_integral``) and free evolution never needs a mesh.
@@ -266,17 +278,15 @@ def execute_batch(plan: SequencePlan, b_values,
         if isinstance(seg, FreeEvolution):
             angles = dets_static * seg.duration
             if noise is not None:
-                # the knots hold detunings for the bank's own gamma
-                phase = noise.detuning_integral(t_start, t_start + seg.duration)
-                angles = angles + phase * (gamma / noise.gamma)
+                angles = angles + noise.detuning_integral(t_start,
+                                                          t_start + seg.duration)
             pair = _precess_z(pair, angles)
         elif not isinstance(seg, SweptDrive):
             raise InvalidParameter(f"unknown segment type {type(seg)!r}")
         elif noise is None:
             pair = _apply_swept_exact(pair, seg, dets_static)
         else:
-            pair = _run_swept(pair, seg, dets_static, noise, gamma, t_start,
-                              ctl)
+            pair = _run_swept(pair, seg, dets_static, noise, t_start, ctl)
         t_start += seg.duration
     a, b = pair
     return a.real**2 + a.imag**2 - (b.real**2 + b.imag**2)
@@ -297,8 +307,8 @@ def _in_drive_frame(pair, seg: SweptDrive, frame):
     ``frame`` of its evolution U in the co-rotating frame.
 
     In the frame that co-rotates with the drive phase phi(t) = phi0 + r*t the
-    Larmor vector is (rabi, 0, gamma*(B + b(t)) - r): the phase ramp becomes
-    a constant detuning offset and only the noise b(t) varies.  The segment is
+    Larmor vector is (rabi, 0, gamma*B + delta(t) - r): the phase ramp
+    becomes a constant offset and only the noise delta(t) varies.  The segment is
 
         Rz(phi1) . U . Rz(-phi0),   phi1 = phi0 + r*T
 
@@ -327,15 +337,15 @@ def _apply_swept_exact(pair, seg: SweptDrive, dets_static):
         seg.rabi, 0.0, wz, seg.duration, np.hypot(seg.rabi, wz)))
 
 
-def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, gamma,
-               t_start, ctl):
+def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, t_start,
+               ctl):
     """Mesh propagation of one swept segment under a noise trajectory.
 
     The mesh runs in the co-rotating frame of ``_in_drive_frame``, where the
-    Larmor vector is (rabi, 0, w(t)) with w = gamma*(B + b(t)) - r.  The bank
-    interpolates b linearly between its knots, so w is exactly linear
-    between the knots inside the segment.  The mesh edges are those knots
-    and the segment ends, with w taken from the knot values
+    Larmor vector is (rabi, 0, w(t)) with w = gamma*B + delta(t) - r.  The
+    bank's delta is linear between its knots, so w is exactly linear between
+    the knots inside the segment.  The mesh edges are those knots and the
+    segment ends, with w taken from the knot values
     (``core._knot_refine``): each interval is cut into equal slices that
     each take one 4th-order Magnus rotation, and the slices halve until
     the Bloch vectors that enter the frame, carried through it, move by
@@ -344,10 +354,10 @@ def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, gamma,
     t_end = t_start + seg.duration
     inner = (noise.times > t_start) & (noise.times < t_end)
     edges = np.concatenate(([t_start], noise.times[inner], [t_end]))
-    # field offsets at the edges, (K+1, 1) shared by every field or (K+1, m)
-    offsets = np.concatenate((noise(t_start), noise.values[inner] / noise.gamma,
-                              noise(t_end)))
-    dets = dets_static[None, :] + gamma * offsets - seg.phase_rate
+    # detunings at the edges, (K+1, 1) shared by every field or (K+1, m)
+    dets = (dets_static[None, :]
+            + np.concatenate((noise(t_start), noise.values[inner], noise(t_end)))
+            - seg.phase_rate)
     # the Bloch vectors that enter the frame, after Rz(-phi0)
     into = cmath.exp(0.5j * seg.phase_start)
     states = core._apply(pair[0] * into, pair[1] * into, _UP)

@@ -199,6 +199,23 @@ class TestSensitivity:
         with pytest.raises(InvalidParameter):
             sensitivity(HyperfineModel(), (0.0, 1e-3), 1e-6)
 
+    @pytest.mark.parametrize("duration, sigma_p", [
+        (math.inf, 1.0), (math.nan, 1.0), (1e-6, math.inf), (1e-6, math.nan)],
+        ids=["inf-time", "nan-time", "inf-sigma", "nan-sigma"])
+    def test_non_finite_time_or_signal_noise_rejected(self, duration, sigma_p):
+        # an infinite time or signal noise gave eta = inf
+        m = DynamicModel(1e-6)
+        with pytest.raises(InvalidParameter):
+            sensitivity(m, (0.0, ramsey_field_range(m)), duration, sigma_p)
+
+    # -1 took a square root of a negative time, nan gave eta = nan
+    @pytest.mark.parametrize("overhead", [-1.0, math.nan, math.inf])
+    def test_bad_overhead_rejected(self, overhead):
+        m = DynamicModel(1e-6)
+        with pytest.raises(InvalidParameter, match="overhead"):
+            sensitivity(m, (0.0, ramsey_field_range(m)), 1e-6,
+                        overhead=overhead)
+
     @staticmethod
     def _lobe_reference(m, lo, hi, points=200_001):
         # the best |slope| of a fine grid, and scipy's bounded minimiser of
@@ -367,6 +384,15 @@ class TestHyperfineAverage:
         with pytest.raises(InvalidParameter):
             HyperfineModel(weights=(0.5, 0.5, 0.5))
 
+    def test_nan_weight_rejected(self):
+        # nan compares false both as a negative weight and in the sum check
+        with pytest.raises(InvalidParameter, match="weights"):
+            HyperfineModel(weights=(math.nan, 0.5, 0.5))
+
+    def test_non_finite_detuning_rejected(self):
+        with pytest.raises(InvalidParameter, match="detunings"):
+            HyperfineModel(detunings=(math.nan, 0.0, 1.0))
+
 
 class TestAdiabaticity:
     def test_zero_field_form(self):
@@ -399,6 +425,27 @@ class TestAdiabaticity:
             r_sq = rabi**2 + (NV.gamma * b) ** 2
             assert adiabaticity(rabi, 3, 8e-6, b) == (
                 (4.0 * math.pi * 3 / 8e-6) * rabi / (2.0 * r_sq))
+
+    def test_nan_field_rejected(self):
+        # the rescaled branch took a nan R^2 for a subnormal one and
+        # overflowed scaling Omega up
+        with pytest.raises(InvalidParameter):
+            adiabaticity(1e7, 3, 8e-6, math.nan)
+
+    def test_infinite_rabi_rejected(self):
+        with pytest.raises(InvalidParameter):
+            adiabaticity(math.inf, 3, 8e-6, 0.0)
+
+    def test_infinite_duration_rejected(self):
+        with pytest.raises(InvalidParameter):
+            adiabaticity(W5, 3, math.inf, 0.0)
+
+    @pytest.mark.parametrize("rabi, duration", [(math.inf, 8e-6), (W5, math.inf)],
+                             ids=["inf-rabi", "inf-time"])
+    def test_shorthand_rejects_non_finite(self, rabi, duration):
+        # both returned 0.0
+        with pytest.raises(InvalidParameter):
+            adiabaticity_small_field(rabi, 3, duration)
 
     def test_monotone_decreasing_in_duration(self):
         ts = np.linspace(1e-6, 50e-6, 20)

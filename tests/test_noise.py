@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from phasemag import noise
-from phasemag.constants import NV
 from phasemag.errors import CalibrationFailure, FitFailure, InvalidParameter
 from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF, White,
                             _ou_phases, calibrate_noise,
@@ -282,11 +281,13 @@ class TestOUTrajectory:
         with pytest.raises(InvalidParameter):
             ou_trajectory(S, 1e-3, S.tau_c / 5, seed=1)
 
-    def test_callable_returns_field_units(self):
+    def test_callable_returns_detunings(self):
         S = Lorentzian(delta=3e4, tau_c=1e-3)
         traj = ou_trajectory(S, 1e-3, 1e-5, seed=7)
-        # one channel: a (1, 1) offset, in the bank's (times, channels) layout
-        assert traj(0.0) == pytest.approx(traj.values[:1] / NV.gamma)
+        # one channel: a (1, 1) detuning in rad/s, in the bank's (times,
+        # channels) layout, exactly the knot value on a knot
+        assert np.array_equal(traj(0.0), traj.values[:1])
+        assert traj.values.shape == (101, 1)
 
     def test_stationary_variance(self):
         S = Lorentzian(delta=3e4, tau_c=1e-3)
@@ -338,9 +339,12 @@ class TestPinnedStreams:
         (False, ["1", "0.998704558", "0.99187337", "0.962334727"]),
         (True, ["1", "0.999946586", "0.999588714", "0.999376732"]),
     ])
-    def test_mc_free_precession_decay(self, echo, want):
+    def test_mc_free_precession_decay(self, monkeypatch, echo, want):
+        # recorded with chunks of 2 trajectories: streams (11, 0), (11, 1)
+        # and (11, 2)
+        monkeypatch.setattr(noise, "_CHUNK", 2)
         w = mc_free_precession_decay(self.S, [0.0, 2e-6, 5e-6, 10e-6], 5,
-                                     seed=11, echo=echo, chunk=2)
+                                     seed=11, echo=echo)
         assert [format(float(v), ".9g") for v in w] == want
 
 
@@ -396,18 +400,10 @@ class TestExactOUSampling:
             mc_free_precession_decay(S, times, n_traj, seed=1)
 
     @pytest.mark.parametrize("call", [
-        # with chunk = 0 the chunk loop would never advance
-        functools.partial(mc_free_precession_decay, FAST, [1e-6], 10, 1,
-                          chunk=0),
-        functools.partial(mc_free_precession_decay, FAST, [1e-6], 10, 1,
-                          chunk=-4),
-        functools.partial(mc_free_precession_decay, FAST, [1e-6], 10, 1,
-                          chunk=2.5),
         functools.partial(ou_bank, FAST, 1e-5, 1e-6, 0, 1),
         functools.partial(ou_bank, FAST, 1e-5, 1e-6, -1, 1),
         functools.partial(ou_bank, FAST, 1e-5, 1e-6, 2.5, 1)],
-        ids=["mc-chunk-0", "mc-chunk-negative", "mc-chunk-fraction",
-             "bank-0", "bank-negative", "bank-fraction"])
+        ids=["bank-0", "bank-negative", "bank-fraction"])
     def test_bad_counts_rejected(self, call):
         with pytest.raises(InvalidParameter):
             call()

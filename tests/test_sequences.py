@@ -7,7 +7,8 @@ import pytest
 
 from phasemag import analytic, core
 from phasemag.analytic import GeometricModel, berry_field_range
-from phasemag.constants import MAX_TURNS, NV, TWO_PI, angular_from_mhz
+from phasemag.constants import (MAX_TURNS, NV, TWO_PI, PhysicalConstants,
+                                angular_from_mhz)
 from phasemag.core import SpinState, StepControl
 from phasemag.errors import ConvergenceFailure, InvalidParameter
 from phasemag.noise import Lorentzian, OUBank, ou_bank, ou_trajectory
@@ -26,7 +27,7 @@ def _knot_bank(duration, fn, n_knots=64, n_traj=1):
     ``n_knots`` uniform intervals spanning ``duration``."""
     times = np.linspace(0.0, duration, n_knots + 1)
     values = np.repeat(fn(times)[:, None], n_traj, axis=1)
-    return OUBank(times=times, values=values, gamma=NV.gamma)
+    return OUBank(times=times, values=values)
 
 
 def _zero_bank(duration, n_traj=1):
@@ -78,6 +79,32 @@ class TestConstruction:
             build_berry(W5, 2.5, 1e-6)
         with pytest.raises(InvalidParameter, match="n_rotations must be <="):
             build_berry(W5, MAX_TURNS + 1, 1e-6)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_ramsey(math.inf),
+        lambda: build_hahn(math.inf),
+        lambda: build_berry(math.inf, 3, 8e-6),
+        lambda: build_berry(W5, 3, math.inf),
+        lambda: FreeEvolution(math.inf),
+        lambda: FreeEvolution(math.nan),
+        lambda: SweptDrive(math.inf, 0.0, 0.0, 1e-6),
+        lambda: SweptDrive(W5, math.nan, 0.0, 1e-6),
+        lambda: SweptDrive(W5, 0.0, math.nan, 1e-6),
+        lambda: SweptDrive(W5, 0.0, math.inf, 1e-6),
+        lambda: SweptDrive(W5, 0.0, 0.0, math.inf),
+        lambda: IdealPulse(math.nan, math.pi),
+        lambda: IdealPulse(0.0, math.inf),
+        lambda: SequencePlan((FreeEvolution(1e-6),), "free", math.inf),
+        lambda: SequencePlan((FreeEvolution(1e-6),), "free", math.nan)],
+        ids=["ramsey-inf-time", "hahn-inf-time", "berry-inf-rabi",
+             "berry-inf-time", "free-inf", "free-nan", "swept-inf-rabi",
+             "swept-nan-start", "swept-nan-rate", "swept-inf-rate",
+             "swept-inf-time", "pulse-nan-axis", "pulse-inf-angle",
+             "plan-inf-time", "plan-nan-time"])
+    def test_non_finite_numbers_rejected(self, build):
+        # each would otherwise build a plan that executes to nan
+        with pytest.raises(InvalidParameter):
+            build()
 
     def test_plan_duration_consistency_enforced(self):
         with pytest.raises(InvalidParameter):
@@ -271,7 +298,7 @@ class TestNoisyFrameAgainstLabMesh:
                 seg = SweptDrive(0.0, 0.0, 0.0, seg.duration)
 
             def det(t, t0=t_start):
-                return NV.gamma * (b + noise_at(t0 + np.asarray(t, dtype=float)))
+                return NV.gamma * b + noise_at(t0 + np.asarray(t, dtype=float))
 
             state = core.propagate_swept(
                 state, seg.rabi,
@@ -398,7 +425,7 @@ class TestNoisyMeshAgainstOde:
         from scipy.integrate import solve_ivp
 
         knots = bank.times
-        noise = bank.values[:, 0] * (NV.gamma / bank.gamma)
+        noise = bank.values[:, 0]
         m = bs.size
         s = np.tile([0.0, 0.0, 1.0], (m, 1))
         t0 = 0.0
@@ -550,6 +577,20 @@ class TestNoiseInjection:
         with pytest.raises(InvalidParameter):
             execute_batch(plan, [1e300])
         assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("plan", [
+        build_ramsey(6e-6), build_hahn(6e-6), build_berry(W5, 2, 6e-6)],
+        ids=["ramsey", "hahn", "berry"])
+    def test_bank_holds_detunings(self, plan):
+        # the noise is a detuning in rad/s, which gamma does not scale:
+        # doubling gamma is doubling the static fields, bit for bit
+        bath = Lorentzian(delta=2e5, tau_c=2e-6)
+        bs = np.array([0.0, 1.3e-5, -2.2e-5])
+        bank = ou_bank(bath, plan.duration, bath.tau_c / 10, bs.size, seed=6)
+        got = execute_batch(plan, bs, noise_trajectory=bank,
+                            constants=PhysicalConstants(gamma=2 * NV.gamma))
+        want = execute_batch(plan, 2 * bs, noise_trajectory=bank)
+        assert np.array_equal(got, want)
 
     def test_noise_is_deterministic_given_seed(self, calibrated_noise):
         plan = build_berry(W5, 2, 4e-6)
