@@ -22,12 +22,7 @@ pairwise along its last axis (the slices; any leading axes, such as
 channels, are carried along), and ``_apply`` rotates Bloch vectors by a
 pair once, at the end.  From |0> a pair reaches (a, -b*), so the readout
 s_z is |a|^2 - |b|^2.
-Time-dependent controls are handled on a mesh that is refined (halving the
-step) until a Richardson error estimate meets tolerance; both meshes below
-share that loop (``_refine``), which compares two depths of the mesh per
-pass and refuses a start mesh of more than ``_MAX_MESH`` slices times
-channels.  The knot mesh composes both depths in one pass; the lab-frame
-mesh composes each depth once and keeps it for the next halving.
+Time-dependent controls are handled on meshes of such rotations.
 ``propagate_swept`` carries one state.  It samples the drive phase and the
 detuning through functions of an array of times, each returning a scalar
 or one value per time (any other shape is rejected), and each of its
@@ -35,18 +30,21 @@ slices is the 4th-order commutator-free Magnus step (Blanes & Moan, Appl.
 Numer. Math. 56, 1519 (2006); Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 151 (2009)): with R sampled at the two Gauss nodes of the slice, two exact
 rotations about h*(A1*R1 + A2*R2) and then h*(A2*R1 + A1*R2),
-A1,2 = 1/4 +- sqrt(3)/6.  The noisy co-rotating mesh of
+A1,2 = 1/4 +- sqrt(3)/6.  That mesh is halved (``_swept_refine``) until a
+Richardson error estimate meets tolerance, from a start of at most
+``_MAX_MESH`` slices.  The noisy co-rotating mesh of
 ``sequences.execute_batch`` returns one pair per field and sees
-R(t) = (Omega, 0, w(t)) with w linear between the noise knots, so it cuts
-each knot interval into equal slices and takes the classic 4th-order Magnus
-step there, one exact rotation about h*R(t_mid) + (h^3/12) R' x R(t_mid)
-per slice (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); see
-``_knot_refine``).
+R(t) = (Omega, 0, w(t)) with w linear between the noise knots.  It cuts
+each knot interval into equal slices, each one interaction-picture Magnus
+step (Hochbruck & Lubich, SIAM J. Numer. Anal. 41, 945 (2003)): two exact
+half rotations about R at the slice's midpoint with one small y rotation
+between them, exact where w is constant.  An a-priori bound on the terms
+that step leaves out sets the slice count, so that mesh is composed once
+(``_knot_refine``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -88,9 +86,9 @@ _A2 = 0.25 - _SQRT3_6
 # made the knot mesh of 61 fields 1.3-1.8 times and of 601 fields 1.9
 # times slower
 _BLOCK = 32768
-# most slices times channels a mesh may start from (both meshes), checked
-# before composing: 109 times the 256 x 601 of the largest shipped noisy
-# run, and about 8 s of knot-mesh work per pass on a 2-core VM
+# most slices times channels a mesh may be composed of (the lab-frame
+# mesh's start, the knot mesh's bound), checked before composing: 109 times
+# the 256 x 601 of the largest shipped noisy run
 _MAX_MESH = 1 << 24
 
 
@@ -168,15 +166,16 @@ class StepControl:
     this start one halving usually meets ``tol``.
 
     The noisy swept segments of ``sequences.execute_batch`` run on a mesh
-    aligned with the noise knots: each knot interval is cut into 2**j
-    equal slices, j the smallest that keeps h*|R| <= pi on every slice and
-    gives at least ``min_steps`` slices, and each slice takes one 4th-order
-    Magnus rotation.  That mesh halves from there under the same ``tol``
-    and ``max_depth``, composing the depths j and j+1 of each comparison
-    in one pass.
+    aligned with the noise knots: each knot interval is cut into 2**d
+    equal slices of one interaction-picture Magnus step each, d the fewest
+    halvings whose a-priori error bound is at most ``tol``, and more than
+    ``max_depth`` halvings raise ConvergenceFailure.  ``min_steps`` is not
+    read there: the step is exact for the constant part of the Larmor
+    vector, so only the slope of the noise needs slices.
 
-    Either mesh refuses, with InvalidParameter, a start of more than
-    ``core._MAX_MESH`` slices times channels (fields), before composing.
+    Either mesh refuses, with InvalidParameter, more than ``core._MAX_MESH``
+    slices times channels (fields) before composing: the lab-frame mesh
+    at its start, the knot mesh at the size its bound asks for.
     """
 
     tol: float = 1e-6
@@ -308,7 +307,7 @@ def _compose(n_slices: int, per_slice: int, pairs: Callable):
 
     ``pairs(start, stop)`` returns the pairs of the rotations of the slices
     in [start, stop), in the order they act along the last axis; the
-    leading axes (depths, channels) are kept.  It is called block by block,
+    leading axes (channels) are kept.  It is called block by block,
     at most ``_BLOCK`` rotations' worth at a time, ``per_slice`` being the
     rotations of one slice over every leading axis, so the memory does not
     grow with the mesh.
@@ -351,50 +350,42 @@ def _compose_swept(rabi: float, phase_fn, det_fn, duration: float,
         rabi, phase_fn, det_fn, dt, start, stop)))
 
 
-def _compose_knots(rabi: float, lengths: np.ndarray, dets: np.ndarray,
-                   depth: int):
-    """Pairs (2, m) of the knot-aligned Magnus mesh of ``_knot_refine`` at
-    depths ``depth`` and ``depth + 1``, composed in one pass.
+def _knot_pairs(rabi: float, half, w: np.ndarray, tilt):
+    """Pairs of the interaction-picture Magnus slices of the knot mesh.
 
-    At depth d interval k, of length ``lengths[k]``, is cut into 2**d equal
-    slices; ``dets`` (K+1, m) holds w at the interval edges for each of m
-    channels.  On a slice of length h where w changes by dw, R(t) =
-    (rabi, 0, w(t)) is linear, and the 4th-order Magnus exponent
-    h*R(t_mid) + (h^3/12) R' x R(t_mid) is the single rotation about
-    (rabi, rabi*h*dw/12, w(t_mid)) by h times its length.
-
-    Each coarse slice is sampled at its midpoint and at the midpoints of
-    its two halves, (3, m, n) rotations in one ``_pairs`` call; the halves
-    are multiplied into one pair per coarse slice, and both depths, stacked
-    as (2, m, n), are reduced along the slices together.  That product of
-    the halves is the first level of the finer depth's pairwise tree, so
-    within a block each depth is the product it would be alone.
+    On a slice of length h = 2*half, with t measured from its midpoint,
+    R(t) = R0 + s*t*z, R0 = (rabi, 0, w), and ``tilt`` is rabi*s.  The
+    slice is Q0(h/2) Ry(theta) Q0(h/2) (Hochbruck & Lubich, SIAM J. Numer.
+    Anal. 41, 945 (2003); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)): Q0 turns exactly about R0 at k = |R0|, and theta = rabi*s*g,
+    g = 2(sin x - x cos x)/k^3 with x = k*h/2, is the first Magnus term of
+    the rest, in the frame that turns with Q0.  Ry is perpendicular to R0,
+    so with c = cos(theta/2) the product is
+    a = c (cos x - i w sin(x)/k), b = -sin(theta/2) - i c rabi sin(x)/k.
+    For s = 0 the slice is exact, whatever k*h is.  The arguments
+    broadcast to a common shape, that of a and b; rabi > 0.
     """
-    sub = 1 << depth
-    # per channel, w at the start of each interval and its change over it,
-    # each channel's row contiguous for np.take below
-    edges = np.ascontiguousarray(dets.T)
-    w_start, w_step = edges[:, :-1], edges[:, 1:] - edges[:, :-1]
-    # for the coarse slice and its two halves: the slices per interval,
-    # each one's index per coarse index, and its midpoint in its own length
-    scale = np.array([1.0, 2.0, 2.0])[:, None, None]
-    per = sub * scale
-    mid = np.array([0.5, 0.5, 1.5])[:, None, None]
-
-    def pairs(start, stop):
-        idx = np.arange(start, stop)
-        k = idx >> depth
-        h = lengths[k] / per
-        # np.take keeps the slices innermost in memory, as the reduction
-        # wants them; indexing [:, k] would put the channels there
-        dw = np.take(w_step, k, axis=1) / per
-        w_mid = (np.take(w_start, k, axis=1)
-                 + ((idx & (sub - 1)) * scale + mid) * dw)
-        a, b = _pairs(rabi, rabi * h * dw / 12.0, w_mid, h)
-        a[1], b[1] = _mul((a[2], b[2]), (a[1], b[1]))
-        return a[:2], b[:2]
-
-    return _compose(lengths.size << depth, 3 * dets.shape[1], pairs)
+    k = np.hypot(rabi, w)
+    x = k * half
+    sin, cos = np.sin(x), np.cos(x)
+    # g/2; below x = 0.1 its closed form cancels, so it is summed there as
+    # (h^3/24) (1 - x^2/10 + x^4/280 - x^6/15120)
+    x2 = x * x
+    half_g = (((x2 * (-1.0 / 15120.0) + 1.0 / 280.0) * x2 - 0.1) * x2
+              + 1.0) * (half * half * half / 3.0)
+    np.divide(sin - x * cos, k * k * k, out=half_g, where=x >= 0.1)
+    turn = tilt * half_g  # theta/2
+    c = np.cos(turn)
+    q = c * sin / k
+    a = np.empty(x.shape, dtype=complex)
+    b = np.empty(x.shape, dtype=complex)
+    np.multiply(c, cos, out=a.real)
+    np.multiply(q, w, out=a.imag)
+    np.negative(a.imag, out=a.imag)
+    np.sin(turn, out=b.real)
+    np.negative(b.real, out=b.real)
+    np.multiply(q, -rabi, out=b.imag)
+    return a, b
 
 
 def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
@@ -418,95 +409,99 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
     return max(ctl.min_steps, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
 
 
-def _refine(compose: Callable, slices: int, states: np.ndarray,
-            ctl: StepControl):
-    """Richardson refinement, shared by the lab-frame and the knot mesh.
+def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
+                  duration: float, ctl: StepControl):
+    """Richardson-refined ``_compose_swept`` applied to one state (3,), and
+    the report.  Core of ``propagate_swept``.
 
-    ``slices`` is the start mesh's slice count, and ``compose(d)`` returns
-    the pairs of the start mesh halved d and d + 1 times, stacked along a
-    first axis of 2.  The mesh halves until the change of every Bloch
-    component of ``states`` (..., 3) between those two depths is at most
-    ``ctl.tol``; it returns the finer pair, the states it rotates and the
-    report (the finer slice count, one change per halving), and raises
-    ``ConvergenceFailure`` after ``ctl.max_depth`` halvings.  A start mesh
-    of more than ``_MAX_MESH`` slices times channels raises
-    ``InvalidParameter`` before anything is composed.
+    The mesh halves from the start of ``_initial_mesh`` until the change of
+    every Bloch component under one halving is at most ``ctl.tol``; the
+    report holds the final slice count and one change per halving.  More
+    than ``ctl.max_depth`` halvings raise ``ConvergenceFailure``, and a
+    start of more than ``_MAX_MESH`` slices ``InvalidParameter``, before
+    anything is composed.
     """
-    width = states.size // 3
-    if not slices * width <= _MAX_MESH:
-        raise InvalidParameter(
-            f"the mesh would start at {slices:.3g} slices for {width} "
-            f"channels, more than {_MAX_MESH} in all")
+    if duration == 0.0:
+        return state.copy(), ConvergenceReport(0, (), True)
+    n0 = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl)
+    if not n0 <= _MAX_MESH:
+        raise InvalidParameter(f"the mesh would start at {n0:.3g} slices, "
+                               f"more than {_MAX_MESH}")
     history = []
-    for depth in range(ctl.max_depth):
-        a, b = compose(depth)
-        steps = slices << (depth + 1)
-        out = _apply(a, b, states)
-        history.append(float(np.max(np.abs(out[1] - out[0]))))
+    out = _apply(*_compose_swept(rabi, phase_fn, det_fn, duration, n0), state)
+    for depth in range(1, ctl.max_depth + 1):
+        coarse = out
+        out = _apply(*_compose_swept(rabi, phase_fn, det_fn, duration,
+                                     n0 << depth), state)
+        history.append(float(np.max(np.abs(out - coarse))))
         if history[-1] <= ctl.tol:
-            return (a[1], b[1]), out[1], ConvergenceReport(
-                steps, tuple(history), True)
+            return out, ConvergenceReport(n0 << depth, tuple(history), True)
     raise ConvergenceFailure(
-        f"mesh refinement stalled at {steps} steps with error "
+        f"mesh refinement stalled at {n0 << ctl.max_depth} steps with error "
         f"{history[-1]:.3e} > tol {ctl.tol:.1e}",
         error_history=history,
     )
 
 
-def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
-                  duration: float, ctl: StepControl):
-    """Richardson-refined ``_compose_swept`` applied to one state (3,).
-    Core of ``propagate_swept``.
-
-    The mesh halves from the start of ``_initial_mesh`` (``_refine``).
-    Each depth is composed once: the finer depth of one halving is kept
-    for the next.
-    """
-    if duration == 0.0:
-        return state.copy(), ConvergenceReport(0, (), True)
-    n0 = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl)
-    at = functools.cache(lambda d: _compose_swept(rabi, phase_fn, det_fn,
-                                                  duration, n0 << d))
-    _, out, report = _refine(
-        lambda d: tuple(map(np.stack, zip(at(d), at(d + 1)))), n0, state, ctl)
-    return out, report
-
-
-def _knot_refine(states: np.ndarray, rabi: float, lengths: np.ndarray,
-                 dets: np.ndarray, ctl: StepControl):
-    """Richardson-refined pairs (a, b) of the propagation under R(t) =
-    (rabi, 0, w(t)), w linear on each of K intervals, and the report.
-    Core of the noisy co-rotating mesh.
+def _knot_refine(rabi: float, lengths: np.ndarray, dets: np.ndarray,
+                 ctl: StepControl):
+    """Pairs (a, b) (m,) of the propagation under R(t) = (rabi, 0, w(t)),
+    w linear on each of K intervals, and the report.  Core of the noisy
+    co-rotating mesh.
 
     ``lengths`` (K,) are the interval lengths and ``dets`` (K+1, m) the
-    values of w at their edges, one column per state of ``states`` (m, 3),
-    the states the propagation starts from; the mesh refines until their
-    Bloch components settle.  Each interval is cut into 2**j equal slices
-    and each slice takes the one-rotation 4th-order Magnus step of
-    ``_compose_knots``, which is exact for constant R, so the error follows
-    the slope of w alone.  The start j is the smallest that gives at least
-    ``ctl.min_steps`` slices and h*|R| <= pi on every slice (the
-    convergence radius of the Magnus series); |w| is piecewise linear, so
-    its maximum on an interval sits at an edge and that bound is exact.
-    The mesh halves from there (``_refine``), each pass composing one
-    depth and the next.
+    values of w at their edges, one column per channel; rabi > 0.  Each
+    interval is cut into 2**d equal slices, each one step of
+    ``_knot_pairs``, which is exact where w is constant, so d follows the
+    slope of w alone.  On a slice of slope s the step's Magnus term is at
+    most |s| h^2/4, so the terms it leaves out come to at most
+    (|s| h^2/4)^2 / 2: over the 2**d slices of an interval over which w
+    changes by dw in a length L, (dw L)^2 / 32 / 8**d.  d is the fewest
+    halvings that bring every channel's sum of that bound to ``ctl.tol``.
+    More than ``ctl.max_depth`` raise ``ConvergenceFailure``, and a mesh of
+    more than ``_MAX_MESH`` slices times channels ``InvalidParameter``,
+    before anything is composed.  The report holds the slices per channel
+    and the bound.
     """
+    m = dets.shape[1]
     if not np.any(lengths > 0.0):
-        m = states.shape[0]
         identity = (np.ones(m, dtype=complex), np.zeros(m, dtype=complex))
         return identity, ConvergenceReport(0, (), True)
-    r_max = np.hypot(rabi, np.max(np.maximum(np.abs(dets[:-1]),
-                                             np.abs(dets[1:])), axis=1))
-    reach = float(np.max(lengths * r_max)) / math.pi
-    if not math.isfinite(reach):
-        raise InvalidParameter("the Larmor rate must be finite")
-    start = 0
-    while (lengths.size << start) < ctl.min_steps or reach > (1 << start):
-        start += 1
-    pair, _, report = _refine(
-        lambda d: _compose_knots(rabi, lengths, dets, start + d),
-        lengths.size << start, states, ctl)
-    return pair, report
+    # per channel, w at the start of each interval and its change over it,
+    # each channel's row contiguous, as the reduction wants the slices
+    edges = np.ascontiguousarray(dets.T)
+    w_start, step = edges[:, :-1], edges[:, 1:] - edges[:, :-1]
+    bound = float(np.max(np.sum((step * lengths) ** 2, axis=1))) / 32.0
+    if not math.isfinite(bound):
+        raise InvalidParameter("the detunings must be finite")
+    depth = 0
+    while bound > ctl.tol:
+        if depth == ctl.max_depth:
+            raise ConvergenceFailure(
+                f"the knot mesh needs more than {depth} halvings: error "
+                f"bound {bound:.3e} > tol {ctl.tol:.1e}", error_history=[bound])
+        depth += 1
+        bound /= 8.0
+    sub = 1 << depth
+    slices = lengths.size << depth
+    if not slices * m <= _MAX_MESH:
+        raise InvalidParameter(
+            f"the knot mesh would need {slices:.3g} slices for {m} channels, "
+            f"more than {_MAX_MESH} in all")
+    half, dw = lengths / (2 * sub), step / sub
+    tilt = rabi * step / lengths
+
+    def pairs(start, stop):
+        # a block is whole intervals, or (sub > block) part of one
+        k = slice(start >> depth, ((stop - 1) >> depth) + 1)
+        j = start & (sub - 1)
+        mid = np.arange(j + 0.5, j + min(sub, stop - start))
+        a, b = _knot_pairs(rabi, half[k, None],
+                           w_start[:, k, None] + mid * dw[:, k, None],
+                           tilt[:, k, None])
+        return a.reshape(m, -1), b.reshape(m, -1)
+
+    return _compose(slices, m, pairs), ConvergenceReport(slices, (bound,), True)
 
 
 # ---------------------------------------------------------------------------

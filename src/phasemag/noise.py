@@ -470,6 +470,29 @@ class OUBank:
     times: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if not (times.ndim == 1 and times.size >= 2 and values.ndim == 2
+                and values.shape[0] == times.size):
+            raise InvalidParameter(
+                f"a bank needs at least two knot times (n,) and values "
+                f"(n, channels), got shapes {times.shape} and {values.shape}")
+        # increasing times between finite ends are finite, and a NaN step
+        # fails the comparison
+        steps = times[1:] - times[:-1]
+        low, high = steps.min(), steps.max()
+        if not (low > 0.0 and math.isfinite(times[0])
+                and math.isfinite(times[-1])):
+            raise InvalidParameter("knot times must be finite and increasing")
+        # the interpolation reads every knot's place from the first step
+        if not high - low <= 1e-6 * steps[0]:
+            raise InvalidParameter("knot times must be evenly spaced")
+        if not np.isfinite(values).all():
+            raise InvalidParameter("knot values must be finite")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+
     @property
     def n_traj(self) -> int:
         return self.values.shape[1]

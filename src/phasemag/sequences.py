@@ -53,8 +53,6 @@ __all__ = [
 PREP_PHASE = 0.0
 REFOCUS_PHASE = math.pi / 2.0
 READOUT_PHASE = math.pi
-# the Bloch vector of |0>
-_UP = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -230,17 +228,17 @@ def execute_batch(plan: SequencePlan, b_values,
     vector is constant in that frame, so each segment is one closed-form
     rotation per field (``_apply_swept_exact``).  With noise only its z
     component varies, linearly between the bank's knots, and the frame
-    propagation runs on a Richardson mesh aligned with those knots
-    (``_run_swept``): each knot interval is cut into 2**j equal slices, j
-    the smallest that keeps h*|R| <= pi and gives at least ``min_steps``
-    slices, and each slice takes one 4th-order Magnus rotation, exact for
-    the constant part.  So the halvings follow the noise, not the Larmor
-    rate or the turns of the drive phase.  All fields share that mesh, and
-    the refinement criterion is the worst change of a Bloch component over
-    the states that enter the segment.
+    propagation runs on a mesh aligned with those knots (``_run_swept``):
+    each knot interval is cut into 2**d equal slices, and each slice takes
+    one interaction-picture Magnus step, exact for the constant part of the
+    Larmor vector whatever its length.  So the mesh follows the slope of
+    the noise alone, not the Larmor rate or the turns of the drive phase:
+    d is the fewest halvings whose a-priori error bound meets ``tol`` on
+    every field, and all fields share that mesh.  An undriven sweep is free
+    evolution, since its phase ramp turns nothing.
 
-    ``step_control`` governs that mesh only: its ``tol``, its ``min_steps``
-    and its ``max_depth`` (halvings past the start).
+    ``step_control`` governs that mesh only: its ``tol`` and its
+    ``max_depth`` (the most halvings the bound may ask for).
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if not np.all(np.isfinite(b_values)):
@@ -275,18 +273,20 @@ def execute_batch(plan: SequencePlan, b_values,
         if isinstance(seg, IdealPulse):
             pair = core._mul(core._axis_pair(seg.axis_phase, seg.angle), pair)
             continue
-        if isinstance(seg, FreeEvolution):
+        if isinstance(seg, SweptDrive) and seg.rabi > 0.0:
+            if noise is None:
+                pair = _apply_swept_exact(pair, seg, dets_static)
+            else:
+                pair = _run_swept(pair, seg, dets_static, noise, t_start, ctl)
+        elif isinstance(seg, (FreeEvolution, SweptDrive)):
+            # an undriven sweep is free evolution: its phase ramp turns nothing
             angles = dets_static * seg.duration
             if noise is not None:
                 angles = angles + noise.detuning_integral(t_start,
                                                           t_start + seg.duration)
             pair = _precess_z(pair, angles)
-        elif not isinstance(seg, SweptDrive):
-            raise InvalidParameter(f"unknown segment type {type(seg)!r}")
-        elif noise is None:
-            pair = _apply_swept_exact(pair, seg, dets_static)
         else:
-            pair = _run_swept(pair, seg, dets_static, noise, t_start, ctl)
+            raise InvalidParameter(f"unknown segment type {type(seg)!r}")
         t_start += seg.duration
     a, b = pair
     return a.real**2 + a.imag**2 - (b.real**2 + b.imag**2)
@@ -329,9 +329,6 @@ def _apply_swept_exact(pair, seg: SweptDrive, dets_static):
     The frame Larmor vector (rabi, 0, gamma*B - r) is constant, so U is one
     rotation per field, by its length times T.
     """
-    if seg.rabi == 0.0:
-        # no drive, so the phase ramp is irrelevant: plain free evolution
-        return _precess_z(pair, dets_static * seg.duration)
     wz = dets_static - seg.phase_rate
     return _in_drive_frame(pair, seg, core._pairs(
         seg.rabi, 0.0, wz, seg.duration, np.hypot(seg.rabi, wz)))
@@ -345,21 +342,17 @@ def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, t_start,
     Larmor vector is (rabi, 0, w(t)) with w = gamma*B + delta(t) - r.  The
     bank's delta is linear between its knots, so w is exactly linear between
     the knots inside the segment.  The mesh edges are those knots and the
-    segment ends, with w taken from the knot values
-    (``core._knot_refine``): each interval is cut into equal slices that
-    each take one 4th-order Magnus rotation, and the slices halve until
-    the Bloch vectors that enter the frame, carried through it, move by
-    at most ``ctl.tol`` under one halving.
+    segment ends, with w taken from the knot values, and each interval is
+    cut into as many equal slices of one interaction-picture Magnus step
+    as the error bound of ``core._knot_refine`` needs to meet ``ctl.tol``.
     """
     t_end = t_start + seg.duration
     inner = (noise.times > t_start) & (noise.times < t_end)
     edges = np.concatenate(([t_start], noise.times[inner], [t_end]))
+    ends = noise(np.array([t_start, t_end]))
     # detunings at the edges, (K+1, 1) shared by every field or (K+1, m)
     dets = (dets_static[None, :]
-            + np.concatenate((noise(t_start), noise.values[inner], noise(t_end)))
+            + np.concatenate((ends[:1], noise.values[inner], ends[1:]))
             - seg.phase_rate)
-    # the Bloch vectors that enter the frame, after Rz(-phi0)
-    into = cmath.exp(0.5j * seg.phase_start)
-    states = core._apply(pair[0] * into, pair[1] * into, _UP)
-    frame, _ = core._knot_refine(states, seg.rabi, np.diff(edges), dets, ctl)
+    frame, _ = core._knot_refine(seg.rabi, np.diff(edges), dets, ctl)
     return _in_drive_frame(pair, seg, frame)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasemag.noise import Lorentzian, OneOverF, _ou_bracket, calibrate_noise
+from phasemag.noise import Lorentzian, OneOverF, calibrate_noise
 
 # coherence-time targets used across the noise and acceptance tests
 T2_STAR = 50e-6
@@ -164,6 +164,18 @@ def chi_reference(S, echo, duration):
     return total / math.pi
 
 
+def _gap_variance_bracket(y):
+    """2y - 3 + 4e^-y - e^-2y: the variance of the phase an OU gap of
+    y = gap/tau_c adds given the gap's start value, in units of
+    (tau_c delta)^2 (Gillespie, Phys. Rev. E 54, 2084 (1996)).  The closed
+    form cancels at small y (the bracket starts at 2y^3/3), so below
+    y = 0.5 it is summed as its series sum_{k>=3} (-1)^k (4 - 2^k) y^k / k!."""
+    if y >= 0.5:
+        return 2.0 * y - 3.0 + 4.0 * math.exp(-y) - math.exp(-2.0 * y)
+    return sum((-1) ** k * (4.0 - 2.0 ** k) * y ** k / math.factorial(k)
+               for k in range(3, 26))
+
+
 def ou_phases_reference(S, t_grid, echo, rng, n_traj):
     """(n_traj, len(t_grid)) OU phases by the gap-by-gap Gillespie recursion.
 
@@ -182,7 +194,7 @@ def ou_phases_reference(S, t_grid, echo, rng, n_traj):
     tau_d = S.tau_c * S.delta
     l11 = S.delta * np.sqrt(one_minus_a * (1.0 + a))
     l21 = tau_d * one_minus_a * np.sqrt(one_minus_a / (1.0 + a))
-    var_i = np.array([_ou_bracket(2.0 * v, echo=True) for v in y]) * tau_d**2
+    var_i = np.array([_gap_variance_bracket(v) for v in y]) * tau_d**2
     l22 = np.sqrt(var_i - l21 * l21)
     mean_i = S.tau_c * one_minus_a
 

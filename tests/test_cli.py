@@ -516,11 +516,12 @@ class TestBadNumbers:
           "--omega-mhz=1e300", "--n=1000"), 3),
         (("estimate", "--config", str(EXAMPLES / "estimate.cfg"),
           "--omega-mhz=1e-300", "--n=1000"), 3),
-        # 2**31 turns put the knot mesh's start at 2**25 slices per knot
-        # interval, about 4.3e9 per depth: refused before composing
+        # a 1e13 rad/s bath swings the detuning by about 6e11 rad/s across
+        # each knot interval: the knot mesh's error bound would need more
+        # than max_depth halvings, refused before composing
         (("signal", "--config", str(EXAMPLES / "signal.cfg"), "--engine",
           "numeric+noise", "--b-points", "3", "--ensemble", "1",
-          "--t2star-us", "50", "--t2-us", "500", "--n", "2147483648"), 3),
+          "--delta-rad-s", "1e13", "--tau-c-us", "20"), 3),
     ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
@@ -536,7 +537,7 @@ class TestBadNumbers:
             "signal-ou-knots", "sweep-larmor-phase", "overlay-t-long",
             "overlay-t-short", "lorentzian-psd-tail", "signal-seed-negative",
             "decohere-seed-negative", "estimate-candidate-overflows",
-            "estimate-slope-envelope-overflows", "signal-knot-mesh-start"])
+            "estimate-slope-envelope-overflows", "signal-knot-mesh-bound"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         # rejected by validation: one error line on stderr and no warning
         with warnings.catch_warnings(record=True) as caught:
@@ -546,6 +547,18 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert "error" in err and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_many_turns_are_not_refused(self, tmp_path):
+        # the knot mesh follows the slope of the noise, not the Larmor
+        # rate: 2**31 turns, once refused for a start of 2**25 slices per
+        # knot interval, run on one slice per interval
+        out = tmp_path / "s.csv"
+        assert run_cli("signal", "--config", str(EXAMPLES / "signal.cfg"),
+                       "--engine", "numeric+noise", "--b-points", "3",
+                       "--ensemble", "1", "--t2star-us", "50", "--t2-us",
+                       "500", "--n", "2147483648", "--out", str(out)) == 0
+        p = np.array([float(r[1]) for r in data_rows(out)])
+        assert p.size == 3 and np.all(np.abs(p) <= 1.0)
 
     @pytest.mark.parametrize("command, key, value", BAD_NUMBER_TABLE,
                              ids=["-".join(case) for case in BAD_NUMBER_TABLE])
@@ -810,13 +823,16 @@ class TestExampleConfigs:
          "09cbcb3ecaf19c5749cdf342dde2c7bf89cdf0f8cf7a623394b646c3afe07c4e"),
         (("--engine", "numeric+noise", "--b-points", "7", "--ensemble", "2",
           "--t2star-us", "50", "--t2-us", "500", "--seed", "3"),
-         "0864203dddef6362e2d1e0c27806ae45851757701c0a496332c70a0481761240"),
+         "56a58f733c23f0eaf82dd4934dcc8f43dc3852f56ac7eafb23c6f239e8df69f7"),
     ], ids=["numeric", "numeric-noise"])
     def test_signal_example_output_pinned(self, tmp_path, repo_docs, extra,
                                           digest):
-        # sha256 of every line below the '#' header (which embeds --out),
-        # taken from the 3x3-matrix propagators: composing Cayley-Klein
-        # pairs moves P by rounding only, and no printed digit
+        # sha256 of every line below the '#' header (which embeds --out).
+        # The numeric digest was taken from the 3x3-matrix propagators:
+        # composing Cayley-Klein pairs moves P by rounding only, and no
+        # printed digit.  The numeric-noise digest is that of the
+        # interaction-picture knot mesh, whose every printed digit equals
+        # a mesh at tol 1e-12
         out = tmp_path / "s.csv"
         assert run_cli("signal", "--config", str(repo_docs / "signal.cfg"),
                        *extra, "--out", str(out)) == 0
@@ -827,7 +843,8 @@ class TestExampleConfigs:
     def test_monte_carlo_decohere_output_pinned(self, tmp_path, repo_docs):
         # sha256 of the lines below the '#' headers of the three files, in
         # the order coherence, regimes, overlay: the regime rows run the
-        # noisy knot mesh at tol 1e-3 over 4 runs
+        # noisy knot mesh at tol 1e-3 over 4 runs (T2g within 8e-6 us of
+        # the same scan at tol 1e-10)
         prefix = tmp_path / "mc"
         assert run_cli("decohere", "--config", str(repo_docs / "decohere.cfg"),
                        "--engine", "monte-carlo", "--ensemble", "4",
@@ -838,7 +855,7 @@ class TestExampleConfigs:
                 keepends=True)
             digest.update(b"".join(l for l in lines if not l.startswith(b"#")))
         assert digest.hexdigest() == (
-            "3e6ebef479d53b74c6b5e19c514b33dac048b610584fa9b1f75099ef6a99af7e")
+            "68d19edc129714669df96919880be64e4db53a229be53b4fc2c95bfd38bbb05d")
 
     def test_sweep_example(self, tmp_path, repo_docs):
         code = run_cli("sweep", "--config", str(repo_docs / "sweep.cfg"),

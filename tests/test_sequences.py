@@ -272,9 +272,12 @@ class TestSweptClosedFormAgainstMesh:
         starved = StepControl(tol=1e-16, max_depth=1)
         assert np.array_equal(execute_batch(plan, bs, step_control=starved),
                               execute_batch(plan, bs))
+        # a bank of zeros would need no halving: the knot mesh's step is
+        # exact where the noise is constant
+        bank = _knot_bank(plan.duration, lambda t: 1e5 * np.sin(3e6 * t))
         with pytest.raises(ConvergenceFailure):
             execute_batch(plan, bs, step_control=starved,
-                          noise_trajectory=_zero_bank(plan.duration))
+                          noise_trajectory=bank)
 
 
 class TestNoisyFrameAgainstLabMesh:
@@ -379,8 +382,8 @@ class TestNoisyFrameAgainstLabMesh:
 
 class TestCoarseNoisyMesh:
     """The noisy co-rotating mesh cuts each knot interval into the fewest
-    equal slices that keep h*|R| <= pi and give ``min_steps`` in all, and
-    halves until ``tol`` holds."""
+    equal slices whose a-priori error bound meets ``tol``; a slice may turn
+    by many radians about R."""
 
     def test_wide_field_berry_curve_matches_a_fine_mesh(self, calibrated_noise):
         # the frame Larmor rate, and so the slices per knot interval, is
@@ -394,11 +397,12 @@ class TestCoarseNoisyMesh:
         assert np.max(np.abs(got - ref)) <= 1e-6
 
     def test_min_steps_floor_holds_against_aliased_noise(self):
-        # an undriven sweep, so the segment reaches the mesh.  About 1 rad of
-        # precession in all: a mesh of one or two slices whose nodes sit on
-        # knots at crests of this noise would stop at the wrong phase.  The
-        # knot-aligned mesh integrates the interpolant between knots, so it
-        # cannot alias it.  The noise integrates to zero over the segment.
+        # about 1 rad of precession in all: a mesh of one or two slices
+        # whose nodes sit on knots at crests of this noise would stop at the
+        # wrong phase.  An undriven sweep is free evolution, which takes
+        # the exact integral of the interpolant between knots (no
+        # ``min_steps`` floor is left to hold), so it cannot alias it.  The
+        # noise integrates to zero over the segment.
         duration = 1e-6
         bank = _knot_bank(duration,
                           lambda t: np.cos(8 * math.pi * t / duration) / duration)
@@ -410,6 +414,31 @@ class TestCoarseNoisyMesh:
         got = execute_batch(plan, bs, noise_trajectory=bank)
         assert np.allclose(got, np.cos(NV.gamma * bs * duration), atol=1e-6,
                            rtol=0)
+
+    def test_zero_slope_reproduces_the_closed_form(self):
+        # a constant noise offset is a shifted field: on knots 1 us apart
+        # each slice turns by up to 115 rad about R, and one step per slice
+        # is the closed-form rotation of the noise-free path
+        # (``_apply_swept_exact``) to rounding
+        delta = 2e5
+        bank = _knot_bank(8e-6, lambda t: np.full_like(t, delta), n_knots=8)
+        for om_mhz, n_rot in ((5.0, 3), (2.0, 1), (1.0, 7)):
+            plan = build_berry(angular_from_mhz(om_mhz), n_rot, 8e-6)
+            bs = np.linspace(-2e-4, 6e-4, 9)
+            got = execute_batch(plan, bs, noise_trajectory=bank)
+            ref = execute_batch(plan, bs + delta / NV.gamma)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+        reach = np.hypot(angular_from_mhz(5.0),
+                         NV.gamma * 6e-4 + delta + 4 * math.pi * 3 / 8e-6)
+        assert reach * 1e-6 >= 100.0
+
+    def test_zero_bank_gives_the_noise_free_curve(self):
+        plan = build_berry(W5, 3, 8e-6)
+        bs = np.linspace(0.0, 6e-4, 13)
+        for n_traj in (1, bs.size):
+            got = execute_batch(plan, bs,
+                                noise_trajectory=_zero_bank(8e-6, n_traj))
+            assert np.max(np.abs(got - execute_batch(plan, bs))) <= 1e-12
 
 
 class TestNoisyMeshAgainstOde:
@@ -472,11 +501,11 @@ class TestNoisyMeshAgainstOde:
                              seed=(seed,))
         ref = self._lab_ode(plan, bs, traj)
         got = execute_batch(plan, bs, noise_trajectory=traj)
-        # the mesh tol; 2e-8 or better measured
+        # the mesh tol; 1.6e-10 or better measured
         assert np.max(np.abs(got - ref)) <= 1e-6
-        # the start mesh halved once, whatever the change: the 4th-order
-        # step is that accurate there already, while a defect that leaves
-        # the step consistent but of lower order, which further halvings
+        # the mesh a tol of 1 asks for, one slice per knot interval here:
+        # the step is that accurate there already, while a defect that
+        # leaves the step consistent but of lower order, which halvings
         # would rescue, is not
         once = execute_batch(plan, bs, noise_trajectory=traj,
                              step_control=StepControl(tol=1.0, max_depth=1))
