@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -146,9 +147,7 @@ class OneOverF:
     def psd(self, omega):
         omega = np.asarray(omega, dtype=float)
         inside = (omega >= self.omega_min) & (omega <= self.omega_max)
-        with np.errstate(divide="ignore"):
-            vals = np.where(inside, self.amplitude / np.maximum(omega, 1e-300), 0.0)
-        return vals
+        return np.where(inside, self.amplitude / np.maximum(omega, 1e-300), 0.0)
 
 
 SpectralDensity = Union[Lorentzian, White, OneOverF]
@@ -184,36 +183,48 @@ def _check_adiabaticity(adiabaticity: float) -> None:
                                f"got {adiabaticity}")
 
 
-def _ou_bracket(x: float, echo: bool) -> float:
-    """x - 1 + e^-x, or x - 3 + 4e^(-x/2) - e^-x for the echo (x >= 0).
+# both OU brackets' Taylor series sum_{k>=2} c_k (-x)^k / k!, k = 2..19, in one
+# table: per bracket (free, echo), c_k (-1)^k / k! with c_k = 1, resp. 4/2^k - 1
+_OU_POWERS = np.arange(2, 20)
+_OU_SERIES = tuple(np.array([(4.0 / 2.0**k - 1.0 if echo else 1.0) * (-1.0)**k
+                             / math.factorial(k) for k in range(2, 20)])
+                   for echo in (False, True))
+_OU_HORNER = tuple(tuple(row.tolist()) for row in _OU_SERIES)
 
-    Both cancel catastrophically at small x (the echo bracket starts at
-    x^3/12), so below x = 0.5 they are summed as the Taylor series
-    sum_{k>=2} c_k (-x)^k / k!, with c_k = 1, resp. c_k = 4/2^k - 1.
-    """
-    if x >= 0.5:
-        if echo:
-            return x - 3.0 + 4.0 * math.exp(-0.5 * x) - math.exp(-x)
-        return x - 1.0 + math.exp(-x)
-    total, term = 0.0, -x
-    for k in range(2, 20):
-        term *= -x / k
-        total += term * (4.0 / 2.0**k - 1.0 if echo else 1.0)
+
+def _horner(coefs: tuple, x: float) -> float:
+    """sum_i coefs[i] x^i, by Horner's rule."""
+    total = 0.0
+    for c in reversed(coefs):
+        total = total * x + c
     return total
 
 
-# the echo bracket's Taylor series as a table: the powers k = 2..19 of x
-# and their coefficients (4/2^k - 1) (-1)^k / k!
-_ECHO_POWERS = np.arange(2, 20)
-_ECHO_COEFS = np.array([(4.0 / 2.0**k - 1.0) * (-1.0)**k / math.factorial(k)
-                        for k in range(2, 20)])
+def _ou_bracket(x, echo: bool):
+    """x - 1 + e^-x, or x - 3 + 4e^(-x/2) - e^-x for the echo (x >= 0).
+
+    Both cancel catastrophically at small x (the echo bracket starts at
+    x^3/12), so below x = 0.5 they are summed as their Taylor series
+    (``_OU_SERIES``): a float by Horner's rule, an array (the Monte-Carlo
+    map's gaps) by one product with the table of its powers.
+    """
+    if not isinstance(x, np.ndarray):
+        if x >= 0.5:
+            if echo:
+                return x - 3.0 + 4.0 * math.exp(-0.5 * x) - math.exp(-x)
+            return x - 1.0 + math.exp(-x)
+        return x * x * _horner(_OU_HORNER[echo], x)
+    closed = (x - 3.0 + 4.0 * np.exp(-0.5 * x) - np.exp(-x) if echo
+              else x - 1.0 + np.exp(-x))
+    series = np.power.outer(np.minimum(x, 0.5), _OU_POWERS) @ _OU_SERIES[echo]
+    return np.where(x >= 0.5, closed, series)
 
 
-def _echo_brackets(x: np.ndarray) -> np.ndarray:
-    """``_ou_bracket(x, echo=True)`` of each element of the array x >= 0."""
-    small = np.minimum(x, 0.5)
-    return np.where(x >= 0.5, x - 3.0 + 4.0 * np.exp(-0.5 * x) - np.exp(-x),
-                    np.power.outer(small, _ECHO_POWERS) @ _ECHO_COEFS)
+# g_k (4^-k - 1) for k = 1..11: the echo series of ``_one_over_f_primitive``
+_ONE_OVER_F_ECHO = tuple(
+    (-1.0)**k * (4.0**-k - 1.0) / math.factorial(2 * k)
+    * (0.25 / k - 0.5 / (2 * k + 1) - 0.5 / ((2 * k + 1) * (2 * k + 2)))
+    for k in range(1, 12))
 
 
 def _one_over_f_primitive(u: float, echo: bool) -> float:
@@ -224,18 +235,12 @@ def _one_over_f_primitive(u: float, echo: bool) -> float:
     The constant makes H vanish at u = 0: G(u/2) - G(u) tends to -ln(2)/2,
     and a band far below 1/T would cancel that constant between its two
     ends.  Below u = 0.5, H is therefore summed as its series
-    sum_{k>=1} g_k (4^-k - 1) u^2k, with g_k the u^2k coefficient of G:
-    (-1)^k [1/(4k (2k)!) - 1/(2 (2k+1)!) - 1/(2 (2k+2)!)].
+    sum_{k>=1} g_k (4^-k - 1) u^2k (``_ONE_OVER_F_ECHO``), with g_k the u^2k
+    coefficient of G: (-1)^k [1/(4k (2k)!) - 1/(2 (2k+1)!) - 1/(2 (2k+2)!)].
     """
     if echo and u < 0.5:
-        total, fact, sign = 0.0, 1.0, 1.0  # fact = (2k)!
-        for k in range(1, 12):
-            fact *= (2 * k - 1) * (2 * k)
-            sign = -sign
-            g_k = sign * (1.0 / (4 * k * fact) - 1.0 / (2 * fact * (2 * k + 1))
-                          - 1.0 / (2 * fact * (2 * k + 1) * (2 * k + 2)))
-            total += g_k * (4.0**-k - 1.0) * u ** (2 * k)
-        return total
+        v = u * u
+        return v * _horner(_ONE_OVER_F_ECHO, v)
 
     from scipy.special import sici  # lazy: `import phasemag` loads no scipy
 
@@ -311,10 +316,9 @@ def coherence_decay(S: SpectralDensity, adiabaticity: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
         raise InvalidParameter("t_grid must be nonempty and increasing")
-    w = [math.exp(-decoherence_function(S, adiabaticity, float(t)).total)
-         for t in t_grid]
-    return CoherenceCurve(times=tuple(float(t) for t in t_grid),
-                          values=tuple(w))
+    times = t_grid.tolist()
+    w = [math.exp(-decoherence_function(S, adiabaticity, t).total) for t in times]
+    return CoherenceCurve(times=tuple(times), values=tuple(w))
 
 
 def fit_T2g(samples) -> tuple[float, float]:
@@ -389,30 +393,23 @@ def _one_over_e_time(exponent_fn, S: SpectralDensity, guess: float) -> float:
         raise CalibrationFailure("could not bracket the 1/e decay time") from None
 
 
-def _bracket_inverse(q: float, echo: bool) -> float:
-    """The x > 0 at which the OU bracket (``_ou_bracket``) equals q > 0."""
-    # small-x asymptotes: x^2/2, and x^3/12 for the echo
-    guess = (12.0 * q) ** (1.0 / 3.0) if echo else math.sqrt(2.0 * q)
-    return find_root(lambda x: _ou_bracket(x, echo) - q, guess, guess,
-                     grow=4.0, steps=60, xtol=0.0)
-
-
 def calibrate_noise(t2_star: float, t2: float) -> Lorentzian:
     """Find (delta, tau_c) whose free-precession and echo 1/e times match targets.
 
     A Lorentzian's exponents are delta^2 tau_c^2 g(T/tau_c), with g the
     free-precession or the echo bracket of ``_ou_bracket``.  With
-    q = 1/(delta*tau_c)^2 each 1/e time is tau_c*g^-1(q), so the ratio
-    t2/t2_star = g_echo^-1(q)/g_free^-1(q) depends on q alone and falls
-    monotonically from about 162 at q = 1e-12 towards 1 at large q.  One
-    bracketed root in q, starting from the quasi-static guess 18*(t2_star/
-    t2)^6, therefore solves the calibration; then tau_c = t2_star/g_free^-1(q)
-    and delta = 1/(tau_c*sqrt(q)).  The result is checked against the
+    u = t2_star/tau_c and r = t2/t2_star the targets read
+    (delta tau_c)^2 g_free(u) = 1 = (delta tau_c)^2 g_echo(r u), so
+    g_echo(r u) = g_free(u) fixes u alone.  The log of that quotient rises
+    in u, from log(r^3 u/6) -> -inf at u -> 0 to log(r) > 0, so one
+    bracketed root, started at the exact quasi-static root u = 6/r^3 of
+    u^2/2 = (r u)^3/12, solves the calibration; then tau_c = t2_star/u and
+    delta = 1/(tau_c sqrt(g_free(u))).  The result is checked against the
     targets by solving exponent(T) = 1 for each time afresh.  Raises
     CalibrationFailure when the targets cannot be met within 5 %
-    (``_CALIBRATE_TOL``) — in particular for t2 <= 1.1*t2_star, where the
-    echo gain the family always provides cannot be distinguished from the
-    tolerance.
+    (``_CALIBRATE_TOL``): for t2 <= 1.1*t2_star, where the echo gain the
+    family always provides cannot be told from the tolerance, and for r
+    above about 3e51, where g_free(6/r^3) underflows.
     """
     if not 0 < t2_star < math.inf or not 0 < t2 < math.inf:
         raise InvalidParameter("targets must be positive and finite")
@@ -423,19 +420,20 @@ def calibrate_noise(t2_star: float, t2: float) -> Lorentzian:
             f"targets t2={t2:g}, t2_star={t2_star:g} are degenerate for a "
             f"Lorentzian bath at tolerance {_CALIBRATE_TOL:g}"
         )
-    log_ratio = math.log(t2) - math.log(t2_star)
-
-    def excess(q):
-        # increasing in q: target ratio over the ratio q gives, in logs
-        return log_ratio - math.log(_bracket_inverse(q, True)
-                                    / _bracket_inverse(q, False))
-
-    q0 = 18.0 * math.exp(-6.0 * log_ratio)
+    r = t2 / t2_star
+    u0 = 6.0 / (r * r * r)
+    # g_free(u) < u^2/2, so a normal g_free(u0) also means a normal u0
+    if not _ou_bracket(u0, False) >= sys.float_info.min:
+        raise CalibrationFailure(
+            f"no Lorentzian bath meets t2_star={t2_star:g}, t2={t2:g}: g_free "
+            f"underflows at the quasi-static start u = 6 (t2_star/t2)^3 = {u0:g}")
     try:
-        q = find_root(excess, q0, q0, grow=4.0, steps=60, xtol=0.0,
-                      rtol=1e-13)
-        tau_c = t2_star / _bracket_inverse(q, False)
-        S = Lorentzian(delta=1.0 / (tau_c * math.sqrt(q)), tau_c=tau_c)
+        u = find_root(lambda u: math.log(_ou_bracket(r * u, True)
+                                         / _ou_bracket(u, False)),
+                      u0, u0, grow=4.0, steps=60, xtol=0.0)
+        # delta = 1/(tau_c sqrt(g_free(u))) with no divisor that can underflow
+        S = Lorentzian(delta=u / t2_star / math.sqrt(_ou_bracket(u, False)),
+                       tau_c=t2_star / u)
     except (NoRoot, InvalidParameter) as exc:
         raise CalibrationFailure(
             f"no Lorentzian bath meets t2_star={t2_star:g}, t2={t2:g}: {exc}"
@@ -499,9 +497,9 @@ class OUBank:
 
     def __call__(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        dt = self.times[1] - self.times[0]
-        idx = np.clip((t / dt).astype(int), 0, len(self.times) - 2)
-        frac = t / dt - idx
+        pos = t / (self.times[1] - self.times[0])
+        idx = np.minimum(np.maximum(pos.astype(int), 0), self.times.size - 2)
+        frac = pos - idx
         return (self.values[idx, :]
                 + frac[:, None] * (self.values[idx + 1, :] - self.values[idx, :]))
 
@@ -717,7 +715,7 @@ def _phase_map(S: Lorentzian, t_grid: np.ndarray, echo: bool) -> _PhaseMap:
     l11 = S.delta * np.sqrt(one_minus_a * (1.0 + a))
     r21 = one_minus_a * np.sqrt(one_minus_a / (1.0 + a))
     l21 = tau_d * r21
-    l22 = tau_d * np.sqrt(_echo_brackets(2.0 * y) - r21 * r21)
+    l22 = tau_d * np.sqrt(_ou_bracket(2.0 * y, True) - r21 * r21)
     mean_i = S.tau_c * one_minus_a
 
     n_gaps = y.size

@@ -2,13 +2,13 @@
 
 Every solve in phasemag is one root of a one-dimensional function: the
 1/e times and the decay grid are roots of a monotone exponent, calibration
-is a root in q = 1/(delta*tau_c)^2, the T2g fit is a root of the projected
-gradient, and the best slope is the root of the fall of |slope| across a
-small step.  ``find_root`` widens a bracket geometrically (or keeps it
-fixed, with ``steps=0``) and then runs Brent's (1973) method, step for
-step as in the classic zeroin: inverse quadratic interpolation or secant
-steps, guarded by bisection.  It is plain Python on floats, so a process
-that solves never imports an optimisation library.
+is a root in u = t2_star/tau_c, the T2g fit is a root of the projected
+gradient, and the best berry slope is a root of its derivative in a lobe.
+``find_root`` widens a bracket geometrically (or keeps it fixed, with
+``steps=0``) and then runs Brent's (1973) method, step for step as in the
+classic zeroin: inverse quadratic interpolation or secant steps, guarded
+by bisection.  It is plain Python on floats, so a process that solves
+never imports an optimisation library.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ def find_root(f, lo: float, hi: float, *, xtol: float, grow: float = 2.0,
             else:  # inverse quadratic interpolation
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                den = dblk * dpre * (fblk - fpre)
+                # 0 once subnormal f values underflow: bisect, as C's inf does
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:

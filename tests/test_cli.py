@@ -928,6 +928,25 @@ class TestCalibrateCommand:
                        "--out", "-")
         assert code == 3
 
+    @pytest.mark.parametrize("command", [
+        ("calibrate",), ("decohere",),
+        ("signal", "--config", str(EXAMPLES / "signal.cfg"), "--engine",
+         "numeric+noise", "--b-points", "3", "--ensemble", "2")],
+        ids=["calibrate", "decohere", "signal"])
+    def test_extreme_target_ratios(self, tmp_path, capsys, command):
+        # t2/t2_star = 1e30 calibrates in the quasi-static limit; 1e60 is
+        # past the float range of the calibration's start and is refused
+        for t2_us, want in (("1e30", 0), ("1e60", 3)):
+            code = run_cli(*command, "--t2star-us", "1", "--t2-us", t2_us,
+                           "--out", str(tmp_path / f"out-{t2_us}"))
+            err = capsys.readouterr().err
+            assert code == want
+            if want == 0:
+                assert err == ""
+            else:
+                assert err.startswith("computation error: ")
+                assert err.count("\n") == 1
+
 
 class TestStartup:
     def test_import_leaves_scipy_optimize_unloaded(self):

@@ -1,5 +1,6 @@
 """Spectral densities, filter functions, dephasing integral and its oracle."""
 
+import decimal
 import functools
 import hashlib
 import math
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from phasemag import noise
-from phasemag.errors import CalibrationFailure, FitFailure, InvalidParameter
+from phasemag.errors import (CalibrationFailure, FitFailure, InvalidParameter,
+                             PhasemagError)
 from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF, White,
                             _ou_phases, calibrate_noise,
                             coherence_decay, decoherence_function,
@@ -146,6 +148,44 @@ class TestDecoherenceFunction:
             assert chia - chi0 == pytest.approx(a**2 * (chi1 - chi0), rel=1e-12)
 
 
+class TestOUBracket:
+    """``_ou_bracket`` on floats and on arrays against 50-digit closed forms.
+
+    Below x = 0.5 both paths sum the Taylor series, and hold 1e-15 of the
+    bracket.  From x = 0.5 up they evaluate the closed form, whose terms
+    reach x + 3 (x + 1 without the echo) and cancel to about x^3/12 near
+    0.5; no double evaluation holds 1e-15 of the bracket there (the echo
+    loses up to 2.5e-14 near x = 0.57), so the bound is 1e-15 of the
+    terms' size.
+    """
+
+    XS = sorted({*np.geomspace(1e-9, 60.0, 801).tolist(), 0.5,
+                 math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 60.0})
+
+    @staticmethod
+    def _reference(x, echo):
+        with decimal.localcontext(decimal.Context(prec=50)):
+            d = decimal.Decimal(x)
+            if echo:
+                return float(d - 3 + 4 * (-d / 2).exp() - (-d).exp())
+            return float(d - 1 + (-d).exp())
+
+    @staticmethod
+    def _bound(x, value, echo):
+        return 1e-15 * (value if x < 0.5 else x + (3.0 if echo else 1.0))
+
+    @pytest.mark.parametrize("echo", [False, True])
+    def test_both_paths_match_decimal_reference(self, echo):
+        floats = [noise._ou_bracket(x, echo) for x in self.XS]
+        array = noise._ou_bracket(np.array(self.XS), echo)
+        for x, f, a in zip(self.XS, floats, array.tolist()):
+            want = self._reference(x, echo)
+            bound = self._bound(x, want, echo)
+            assert abs(f - want) <= bound, (x, f, want)
+            assert abs(a - want) <= bound, (x, a, want)
+            assert abs(f - a) <= bound, (x, f, a)
+
+
 class TestCoherenceDecay:
     def test_zero_spectrum_stays_coherent(self):
         curve = coherence_decay(White(0.0), 1.0, np.linspace(1e-6, 1e-4, 10))
@@ -252,15 +292,33 @@ class TestCalibration:
 
     @pytest.mark.parametrize("t2_star, t2", [
         (50e-6, 500e-6), (40e-6, 400e-6), (55e-6, 500e-6), (50e-6, 60e-6),
-        (1e-6, 1e-3)])
+        (1e-6, 1e-3), (1.0, 1.11), (1e-6, 1.0), (1e-6, 1e24), (1.0, 1e45)])
     def test_targets_met_to_rounding(self, t2_star, t2):
         S = calibrate_noise(t2_star, t2)
         assert ramsey_exponent(S, t2_star) == pytest.approx(1.0, rel=1e-13)
         assert echo_exponent(S, t2) == pytest.approx(1.0, rel=1e-13)
 
     def test_ratio_beyond_any_bath_fails(self):
-        with pytest.raises(CalibrationFailure):
-            calibrate_noise(1e-300, 1e300)
+        # past t2/t2_star ~ 3e51 the quasi-static start 6 (t2_star/t2)^3
+        # has no normal free-precession bracket
+        for t2_star, t2 in ((1e-300, 1e300), (1e-6, 1e54), (1.0, 1e52)):
+            with pytest.raises(CalibrationFailure):
+                calibrate_noise(t2_star, t2)
+
+    def test_every_ratio_ends_in_a_bath_or_a_typed_error(self):
+        # t2/t2_star = 10^(j/40) from 10^0.05 to 10^300: every ratio up to
+        # about 3e51 calibrates to rounding, and every larger one is refused
+        reached = 0.0
+        for j in range(2, 12001):
+            r = 10.0 ** (j / 40)
+            try:
+                S = calibrate_noise(1.0, r)
+            except PhasemagError:
+                continue
+            reached = j / 40
+            assert ramsey_exponent(S, 1.0) == pytest.approx(1.0, rel=1e-13)
+            assert echo_exponent(S, r) == pytest.approx(1.0, rel=1e-13)
+        assert reached == 51.475
 
     def test_scaling_both_targets(self, calibrated_noise):
         S2 = calibrate_noise(2 * T2_STAR, 2 * T2_ECHO)

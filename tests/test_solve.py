@@ -55,3 +55,10 @@ class TestFindRoot:
     def test_fixed_bracket_of_either_sign(self):
         x = find_root(lambda x: x + 3.0, -5.0, 1.0, xtol=1e-12, steps=0)
         assert x == pytest.approx(-3.0, abs=1e-12)
+
+    def test_underflowing_interpolation_bisects(self):
+        # f is subnormal near the root, where the inverse quadratic step's
+        # denominator underflows to 0: the step falls back to bisection
+        x = find_root(lambda x: (x * 1e-160) ** 2 / 2 - 1e-320, 0.01, 0.01,
+                      xtol=0.0, grow=4.0, steps=60)
+        assert x == pytest.approx(math.sqrt(2.0), abs=1e-3)
