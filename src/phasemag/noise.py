@@ -22,7 +22,9 @@ Spectral conventions, all in one place to avoid factor-of-two drift:
   174509 (2008)): Delta^2 tau_c^2 (x - 1 + e^-x) for F0 and
   Delta^2 tau_c^2 (x - 3 + 4 e^(-x/2) - e^-x) for F1.  White: S0*T/2 for
   both.  1/f: (A T^2/pi) [P(w_max T) - P(w_min T)], with P the antiderivative
-  of F(u)/u^3 written through the cosine integral Ci.
+  of F(u)/u^3 written through the cosine integral Ci, which is computed
+  here (``_cosine_integral``: its power series up to 4, its auxiliary
+  functions f and g above), so the package runs on numpy alone.
 
 With these conventions the Ornstein-Uhlenbeck time-domain oracle satisfies
 <cos(int detuning dt)> = exp(-chi) exactly, since the phase is Gaussian,
@@ -47,6 +49,7 @@ exactly, which makes noisy free evolution one z rotation.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -56,7 +59,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CalibrationFailure, FitFailure, InvalidParameter
+from .errors import CalibrationFailure, FitFailure, InvalidParameter, OutOfRange
 from .solve import NoRoot, find_root
 
 __all__ = [
@@ -220,35 +223,188 @@ def _ou_bracket(x, echo: bool):
     return np.where(x >= 0.5, closed, series)
 
 
-# g_k (4^-k - 1) for k = 1..11: the echo series of ``_one_over_f_primitive``
+# g_k (4^-k - 1) for k = 1..11: the echo series of ``_one_over_f_exponent``
 _ONE_OVER_F_ECHO = tuple(
     (-1.0)**k * (4.0**-k - 1.0) / math.factorial(2 * k)
     * (0.25 / k - 0.5 / (2 * k + 1) - 0.5 / ((2 * k + 1) * (2 * k + 2)))
     for k in range(1, 12))
 
+_EULER_GAMMA = 0.5772156649015329
+# Ci(x) - gamma - ln x = sum_{k>=1} (-x^2)^k / (2k (2k)!), k = 1..16 (A&S
+# 5.2.16), summed up to x = 4, where its terms reach 4 and still round off
+# near 1e-15 of Ci
+_CI_SERIES = tuple((-1.0)**k / (2 * k * math.factorial(2 * k)) for k in range(1, 17))
+_CI_SWITCH = 4.0
+# Taylor centres of the auxiliary functions, five per octave from 4 to 64
+_CI_PER_OCTAVE = 5
+_CI_CENTRES = 20
 
-def _one_over_f_primitive(u: float, echo: bool) -> float:
-    """Antiderivative in u of F(u)/u^3: G(u), or H(u) for the echo.
 
-    G(u) = -sin^2(u/2)/u^2 - sin(u)/(2u) + Ci(u)/2 has G'(u) = F0(u)/u^3,
-    and F1(u) = 4 F0(u/2) - F0(u) gives H(u) = G(u/2) - G(u) + ln(2)/2.
-    The constant makes H vanish at u = 0: G(u/2) - G(u) tends to -ln(2)/2,
-    and a band far below 1/T would cancel that constant between its two
-    ends.  Below u = 0.5, H is therefore summed as its series
-    sum_{k>=1} g_k (4^-k - 1) u^2k (``_ONE_OVER_F_ECHO``), with g_k the u^2k
-    coefficient of G: (-1)^k [1/(4k (2k)!) - 1/(2 (2k+1)!) - 1/(2 (2k+2)!)].
+def _ci_fraction(x: float, levels: int) -> complex:
+    """S = z^2 (e^z E1(z) - 1/z + 1/z^2) at z = ix, from ``levels`` levels of
+    the continued fraction e^z E1(z) = 1/(z+1- 1/(z+3- 4/(z+5- ...)))
+    (A&S 5.1.22, contracted), summed from the bottom.
+
+    With t the fraction below its first level, e^z E1(z) = w = 1/(z+1-t)
+    and S = t + (1-t)^2 w, in which no O(1/x) terms cancel; S ~ 2/z.  Since
+    e^(ix) E1(ix) = g - i f, the auxiliary functions of Ci (A&S 5.2.8-9) are
+    f = (1 + Im S / x) / x and g = (1 - Re S) / x^2.
     """
-    if echo and u < 0.5:
-        v = u * u
-        return v * _horner(_ONE_OVER_F_ECHO, v)
+    z = complex(0.0, x)
+    t = 0j
+    for k in range(levels, 0, -1):
+        t = k * k / (z + (2 * k + 1) - t)
+    return t + (1.0 - t) ** 2 / (z + 1.0 - t)
 
-    from scipy.special import sici  # lazy: `import phasemag` loads no scipy
 
-    def g(v):
-        return (-(math.sin(0.5 * v) / v) ** 2 - math.sin(v) / (2.0 * v)
-                + 0.5 * float(sici(v)[1]))
+@functools.cache
+def _ci_taylor() -> tuple:
+    """Taylor series of R = S/z^2 about z0 = i x0, x0 = 4 * 2**((j + 1/2) / 5)
+    for j < _CI_CENTRES: (x0, coefficients of (x - x0)^n, highest first).
 
-    return g(0.5 * u) - g(u) + 0.5 * math.log(2.0) if echo else g(u)
+    R = e^z E1(z) - 1/z + 1/z^2 has R' = R - 2/z^3, so from R(z0) its
+    coefficients follow by (n+1) r_n+1 = r_n - (n+1)(n+2) (-1)^n / z0^(n+3).
+    Its radius is |z0| (E1 branches at 0) and a centre serves x within 7 %
+    of x0, so terms fall by about 14 each; they are kept down to 1e-17 of
+    R(z0) at that edge, 17 per centre.  Built on first use, in under 1 ms.
+    """
+    edge = 2.0 ** (0.5 / _CI_PER_OCTAVE) - 1.0
+    table = []
+    for j in range(_CI_CENTRES):
+        x0 = _CI_SWITCH * 2.0 ** ((j + 0.5) / _CI_PER_OCTAVE)
+        z0 = complex(0.0, x0)
+        r = _ci_fraction(x0, 8 + int(400.0 / x0)) / (z0 * z0)
+        size, coefs, n = abs(r), [], 0
+        while abs(r) * (edge * x0) ** n >= 1e-17 * size:
+            coefs.append(r * 1j**n)
+            r = (r - (n + 1) * (n + 2) * (-1) ** n / z0 ** (n + 3)) / (n + 1)
+            n += 1
+        table.append((x0, tuple(reversed(coefs))))
+    return tuple(table)
+
+
+def _ci_auxiliary(x: float) -> complex:
+    """S of ``_ci_fraction`` for x > 4: below 64 from the Taylor series of
+    the nearest centre, above from 4 + 220/x levels of the fraction, whose
+    truncation error falls like exp(-c sqrt(levels x)).  Within 1.4e-15 of
+    a 50-digit reference from 4 to 1e6."""
+    if x < _CI_SWITCH * 2.0 ** (_CI_CENTRES / _CI_PER_OCTAVE):
+        j = min(int(_CI_PER_OCTAVE * math.log2(x / _CI_SWITCH)), _CI_CENTRES - 1)
+        x0, coefs = _ci_taylor()[j]
+        h, r = x - x0, 0j
+        for c in coefs:
+            r = r * h + c
+        return -x * x * r
+    return _ci_fraction(x, 4 + int(220.0 / x))
+
+
+def _cosine_integral(x: float) -> float:
+    """Ci(x) = -int_x^inf cos(t)/t dt for 0 < x < inf.
+
+    Up to x = 4 its power series (``_CI_SERIES``), above it
+    f sin x - g cos x with the auxiliary functions of ``_ci_auxiliary``.
+    Within 3e-15 of max(|Ci|, min(1, 1/x)) of a 40-digit reference.
+    """
+    if x <= _CI_SWITCH:
+        y = x * x
+        return _EULER_GAMMA + math.log(x) + y * _horner(_CI_SERIES, y)
+    s = _ci_auxiliary(x)
+    sin, cos = math.sin(x), math.cos(x)
+    return (sin + (s.imag * sin - (1.0 - s.real) * cos) / x) / x
+
+
+def _one_over_f_q(u: float) -> float:
+    """Q(u) = -u^2 G(u) for u > 4, G of ``_one_over_f_g``: with Ci written
+    through f and g, Q = (1 - Im S sin u - Re S cos u) / 2, which tends to
+    1/2 with no O(1/u) terms to cancel.  Past u = 1e17, S is below the
+    rounding of 1/2."""
+    if u > 1e17:
+        return 0.5
+    s = _ci_auxiliary(u)
+    return 0.5 * (1.0 - s.imag * math.sin(u) - s.real * math.cos(u))
+
+
+def _one_over_f_g(omega: float, duration: float) -> float:
+    """G(u) = -sin^2(u/2)/u^2 - sin(u)/(2u) + Ci(u)/2 at u = omega*T, the
+    antiderivative of F0(u)/u^3.  Below u = 1e-8 it is -3/4 + (gamma +
+    ln u)/2 to rounding, with ln u taken from the factors, so an underflowed
+    omega*T keeps its value."""
+    u = omega * duration
+    if u > _CI_SWITCH:
+        return -_one_over_f_q(u) / u / u
+    if u < 1e-8:
+        return 0.5 * (_EULER_GAMMA + math.log(omega) + math.log(duration)) - 0.75
+    return (-(math.sin(0.5 * u) / u) ** 2 - math.sin(u) / (2.0 * u)
+            + 0.5 * _cosine_integral(u))
+
+
+def _product(*factors: float) -> float:
+    """The product of finite factors >= 0, with no overflow or underflow on
+    the way (each factor's exponent is summed apart from its mantissa);
+    OutOfRange if the product itself overflows."""
+    mantissa, exponent = 1.0, 0
+    for f in factors:
+        m, e = math.frexp(f)
+        mantissa, exponent = mantissa * m, exponent + e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        raise OutOfRange("the 1/f dephasing exponent overflows a float") from None
+
+
+def _one_over_f_exponent(S: OneOverF, duration: float, echo: bool) -> float:
+    """(A T^2/pi) [P(w_max T) - P(w_min T)]: P = G of ``_one_over_f_g``, or
+    for the echo H(u) = G(u/2) - G(u) + ln(2)/2, as F1(u) = 4 F0(u/2) - F0(u).
+
+    H vanishes at u = 0 and tends to ln(2)/2; three forms keep the digits of
+    a band u_min = w_min T to u_max = w_max T:
+
+    * u_min above 4 (8 for the echo), far above 1/T: with Q of
+      ``_one_over_f_q``, the exponent is (A / pi / w_min^2) [Q(u_min) -
+      (w_min / w_max)^2 Q(u_max)], and for the echo the same with
+      -u^2 (H - ln(2)/2) = 4 Q(u/2) - Q(u), which tends to 3/2.  No O(1/u)
+      terms and no constant cancel between the ends.
+    * the echo with u_max below 1/2, far below 1/T: H(u) = u^2 h(u^2) with
+      h(v) = sum_{k>=1} g_k (4^-k - 1) v^(k-1) (``_ONE_OVER_F_ECHO``) and
+      g_k the u^2k coefficient of G, (-1)^k [1/(4k (2k)!) - 1/(2 (2k+1)!)
+      - 1/(2 (2k+2)!)]: the exponent is (A / pi) w_max^2 T^4 [h(u_max^2) -
+      (w_min / w_max)^2 h(u_min^2)].
+    * otherwise (A T^2 / pi) times the difference of G, or for the echo of
+      H, its series below u = 1/2 and G(u/2) - G(u) above, with ln(2)/2
+      added only when the band straddles 1/2.
+
+    The factors are multiplied by ``_product``, so an out-of-range w*T or
+    w^2 costs no digits and an exponent past the float range raises
+    OutOfRange.  The integrand is >= 0, so a difference that rounding puts
+    below 0 (w_max within a few ulps of w_min) counts as 0.
+    """
+    wa, wb = S.omega_min, S.omega_max
+    a, b = wa * duration, wb * duration
+    scale = S.amplitude / math.pi
+    if a > (8.0 if echo else _CI_SWITCH):
+        if echo:
+            qa = 4.0 * _one_over_f_q(0.5 * a) - _one_over_f_q(a)
+            qb = 4.0 * _one_over_f_q(0.5 * b) - _one_over_f_q(b)
+        else:
+            qa, qb = _one_over_f_q(a), _one_over_f_q(b)
+        return _product(scale, 1.0 / wa, 1.0 / wa, max(qa - (wa / wb) ** 2 * qb, 0.0))
+    if echo and b < 0.5:
+        h = (_horner(_ONE_OVER_F_ECHO, b * b)
+             - (wa / wb) ** 2 * _horner(_ONE_OVER_F_ECHO, a * a))
+        return _product(scale, wb, wb, duration, duration, duration, duration,
+                        max(h, 0.0))
+
+    def primitive(w, u):
+        if not echo:
+            return _one_over_f_g(w, duration)
+        if u < 0.5:
+            return u * u * _horner(_ONE_OVER_F_ECHO, u * u)
+        return _one_over_f_g(0.5 * w, duration) - _one_over_f_g(w, duration)
+
+    lo, hi = primitive(wa, a), primitive(wb, b)
+    if echo and a < 0.5:
+        hi += 0.5 * math.log(2.0)
+    return _product(scale, duration, duration, max(hi - lo, 0.0))
 
 
 def _exponent(S: SpectralDensity, duration: float, echo: bool) -> float:
@@ -261,9 +417,7 @@ def _exponent(S: SpectralDensity, duration: float, echo: bool) -> float:
         return 0.5 * S.level * duration
     if isinstance(S, OneOverF):
         # u = wT turns the band integral into (A T^2/pi) int F(u)/u^3 du
-        return (S.amplitude * duration * duration / math.pi
-                * (_one_over_f_primitive(S.omega_max * duration, echo)
-                   - _one_over_f_primitive(S.omega_min * duration, echo)))
+        return _one_over_f_exponent(S, duration, echo)
     raise InvalidParameter(f"unsupported spectral density {S!r}")
 
 

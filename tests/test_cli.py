@@ -950,9 +950,8 @@ class TestCalibrateCommand:
 
 class TestStartup:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize is most of the import cost of every CLI call; only
-        # the functions that solve or fit load it, and only the 1/f exponent
-        # loads scipy.special
+        # importing phasemag loads no scipy module; no phasemag call does
+        # either (test_runs_with_scipy_blocked)
         code = ("import sys, phasemag; sys.exit(any(m.split('.')[0] == 'scipy' "
                 "for m in sys.modules))")
         res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
@@ -971,6 +970,36 @@ class TestStartup:
             "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "print([c.stem for c in cfgs], codes, loaded[:5], file=sys.stderr)\n"
             "sys.exit(codes != [0] * 5 or bool(loaded))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                             cwd=tmp_path, capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert "'calibrate', 'decohere', 'estimate', 'signal', 'sweep'" in res.stderr
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # scipy is a test dependency only: with every scipy import made to
+        # fail, the example commands, both 1/f exponents, calibration, the
+        # Monte-Carlo oracle and a noisy sequence all run
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "from phasemag import noise, sequences\n"
+            "from phasemag.cli import main\n"
+            f"cfgs = sorted(Path({str(EXAMPLES)!r}).glob('*.cfg'))\n"
+            "codes = [main([c.stem, '--config', str(c)]) for c in cfgs]\n"
+            "S = noise.OneOverF(1e9, 120.0, 1.2e8)\n"
+            "chi = (noise.ramsey_exponent(S, 60e-6), noise.echo_exponent(S, 60e-6))\n"
+            "bath = noise.calibrate_noise(50e-6, 500e-6)\n"
+            "mc = noise.mc_free_precession_decay(bath, [10e-6, 40e-6], 64, 3)\n"
+            "bank = noise.ou_bank(bath, 8e-6, 0.125e-6, 2, 4)\n"
+            "plan = sequences.build_berry(2 * np.pi * 5e6, 3, 8e-6)\n"
+            "p = sequences.execute_batch(plan, [0.0, 1e-4], noise_trajectory=bank)\n"
+            "ok = (codes == [0] * 5 and all(0 < c < np.inf for c in chi)\n"
+            "      and np.all(np.isfinite(mc)) and np.all(np.abs(p) <= 1))\n"
+            "print([c.stem for c in cfgs], codes, chi, file=sys.stderr)\n"
+            "sys.exit(not ok)\n")
         res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
                              cwd=tmp_path, capture_output=True, text=True,
                              timeout=120)

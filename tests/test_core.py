@@ -186,12 +186,12 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("depth", [6, 7])
     def test_near_identity_lab_mesh_against_longdouble(self, depth):
-        # the mesh of test_refinement_errors_decrease: 514 * 2**depth
-        # slices of two rotations by at most 0.01 rad each.  Measured at
+        # the mesh of test_refinement_errors_decrease: 257 * 2**depth
+        # slices of two rotations by at most 0.0016 rad each.  Measured at
         # depths 6 and 7: the pairs are off the extended-precision product
-        # by 7.2e-16 and 1.7e-15, the 3x3 reference kernel in doubles by
-        # 1.0e-14 and 6.8e-14, and the pairs without the division by
-        # |q|^2 in _apply by 6.1e-13 and 2.2e-12
+        # by 7.8e-16 and 8.3e-16, the 3x3 reference kernel in doubles by
+        # 6.1e-15 and 1.0e-14, and the pairs without the division by
+        # |q|^2 in _apply by 1.8e-14 and 6.1e-13
         if np.finfo(np.longdouble).eps >= 1e-17:
             pytest.skip("np.longdouble is no wider than a double here")
         w = angular_from_mhz(2.0)

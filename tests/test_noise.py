@@ -11,7 +11,7 @@ import pytest
 
 from phasemag import noise
 from phasemag.errors import (CalibrationFailure, FitFailure, InvalidParameter,
-                             PhasemagError)
+                             OutOfRange, PhasemagError)
 from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF, White,
                             _ou_phases, calibrate_noise,
                             coherence_decay, decoherence_function,
@@ -146,6 +146,109 @@ class TestDecoherenceFunction:
         for a in (0.3, 0.77, 2.5):
             chia = decoherence_function(S, a, t).total
             assert chia - chi0 == pytest.approx(a**2 * (chi1 - chi0), rel=1e-12)
+
+
+    @pytest.mark.parametrize("omega_min, omega_max, free, echo", [
+        # 60-digit mpmath values of the same primitives, A = 1, T = 1 s: the
+        # whole band lies far above 1/T, where both ends tend to the same
+        # constant and their O(1/u) terms cancel
+        (1e6, 1e7, 1.575632821198254e-13, 4.7269074786929622e-13),
+        (1e9, 1e11, 1.5913902777133322e-19, 4.7741708189401984e-19),
+        (1e12, 1e14, 1.5913902759739158e-25, 4.774170827921307e-25),
+    ])
+    def test_one_over_f_band_far_above_one_over_t(self, omega_min, omega_max,
+                                                  free, echo):
+        S = OneOverF(1.0, omega_min, omega_max)
+        assert ramsey_exponent(S, 1.0) == pytest.approx(free, rel=1e-12, abs=0)
+        assert echo_exponent(S, 1.0) == pytest.approx(echo, rel=1e-12, abs=0)
+
+    @staticmethod
+    def _one_over_f_scan(seed, amplitude, omega, duration, ratio):
+        """Both 1/f exponents on 20 000 seeded draws, each log-uniform in
+        its decade range (omega_max / omega_min up to 10**ratio): the number
+        of calls and the outcomes that are neither a finite value >= 0 nor
+        InvalidParameter or OutOfRange, and the number of typed errors."""
+        rng = np.random.default_rng(seed)
+        calls, bad, typed = 0, [], 0
+        for _ in range(20_000):
+            a, w, t = (10.0 ** rng.uniform(*r) for r in (amplitude, omega, duration))
+            try:
+                S = OneOverF(a, w, w * 10.0 ** rng.uniform(0.0, ratio))
+            except InvalidParameter:
+                continue
+            for exponent in (ramsey_exponent, echo_exponent):
+                calls += 1
+                try:
+                    value = exponent(S, t)
+                except (InvalidParameter, OutOfRange):
+                    typed += 1
+                    continue
+                except (ArithmeticError, ValueError) as exc:
+                    bad.append((S, t, exponent.__name__, repr(exc)))
+                    continue
+                if not (math.isfinite(value) and value >= 0.0):
+                    bad.append((S, t, exponent.__name__, value))
+        return calls, bad, typed
+
+    def test_one_over_f_extreme_inputs_end_in_a_value_or_a_typed_error(self):
+        # amplitude, omega and T over the whole float range: w*T and the
+        # exponent itself leave it in both directions (at the parent of this
+        # test, 4742 ValueErrors, 2393 ZeroDivisionErrors and 7470 nan, inf
+        # or negative values in 39 790 calls)
+        calls, bad, typed = self._one_over_f_scan(
+            5, (-307.0, 308.0), (-323.0, 308.0), (-323.0, 308.0), 20.0)
+        assert calls > 39_000
+        assert bad == []
+        assert 0 < typed < calls // 10
+
+    def test_one_over_f_moderate_inputs_give_values(self):
+        calls, bad, typed = self._one_over_f_scan(
+            6, (-10.0, 12.0), (-6.0, 8.0), (-9.0, 0.0), 8.0)
+        assert (calls, bad, typed) == (40_000, [], 0)
+
+
+class TestCosineIntegral:
+    """``noise._cosine_integral`` against scipy's ``sici``, in the scaled
+    error |Ci - Ci_ref| / max(|Ci_ref|, min(1, 1/x)): Ci's absolute size is
+    about 1/x above 1, and near its zeros only that size is meaningful.
+    Both lie within 3.1e-15 of a 40-digit reference on these points."""
+
+    @staticmethod
+    def _scaled_errors(xs):
+        from scipy.special import sici
+
+        xs = np.asarray(xs, dtype=float)
+        want = sici(xs)[1]
+        got = np.array([noise._cosine_integral(x) for x in xs.tolist()])
+        return np.abs(got - want) / np.maximum(np.abs(want),
+                                               np.minimum(1.0, 1.0 / xs))
+
+    @pytest.mark.parametrize("xs", [
+        pytest.param(np.geomspace(1e-300, 1e300, 20_001), id="1e-300..1e300"),
+        pytest.param(np.linspace(0.01, 50.0, 20_001), id="0.01..50"),
+        # the first two zeros, and the switches from the series to the
+        # Taylor centres (4) and from those to the continued fraction (64)
+        pytest.param([0.6165054856207162, 3.384180422551186,
+                      *(y for x in (4.0, 64.0) for y in (
+                          math.nextafter(math.nextafter(x, 0.0), 0.0),
+                          math.nextafter(x, 0.0), x, math.nextafter(x, 9.0),
+                          math.nextafter(math.nextafter(x, 9.0), 9.0)))],
+                     id="zeros-and-switches"),
+    ])
+    def test_matches_scipy_sici(self, xs):
+        assert np.max(self._scaled_errors(xs)) <= 1e-14
+
+    def test_auxiliary_matches_a_deeper_fraction(self):
+        # S enters Ci and the 1/f primitive only at order 1/x, so it is
+        # checked on its own: from the Taylor centres (4 to 64) and from
+        # 4 + 220/x levels of the fraction (above 64) against 8 + 400/x
+        # levels, twice the depth the fraction needs at 4; measured 5.6e-16
+        # and 1.3e-15
+        xs = [*np.linspace(4.0, 64.0, 4001)[1:].tolist(),
+              *np.geomspace(64.0, 1e8, 2001).tolist()]
+        for x in xs:
+            deep = noise._ci_fraction(x, 8 + int(400.0 / x))
+            assert abs(noise._ci_auxiliary(x) / deep - 1.0) <= 3e-15, x
 
 
 class TestOUBracket:
