@@ -75,6 +75,8 @@ _NORM_SLACK = 1e-6
 # Richardson difference taken before the h^4 regime sets in
 _STEPS_PER_PHASE_TURN = 32
 _STEPS_PER_LARMOR_TURN = 32
+# and the fewest slices a lab-frame mesh starts at
+_MIN_STEPS = 16
 # The lab-frame step, the 4th-order commutator-free Magnus step (Blanes &
 # Moan, Appl. Numer. Math. 56, 1519 (2006)): a slice [t, t + h] samples R at
 # the Gauss nodes t + C1*h and t + C2*h, then rotates exactly about
@@ -161,20 +163,20 @@ class LarmorVector:
 class StepControl:
     """Mesh policy for time-dependent propagation.
 
-    The initial mesh has at least ``min_steps`` slices, 32 per 2*pi of
-    drive-phase sweep and 32 per Larmor period; the mesh is then halved
-    until the Richardson estimate (change of any Bloch component under one
-    halving) drops below ``tol``, up to ``max_depth`` halvings.
-    ``core.propagate_swept`` takes a 4th-order step on each slice, so from
-    this start one halving usually meets ``tol``.
+    The initial mesh has 32 slices per 2*pi of drive-phase sweep and 32
+    per Larmor period, and at least 16 (``core._MIN_STEPS``); the mesh is
+    then halved until the Richardson estimate (change of any Bloch
+    component under one halving) drops below ``tol``, up to ``max_depth``
+    halvings.  ``core.propagate_swept`` takes a 4th-order step on each
+    slice, so from this start one or two halvings meet ``tol``.
 
     The noisy swept segments of ``sequences.execute_batch`` run on a mesh
     aligned with the noise knots: each knot interval is cut into 2**d
     equal slices of one interaction-picture Magnus step each, d the fewest
     halvings whose a-priori error bound is at most ``tol``, and more than
-    ``max_depth`` halvings raise ConvergenceFailure.  ``min_steps`` is not
-    read there: the step is exact for the constant part of the Larmor
-    vector, so only the slope of the noise needs slices.
+    ``max_depth`` halvings raise ConvergenceFailure.  The step is exact
+    for the constant part of the Larmor vector, so only the slope of the
+    noise needs slices.
 
     Either mesh refuses, with InvalidParameter, more than ``core._MAX_MESH``
     slices times channels (fields) before composing: the lab-frame mesh
@@ -183,7 +185,6 @@ class StepControl:
 
     tol: float = 1e-6
     max_depth: int = 12
-    min_steps: int = 16
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -391,13 +392,12 @@ def _knot_pairs(rabi: float, half, w: np.ndarray, tilt):
     return a, b
 
 
-def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
-                  ctl: StepControl) -> int:
+def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float) -> int:
     """First mesh of a lab-frame refinement, in slices.
 
     It puts ``_STEPS_PER_PHASE_TURN`` slices in each turn of the drive phase
     and ``_STEPS_PER_LARMOR_TURN`` in each Larmor turn, and at least
-    ``ctl.min_steps`` in all.
+    ``_MIN_STEPS`` in all.
     """
     ts = np.linspace(0.0, duration, 257)
     phases = _sample(phase_fn, ts)
@@ -409,7 +409,7 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float,
     turns = duration * r_max / TWO_PI
     n_phase = _STEPS_PER_PHASE_TURN * span / TWO_PI
     n_larmor = _STEPS_PER_LARMOR_TURN * turns
-    return max(ctl.min_steps, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
+    return max(_MIN_STEPS, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
 
 
 def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
@@ -426,7 +426,7 @@ def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
     """
     if duration == 0.0:
         return state.copy(), ConvergenceReport(0, (), True)
-    n0 = _initial_mesh(rabi, phase_fn, det_fn, duration, ctl)
+    n0 = _initial_mesh(rabi, phase_fn, det_fn, duration)
     if not n0 <= _MAX_MESH:
         raise InvalidParameter(f"the mesh would start at {n0:.3g} slices, "
                                f"more than {_MAX_MESH}")

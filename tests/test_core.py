@@ -202,7 +202,7 @@ class TestPairKernel:
         def det(t):
             return 1e6 * np.cos(2e6 * t)
 
-        n = core._initial_mesh(w, phase, det, 4e-6, StepControl()) << depth
+        n = core._initial_mesh(w, phase, det, 4e-6) << depth
         v = np.array([0.0, -1.0, 0.0])
         got = core._apply(*_compose_swept(w, phase, det, 4e-6, n), v)
         *comps, dt = core._swept_axes(w, phase, det, 4e-6 / n, 0, n)

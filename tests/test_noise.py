@@ -162,6 +162,20 @@ class TestDecoherenceFunction:
         assert ramsey_exponent(S, 1.0) == pytest.approx(free, rel=1e-12, abs=0)
         assert echo_exponent(S, 1.0) == pytest.approx(echo, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("omega_min, omega_max, free, echo", [
+        # 40-digit mpmath quadrature of the exponents, split at multiples of
+        # pi, A = 1, T = 1 s: both band ends lie in (4, 64), where S runs on
+        # the deepest levels of its continued fraction
+        (5.0, 50.0, 0.0042181637451567087, 0.034000036951949504),
+        (10.0, 60.0, 0.001459392562834003, 0.0026564588115305127),
+        (4.5, 30.0, 0.0055731034637110549, 0.042352879246086553),
+    ])
+    def test_one_over_f_band_just_above_one_over_t(self, omega_min, omega_max,
+                                                   free, echo):
+        S = OneOverF(1.0, omega_min, omega_max)
+        assert ramsey_exponent(S, 1.0) == pytest.approx(free, rel=1e-13, abs=0)
+        assert echo_exponent(S, 1.0) == pytest.approx(echo, rel=1e-13, abs=0)
+
     @staticmethod
     def _one_over_f_scan(seed, amplitude, omega, duration, ratio):
         """Both 1/f exponents on 20 000 seeded draws, each log-uniform in
@@ -226,10 +240,11 @@ class TestCosineIntegral:
     @pytest.mark.parametrize("xs", [
         pytest.param(np.geomspace(1e-300, 1e300, 20_001), id="1e-300..1e300"),
         pytest.param(np.linspace(0.01, 50.0, 20_001), id="0.01..50"),
-        # the first two zeros, and the switches from the series to the
-        # Taylor centres (4) and from those to the continued fraction (64)
+        # the first two zeros, the switch from the series to the continued
+        # fraction (4), and two steps of the fraction's level count 4 + 220/x
+        # (55 to 54 levels at 220/51, 7 to 6 at 220/3)
         pytest.param([0.6165054856207162, 3.384180422551186,
-                      *(y for x in (4.0, 64.0) for y in (
+                      *(y for x in (4.0, 220.0 / 51, 220.0 / 3) for y in (
                           math.nextafter(math.nextafter(x, 0.0), 0.0),
                           math.nextafter(x, 0.0), x, math.nextafter(x, 9.0),
                           math.nextafter(math.nextafter(x, 9.0), 9.0)))],
@@ -240,11 +255,10 @@ class TestCosineIntegral:
 
     def test_auxiliary_matches_a_deeper_fraction(self):
         # S enters Ci and the 1/f primitive only at order 1/x, so it is
-        # checked on its own: from the Taylor centres (4 to 64) and from
-        # 4 + 220/x levels of the fraction (above 64) against 8 + 400/x
-        # levels, twice the depth the fraction needs at 4; measured 5.6e-16
-        # and 1.3e-15
-        xs = [*np.linspace(4.0, 64.0, 4001)[1:].tolist(),
+        # checked on its own: 4 + 220/x levels of the fraction from just
+        # above 4 against 8 + 400/x levels, about twice the depth it needs
+        # at 4; measured 4.7e-16 up to 64 and 1.3e-15 above
+        xs = [math.nextafter(4.0, 5.0), *np.linspace(4.0, 64.0, 4001)[1:].tolist(),
               *np.geomspace(64.0, 1e8, 2001).tolist()]
         for x in xs:
             deep = noise._ci_fraction(x, 8 + int(400.0 / x))
@@ -252,10 +266,10 @@ class TestCosineIntegral:
 
 
 class TestOUBracket:
-    """``_ou_bracket`` on floats and on arrays against 50-digit closed forms.
+    """``_ou_bracket`` against 50-digit closed forms.
 
-    Below x = 0.5 both paths sum the Taylor series, and hold 1e-15 of the
-    bracket.  From x = 0.5 up they evaluate the closed form, whose terms
+    Below x = 0.5 it sums the Taylor series, and holds 1e-15 of the
+    bracket.  From x = 0.5 up it evaluates the closed form, whose terms
     reach x + 3 (x + 1 without the echo) and cancel to about x^3/12 near
     0.5; no double evaluation holds 1e-15 of the bracket there (the echo
     loses up to 2.5e-14 near x = 0.57), so the bound is 1e-15 of the
@@ -278,15 +292,11 @@ class TestOUBracket:
         return 1e-15 * (value if x < 0.5 else x + (3.0 if echo else 1.0))
 
     @pytest.mark.parametrize("echo", [False, True])
-    def test_both_paths_match_decimal_reference(self, echo):
-        floats = [noise._ou_bracket(x, echo) for x in self.XS]
-        array = noise._ou_bracket(np.array(self.XS), echo)
-        for x, f, a in zip(self.XS, floats, array.tolist()):
+    def test_matches_decimal_reference(self, echo):
+        for x in self.XS:
+            got = noise._ou_bracket(x, echo)
             want = self._reference(x, echo)
-            bound = self._bound(x, want, echo)
-            assert abs(f - want) <= bound, (x, f, want)
-            assert abs(a - want) <= bound, (x, a, want)
-            assert abs(f - a) <= bound, (x, f, a)
+            assert abs(got - want) <= self._bound(x, want, echo), (x, got, want)
 
 
 class TestCoherenceDecay:
