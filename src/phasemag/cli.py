@@ -42,6 +42,8 @@ from . import __version__, analytic, harness, noise as noise_mod
 from .analytic import DynamicModel, GeometricModel, HyperfineModel
 from .constants import TWO_PI, PhysicalConstants, angular_from_mhz
 from .errors import InvalidParameter, PhasemagError, Unresolvable
+from .estimate import (Measurement, estimate_dynamic, estimate_geometric,
+                       geometric_candidates)
 from .harness import SweepSpec, fmt
 from .noise import Lorentzian
 
@@ -372,11 +374,11 @@ def cmd_estimate(cfg: dict) -> int:
     _require(cfg, "protocol", "p")
     constants = _constants(cfg)
     out = []
+    code = EXIT_OK
     if cfg["protocol"] == "berry":
         _require(cfg, "omega_mhz", "n", "slope_per_mt")
         model = GeometricModel(angular_from_mhz(cfg["omega_mhz"]), cfg["n"],
                                constants.gamma)
-        from .estimate import Measurement, estimate_geometric, geometric_candidates
         meas = Measurement(p=cfg["p"], slope=cfg["slope_per_mt"] * 1e3,
                            sigma=cfg["sigma"])
         cands = geometric_candidates(model, max(-1.0, min(1.0, cfg["p"])))
@@ -385,18 +387,15 @@ def cmd_estimate(cfg: dict) -> int:
             est = estimate_geometric(model, meas)
         except Unresolvable as exc:
             out.append(f"unresolvable: {exc}")
-            _write_text(cfg["out"], "\n".join(_header_lines("estimate", cfg) + out) + "\n")
-            if cfg["out"] != "-":
-                print("\n".join(out))
-            return EXIT_UNRESOLVABLE
-        out.append(f"B_hat_mT = {fmt(est.b_hat * 1e3)}")
-        out.append(f"lobe_index = {est.lobe_index}")
-        out.append(f"candidates_considered = {est.candidates_considered}")
-        out.append(f"confidence = {fmt(est.confidence)}")
+            code = EXIT_UNRESOLVABLE
+        else:
+            out.append(f"B_hat_mT = {fmt(est.b_hat * 1e3)}")
+            out.append(f"lobe_index = {est.lobe_index}")
+            out.append(f"candidates_considered = {est.candidates_considered}")
+            out.append(f"confidence = {fmt(est.confidence)}")
     elif cfg["protocol"] == "ramsey":
         _require(cfg, "t_us", "window_stop_mt")
         model = DynamicModel(cfg["t_us"] * 1e-6, constants.gamma)
-        from .estimate import Measurement, estimate_dynamic
         meas = Measurement(p=cfg["p"], slope=(None if cfg.get("slope_per_mt") is None
                                               else cfg["slope_per_mt"] * 1e3),
                            sigma=cfg["sigma"])
@@ -412,7 +411,7 @@ def cmd_estimate(cfg: dict) -> int:
     _write_text(cfg["out"], "\n".join(_header_lines("estimate", cfg) + out) + "\n")
     if cfg["out"] != "-":
         print("\n".join(out))
-    return EXIT_OK
+    return code
 
 
 def cmd_decohere(cfg: dict) -> int:

@@ -28,17 +28,7 @@ class FitFailure(PhasemagError):
 
 
 class CalibrationFailure(PhasemagError):
-    """No spectral-density parameters meet the coherence-time targets.
-
-    Attributes
-    ----------
-    best : object or None
-        Best candidate found before giving up, if any.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """No spectral-density parameters meet the coherence-time targets."""
 
 
 class DegenerateSlope(PhasemagError):

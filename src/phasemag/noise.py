@@ -32,16 +32,17 @@ which the tests check against the closed-form exponents.  The oracle
 (``mc_free_precession_decay``) draws each trajectory's detuning and its
 time integral jointly and exactly at the requested times only (Gillespie,
 Phys. Rev. E 54, 2084 (1996)), so no time step enters.  Those draws are a
-fixed linear map of the normals, so each call builds the map once, from
-the gap coefficients, and applies it to every chunk of ``_CHUNK``
-trajectories: one normals draw (chunk k from ``default_rng([seed, k])``,
-in the gap-by-gap recursion's row layout), one matrix product per block of
-gaps, one cos and one sum.  The echo's 2 I(T/2) - I(T) is folded into the
-map's rows.  Up to ``_ONE_BLOCK`` gaps (32 echo times) are one block;
-longer grids go in blocks of ``_GAP_BLOCK`` gaps, so besides the chunk's
-normals memory is of order times x block size, never gaps x gaps.  The
-sequence executor takes its noise as an ``OUBank``: detunings delta(t) in
-rad/s, sampled exactly on uniform knots and linear in between, one per
+fixed linear map of the normals.  The requested times go in groups of at
+most ``_GROUP_GAPS`` gaps (64 free-precession times, or 32 echo times with
+their halves); each group builds its map once, from the gap coefficients,
+with the echo's 2 I(T/2) - I(T) folded into its rows, and applies it to
+every chunk of ``_CHUNK`` trajectories: one normals draw (chunk k of group
+g from ``default_rng([seed, k, g])``, of group 0 from ``[seed, k]``), one
+matrix product, one cos and one sum.  So memory holds one group's map and
+normals at a time, however long the grid.
+
+The sequence executor takes its noise as an ``OUBank``: detunings delta(t)
+in rad/s, sampled exactly on uniform knots and linear in between, one per
 column (``ou_bank`` draws many, ``ou_trajectory`` one), so ``execute``
 sees gamma*b + delta(t).  ``OUBank.detuning_integral`` integrates that
 exactly, which makes noisy free evolution one z rotation.
@@ -175,6 +176,9 @@ def _check_duration(duration: float) -> None:
         raise InvalidParameter(f"duration must be positive and finite, got {duration}")
 
 
+# the smallest normal float
+_TINY = sys.float_info.min
+
 # adiabaticity**2 overflows a float above about 1.3e154
 _MAX_ADIABATICITY = 1e150
 
@@ -306,7 +310,7 @@ def _product(*factors: float) -> float:
     try:
         return math.ldexp(mantissa, exponent)
     except OverflowError:
-        raise OutOfRange("the 1/f dephasing exponent overflows a float") from None
+        raise OutOfRange("the dephasing exponent overflows a float") from None
 
 
 def _one_over_f_exponent(S: OneOverF, duration: float, echo: bool) -> float:
@@ -364,12 +368,35 @@ def _one_over_f_exponent(S: OneOverF, duration: float, echo: bool) -> float:
     return _product(scale, duration, duration, max(hi - lo, 0.0))
 
 
+def _lorentzian_far(S: Lorentzian, duration: float, echo: bool) -> float:
+    """(delta tau_c)^2 g(T/tau_c) where (delta tau_c)^2, g or their product
+    is not a normal float: delta^2 tau_c T g(x)/x for x >= 1 (an overflowed
+    x counts as 1e300, where g(x)/x is 1 to rounding) and delta^2 T^2
+    g(x)/x^2 below (the series ``_OU_SERIES`` under x = 1/2), multiplied by
+    ``_product``, so the exponent keeps its digits or raises OutOfRange."""
+    x = duration / S.tau_c
+    if x >= 1.0:
+        x = min(x, 1e300)
+        return _product(S.delta, S.delta, S.tau_c, duration,
+                        _ou_bracket(x, echo) / x)
+    ratio = (_ou_bracket(x, echo) / x / x if x >= 0.5
+             else _horner(_OU_SERIES[echo], x))
+    return _product(S.delta, S.delta, duration, duration, ratio)
+
+
 def _exponent(S: SpectralDensity, duration: float, echo: bool) -> float:
     """(1/pi) int_0^inf S(w) F(wT)/w^2 dw in closed form, F = F1 if echo else F0."""
     _check_duration(duration)
     if isinstance(S, Lorentzian):
+        # (delta tau_c)^2 g(T/tau_c), g the bracket of ``_ou_bracket``, as
+        # long as its factors and itself are normal floats
         scale = S.delta * S.tau_c
-        return scale * scale * _ou_bracket(duration / S.tau_c, echo)
+        square = scale * scale
+        bracket = _ou_bracket(duration / S.tau_c, echo)
+        value = square * bracket
+        if square >= _TINY and bracket >= _TINY and _TINY <= value < math.inf:
+            return value
+        return _lorentzian_far(S, duration, echo)
     if isinstance(S, White):
         return 0.5 * S.level * duration
     if isinstance(S, OneOverF):
@@ -534,7 +561,7 @@ def calibrate_noise(t2_star: float, t2: float) -> Lorentzian:
     r = t2 / t2_star
     u0 = 6.0 / (r * r * r)
     # g_free(u) < u^2/2, so a normal g_free(u0) also means a normal u0
-    if not _ou_bracket(u0, False) >= sys.float_info.min:
+    if not _ou_bracket(u0, False) >= _TINY:
         raise CalibrationFailure(
             f"no Lorentzian bath meets t2_star={t2_star:g}, t2={t2:g}: g_free "
             f"underflows at the quasi-static start u = 6 (t2_star/t2)^3 = {u0:g}")
@@ -555,9 +582,7 @@ def calibrate_noise(t2_star: float, t2: float) -> Lorentzian:
             or abs(achieved_e / t2 - 1.0) > _CALIBRATE_TOL):
         raise CalibrationFailure(
             f"best candidate reaches 1/e times ({achieved_r:.3e}, {achieved_e:.3e}) "
-            f"vs targets ({t2_star:.3e}, {t2:.3e})",
-            best=S,
-        )
+            f"vs targets ({t2_star:.3e}, {t2:.3e})")
     return S
 
 
@@ -725,100 +750,33 @@ def _rng(seed_key) -> np.random.Generator:
                                f"{seed_key!r}") from None
 
 
-# gaps per block of the Monte-Carlo phase map.  Up to _ONE_BLOCK gaps (an
-# echo grid of 32 requested times) are one block, applied as one product.
-# Longer grids are cut into blocks of _GAP_BLOCK gaps: no (gaps x gaps)
-# array is formed, and a block costs about 4*_GAP_BLOCK multiply-adds per
-# requested phase and trajectory, against about 10 per gap and trajectory
-# for the gap-by-gap recursion.
-_ONE_BLOCK = 64
-_GAP_BLOCK = 16
+# most gaps one phase map of the Monte-Carlo oracle spans: a group of
+# requested times is _GROUP_GAPS free-precession times, or half as many
+# echo times with their halves
+_GROUP_GAPS = 64
 # trajectories per Monte-Carlo normals draw; it fixes every seed's streams
 _CHUNK = 512
 
 
-def _gap_block(a, l11, l21, l22, mean):
-    """Coefficients of I and x at the knots of one block of OU gaps.
+def _phase_map(S: Lorentzian, t_grid: np.ndarray, echo: bool) -> np.ndarray:
+    """(times, 2 gaps + 1) map from a draw of normals to the OU phases.
 
-    Returns (P, X), each (n+1, 2n+1) for n gaps.  Row j holds the
-    coefficients of I(knot j) - I(knot 0), resp. x(knot j), on column 0,
-    the value x at the block's first knot, and on columns 2i+1 and 2i+2,
-    the two normals that drive gap i (``_ou_phases``).  Of a value that
-    enters x at knot c, a_c ... a_(j-1) is left at knot j: a cumulative
-    product down each column.
-    """
-    n = a.size
-    j = np.arange(n + 1)
-    # source c = 0 is the block's start value, c = i+1 the value noise of
-    # gap i, which enters x at knot i+1; knot j holds those with c <= j
-    held = j[:, None] >= j
-    steps = np.ones((n + 1, n + 1))
-    steps[1:] = np.where(held[:n], a[:, None], 1.0)
-    x_src = np.where(held, np.cumprod(steps, axis=0), 0.0)
-    x_src[:, 1:] *= l11
-    rise = mean[:, None] * x_src[:n]
-    rise[j[:n], j[1:]] = l21
-    p_src = np.zeros((n + 1, n + 1))
-    np.cumsum(rise, axis=0, out=p_src[1:])
-    P = np.empty((n + 1, 2 * n + 1))
-    X = np.zeros((n + 1, 2 * n + 1))
-    P[:, 0], P[:, 1::2] = p_src[:, 0], p_src[:, 1:]
-    P[:, 2::2] = np.where(held[:, 1:], l22, 0.0)
-    X[:, 0], X[:, 1::2] = x_src[:, 0], x_src[:, 1:]
-    return P, X
-
-
-@dataclass(frozen=True)
-class _PhaseMap:
-    """The phases at the requested times as a linear map of the normals.
-
-    ``n_normals`` is the row count of the normals block the map takes.
-    ``blocks`` holds (rows, lo, hi, matrix, start) for each block of gaps:
-    ``matrix`` takes normals rows [lo, hi), and ``start`` the (I, x) at the
-    block's first knot, to the block's share of the outputs ``rows``
-    followed by the (I, x) at its last knot.  The first block has no
-    ``start``: its x starts as delta times normals row 0, which is in its
-    ``matrix``.  A single block is one product.
-    """
-
-    n_normals: int
-    n_out: int
-    blocks: tuple
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        """(n_out, n_traj) phases for the (n_normals, n_traj) normals ``z``."""
-        if len(self.blocks) == 1:
-            return self.blocks[0][3] @ z
-        out = np.zeros((self.n_out, z.shape[1]))
-        state = None
-        for rows, lo, hi, matrix, start in self.blocks:
-            y = matrix @ z[lo:hi]
-            if start is not None:
-                y += start @ state
-            out[rows] += y[:rows.size]
-            state = y[rows.size:]
-        return out
-
-
-def _phase_map(S: Lorentzian, t_grid: np.ndarray, echo: bool) -> _PhaseMap:
-    """Build the map from a chunk's normals to its phases at ``t_grid``.
-
-    The gaps between the knots (0, the requested times and, for the echo,
-    their halves) get their Gillespie coefficients once (``_ou_phases``).
-    Each block of gaps (all of them up to ``_ONE_BLOCK``, else
-    ``_GAP_BLOCK``) then becomes one matrix, whose rows are the requested
-    phases it contributes to, with the echo's 2 I(T/2) - I(T) folded in,
-    plus its end state when a block follows.
+    The OU value x and its integral I are drawn jointly and exactly on the
+    knots 0, ``t_grid`` and, for the echo, its halves (Gillespie, Phys.
+    Rev. E 54, 2084 (1996)).  Over a gap h, with y = h/tau_c and a = e^-y,
+    (x', dI) given x is Gaussian with means a*x and tau_c*(1-a)*x,
+    variances delta^2 (1-a^2) and delta^2 tau_c^2 (2y - 3 + 4a - a^2) (the
+    echo bracket at 2y, which is free of cancellation), and covariance
+    delta^2 tau_c (1-a)^2; it is drawn through the 2x2 Cholesky factor.
+    Row 0 of the normals seeds the stationary start x = delta z, rows 2k+1
+    and 2k+2 drive gap k, so the phases are a fixed linear map of them:
+    row j of P holds the coefficients of I at knot j.  Of a value that
+    enters x at knot c, a_c ... a_(j-1) is left at knot j, a cumulative
+    product down each column.  The phase is I(T), or 2 I(T/2) - I(T) for
+    the echo.
     """
     knots = np.unique(np.concatenate(
         ([0.0], t_grid, t_grid / 2.0) if echo else ([0.0], t_grid)))
-    # each requested phase sums weight * I over one knot, or two for the echo
-    idx = np.searchsorted(knots, t_grid)[:, None]
-    weight = np.array([1.0])
-    if echo:
-        idx = np.hstack([np.searchsorted(knots, t_grid / 2.0)[:, None], idx])
-        weight = np.array([2.0, -1.0])
-
     y = np.diff(knots) / S.tau_c
     one_minus_a = -np.expm1(-y)
     a = 1.0 - one_minus_a
@@ -830,55 +788,28 @@ def _phase_map(S: Lorentzian, t_grid: np.ndarray, echo: bool) -> _PhaseMap:
     l22 = tau_d * np.sqrt(bracket - r21 * r21)
     mean_i = S.tau_c * one_minus_a
 
-    n_gaps = y.size
-    size = max(1, n_gaps if n_gaps <= _ONE_BLOCK else _GAP_BLOCK)
-    n_blocks = max(1, -(-n_gaps // size))
-    # knot k > 0 ends gap k-1; knot 0 starts block 0
-    block_of = np.maximum(idx - 1, 0) // size
-    blocks = []
-    for b in range(n_blocks):
-        k0, k1 = b * size, min((b + 1) * size, n_gaps)
-        gaps = slice(k0, k1)
-        P, X = _gap_block(a[gaps], l11[gaps], l21[gaps], l22[gaps],
-                          mean_i[gaps])
-        hit = block_of == b
-        rows = np.flatnonzero(hit.any(axis=1))
-        w = np.where(hit[rows], weight, 0.0)
-        local = np.where(hit[rows], idx[rows] - k0, 0)
-        coef = sum(w[:, i, None] * P[local[:, i]] for i in range(weight.size))
-        start_i = w.sum(axis=1)
-        if b < n_blocks - 1:
-            coef = np.vstack([coef, P[-1], X[-1]])
-            start_i = np.concatenate([start_i, [1.0, 0.0]])
-        if b == 0:
-            coef[:, 0] *= S.delta
-            blocks.append((rows, 0, 2 * k1 + 1, coef, None))
-        else:
-            blocks.append((rows, 2 * k0 + 1, 2 * k1 + 1, coef[:, 1:],
-                           np.column_stack([start_i, coef[:, 0]])))
-    return _PhaseMap(n_normals=2 * n_gaps + 1, n_out=t_grid.size,
-                     blocks=tuple(blocks))
+    n = y.size
+    j = np.arange(n + 1)
+    # source c = 0 is the start value, c = i+1 the value noise of gap i,
+    # which enters x at knot i+1; knot j holds those with c <= j
+    held = j[:, None] >= j
+    steps = np.ones((n + 1, n + 1))
+    steps[1:] = np.where(held[:n], a[:, None], 1.0)
+    x_src = np.where(held, np.cumprod(steps, axis=0), 0.0)
+    x_src[:, 1:] *= l11
+    rise = mean_i[:, None] * x_src[:n]
+    rise[j[:n], j[1:]] = l21
+    p_src = np.zeros((n + 1, n + 1))
+    np.cumsum(rise, axis=0, out=p_src[1:])
+    P = np.empty((n + 1, 2 * n + 1))
+    P[:, 0], P[:, 1::2] = p_src[:, 0], p_src[:, 1:]
+    P[:, 2::2] = np.where(held[:, 1:], l22, 0.0)
 
-
-def _ou_phases(S: Lorentzian, t_grid: np.ndarray, echo: bool, rng,
-               n_traj: int) -> np.ndarray:
-    """(n_traj, len(t_grid)) accumulated phases of stationary OU trajectories.
-
-    The OU value x and its integral I are drawn jointly and exactly on the
-    union of the requested times (and, for the echo, their halves), so no
-    time step enters (Gillespie, Phys. Rev. E 54, 2084 (1996)).  Over a gap
-    h, with y = h/tau_c and a = e^-y, (x', dI) given x is Gaussian with
-    means a*x and tau_c*(1-a)*x, variances delta^2 (1-a^2) and
-    delta^2 tau_c^2 (2y - 3 + 4a - a^2) (the echo bracket at 2y, which is
-    free of cancellation), and covariance delta^2 tau_c (1-a)^2; it is
-    drawn through the 2x2 Cholesky factor.  The phase is I(T), or
-    2 I(T/2) - I(T) for the echo.  Row 0 of the normals from ``rng`` seeds
-    the stationary start, rows 2k+1 and 2k+2 drive gap k.  The phases are
-    therefore a fixed linear map of the normals (``_phase_map``), applied
-    here to one draw of (2 gaps + 1, n_traj) normals.
-    """
-    phase_map = _phase_map(S, t_grid, echo)
-    return phase_map(rng.standard_normal((phase_map.n_normals, n_traj))).T
+    phase = P[np.searchsorted(knots, t_grid)]
+    if echo:
+        phase = 2.0 * P[np.searchsorted(knots, t_grid / 2.0)] - phase
+    phase[:, 0] *= S.delta
+    return phase
 
 
 def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
@@ -888,16 +819,17 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
     ``echo=False`` integrates the detuning straight over [0, T]; ``echo=True``
     flips the sign at T/2 (two-pulse echo).  Each trajectory's value and
     integral are sampled exactly at the requested times and their halves
-    (``_ou_phases``; Gillespie, Phys. Rev. E 54, 2084 (1996)), so the only
-    error is the sampling error of ``n_traj`` runs.  Trajectories come in
-    chunks of ``_CHUNK``, chunk k from the stream (seed, k), so the result
-    does not depend on the order the chunks run in.  The map from normals
-    to phases is built once per call; each chunk is then one normals draw,
-    one matrix product per block of gaps, one cos and one sum.  Besides the
-    chunk's (2 gaps + 1, _CHUNK) normals, memory holds its (times, _CHUNK)
-    phases and the block matrices: at most about times x (2 ``_ONE_BLOCK``
-    + 1) numbers for one block, and 4 times x ``_GAP_BLOCK`` + 4 gaps for
-    more.
+    (``_phase_map``; Gillespie, Phys. Rev. E 54, 2084 (1996)), so the only
+    error is the sampling error of ``n_traj`` runs.  The requested times, in
+    the order given, go in groups of ``_GROUP_GAPS`` (free precession) or
+    ``_GROUP_GAPS`` / 2 (echo), and each group has its own map and its own
+    trajectories.  Those come in chunks of ``_CHUNK``: chunk k of group 0
+    from the stream (seed, k), of group g > 0 from (seed, k, g), so the
+    result does not depend on the order the chunks run in, and a grid of
+    one group keeps its streams whatever its length.  Each chunk is one
+    normals draw, one matrix product, one cos and one sum.  Memory holds
+    one group's map, normals and phases at a time: about (2 _GROUP_GAPS +
+    1 + times in a group) x _CHUNK numbers, whatever the grid's length.
     """
     if not isinstance(S, Lorentzian):
         raise InvalidParameter("the Monte-Carlo decay needs a Lorentzian density")
@@ -907,13 +839,17 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
         raise InvalidParameter("times must be nonnegative and finite, at least one")
     if float(np.max(t_grid)) == 0.0:
         return np.ones_like(t_grid)
-    phase_map = _phase_map(S, t_grid.ravel(), echo)
-    total = np.zeros(t_grid.size)
-    for index, done in enumerate(range(0, n_traj, _CHUNK)):
-        z = _rng([seed, index]).standard_normal(
-            (phase_map.n_normals, min(_CHUNK, n_traj - done)))
-        phases = phase_map(z)
-        total += np.sum(np.cos(phases, out=phases), axis=1)
+    times = t_grid.ravel()
+    size = _GROUP_GAPS // 2 if echo else _GROUP_GAPS
+    total = np.zeros(times.size)
+    for group, lo in enumerate(range(0, times.size, size)):
+        phase_map = _phase_map(S, times[lo:lo + size], echo)
+        for index, done in enumerate(range(0, n_traj, _CHUNK)):
+            key = [seed, index, group] if group else [seed, index]
+            z = _rng(key).standard_normal(
+                (phase_map.shape[1], min(_CHUNK, n_traj - done)))
+            phases = phase_map @ z
+            total[lo:lo + size] += np.sum(np.cos(phases, out=phases), axis=1)
     return (total / n_traj).reshape(t_grid.shape)
 
 

@@ -179,11 +179,12 @@ def _gap_variance_bracket(y):
 def ou_phases_reference(S, t_grid, echo, rng, n_traj):
     """(n_traj, len(t_grid)) OU phases by the gap-by-gap Gillespie recursion.
 
-    An oracle for ``noise._ou_phases``, which applies the same recursion as
-    one precomputed linear map: this one walks the gaps between the knots
-    (0, the times and, for the echo, their halves) one at a time on the
-    same normals.  Row 0 of the (2 gaps + 1, n_traj) draw from ``rng``
-    seeds the stationary start, rows 2k+1 and 2k+2 drive gap k.
+    An oracle for ``noise._phase_map``, which writes the same recursion as
+    one precomputed linear map for each group of requested times: this one
+    walks the gaps between the knots (0, the times and, for the echo, their
+    halves) one at a time on the same normals.  Row 0 of the (2 gaps + 1,
+    n_traj) draw from ``rng`` seeds the stationary start, rows 2k+1 and
+    2k+2 drive gap k.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     knots = np.unique(np.concatenate(

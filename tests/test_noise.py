@@ -4,6 +4,7 @@ import decimal
 import functools
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,7 @@ from phasemag import noise
 from phasemag.errors import (CalibrationFailure, FitFailure, InvalidParameter,
                              OutOfRange, PhasemagError)
 from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF, White,
-                            _ou_phases, calibrate_noise,
-                            coherence_decay, decoherence_function,
+                            calibrate_noise, coherence_decay, decoherence_function,
                             echo_exponent, filter_function, fit_T2g,
                             mc_free_precession_decay, ou_bank, ou_trajectory,
                             ramsey_exponent, spectral_overlay)
@@ -219,6 +219,70 @@ class TestDecoherenceFunction:
         calls, bad, typed = self._one_over_f_scan(
             6, (-10.0, 12.0), (-6.0, 8.0), (-9.0, 0.0), 8.0)
         assert (calls, bad, typed) == (40_000, [], 0)
+
+    @staticmethod
+    def _lorentzian_reference(delta, tau_c, duration, echo):
+        """(delta tau_c)^2 g(T/tau_c) to 50 digits, g the bracket summed as
+        its series sum_{k>=2} c_k (-x)^k / k! below x = 1/2 (k to 40), where
+        the closed form cancels past any working precision."""
+        D = decimal.Decimal
+        with decimal.localcontext(decimal.Context(prec=50, Emax=999_999,
+                                                  Emin=-999_999)):
+            x = D(duration) / D(tau_c)
+            if x < D("0.5"):
+                g = D(0)
+                for k in range(40, 1, -1):
+                    g = g * x + ((D(4) / 2**k - 1 if echo else D(1)) * (-1)**k
+                                 / math.factorial(k))
+                g *= x * x
+            elif echo:
+                g = x - 3 + 4 * (-x / 2).exp() - (-x).exp()
+            else:
+                g = x - 1 + (-x).exp()
+            return (D(delta) * D(tau_c)) ** 2 * g
+
+    def test_lorentzian_exponents_over_the_float_range(self):
+        # delta, tau_c and T log-uniform in 1e+-300: (delta tau_c)^2, T/tau_c
+        # and the exponent leave the float range in both directions (at the
+        # parent of this test, 2152 nan, 1074 inf, 2002 zeros and 176 values
+        # off by more than 1e-12 where the reference is a normal float, and
+        # 1401 values where it overflows, in 27 838 calls)
+        rng = np.random.default_rng(5)
+        calls, bad = 0, []
+        tiny, huge = decimal.Decimal(sys.float_info.min), \
+            decimal.Decimal(sys.float_info.max)
+        for _ in range(20_000):
+            delta, tau_c, t = (10.0 ** rng.uniform(-300.0, 300.0)
+                               for _ in range(3))
+            try:
+                S = Lorentzian(delta, tau_c)
+            except InvalidParameter:
+                continue
+            for echo, exponent in ((False, ramsey_exponent), (True, echo_exponent)):
+                calls += 1
+                want = self._lorentzian_reference(delta, tau_c, t, echo)
+                try:
+                    got = exponent(S, t)
+                except OutOfRange:
+                    got = None
+                if want > huge:
+                    ok = got is None
+                elif want < tiny:
+                    ok = got is not None and 0.0 <= got < math.inf
+                else:
+                    ok = (got is not None and 0.0 < got < math.inf
+                          and abs(decimal.Decimal(got) / want - 1) <= 1e-12)
+                if not ok:
+                    bad.append((delta, tau_c, t, echo, got, float(want)))
+        assert calls == 27_838
+        assert bad == []
+
+    def test_lorentzian_overflowing_ratio_keeps_the_exponent(self):
+        # T/tau_c = 1.8e308 overflows, yet the exponent is delta^2 tau_c T
+        # (1 - 1/x) = 1.8e-4; (delta tau_c)^2 = 1e-312 is subnormal at T = 1
+        S = Lorentzian(1e150, 1e-306)
+        assert ramsey_exponent(S, 180.0) == pytest.approx(1.8e-4, rel=1e-15)
+        assert ramsey_exponent(S, 1.0) == pytest.approx(1e-6, rel=1e-15)
 
 
 class TestCosineIntegral:
@@ -542,6 +606,13 @@ class TestPinnedStreams:
         assert [format(float(v), ".9g") for v in w] == want
 
 
+def _phases(S, ts, echo, rng, n_traj):
+    """(n_traj, times) OU phases: ``noise._phase_map`` applied to one draw
+    of normals from ``rng``, as the oracle does for each chunk of a group."""
+    phase_map = noise._phase_map(S, ts, echo)
+    return (phase_map @ rng.standard_normal((phase_map.shape[1], n_traj))).T
+
+
 class TestExactOUSampling:
     """The joint (value, integral) sampler against the closed-form exponents.
 
@@ -570,7 +641,7 @@ class TestExactOUSampling:
     def test_phase_variance_is_twice_chi(self, bath, echo):
         ts = self._times(bath, echo)
         rng = np.random.default_rng(41)
-        phases = np.concatenate([_ou_phases(bath, ts, echo, rng, self.N // 4)
+        phases = np.concatenate([_phases(bath, ts, echo, rng, self.N // 4)
                                  for _ in range(4)])
         want = 2.0 * np.array([chi_reference(bath, echo, t) for t in ts])
         # sample variance of n Gaussian draws: standard error var*sqrt(2/(n-1))
@@ -584,6 +655,21 @@ class TestExactOUSampling:
         w = mc_free_precession_decay(bath, ts, self.N, seed=8, echo=echo)
         want = np.exp(-np.array([chi_reference(bath, echo, t) for t in ts]))
         assert np.max(np.abs(w - want)) <= 5 / math.sqrt(self.N)
+
+    @pytest.mark.parametrize("echo", [False, True])
+    def test_long_grid_within_sampling_error(self, bath, echo):
+        # 300 unsorted times with repeats and a zero: 5 free-precession or
+        # 10 echo groups, each on its own trajectories, against the closed
+        # form (which the quadrature reference checks above)
+        t1e = self._times(bath, echo)[0] / 0.2
+        ts = np.random.default_rng(9).uniform(0.0, 2.0 * t1e, 300)
+        ts[150], ts[200] = ts[7], 0.0
+        exponent = echo_exponent if echo else ramsey_exponent
+        want = np.exp(-np.array([exponent(bath, t) if t else 0.0 for t in ts]))
+        n = 20_000
+        w = mc_free_precession_decay(bath, ts, n, seed=10, echo=echo)
+        assert w[200] == 1.0
+        assert np.max(np.abs(w - want)) <= 5 / math.sqrt(n)
 
     @pytest.mark.parametrize("S, times, n_traj", [
         (FAST, [], 10), (FAST, [1e-6, math.nan], 10), (FAST, [-1e-6], 10),
@@ -627,8 +713,8 @@ class TestExactOUSampling:
 
 
 class TestPhaseMapAgainstRecursion:
-    """``_ou_phases``, one precomputed linear map, against the gap-by-gap
-    recursion it replaced (``conftest.ou_phases_reference``).
+    """``_phase_map``, one precomputed linear map per group of requested
+    times, against the gap-by-gap recursion (``conftest.ou_phases_reference``).
 
     Both draw their normals from the same seed with the same row layout, so
     they must agree to rounding.  The bound is relative to the largest
@@ -647,8 +733,13 @@ class TestPhaseMapAgainstRecursion:
         return calibrated_noise if request.param == "static" else self.FAST
 
     @staticmethod
+    def _groups(ts, echo):
+        size = noise._GROUP_GAPS // 2 if echo else noise._GROUP_GAPS
+        return [ts[lo:lo + size] for lo in range(0, ts.size, size)]
+
+    @staticmethod
     def _deviation(S, ts, echo):
-        got = _ou_phases(S, ts, echo, np.random.default_rng(17), 64)
+        got = _phases(S, ts, echo, np.random.default_rng(17), 64)
         want = ou_phases_reference(S, ts, echo, np.random.default_rng(17), 64)
         assert got.shape == want.shape == (64, ts.size)
         return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
@@ -656,20 +747,34 @@ class TestPhaseMapAgainstRecursion:
     @pytest.mark.parametrize("grid", ["unsorted", "long"])
     @pytest.mark.parametrize("echo", [False, True])
     def test_matches_recursion(self, bath, grid, echo):
-        ts = self.GRIDS[grid]
-        if grid == "long":
-            assert len(noise._phase_map(bath, ts, echo).blocks) >= 5
-        assert self._deviation(bath, ts, echo) <= 1e-13
+        groups = self._groups(self.GRIDS[grid], echo)
+        assert len(groups) == {"unsorted": 1, "long": 10 if echo else 5}[grid]
+        for ts in groups:
+            assert self._deviation(bath, ts, echo) <= 1e-13
 
-    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("gaps", [2, 6])
     @pytest.mark.parametrize("echo", [False, True])
-    def test_block_size_is_immaterial(self, monkeypatch, calibrated_noise,
-                                      block, echo):
-        monkeypatch.setattr(noise, "_ONE_BLOCK", 0)
-        monkeypatch.setattr(noise, "_GAP_BLOCK", block)
+    def test_oracle_groups_match_recursion(self, monkeypatch, calibrated_noise,
+                                           gaps, echo):
+        # groups of 1 or 3 echo times, 2 or 6 free-precession times, the
+        # last one short: each group's mean cos on its own streams, chunk k
+        # of group g from (seed, k, g), and of group 0 from (seed, k)
+        monkeypatch.setattr(noise, "_GROUP_GAPS", gaps)
+        monkeypatch.setattr(noise, "_CHUNK", 5)
         ts = self.GRIDS["unsorted"]
-        assert len(noise._phase_map(calibrated_noise, ts, echo).blocks) > 1
-        assert self._deviation(calibrated_noise, ts, echo) <= 1e-13
+        got = mc_free_precession_decay(calibrated_noise, ts, 12, seed=4,
+                                       echo=echo)
+        want = []
+        for g, group in enumerate(self._groups(ts, echo)):
+            cos_sum = 0.0
+            for k, n in enumerate((5, 5, 2)):
+                key = [4, k, g] if g else [4, k]
+                cos_sum = cos_sum + np.cos(ou_phases_reference(
+                    calibrated_noise, group, echo, np.random.default_rng(key),
+                    n)).sum(axis=0)
+            want.extend(cos_sum / 12)
+        assert len(self._groups(ts, echo)) > 1
+        assert np.max(np.abs(got - np.array(want))) <= 1e-13
 
     def test_memory_stays_near_one_normals_block(self, calibrated_noise):
         # a 2000-time echo grid: 4000 gaps, so a (times x gaps) map would be
