@@ -34,12 +34,13 @@ time integral jointly and exactly at the requested times only (Gillespie,
 Phys. Rev. E 54, 2084 (1996)), so no time step enters.  Those draws are a
 fixed linear map of the normals.  The requested times go in groups of at
 most ``_GROUP_GAPS`` gaps (64 free-precession times, or 32 echo times with
-their halves); each group builds its map once, from the gap coefficients,
-with the echo's 2 I(T/2) - I(T) folded into its rows, and applies it to
-every chunk of ``_CHUNK`` trajectories: one normals draw (chunk k of group
-g from ``default_rng([seed, k, g])``, of group 0 from ``[seed, k]``), one
-matrix product, one cos and one sum.  So memory holds one group's map and
-normals at a time, however long the grid.
+their halves); each group builds the map of its distinct times once, from
+the gap coefficients, with the echo's 2 I(T/2) - I(T) folded into its rows,
+and factors it into a square triangular L with the same covariance.  Every
+chunk of ``_CHUNK`` trajectories is then one draw of one normal per
+distinct time (chunk k of group g from ``default_rng([seed, k, g])``, of
+group 0 from ``[seed, k]``), one product with L, one cos and one sum.  So
+memory holds one group's map and normals at a time, however long the grid.
 
 The sequence executor takes its noise as an ``OUBank``: detunings delta(t)
 in rad/s, sampled exactly on uniform knots and linear in between, one per
@@ -727,8 +728,9 @@ def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
             col[k + 1] += a * col[k]
         x[:, 0] = col
         return x
-    for k in range(n_steps):
-        x[k + 1] += a * x[k]
+    rows = list(x)
+    for prev, row in zip(rows, rows[1:]):
+        row += a * prev
     return x
 
 
@@ -773,7 +775,8 @@ def _phase_map(S: Lorentzian, t_grid: np.ndarray, echo: bool) -> np.ndarray:
     row j of P holds the coefficients of I at knot j.  Of a value that
     enters x at knot c, a_c ... a_(j-1) is left at knot j, a cumulative
     product down each column.  The phase is I(T), or 2 I(T/2) - I(T) for
-    the echo.
+    the echo.  The oracle samples these phases through the triangular
+    factor of this map (``_phase_factor``).
     """
     knots = np.unique(np.concatenate(
         ([0.0], t_grid, t_grid / 2.0) if echo else ([0.0], t_grid)))
@@ -812,6 +815,21 @@ def _phase_map(S: Lorentzian, t_grid: np.ndarray, echo: bool) -> np.ndarray:
     return phase
 
 
+def _phase_factor(S: Lorentzian, t_grid: np.ndarray,
+                  echo: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(L, row): L L^T = P P^T for the ``_phase_map`` P of the distinct
+    times of ``t_grid`` in sorted order, and the row of L of each time.
+
+    P z with z ~ N(0, I) has the law of L w with w ~ N(0, I) and one normal
+    per distinct time.  L = R^T from the QR of P^T, not a Cholesky factor
+    of P P^T, whose condition reaches millions on a quasi-static bath.
+    Sorting makes L, and so the oracle's result, independent of the order
+    and repeats of the times; a zero time's row is exactly 0.
+    """
+    distinct, row = np.unique(t_grid, return_inverse=True)
+    return np.linalg.qr(_phase_map(S, distinct, echo).T, mode="r").T, row
+
+
 def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
                              echo: bool = False) -> np.ndarray:
     """Monte-Carlo <cos(accumulated phase)> over OU detuning trajectories.
@@ -826,10 +844,14 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
     trajectories.  Those come in chunks of ``_CHUNK``: chunk k of group 0
     from the stream (seed, k), of group g > 0 from (seed, k, g), so the
     result does not depend on the order the chunks run in, and a grid of
-    one group keeps its streams whatever its length.  Each chunk is one
-    normals draw, one matrix product, one cos and one sum.  Memory holds
-    one group's map, normals and phases at a time: about (2 _GROUP_GAPS +
-    1 + times in a group) x _CHUNK numbers, whatever the grid's length.
+    one group keeps its streams whatever its length.  A group's phases have
+    the law of L w, with L the triangular factor of its map
+    (``_phase_factor``) and w one normal per distinct time, so each chunk
+    is one (distinct times, chunk) normals draw, one product with L, one
+    cos and one sum, and each requested time reads the mean cos of its
+    distinct time.  Memory holds one group's map, factor, normals and
+    phases at a time: about 2 x (times in a group) x _CHUNK numbers,
+    whatever the grid's length.
     """
     if not isinstance(S, Lorentzian):
         raise InvalidParameter("the Monte-Carlo decay needs a Lorentzian density")
@@ -841,15 +863,17 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
         return np.ones_like(t_grid)
     times = t_grid.ravel()
     size = _GROUP_GAPS // 2 if echo else _GROUP_GAPS
-    total = np.zeros(times.size)
+    total = np.empty(times.size)
     for group, lo in enumerate(range(0, times.size, size)):
-        phase_map = _phase_map(S, times[lo:lo + size], echo)
+        factor, row = _phase_factor(S, times[lo:lo + size], echo)
+        cos_sum = np.zeros(factor.shape[0])
         for index, done in enumerate(range(0, n_traj, _CHUNK)):
             key = [seed, index, group] if group else [seed, index]
-            z = _rng(key).standard_normal(
-                (phase_map.shape[1], min(_CHUNK, n_traj - done)))
-            phases = phase_map @ z
-            total[lo:lo + size] += np.sum(np.cos(phases, out=phases), axis=1)
+            w = _rng(key).standard_normal(
+                (factor.shape[1], min(_CHUNK, n_traj - done)))
+            phases = factor @ w
+            cos_sum += np.sum(np.cos(phases, out=phases), axis=1)
+        total[lo:lo + size] = cos_sum[row]
     return (total / n_traj).reshape(t_grid.shape)
 
 

@@ -569,7 +569,8 @@ class TestPinnedStreams:
     compared bit for bit (sha256 of the float64 bytes).  The Monte-Carlo
     decay goes through cos and sums, whose last bits may vary between numpy
     builds, so it is compared at the 9 digits of the output files; its
-    values were recorded when it began sampling the OU integral exactly.
+    values were recorded when it began drawing one normal per distinct
+    time of a group, through the triangular factor of the group's map.
     """
 
     S = Lorentzian(delta=31415.9, tau_c=20e-6)
@@ -594,8 +595,8 @@ class TestPinnedStreams:
             "cff0b0001b34992713247af77ad84fa8c97eb938fe90a790c750a9652a9fb8e3"
 
     @pytest.mark.parametrize("echo, want", [
-        (False, ["1", "0.998704558", "0.99187337", "0.962334727"]),
-        (True, ["1", "0.999946586", "0.999588714", "0.999376732"]),
+        (False, ["1", "0.998920776", "0.994271031", "0.967242524"]),
+        (True, ["1", "0.999964053", "0.999446806", "0.994044022"]),
     ])
     def test_mc_free_precession_decay(self, monkeypatch, echo, want):
         # recorded with chunks of 2 trajectories: streams (11, 0), (11, 1)
@@ -752,13 +753,24 @@ class TestPhaseMapAgainstRecursion:
         for ts in groups:
             assert self._deviation(bath, ts, echo) <= 1e-13
 
+    class _Identity:
+        """An rng stub whose (normals, runs) draw is the identity padded
+        with zero columns, so that ``ou_phases_reference`` returns the
+        transpose of its linear map, padded with zero rows."""
+
+        @staticmethod
+        def standard_normal(shape):
+            return np.eye(*shape)
+
     @pytest.mark.parametrize("gaps", [2, 6])
     @pytest.mark.parametrize("echo", [False, True])
     def test_oracle_groups_match_recursion(self, monkeypatch, calibrated_noise,
                                            gaps, echo):
         # groups of 1 or 3 echo times, 2 or 6 free-precession times, the
         # last one short: each group's mean cos on its own streams, chunk k
-        # of group g from (seed, k, g), and of group 0 from (seed, k)
+        # of group g from (seed, k, g), and of group 0 from (seed, k), each
+        # a (distinct times, runs) draw through the QR factor of the
+        # recursion's map of the group's distinct times in sorted order
         monkeypatch.setattr(noise, "_GROUP_GAPS", gaps)
         monkeypatch.setattr(noise, "_CHUNK", 5)
         ts = self.GRIDS["unsorted"]
@@ -766,15 +778,39 @@ class TestPhaseMapAgainstRecursion:
                                        echo=echo)
         want = []
         for g, group in enumerate(self._groups(ts, echo)):
+            distinct, row = np.unique(group, return_inverse=True)
+            # P^T, padded: at most 2 distinct.size gaps take at most
+            # 4 distinct.size + 1 normals
+            map_t = ou_phases_reference(calibrated_noise, distinct, echo,
+                                        self._Identity(), 4 * distinct.size + 1)
+            factor = np.linalg.qr(map_t, mode="r").T
             cos_sum = 0.0
             for k, n in enumerate((5, 5, 2)):
                 key = [4, k, g] if g else [4, k]
-                cos_sum = cos_sum + np.cos(ou_phases_reference(
-                    calibrated_noise, group, echo, np.random.default_rng(key),
-                    n)).sum(axis=0)
-            want.extend(cos_sum / 12)
+                w = np.random.default_rng(key).standard_normal(
+                    (distinct.size, n))
+                cos_sum = cos_sum + np.cos(factor @ w).sum(axis=1)
+            want.extend(cos_sum[row] / 12)
         assert len(self._groups(ts, echo)) > 1
         assert np.max(np.abs(got - np.array(want))) <= 1e-13
+
+    @pytest.mark.parametrize("echo", [False, True])
+    def test_factor_reproduces_the_map(self, bath, echo):
+        # the oracle's factor, read back at each requested time, against
+        # the map of the times in the order given: L L^T = P P^T, a zero
+        # time's row is exactly 0 and a repeated time reads the same row
+        ts = self.GRIDS["unsorted"]
+        factor, row = noise._phase_factor(bath, ts, echo)
+        rows = factor[row]
+        phase_map = noise._phase_map(bath, ts, echo)
+        covariance = phase_map @ phase_map.T
+        assert factor.shape == (np.unique(ts).size,) * 2
+        assert np.all(np.triu(factor, 1) == 0.0)
+        assert (np.max(np.abs(rows @ rows.T - covariance))
+                <= 1e-13 * np.max(np.abs(covariance)))
+        assert np.all(rows[ts == 0.0] == 0.0)
+        for t in ts:
+            assert np.all(rows[ts == t] == rows[np.argmax(ts == t)])
 
     def test_memory_stays_near_one_normals_block(self, calibrated_noise):
         # a 2000-time echo grid: 4000 gaps, so a (times x gaps) map would be
