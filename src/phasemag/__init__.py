@@ -9,9 +9,8 @@ power-law fitting.
 
 from .constants import NV, PhysicalConstants, angular_from_mhz
 from .core import (ConvergenceReport, DriveParams, LarmorVector, SpinState,
-                   StepControl, apply_ideal_pulse, apply_resonant_pulse,
-                   larmor_from_drive, propagate_constant, propagate_swept,
-                   propagate_swept_report)
+                   apply_ideal_pulse, apply_resonant_pulse, larmor_from_drive,
+                   propagate_constant, propagate_swept, propagate_swept_report)
 from .sequences import (FreeEvolution, IdealPulse, SequencePlan, SweptDrive,
                         build_berry, build_hahn, build_ramsey, execute,
                         execute_batch)

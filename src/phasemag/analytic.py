@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import MAX_TURNS, NV, TWO_PI, PhysicalConstants
+from .constants import MAX_TURNS, NV, TWO_PI, PhysicalConstants, check_gamma
 from .errors import DegenerateSlope, InvalidParameter, OutOfRange
 from .solve import find_root
 
@@ -51,11 +51,6 @@ __all__ = [
 ]
 
 
-def _check_gamma(gamma: float):
-    if not 0 < gamma < math.inf:
-        raise InvalidParameter(f"gamma must be positive and finite, got {gamma}")
-
-
 @dataclass(frozen=True)
 class DynamicModel:
     """Free-precession signal model: interaction time and gyromagnetic ratio."""
@@ -67,7 +62,7 @@ class DynamicModel:
         if not 0 < self.duration < math.inf:
             raise InvalidParameter(
                 f"duration must be positive and finite, got {self.duration}")
-        _check_gamma(self.gamma)
+        check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class GeometricModel:
         if not 0 < self.rabi < math.inf:
             raise InvalidParameter(
                 f"rabi must be positive and finite, got {self.rabi}")
-        _check_gamma(self.gamma)
+        check_gamma(self.gamma)
         if int(self.n_rotations) != self.n_rotations or self.n_rotations < 1:
             raise InvalidParameter(
                 f"n_rotations must be a positive integer, got {self.n_rotations}"

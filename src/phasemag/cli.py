@@ -317,7 +317,7 @@ def cmd_signal(cfg: dict) -> int:
     else:
         p = harness.signal_curve(protocol, engine, duration, b_grid, omega,
                                  cfg["n"], S, cfg["ensemble"], (cfg["seed"],),
-                                 constants)
+                                 constants.gamma)
 
     lines = _header_lines("signal", cfg)
     lines.append(SIGNAL_HEADER)
@@ -344,7 +344,7 @@ def cmd_sweep(cfg: dict) -> int:
                          engine=cfg["engine"], noise=S, seed=cfg["seed"],
                          ensemble=cfg["ensemble"], sigma_p=cfg["sigma_p"],
                          overhead=cfg["overhead_us"] * 1e-6,
-                         constants=constants, workers=cfg["workers"])
+                         gamma=constants.gamma, workers=cfg["workers"])
     except PhasemagError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -445,7 +445,7 @@ def cmd_decohere(cfg: dict) -> int:
         rows = harness.decoherence_regime_scan(a_list, S, engine=cfg["engine"],
                                                ensemble=cfg["ensemble"],
                                                seed=cfg["seed"],
-                                               constants=constants)
+                                               gamma=constants.gamma)
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
 

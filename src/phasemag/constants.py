@@ -20,6 +20,12 @@ TWO_PI = 2.0 * math.pi
 MAX_TURNS = 2**47
 
 
+def check_gamma(gamma: float) -> None:
+    """InvalidParameter unless the gyromagnetic ratio is positive and finite."""
+    if not 0 < gamma < math.inf:
+        raise InvalidParameter(f"gamma must be positive and finite, got {gamma}")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Spin-sensor constants.
@@ -38,9 +44,7 @@ class PhysicalConstants:
     hyperfine_splitting: float = TWO_PI * 2.16e6
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise InvalidParameter(
-                f"gamma must be positive and finite, got {self.gamma}")
+        check_gamma(self.gamma)
         if not 0 < self.hyperfine_splitting < math.inf:
             raise InvalidParameter(
                 "hyperfine_splitting must be positive and finite, got "

@@ -31,7 +31,7 @@ Numer. Math. 56, 1519 (2006); Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 151 (2009)): with R sampled at the two Gauss nodes of the slice, two exact
 rotations about h*(A1*R1 + A2*R2) and then h*(A2*R1 + A1*R2),
 A1,2 = 1/4 +- sqrt(3)/6.  That mesh is halved (``_swept_refine``) until a
-Richardson error estimate meets tolerance, from a start of at most
+Richardson error estimate meets ``tol``, from a start of at most
 ``_MAX_MESH`` slices.  The noisy co-rotating mesh of
 ``sequences.execute_batch`` returns one pair per field and sees
 R(t) = (Omega, 0, w(t)) with w linear between the noise knots.  It cuts
@@ -39,8 +39,9 @@ each knot interval into equal slices, each one interaction-picture Magnus
 step (Hochbruck & Lubich, SIAM J. Numer. Anal. 41, 945 (2003)): two exact
 half rotations about R at the slice's midpoint with one small y rotation
 between them, exact where w is constant.  An a-priori bound on the terms
-that step leaves out sets the slice count, so that mesh is composed once
-(``_knot_refine``).
+that step leaves out sets the slice count against the same ``tol``, so
+that mesh is composed once (``_knot_refine``).  Either mesh takes at most
+``_MAX_DEPTH`` halvings, else ``ConvergenceFailure``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "SpinState",
     "DriveParams",
     "LarmorVector",
-    "StepControl",
     "ConvergenceReport",
     "larmor_from_drive",
     "propagate_constant",
@@ -77,6 +77,9 @@ _STEPS_PER_PHASE_TURN = 32
 _STEPS_PER_LARMOR_TURN = 32
 # and the fewest slices a lab-frame mesh starts at
 _MIN_STEPS = 16
+# most halvings either mesh may take to meet its tolerance: the lab-frame
+# mesh's Richardson refinement, and the knot mesh's a-priori bound
+_MAX_DEPTH = 12
 # The lab-frame step, the 4th-order commutator-free Magnus step (Blanes &
 # Moan, Appl. Numer. Math. 56, 1519 (2006)): a slice [t, t + h] samples R at
 # the Gauss nodes t + C1*h and t + C2*h, then rotates exactly about
@@ -157,40 +160,6 @@ class LarmorVector:
     magnitude: float
     polar_angle: float
     azimuth: float
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Mesh policy for time-dependent propagation.
-
-    The initial mesh has 32 slices per 2*pi of drive-phase sweep and 32
-    per Larmor period, and at least 16 (``core._MIN_STEPS``); the mesh is
-    then halved until the Richardson estimate (change of any Bloch
-    component under one halving) drops below ``tol``, up to ``max_depth``
-    halvings.  ``core.propagate_swept`` takes a 4th-order step on each
-    slice, so from this start one or two halvings meet ``tol``.
-
-    The noisy swept segments of ``sequences.execute_batch`` run on a mesh
-    aligned with the noise knots: each knot interval is cut into 2**d
-    equal slices of one interaction-picture Magnus step each, d the fewest
-    halvings whose a-priori error bound is at most ``tol``, and more than
-    ``max_depth`` halvings raise ConvergenceFailure.  The step is exact
-    for the constant part of the Larmor vector, so only the slope of the
-    noise needs slices.
-
-    Either mesh refuses, with InvalidParameter, more than ``core._MAX_MESH``
-    slices times channels (fields) before composing: the lab-frame mesh
-    at its start, the knot mesh at the size its bound asks for.
-    """
-
-    tol: float = 1e-6
-    max_depth: int = 12
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise InvalidParameter("tol must be positive")
-        if self.max_depth < 1:
-            raise InvalidParameter("max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -412,15 +381,21 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float) -> int:
     return max(_MIN_STEPS, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
 
 
+def _check_tol(tol: float) -> None:
+    """InvalidParameter unless a mesh tolerance is positive."""
+    if not tol > 0:
+        raise InvalidParameter("tol must be positive")
+
+
 def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
-                  duration: float, ctl: StepControl):
+                  duration: float, tol: float):
     """Richardson-refined ``_compose_swept`` applied to one state (3,), and
     the report.  Core of ``propagate_swept``.
 
     The mesh halves from the start of ``_initial_mesh`` until the change of
-    every Bloch component under one halving is at most ``ctl.tol``; the
+    every Bloch component under one halving is at most ``tol``; the
     report holds the final slice count and one change per halving.  More
-    than ``ctl.max_depth`` halvings raise ``ConvergenceFailure``, and a
+    than ``_MAX_DEPTH`` halvings raise ``ConvergenceFailure``, and a
     start of more than ``_MAX_MESH`` slices ``InvalidParameter``, before
     anything is composed.
     """
@@ -432,22 +407,22 @@ def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
                                f"more than {_MAX_MESH}")
     history = []
     out = _apply(*_compose_swept(rabi, phase_fn, det_fn, duration, n0), state)
-    for depth in range(1, ctl.max_depth + 1):
+    for depth in range(1, _MAX_DEPTH + 1):
         coarse = out
         out = _apply(*_compose_swept(rabi, phase_fn, det_fn, duration,
                                      n0 << depth), state)
         history.append(float(np.max(np.abs(out - coarse))))
-        if history[-1] <= ctl.tol:
+        if history[-1] <= tol:
             return out, ConvergenceReport(n0 << depth, tuple(history), True)
     raise ConvergenceFailure(
-        f"mesh refinement stalled at {n0 << ctl.max_depth} steps with error "
-        f"{history[-1]:.3e} > tol {ctl.tol:.1e}",
+        f"mesh refinement stalled at {n0 << _MAX_DEPTH} steps with error "
+        f"{history[-1]:.3e} > tol {tol:.1e}",
         error_history=history,
     )
 
 
 def _knot_refine(rabi: float, lengths: np.ndarray, dets: np.ndarray,
-                 ctl: StepControl):
+                 tol: float):
     """Pairs (a, b) (m,) of the propagation under R(t) = (rabi, 0, w(t)),
     w linear on each of K intervals, and the report.  Core of the noisy
     co-rotating mesh.
@@ -460,14 +435,14 @@ def _knot_refine(rabi: float, lengths: np.ndarray, dets: np.ndarray,
     most |s| h^2/4, so the terms it leaves out come to at most
     (|s| h^2/4)^2 / 2: over the 2**d slices of an interval over which w
     changes by dw in a length L, (dw L)^2 / 32 / 8**d.  d is the fewest
-    halvings that bring every channel's sum of that bound to ``ctl.tol``.
-    More than ``ctl.max_depth`` raise ``ConvergenceFailure``, and a mesh of
+    halvings that bring every channel's sum of that bound to ``tol``.
+    More than ``_MAX_DEPTH`` raise ``ConvergenceFailure``, and a mesh of
     more than ``_MAX_MESH`` slices times channels ``InvalidParameter``,
     before anything is composed.  The report holds the slices per channel
-    and the bound.
+    and the bound.  No channels, or no length, is the identity.
     """
     m = dets.shape[1]
-    if not np.any(lengths > 0.0):
+    if m == 0 or not np.any(lengths > 0.0):
         identity = (np.ones(m, dtype=complex), np.zeros(m, dtype=complex))
         return identity, ConvergenceReport(0, (), True)
     # per channel, w at the start of each interval and its change over it,
@@ -478,11 +453,11 @@ def _knot_refine(rabi: float, lengths: np.ndarray, dets: np.ndarray,
     if not math.isfinite(bound):
         raise InvalidParameter("the detunings must be finite")
     depth = 0
-    while bound > ctl.tol:
-        if depth == ctl.max_depth:
+    while bound > tol:
+        if depth == _MAX_DEPTH:
             raise ConvergenceFailure(
                 f"the knot mesh needs more than {depth} halvings: error "
-                f"bound {bound:.3e} > tol {ctl.tol:.1e}", error_history=[bound])
+                f"bound {bound:.3e} > tol {tol:.1e}", error_history=[bound])
         depth += 1
         bound /= 8.0
     sub = 1 << depth
@@ -546,16 +521,16 @@ def propagate_constant(state: SpinState, d: DriveParams, duration: float) -> Spi
 def propagate_swept(state: SpinState, rabi: float,
                     phase_fn: Callable[[float], float],
                     detuning_fn: Callable[[float], float],
-                    duration: float,
-                    step_control: StepControl | None = None) -> SpinState:
+                    duration: float, tol: float = 1e-6) -> SpinState:
     """Evolve under a time-dependent drive phase and detuning.
 
     Composes exact rotations over a mesh, two per slice from the 4th-order
     commutator-free Magnus step (Blanes & Moan, 2006) at the slice's Gauss
-    nodes, halving the step until the change under one halving is below
-    ``step_control.tol`` for every Bloch component.  Deterministic for fixed
-    inputs.  Raises ``ConvergenceFailure`` if the tolerance is not met within
-    ``max_depth`` halvings.
+    nodes, halving the step from the start of ``_initial_mesh`` until the
+    change under one halving is at most ``tol`` (> 0, else
+    ``InvalidParameter``) for every Bloch component.  Deterministic for
+    fixed inputs.  Raises ``ConvergenceFailure`` if the tolerance is not
+    met within ``_MAX_DEPTH`` halvings.
 
     ``phase_fn`` and ``detuning_fn`` are called with arrays of times and
     may return a scalar (a constant) or one value per time; any other
@@ -563,22 +538,21 @@ def propagate_swept(state: SpinState, rabi: float,
     propagates unchanged.  One state is propagated per call.
     """
     out, _ = propagate_swept_report(state, rabi, phase_fn, detuning_fn,
-                                    duration, step_control)
+                                    duration, tol)
     return out
 
 
 def propagate_swept_report(state: SpinState, rabi: float,
                            phase_fn: Callable[[float], float],
                            detuning_fn: Callable[[float], float],
-                           duration: float,
-                           step_control: StepControl | None = None):
+                           duration: float, tol: float = 1e-6):
     """Like ``propagate_swept`` but also returns the ConvergenceReport."""
     if not (0 <= duration < math.inf and 0 <= rabi < math.inf):
         raise InvalidParameter(f"duration and rabi must be finite and >= 0, "
                                f"got {duration} and {rabi}")
-    ctl = step_control or StepControl()
+    _check_tol(tol)
     out, report = _swept_refine(state.as_array(), rabi, phase_fn, detuning_fn,
-                                duration, ctl)
+                                duration, tol)
     return SpinState.from_array(out), report
 
 

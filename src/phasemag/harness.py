@@ -19,8 +19,7 @@ import numpy as np
 
 from . import analytic, noise as noise_mod, sequences
 from .analytic import DynamicModel, GeometricModel, adiabaticity
-from .constants import NV, TWO_PI, PhysicalConstants
-from .core import StepControl
+from .constants import NV, TWO_PI, check_gamma
 from .errors import (AdiabaticityViolation, DegenerateSlope, FitFailure,
                      InvalidParameter, PhasemagError)
 from .noise import SpectralDensity, check_count, decoherence_function
@@ -87,10 +86,11 @@ def check_curve_request(protocol: str, engine: str,
     Raises InvalidParameter for an unknown protocol or engine, the analytic
     engine on the echo protocol, numeric+noise without a noise model, an
     ``ensemble`` or ``workers`` below 1, an ``ensemble`` above
-    ``_MAX_ENSEMBLE``, a non-finite interaction time,
-    field or drive frequency (``omegas``, rad/s), and a Larmor phase
-    gamma*|B|*T above ``_MAX_PHASE``.  ``workers`` has no effect; values
-    above 1 emit a DeprecationWarning.
+    ``_MAX_ENSEMBLE``, a non-finite interaction time, field or drive
+    frequency (``omegas``, rad/s), a gamma that is not positive and finite
+    (``constants.check_gamma``), and a Larmor phase gamma*|B|*T above
+    ``_MAX_PHASE``.  ``workers`` has no effect; values above 1 emit a
+    DeprecationWarning.
     """
     if protocol not in _PROTOCOLS:
         raise InvalidParameter(f"unknown protocol {protocol!r}")
@@ -108,8 +108,9 @@ def check_curve_request(protocol: str, engine: str,
         raise InvalidParameter("fields must be finite")
     if not np.all(np.isfinite(np.asarray(omegas, dtype=float))):
         raise InvalidParameter("drive frequencies must be finite")
+    check_gamma(gamma)
     # Python floats, so that an overflow is inf and not a numpy warning
-    phase = (abs(gamma) * float(np.max(np.abs(b_grid), initial=0.0))
+    phase = (gamma * float(np.max(np.abs(b_grid), initial=0.0))
              * float(np.max(np.abs(durations), initial=0.0)))
     if not phase <= _MAX_PHASE:
         raise InvalidParameter(
@@ -140,14 +141,13 @@ class SweepSpec:
     ensemble: int = 200
     sigma_p: float = 1.0
     overhead: float = 0.0
-    constants: PhysicalConstants = NV
+    gamma: float = NV.gamma
     workers: int = 1
 
     def __post_init__(self):
         check_curve_request(self.protocol, self.engine, self.noise,
                             self.ensemble, self.workers, self.times,
-                            self.b_grid, self.omegas or (),
-                            self.constants.gamma)
+                            self.b_grid, self.omegas or (), self.gamma)
         if len(self.times) == 0 or len(self.b_grid) < 2:
             raise InvalidParameter("times nonempty and b_grid of length >= 2 required")
         if self.protocol == "berry" and (not self.omegas or not self.n_rotations):
@@ -202,7 +202,7 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
                  omega: Optional[float] = None, n_rot: Optional[int] = None,
                  noise: Optional[SpectralDensity] = None, ensemble: int = 1,
                  seed_key: tuple = (0,),
-                 constants: PhysicalConstants = NV) -> np.ndarray:
+                 gamma: float = NV.gamma) -> np.ndarray:
     """Signal P over ``b_grid`` (tesla) for one protocol point and engine.
 
     ``omega`` (rad/s) and ``n_rot`` apply to berry only.  ``numeric+noise``
@@ -213,7 +213,6 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
     swept segments (berry) run on the co-rotating mesh.  Other noise
     families raise InvalidParameter.
     """
-    gamma = constants.gamma
     if engine == "analytic":
         if protocol == "ramsey":
             return analytic.ramsey_signal(DynamicModel(duration, gamma), b_grid)
@@ -226,7 +225,7 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
     else:
         plan = sequences.build_berry(omega, n_rot, duration)
     if engine == "numeric":
-        return sequences.execute_batch(plan, b_grid, constants=constants)
+        return sequences.execute_batch(plan, b_grid, gamma=gamma)
 
     if not isinstance(noise, noise_mod.Lorentzian):
         raise InvalidParameter("numeric+noise engine needs a Lorentzian model")
@@ -235,7 +234,7 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
     for k in range(ensemble):
         traj = noise_mod.ou_trajectory(noise, duration, dt, seed_key + (k,))
         total += sequences.execute_batch(plan, b_grid, noise_trajectory=traj,
-                                         constants=constants)
+                                         gamma=gamma)
     return total / ensemble
 
 
@@ -272,12 +271,12 @@ def _auto_decay_grid(S, a_value, n_points=28):
 
 def _eval_point(spec: SweepSpec, index, omega, n_rot, duration):
     b_grid = np.asarray(spec.b_grid, dtype=float)
-    gamma = spec.constants.gamma
+    gamma = spec.gamma
     try:
         p_curve = np.asarray(signal_curve(spec.protocol, spec.engine, duration,
                                           b_grid, omega, n_rot, spec.noise,
                                           spec.ensemble, (spec.seed, index),
-                                          spec.constants), dtype=float)
+                                          gamma), dtype=float)
         if spec.protocol == "ramsey":
             model = DynamicModel(duration, gamma)
             b_max = analytic.ramsey_field_range(model)
@@ -484,7 +483,7 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
                                   n_rotations: int = 2,
                                   sigma_p: float = 1.0,
                                   b_points: int = 161,
-                                  constants: PhysicalConstants = NV):
+                                  gamma: float = NV.gamma):
     """Geometric sensitivity vs adiabaticity at fixed interaction time.
 
     Each target A is realized exactly by Omega = 2*pi*N/(A*T) at fixed N and
@@ -495,7 +494,6 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
     attenuation.  Returns (rows, crossover_a); crossover_a is the first
     grid A with eta_geo < eta_dyn, or None.
     """
-    gamma = constants.gamma
     chi_ram = noise_mod.ramsey_exponent(S, duration)
     eta_dyn = sigma_p * math.sqrt(duration) * math.exp(chi_ram) / (gamma * duration)
     rows = []
@@ -509,7 +507,7 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
         b_grid = np.linspace(0.0, 1.05 * b_max, b_points)
         engine = "analytic" if a_target <= 0.05 else "numeric"
         p_curve = signal_curve("berry", engine, duration, b_grid, omega,
-                               n_rotations, constants=constants)
+                               n_rotations, gamma=gamma)
         w_att = math.exp(-decoherence_function(S, a_target, duration).total)
         eta_geo_raw, _ = _sensitivity_from_curve(b_grid, p_curve, duration,
                                                  sigma_p, 0.0)
@@ -560,7 +558,7 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
                             omega: float = TWO_PI * 0.5e6,
                             ensemble: int = 100, seed: int = 0,
                             t_points: int = 10,
-                            constants: PhysicalConstants = NV):
+                            gamma: float = NV.gamma):
     """Coherence time vs adiabaticity.
 
     ``eq3`` samples exp(-chi(T; A)) and fits the squared exponential.  The
@@ -584,7 +582,7 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
             else:
                 grid = _auto_decay_grid(S, a_value, n_points=t_points)
                 samples = _mc_decay_samples(S, a_value, omega, grid, ensemble,
-                                            seed, constants)
+                                            seed, gamma)
             t2g, res = noise_mod.fit_T2g(samples)
             rows.append(RegimeRow(a_value=a_value, t2g=t2g, residual=res,
                                   regime=classify_regime(a_value), status="ok",
@@ -604,8 +602,12 @@ def _eq3_decay_curve(S: SpectralDensity, a_value: float) -> noise_mod.CoherenceC
     return noise_mod.coherence_decay(S, a_value, _auto_decay_grid(S, a_value))
 
 
-def _mc_decay_samples(S, a_value, omega, t_grid, ensemble, seed, constants):
-    ctl = StepControl(tol=1e-3, max_depth=8)
+# the knot mesh's tolerance for the Monte-Carlo decay samples: on the
+# 4-run example scan the fitted T2g lies within 8e-6 us of one at 1e-10
+_MC_TOL = 1e-3
+
+
+def _mc_decay_samples(S, a_value, omega, t_grid, ensemble, seed, gamma):
     out = []
     for j, t in enumerate(t_grid):
         n_rot = max(1, int(round(a_value * omega * t / TWO_PI)))
@@ -613,8 +615,8 @@ def _mc_decay_samples(S, a_value, omega, t_grid, ensemble, seed, constants):
         dt = min(S.tau_c / 10.0, float(t) / 128.0)
         bank = noise_mod.ou_bank(S, float(t), dt, ensemble, seed + j)
         p = sequences.execute_batch(plan, np.zeros(ensemble),
-                                    noise_trajectory=bank,
-                                    step_control=ctl, constants=constants)
+                                    noise_trajectory=bank, tol=_MC_TOL,
+                                    gamma=gamma)
         out.append((float(t), float(np.mean(p))))
     return np.asarray(out)
 

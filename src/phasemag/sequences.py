@@ -17,6 +17,10 @@ would flip the sign of P and break that normalization).
 The swept halves of the berry plan follow a global drive phase 4*pi*N*t/T
 whose direction is reversed after the midpoint pulse; the second half starts
 at the first half's final phase value so the control path stays closed.
+
+``execute`` and ``execute_batch`` run a plan at static fields B; they take
+the gyromagnetic ratio ``gamma`` and the noisy mesh's tolerance ``tol`` as
+plain floats.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import core
-from .constants import MAX_TURNS, NV, TWO_PI, PhysicalConstants
-from .core import StepControl
+from .constants import MAX_TURNS, NV, TWO_PI, check_gamma
 from .errors import InvalidParameter
 from .noise import OUBank
 
@@ -187,9 +190,8 @@ def build_berry(rabi: float, n_rotations: int, duration: float) -> SequencePlan:
 # ---------------------------------------------------------------------------
 
 def execute(plan: SequencePlan, b: float,
-            noise_trajectory: Optional[OUBank] = None,
-            step_control: Optional[StepControl] = None,
-            constants: PhysicalConstants = NV) -> float:
+            noise_trajectory: Optional[OUBank] = None, tol: float = 1e-6,
+            gamma: float = NV.gamma) -> float:
     """Run a plan at static field ``b`` and return the signal P in [-1, 1].
 
     The spin starts in (0, 0, 1) and sees the detuning gamma*b + delta(t),
@@ -197,21 +199,20 @@ def execute(plan: SequencePlan, b: float,
     t measured from the start of the sequence.
     """
     return float(execute_batch(plan, np.array([b], dtype=float),
-                               noise_trajectory=noise_trajectory,
-                               step_control=step_control,
-                               constants=constants)[0])
+                               noise_trajectory, tol, gamma)[0])
 
 
 def execute_batch(plan: SequencePlan, b_values,
                   noise_trajectory: Optional[OUBank] = None,
-                  step_control: Optional[StepControl] = None,
-                  constants: PhysicalConstants = NV) -> np.ndarray:
-    """Vectorized ``execute`` over a grid of static fields.
+                  tol: float = 1e-6, gamma: float = NV.gamma) -> np.ndarray:
+    """Vectorized ``execute`` over a 1-D grid of static fields.
 
     ``noise_trajectory`` is None or an ``OUBank`` with one channel, which
-    every field shares, or with one channel per field.  Any other noise,
-    knots that end before the plan does, and a gamma*B that overflows raise
-    InvalidParameter.
+    every field shares, or with one channel per field.  Fields that are not
+    a finite 1-D grid, any other noise, knots that end before the plan
+    does, a ``tol`` that is not positive, a gamma that is not positive and
+    finite (``constants.check_gamma``) and a gamma*B that overflows raise
+    InvalidParameter.  No fields give an empty array.
 
     Each field carries one Cayley-Klein pair (a, b) (``phasemag.core``)
     from |0> to the readout, where P = |a|^2 - |b|^2; every segment
@@ -235,14 +236,17 @@ def execute_batch(plan: SequencePlan, b_values,
     the noise alone, not the Larmor rate or the turns of the drive phase:
     d is the fewest halvings whose a-priori error bound meets ``tol`` on
     every field, and all fields share that mesh.  An undriven sweep is free
-    evolution, since its phase ramp turns nothing.
-
-    ``step_control`` governs that mesh only: its ``tol`` and its
-    ``max_depth`` (the most halvings the bound may ask for).
+    evolution, since its phase ramp turns nothing.  ``tol`` governs that
+    mesh only; more than ``core._MAX_DEPTH`` halvings raise
+    ConvergenceFailure.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
+    if b_values.ndim != 1:
+        raise InvalidParameter("fields must be a 1-D grid")
     if not np.all(np.isfinite(b_values)):
         raise InvalidParameter("fields must be finite")
+    core._check_tol(tol)
+    check_gamma(gamma)
     noise = noise_trajectory
     if noise is not None:
         if not isinstance(noise, OUBank):
@@ -257,10 +261,8 @@ def execute_batch(plan: SequencePlan, b_values,
             raise InvalidParameter(
                 f"noise knots end at {noise.times[-1]:g} s, before the "
                 f"plan's {plan.duration:g} s")
-    ctl = step_control or StepControl()
-    gamma = constants.gamma
     # a Python float, so that an overflow is inf and not a numpy warning
-    if not abs(gamma) * float(np.max(np.abs(b_values), initial=0.0)) < math.inf:
+    if not gamma * float(np.max(np.abs(b_values), initial=0.0)) < math.inf:
         raise InvalidParameter("gamma*B overflows")
 
     # the pair of each field, from |0> to the readout
@@ -277,7 +279,7 @@ def execute_batch(plan: SequencePlan, b_values,
             if noise is None:
                 pair = _apply_swept_exact(pair, seg, dets_static)
             else:
-                pair = _run_swept(pair, seg, dets_static, noise, t_start, ctl)
+                pair = _run_swept(pair, seg, dets_static, noise, t_start, tol)
         elif isinstance(seg, (FreeEvolution, SweptDrive)):
             # an undriven sweep is free evolution: its phase ramp turns nothing
             angles = dets_static * seg.duration
@@ -335,7 +337,7 @@ def _apply_swept_exact(pair, seg: SweptDrive, dets_static):
 
 
 def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, t_start,
-               ctl):
+               tol):
     """Mesh propagation of one swept segment under a noise trajectory.
 
     The mesh runs in the co-rotating frame of ``_in_drive_frame``, where the
@@ -344,7 +346,7 @@ def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, t_start,
     the knots inside the segment.  The mesh edges are those knots and the
     segment ends, with w taken from the knot values, and each interval is
     cut into as many equal slices of one interaction-picture Magnus step
-    as the error bound of ``core._knot_refine`` needs to meet ``ctl.tol``.
+    as the error bound of ``core._knot_refine`` needs to meet ``tol``.
     """
     t_end = t_start + seg.duration
     inner = (noise.times > t_start) & (noise.times < t_end)
@@ -354,5 +356,5 @@ def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, t_start,
     dets = (dets_static[None, :]
             + np.concatenate((ends[:1], noise.values[inner], ends[1:]))
             - seg.phase_rate)
-    frame, _ = core._knot_refine(seg.rabi, np.diff(edges), dets, ctl)
+    frame, _ = core._knot_refine(seg.rabi, np.diff(edges), dets, tol)
     return _in_drive_frame(pair, seg, frame)

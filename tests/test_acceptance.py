@@ -15,13 +15,13 @@ import time
 import numpy as np
 from scipy import optimize
 
-from phasemag import analytic, harness, sequences
+from phasemag import analytic, core, harness, sequences
 from phasemag.analytic import (DynamicModel, GeometricModel, HyperfineModel,
                                adiabaticity, berry_field_range, berry_signal,
                                berry_slope, hyperfine_average,
                                ramsey_field_range)
 from phasemag.constants import NV, TWO_PI, angular_from_mhz
-from phasemag.core import (DriveParams, SpinState, StepControl,
+from phasemag.core import (DriveParams, SpinState,
                            propagate_constant, propagate_swept_report)
 from phasemag.errors import ConvergenceFailure
 from phasemag.estimate import (Measurement, estimate_dynamic,
@@ -228,7 +228,7 @@ class TestAcceptance:
                f"{first * 1e6:.4f} us vs root {t_root * 1e6:.4f} us "
                f"(relative offset {rel:.2e}, want <= 5%)")
 
-    def test_11_property_suites(self, calibrated_noise):
+    def test_11_property_suites(self, calibrated_noise, monkeypatch):
         rng = np.random.default_rng(77)
         failures = []
 
@@ -249,11 +249,11 @@ class TestAcceptance:
             if np.max(np.abs(a - b)) > 1e-10:
                 failures.append("composition")
 
-        # convergence: Richardson error history decreases
+        # convergence: Richardson error history decreases over 5 halvings
+        monkeypatch.setattr(core, "_MAX_DEPTH", 5)
         try:
             propagate_swept_report(SpinState(0, -1, 0), W5, lambda t: 5e6 * t,
-                                   lambda t: 0.0, 4e-6,
-                                   StepControl(tol=1e-16, max_depth=5))
+                                   lambda t: 0.0, 4e-6, 1e-16)
             failures.append("convergence-did-not-exhaust")
         except ConvergenceFailure as exc:
             errs = exc.error_history

@@ -14,7 +14,7 @@ from phasemag.analytic import (DynamicModel, GeometricModel, HyperfineModel,
                                ramsey_ambiguities, ramsey_field_range,
                                ramsey_signal, ramsey_slope, sensitivity)
 from phasemag.constants import (MAX_TURNS, NV, TWO_PI, PhysicalConstants,
-                                angular_from_mhz)
+                                angular_from_mhz, check_gamma)
 from phasemag.errors import DegenerateSlope, InvalidParameter, OutOfRange
 
 W5 = angular_from_mhz(5.0)
@@ -155,8 +155,11 @@ class TestNonFiniteModelParameters:
             GeometricModel(W5, 3, gamma=bad)
         with pytest.raises(InvalidParameter):
             DynamicModel(1e-6, gamma=bad)
-        with pytest.raises(InvalidParameter):
-            PhysicalConstants(gamma=bad)
+        # one rule, constants.check_gamma, serves every gamma
+        for check in (check_gamma, lambda g: PhysicalConstants(gamma=g)):
+            with pytest.raises(InvalidParameter,
+                               match="gamma must be positive and finite"):
+                check(bad)
 
 
 class TestRamseyFieldRange:

@@ -840,6 +840,37 @@ class TestExampleConfigs:
                 if not l.startswith(b"#")]
         assert hashlib.sha256(b"".join(rows)).hexdigest() == digest
 
+    @pytest.mark.parametrize("name, suffixes, want", [
+        ("signal", ("",),
+         "a49fd43a8d6ca4eb1bee22b74cc921543ff4b8bc47be97c1f0b3aabe108104ea"),
+        ("sweep", ("",),
+         "5c81f4a96112862d8c5bde9c93047f4c6f83c1ffe092ea7a03f5892492899983"),
+        ("estimate", None,
+         "8608f83b2694691bb2a5bc1928e4ba679f8012fd0a17379b612a4868fe980216"),
+        ("calibrate", None,
+         "66baae1aacaf0664d0becaa027ab2f2ac10c58244a49905260582eca29bd24ea"),
+        ("decohere", ("_coherence.csv", "_regimes.csv", "_overlay.csv"),
+         "0df80014cc4146f9d66b33170a0ff654c55644592bf725a8de305dbcc48d2b29"),
+    ])
+    def test_shipped_example_output_pinned(self, tmp_path, repo_docs, capsys,
+                                           name, suffixes, want):
+        # sha256 of the lines below the '#' header of each example at its
+        # shipped config, the decohere files in the order given; estimate
+        # and calibrate write to stdout
+        prefix = tmp_path / "out"
+        out = () if suffixes is None else ("--out", str(prefix))
+        assert run_cli(name, "--config", str(repo_docs / f"{name}.cfg"),
+                       *out) == 0
+        if suffixes is None:
+            texts = [capsys.readouterr().out.encode()]
+        else:
+            texts = [Path(f"{prefix}{s}").read_bytes() for s in suffixes]
+        digest = hashlib.sha256()
+        for text in texts:
+            digest.update(b"".join(l for l in text.splitlines(keepends=True)
+                                   if not l.startswith(b"#")))
+        assert digest.hexdigest() == want
+
     def test_monte_carlo_decohere_output_pinned(self, tmp_path, repo_docs):
         # sha256 of the lines below the '#' headers of the three files, in
         # the order coherence, regimes, overlay: the regime rows run the

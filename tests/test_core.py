@@ -7,7 +7,7 @@ import pytest
 
 from phasemag import core
 from phasemag.constants import NV, TWO_PI, angular_from_mhz
-from phasemag.core import (DriveParams, SpinState, StepControl,
+from phasemag.core import (DriveParams, SpinState,
                            apply_ideal_pulse, apply_resonant_pulse,
                            larmor_from_drive, propagate_constant,
                            propagate_swept, propagate_swept_report,
@@ -225,8 +225,7 @@ def _knot_mesh(rabi, lengths, dets, depth):
     """``core._knot_refine`` held at ``depth`` halvings by a tol that the
     bound meets there and not one halving sooner."""
     bound = _knot_bound(lengths, dets) / 8.0**depth
-    pair, report = core._knot_refine(
-        rabi, lengths, dets, StepControl(tol=bound * (1 + 1e-9), max_depth=40))
+    pair, report = core._knot_refine(rabi, lengths, dets, bound * (1 + 1e-9))
     assert report.steps == lengths.size << depth
     assert report.error_history == (pytest.approx(bound, rel=1e-12),)
     return pair
@@ -333,7 +332,7 @@ class TestKnotComposition:
             dets = (rng.uniform(-3e7, 3e7, m) + rng.uniform(-1, 1, (k + 1, m))
                     * 10.0 ** rng.uniform(4, 6.5))
             pair, report = core._knot_refine(
-                rabi, lengths, dets, StepControl(tol=10.0 ** rng.uniform(-6, -3)))
+                rabi, lengths, dets, 10.0 ** rng.uniform(-6, -3))
             r = np.hypot(rabi, np.maximum(np.abs(dets[:-1]), np.abs(dets[1:])))
             reach.append(np.max(r * lengths[:, None]) / (report.steps // k))
             got = core._apply(*pair, np.array([0.0, 0.0, 1.0]))
@@ -404,14 +403,14 @@ class TestPropagateSwept:
         s = apply_ideal_pulse(s, math.pi, math.pi / 2)
         assert abs(s.s_z - 1.0) <= 1e-3
 
-    def test_refinement_errors_decrease(self):
+    def test_refinement_errors_decrease(self, monkeypatch):
         # drive refinement to exhaustion and inspect the recorded sequence
         w = angular_from_mhz(2.0)
+        monkeypatch.setattr(core, "_MAX_DEPTH", 6)
         with pytest.raises(ConvergenceFailure) as exc:
             propagate_swept_report(
                 SpinState(0, -1, 0), w, lambda t: 3e6 * t,
-                lambda t: 1e6 * np.cos(2e6 * t), 4e-6,
-                StepControl(tol=1e-16, max_depth=6))
+                lambda t: 1e6 * np.cos(2e6 * t), 4e-6, 1e-16)
         errs = exc.value.error_history
         assert len(errs) >= 4
         assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -426,12 +425,12 @@ class TestPropagateSwept:
         assert report.converged
         assert report.error_history[-1] <= 1e-6
 
-    def test_convergence_failure_carries_history(self):
+    def test_convergence_failure_carries_history(self, monkeypatch):
         w = angular_from_mhz(2.0)
+        monkeypatch.setattr(core, "_MAX_DEPTH", 2)
         with pytest.raises(ConvergenceFailure) as exc:
             propagate_swept(SpinState(0, -1, 0), w, lambda t: 3e6 * t,
-                            lambda t: 0.0, 4e-6,
-                            StepControl(tol=1e-18, max_depth=2))
+                            lambda t: 0.0, 4e-6, 1e-18)
         assert len(exc.value.error_history) >= 1
 
     @staticmethod
@@ -571,11 +570,12 @@ class TestPropagateSwept:
         if noisy:
             dets = np.tile([[2e12], [-2e12]], (65, 1))[:129]
             args = (1e6, np.full(128, 1e-6 / 128), dets)
-            with pytest.raises(InvalidParameter, match="would need"):
-                core._knot_refine(*args, StepControl(max_depth=40))
-            # the default max_depth gives up first
+            # the default _MAX_DEPTH gives up first
             with pytest.raises(ConvergenceFailure, match="12 halvings"):
-                core._knot_refine(*args, StepControl())
+                core._knot_refine(*args, 1e-6)
+            monkeypatch.setattr(core, "_MAX_DEPTH", 40)
+            with pytest.raises(InvalidParameter, match="would need"):
+                core._knot_refine(*args, 1e-6)
         else:
             with pytest.raises(InvalidParameter, match="mesh would start"):
                 propagate_swept(SpinState.up(), 1e6, lambda t: 1e16 * t,
@@ -605,6 +605,12 @@ class TestPropagateSwept:
 
         with pytest.raises(ValueError, match="scalar times only"):
             propagate_swept(SpinState.up(), 1e6, lambda t: 0.0, detuning, 1e-6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(InvalidParameter, match="tol must be positive"):
+            propagate_swept_report(SpinState.up(), 1e6, lambda t: 1e6 * t,
+                                   lambda t: 0.0, 1e-6, tol)
 
 
 class TestSpinStateValidation:

@@ -1,6 +1,7 @@
 """Sweep harness, power-law fitting and regime scans."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from phasemag import core, harness
 from phasemag.analytic import GeometricModel, adiabaticity, berry_field_range
 from phasemag.constants import NV, TWO_PI, angular_from_mhz
-from phasemag.core import StepControl
 from phasemag.errors import (AdiabaticityViolation, FitFailure,
                              InvalidParameter)
 from phasemag.harness import (SweepRecord, SweepResult, SweepSpec,
@@ -155,6 +155,13 @@ class TestRunSweep:
             SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
                       engine="numeric+noise", noise=White(1.0), ensemble=2.5)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+    def test_spec_refuses_bad_gamma(self, gamma):
+        with pytest.raises(InvalidParameter,
+                           match="gamma must be positive and finite"):
+            SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
+                      gamma=gamma)
+
 
 class TestFitPowerLaw:
     @staticmethod
@@ -295,10 +302,9 @@ class TestRegimeScan:
     def test_monte_carlo_samples_match_a_fine_mesh(
             self, monkeypatch, calibrated_noise, bath, a_value, times):
         S = self.FAST if bath == "fast" else calibrated_noise
-        args = (S, a_value, TWO_PI * 0.5e6, np.array(times), 8, 5, NV)
+        args = (S, a_value, TWO_PI * 0.5e6, np.array(times), 8, 5, NV.gamma)
         got = _mc_decay_samples(*args)
-        monkeypatch.setattr(harness, "StepControl",
-                            lambda **kw: StepControl(tol=1e-9))
+        monkeypatch.setattr(harness, "_MC_TOL", 1e-9)
         ref = _mc_decay_samples(*args)
         assert np.max(np.abs(got[:, 1] - ref[:, 1])) <= 1e-3
 

@@ -7,9 +7,8 @@ import pytest
 
 from phasemag import analytic, core
 from phasemag.analytic import GeometricModel, berry_field_range
-from phasemag.constants import (MAX_TURNS, NV, TWO_PI, PhysicalConstants,
-                                angular_from_mhz)
-from phasemag.core import SpinState, StepControl
+from phasemag.constants import MAX_TURNS, NV, TWO_PI, angular_from_mhz
+from phasemag.core import SpinState
 from phasemag.errors import ConvergenceFailure, InvalidParameter
 from phasemag.noise import Lorentzian, OUBank, ou_bank, ou_trajectory
 from phasemag.sequences import (READOUT_PHASE, FreeEvolution, IdealPulse,
@@ -266,18 +265,17 @@ class TestSweptClosedFormAgainstMesh:
         assert np.array_equal(execute_batch(swept, bs),
                               execute_batch(build_ramsey(duration), bs))
 
-    def test_step_control_only_governs_the_mesh(self):
+    def test_tol_only_governs_the_mesh(self, monkeypatch):
         plan = build_berry(W5, 3, 8e-6)
         bs = np.linspace(0, 3e-4, 9)
-        starved = StepControl(tol=1e-16, max_depth=1)
-        assert np.array_equal(execute_batch(plan, bs, step_control=starved),
+        monkeypatch.setattr(core, "_MAX_DEPTH", 1)
+        assert np.array_equal(execute_batch(plan, bs, tol=1e-16),
                               execute_batch(plan, bs))
         # a bank of zeros would need no halving: the knot mesh's step is
         # exact where the noise is constant
         bank = _knot_bank(plan.duration, lambda t: 1e5 * np.sin(3e6 * t))
         with pytest.raises(ConvergenceFailure):
-            execute_batch(plan, bs, step_control=starved,
-                          noise_trajectory=bank)
+            execute_batch(plan, bs, tol=1e-16, noise_trajectory=bank)
 
 
 class TestNoisyFrameAgainstLabMesh:
@@ -289,7 +287,7 @@ class TestNoisyFrameAgainstLabMesh:
     RATE = 4 * math.pi * 2 / 6e-6
     W2 = angular_from_mhz(2.0)
 
-    def _lab_frame(self, plan, b, noise_at, step_control=None):
+    def _lab_frame(self, plan, b, noise_at, tol=1e-6):
         """s_z at the end of ``plan``, each evolution segment on the lab-frame mesh."""
         state = SpinState.up()
         t_start = 0.0
@@ -306,7 +304,7 @@ class TestNoisyFrameAgainstLabMesh:
             state = core.propagate_swept(
                 state, seg.rabi,
                 lambda t, seg=seg: seg.phase_start + seg.phase_rate * t,
-                det, seg.duration, step_control)
+                det, seg.duration, tol)
             t_start += seg.duration
         return state.s_z
 
@@ -356,7 +354,7 @@ class TestNoisyFrameAgainstLabMesh:
     @pytest.mark.parametrize("plan", [build_ramsey(3.05e-6), build_hahn(6.1e-6)],
                              ids=["ramsey", "hahn"])
     def test_free_evolution_is_exact(self, plan):
-        fine = StepControl(tol=1e-9)
+        fine = 1e-9
         bs = np.array([0.0, 1.3e-5, -2.2e-5])
         traj = ou_trajectory(self.BATH, plan.duration, self.BATH.tau_c / 10, seed=22)
         got = execute_batch(plan, bs, noise_trajectory=traj)
@@ -369,7 +367,7 @@ class TestNoisyFrameAgainstLabMesh:
             ref = self._lab_frame(plan, b, lambda t, j=j: bank(t)[:, j], fine)
             assert p == pytest.approx(ref, abs=1e-8)
 
-    def test_mesh_no_longer_resolves_phase_turns(self):
+    def test_mesh_no_longer_resolves_phase_turns(self, monkeypatch):
         # the lab-frame mesh stalls here at 2 halvings (about 10k steps,
         # change 5.4e-5); in the co-rotating frame only the Larmor rate and
         # the noise set the mesh
@@ -377,8 +375,8 @@ class TestNoisyFrameAgainstLabMesh:
         bath = Lorentzian(delta=31415.9, tau_c=20e-6)
         traj = ou_trajectory(bath, 8e-6, 8e-6 / 256, seed=3)
         bs = np.linspace(0, 3e-4, 9)
-        p = execute_batch(plan, bs, noise_trajectory=traj,
-                          step_control=StepControl(max_depth=2))
+        monkeypatch.setattr(core, "_MAX_DEPTH", 2)
+        p = execute_batch(plan, bs, noise_trajectory=traj)
         assert np.all(np.abs(p) <= 1.0)
 
 
@@ -394,8 +392,7 @@ class TestCoarseNoisyMesh:
         bs = np.linspace(0.0, 6e-4, 7)
         traj = ou_trajectory(calibrated_noise, 8e-6, 8e-6 / 256, seed=3)
         got = execute_batch(plan, bs, noise_trajectory=traj)
-        ref = execute_batch(plan, bs, noise_trajectory=traj,
-                            step_control=StepControl(tol=1e-11))
+        ref = execute_batch(plan, bs, noise_trajectory=traj, tol=1e-11)
         assert np.max(np.abs(got - ref)) <= 1e-6
 
     def test_undriven_sweep_does_not_alias_the_noise(self):
@@ -492,7 +489,8 @@ class TestNoisyMeshAgainstOde:
         ("fast", (5.0, 3, 8e-6), 12),
         ("fast", (2.0, 1, 3e-6), 11),
     ], ids=["calibrated-5MHz", "fast-5MHz", "fast-2MHz"])
-    def test_berry_under_ou_noise(self, calibrated_noise, bath, cell, seed):
+    def test_berry_under_ou_noise(self, monkeypatch, calibrated_noise, bath,
+                                  cell, seed):
         # the knots of ``harness.signal_curve``: min(tau_c/10, T/256) apart
         S = calibrated_noise if bath == "calibrated" else self.FAST
         om_mhz, n_rot, duration = cell
@@ -508,8 +506,8 @@ class TestNoisyMeshAgainstOde:
         # the step is that accurate there already, while a defect that
         # leaves the step consistent but of lower order, which halvings
         # would rescue, is not
-        once = execute_batch(plan, bs, noise_trajectory=traj,
-                             step_control=StepControl(tol=1.0, max_depth=1))
+        monkeypatch.setattr(core, "_MAX_DEPTH", 1)
+        once = execute_batch(plan, bs, noise_trajectory=traj, tol=1.0)
         assert np.max(np.abs(once - ref)) <= 1e-6
 
 
@@ -561,6 +559,52 @@ class TestSignalBounds:
     def test_nonfinite_field_rejected(self):
         with pytest.raises(InvalidParameter):
             execute(build_ramsey(1e-6), math.inf)
+
+
+PLANS = pytest.mark.parametrize(
+    "plan", [build_ramsey(4e-6), build_hahn(4e-6), build_berry(W5, 2, 4e-6)],
+    ids=["ramsey", "hahn", "berry"])
+NOISY = pytest.mark.parametrize("noisy", [False, True],
+                                ids=["clean", "noisy"])
+
+
+class TestEntryChecks:
+    """The executor checks its fields, tol and gamma before a plan runs."""
+
+    @staticmethod
+    def _bank(plan, noisy):
+        return (_knot_bank(plan.duration, lambda t: 1e5 * np.sin(3e6 * t))
+                if noisy else None)
+
+    @PLANS
+    @NOISY
+    def test_no_fields_give_an_empty_curve(self, plan, noisy):
+        # the noisy berry plan ended in numpy's zero-size reduction error
+        # inside the knot mesh
+        p = execute_batch(plan, [], noise_trajectory=self._bank(plan, noisy))
+        assert p.shape == (0,)
+
+    @PLANS
+    @NOISY
+    def test_fields_must_be_a_1d_grid(self, plan, noisy):
+        # a 2-D grid ended in a numpy broadcast error
+        with pytest.raises(InvalidParameter, match="fields must be a 1-D grid"):
+            execute_batch(plan, np.zeros((2, 2)),
+                          noise_trajectory=self._bank(plan, noisy))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        plan = build_berry(W5, 2, 4e-6)
+        with pytest.raises(InvalidParameter, match="tol must be positive"):
+            execute_batch(plan, [0.0], tol=tol)
+        with pytest.raises(InvalidParameter, match="tol must be positive"):
+            execute(plan, 0.0, self._bank(plan, True), tol)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(InvalidParameter,
+                           match="gamma must be positive and finite"):
+            execute_batch(build_ramsey(1e-6), [0.0, 1e-5], gamma=gamma)
 
 
 class TestNoiseInjection:
@@ -618,7 +662,7 @@ class TestNoiseInjection:
         bs = np.array([0.0, 1.3e-5, -2.2e-5])
         bank = ou_bank(bath, plan.duration, bath.tau_c / 10, bs.size, seed=6)
         got = execute_batch(plan, bs, noise_trajectory=bank,
-                            constants=PhysicalConstants(gamma=2 * NV.gamma))
+                            gamma=2 * NV.gamma)
         want = execute_batch(plan, 2 * bs, noise_trajectory=bank)
         assert np.array_equal(got, want)
 
