@@ -274,6 +274,13 @@ def _field_grid(cfg: dict, min_points: int, what: str = "") -> np.ndarray:
     return np.linspace(start, stop, cfg["b_points"]) * 1e-3
 
 
+def _table(template: str, *columns) -> str:
+    """``template % row`` and a newline for every row of ``columns``, in one
+    pass; ``%.9g`` writes ``fmt``'s digits, and a literal '%' is spelled '%%'."""
+    values = np.array(columns, dtype=float).T.ravel().tolist()
+    return ((template + "\n") * len(columns[0])) % tuple(values)
+
+
 def _write_text(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
@@ -319,14 +326,11 @@ def cmd_signal(cfg: dict) -> int:
                                  cfg["n"], S, cfg["ensemble"], (cfg["seed"],),
                                  constants.gamma)
 
-    lines = _header_lines("signal", cfg)
-    lines.append(SIGNAL_HEADER)
     omega_txt = fmt(cfg["omega_mhz"]) if protocol == "berry" else ""
     n_txt = str(cfg["n"]) if protocol == "berry" else ""
-    for b, pv in zip(b_grid, p):
-        lines.append(",".join([fmt(b * 1e3), fmt(pv), engine, protocol,
-                               omega_txt, n_txt, fmt(duration * 1e6)]))
-    _write_text(cfg["out"], "\n".join(lines) + "\n")
+    fixed = ",".join([engine, protocol, omega_txt, n_txt, fmt(duration * 1e6)])
+    _write_text(cfg["out"], "\n".join(_header_lines("signal", cfg) + [SIGNAL_HEADER, ""])
+                + _table("%.9g,%.9g," + fixed.replace("%", "%%"), b_grid * 1e3, p))
     return EXIT_OK
 
 
@@ -382,7 +386,8 @@ def cmd_estimate(cfg: dict) -> int:
         meas = Measurement(p=cfg["p"], slope=cfg["slope_per_mt"] * 1e3,
                            sigma=cfg["sigma"])
         cands = geometric_candidates(model, max(-1.0, min(1.0, cfg["p"])))
-        out.append("candidates_mT = " + ",".join(fmt(b * 1e3) for b, _ in cands))
+        out.append("candidates_mT = " + _table(
+            "%.9g", [b * 1e3 for b, _ in cands])[:-1].replace("\n", ","))
         try:
             est = estimate_geometric(model, meas)
         except Unresolvable as exc:
@@ -402,10 +407,10 @@ def cmd_estimate(cfg: dict) -> int:
         ests = estimate_dynamic(model, meas,
                                 (cfg["window_start_mt"] * 1e-3,
                                  cfg["window_stop_mt"] * 1e-3))
-        out.append(f"candidates_considered = {len(ests)}")
-        for e in ests:
-            out.append(f"candidate_mT = {fmt(e.b_hat * 1e3)} fringe = {e.lobe_index} "
-                       f"confidence = {fmt(e.confidence)}")
+        out.append((f"candidates_considered = {len(ests)}\n" + _table(
+            "candidate_mT = %.9g fringe = %d confidence = %.9g",
+            [e.b_hat * 1e3 for e in ests], [e.lobe_index for e in ests],
+            [e.confidence for e in ests]))[:-1])
     else:
         raise ConfigError(f"estimation supports ramsey or berry, got {cfg['protocol']!r}")
     _write_text(cfg["out"], "\n".join(_header_lines("estimate", cfg) + out) + "\n")
@@ -449,34 +454,30 @@ def cmd_decohere(cfg: dict) -> int:
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
 
-    header = _header_lines("decohere", cfg)
-
-    # (T, W) curves per A; the eq3 scan has already computed them
-    fitted = {r.a_value: r.curve for r in rows if r.curve is not None}
-    lines = list(header) + ["A,T_us,W"]
-    for a in a_list:
-        curve = fitted.get(float(a))
-        if curve is None:
-            curve = harness._eq3_decay_curve(S, a)
-        for t, w in zip(curve.times, curve.values):
-            lines.append(f"{fmt(a)},{fmt(t * 1e6)},{fmt(w)}")
-    _write_text(cfg["out"] + "_coherence.csv", "\n".join(lines) + "\n")
-
-    # regime table
-    lines = list(header) + ["A,T2g_us,residual,regime,status"]
-    for r in rows:
-        lines.append(",".join([fmt(r.a_value),
-                               fmt(None if r.t2g is None else r.t2g * 1e6),
-                               fmt(r.residual), r.regime, r.status]))
-    _write_text(cfg["out"] + "_regimes.csv", "\n".join(lines) + "\n")
-
-    # spectral overlay
-    lines = list(header) + ["omega_rad_s,S,geometric_weight,dynamic_weight"]
-    for i in range(len(ov.omega)):
-        lines.append(",".join([fmt(ov.omega[i]), fmt(ov.psd[i]),
-                               fmt(ov.geometric_weight[i]),
-                               fmt(ov.dynamic_weight[i])]))
-    _write_text(cfg["out"] + "_overlay.csv", "\n".join(lines) + "\n")
+    header = "\n".join(_header_lines("decohere", cfg)) + "\n"
+    # (T, W) curves per A, as the eq3 scan kept them: an A with none writes no
+    # rows (its regimes row says why); with none at all the first error exits 3
+    curves = {r.a_value: r.curve for r in rows}
+    if cfg["engine"] != "eq3":
+        for a in curves:
+            try:
+                curves[a] = harness._eq3_decay_curve(S, a)
+            except PhasemagError:
+                pass
+    kept = [(a, curves[a]) for a in map(float, a_list) if curves[a] is not None]
+    if not kept:
+        raise InvalidParameter(rows[0].error)
+    a_col, t_col, w_col = np.concatenate(
+        [[np.full(len(c.times), a), c.times, c.values] for a, c in kept], axis=1)
+    _write_text(cfg["out"] + "_coherence.csv", header + "A,T_us,W\n"
+                + _table("%.9g,%.9g,%.9g", a_col, t_col * 1e6, w_col))
+    _write_text(cfg["out"] + "_regimes.csv", header + "A,T2g_us,residual,regime,status\n"
+                + "".join(f"{fmt(r.a_value)},{fmt(None if r.t2g is None else r.t2g * 1e6)},"
+                          f"{fmt(r.residual)},{r.regime},{r.status}\n" for r in rows))
+    _write_text(cfg["out"] + "_overlay.csv",
+                header + "omega_rad_s,S,geometric_weight,dynamic_weight\n" + _table(
+                    "%.9g,%.9g,%.9g,%.9g", ov.omega, ov.psd, ov.geometric_weight,
+                    ov.dynamic_weight))
     return EXIT_OK
 
 

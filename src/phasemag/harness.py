@@ -52,11 +52,10 @@ _PROTOCOLS = ("ramsey", "hahn", "berry")
 
 
 def fmt(x) -> str:
-    """Canonical 9-significant-digit decimal rendering for output files."""
+    """Canonical 9-significant-digit decimal rendering for output files:
+    ``"%.9g" % x``, and "" for None."""
     if x is None:
         return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".9g")
 
 
@@ -307,15 +306,15 @@ def _eval_point(spec: SweepSpec, index, omega, n_rot, duration):
         return SweepRecord(
             index=index, protocol=spec.protocol, engine=spec.engine,
             omega=omega, n_rotations=n_rot, duration=duration,
-            adiabaticity=a_value, b_grid=tuple(float(b) for b in b_grid),
-            p_curve=tuple(float(p) for p in p_curve), eta=eta,
+            adiabaticity=a_value, b_grid=tuple(b_grid.tolist()),
+            p_curve=tuple(p_curve.tolist()), eta=eta,
             max_slope=max_slope, b_max=b_max, t2g=t2g, t2g_residual=t2g_res,
             status="ok")
     except PhasemagError as exc:
         return SweepRecord(
             index=index, protocol=spec.protocol, engine=spec.engine,
             omega=omega, n_rotations=n_rot, duration=duration,
-            adiabaticity=None, b_grid=tuple(float(b) for b in b_grid),
+            adiabaticity=None, b_grid=tuple(b_grid.tolist()),
             p_curve=(), eta=None, max_slope=None, b_max=None, t2g=None,
             t2g_residual=None, status="error", error=str(exc))
 
@@ -384,9 +383,9 @@ def fit_power_law(result: SweepResult, response: str,
         if len(set(np.round(xmat[:, j + 1], 12))) < 3:
             raise InvalidParameter(f"need >= 3 distinct values of control {c!r}")
     yvec = np.asarray(y)
-    if np.linalg.matrix_rank(xmat) < xmat.shape[1]:
+    coef, _, rank, _ = np.linalg.lstsq(xmat, yvec, rcond=None)  # matrix_rank's tol
+    if rank < xmat.shape[1]:
         raise FitFailure("rank-deficient design matrix")
-    coef, res_, rank_, sv_ = np.linalg.lstsq(xmat, yvec, rcond=None)
     resid = yvec - xmat @ coef
     dof = max(len(y) - xmat.shape[1], 1)
     s2 = float(resid @ resid) / dof
@@ -541,8 +540,8 @@ def classify_regime(a_value: float) -> str:
 class RegimeRow:
     """Fitted coherence time at one adiabaticity.
 
-    ``curve`` holds the exp(-chi) samples the eq3 fit used, and is None for
-    the Monte-Carlo engine and for error rows.
+    ``curve`` holds the exp(-chi) samples the eq3 engine fitted, also where
+    the fit failed; None for the Monte-Carlo engine and unsampled curves.
     """
 
     a_value: float
@@ -574,8 +573,8 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
     _check_ensemble(ensemble)
     rows = []
     for a_value in sorted(float(a) for a in a_grid):
+        curve = None
         try:
-            curve = None
             if engine == "eq3":
                 curve = _eq3_decay_curve(S, a_value)
                 samples = np.stack([curve.times, curve.values], axis=1)
@@ -590,7 +589,7 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
         except PhasemagError as exc:
             rows.append(RegimeRow(a_value=a_value, t2g=None, residual=None,
                                   regime=classify_regime(a_value),
-                                  status="error", error=str(exc)))
+                                  status="error", error=str(exc), curve=curve))
     return rows
 
 

@@ -15,6 +15,7 @@ import pytest
 import phasemag
 from phasemag import cli, noise
 from phasemag.cli import _COMMAND_KEYS, SIGNAL_HEADER, main
+from phasemag.harness import fmt
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -374,6 +375,52 @@ class TestDecohereCommand:
                        "--a-list", "0.1,0.5", "--out", str(tmp_path / "deco"))
         assert code == 0
         assert sorted(calls) == [0.1, 0.5]
+
+    def test_unsampled_adiabaticity_writes_an_error_row(self, tmp_path, capsys):
+        # chi(T; A=0.01) never crosses 1 on this bath while A = 2 decays:
+        # the scan still writes its three files and exits 0
+        out = tmp_path / "deco"
+        assert run_cli("decohere", "--delta-rad-s", "1e-8", "--tau-c-us", "1e18",
+                       "--a-list", "0.01,2", "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        regimes = [l.split(",") for l in read_lines(tmp_path / "deco_regimes.csv")
+                   if not l.startswith("#")]
+        assert regimes[1] == ["0.01", "", "", "adiabatic", "error"]
+        assert regimes[2][0] == "2" and regimes[2][4] == "ok"
+        assert float(regimes[2][1]) == pytest.approx(7.07e13, rel=1e-3)
+        coherence = [l for l in read_lines(tmp_path / "deco_coherence.csv")
+                     if not l.startswith("#")]
+        assert coherence[0] == "A,T_us,W"
+        assert len(coherence) == 29
+        assert all(l.startswith("2,") for l in coherence[1:])
+        overlay = read_lines(tmp_path / "deco_overlay.csv")
+        assert len([l for l in overlay if not l.startswith("#")]) == 201
+
+    def test_failed_fit_keeps_its_curve(self, tmp_path, monkeypatch):
+        # a row whose fit failed writes the curve the scan sampled, once
+        from phasemag import harness
+        calls = []
+        grid = harness._auto_decay_grid
+
+        def counted(S, a_value, n_points=28):
+            calls.append(a_value)
+            return grid(S, a_value, n_points)
+
+        def fail(samples):
+            raise harness.FitFailure("no fit")
+
+        prefix = tmp_path / "deco"
+        args = ("decohere", "--delta-rad-s", "31415.9", "--tau-c-us", "20",
+                "--a-list", "0.5,0.1")
+        assert run_cli(*args, "--out", str(prefix)) == 0
+        want = (tmp_path / "deco_coherence.csv").read_bytes()
+        monkeypatch.setattr(harness, "_auto_decay_grid", counted)
+        monkeypatch.setattr(harness.noise_mod, "fit_T2g", fail)
+        assert run_cli(*args, "--out", str(prefix)) == 0
+        assert sorted(calls) == [0.1, 0.5]
+        assert (tmp_path / "deco_coherence.csv").read_bytes() == want
+        regimes = read_lines(tmp_path / "deco_regimes.csv")
+        assert [l.split(",")[4] for l in regimes[-2:]] == ["error", "error"]
 
     def test_requires_output_path(self, calibrated_noise):
         code = run_cli("decohere", "--delta-rad-s", "3e4", "--tau-c-us", "8000",
@@ -871,6 +918,23 @@ class TestExampleConfigs:
                                    if not l.startswith(b"#")))
         assert digest.hexdigest() == want
 
+    def test_decohere_output_pinned(self, tmp_path):
+        # sha256 of the lines below the '#' headers of the three files, in
+        # the order coherence, regimes, overlay, for A values out of order
+        # and repeated; recorded from the per-value writer the one-pass
+        # tables replaced
+        prefix = tmp_path / "alt"
+        assert run_cli("decohere", "--t2star-us", "30", "--t2-us", "700",
+                       "--a-list", "2,0.05,0.3,0.3", "--overlay-t-us", "11",
+                       "--out", str(prefix)) == 0
+        digest = hashlib.sha256()
+        for suffix in ("_coherence.csv", "_regimes.csv", "_overlay.csv"):
+            lines = Path(f"{prefix}{suffix}").read_bytes().splitlines(
+                keepends=True)
+            digest.update(b"".join(l for l in lines if not l.startswith(b"#")))
+        assert digest.hexdigest() == (
+            "c5f536c52b6214874cdc72aa8f1772455385916e3121709bb707f19968ffbcf1")
+
     def test_monte_carlo_decohere_output_pinned(self, tmp_path, repo_docs):
         # sha256 of the lines below the '#' headers of the three files, in
         # the order coherence, regimes, overlay: the regime rows run the
@@ -917,6 +981,48 @@ class TestExampleConfigs:
         code = run_cli("calibrate", "--config", str(repo_docs / "calibrate.cfg"),
                        "--out", str(tmp_path / "cal.txt"))
         assert code == 0
+
+
+class TestTable:
+    """cli._table writes the bytes of a per-value ``fmt`` join."""
+
+    # 9-digit rounding ties: exact binary halves at the tenth digit
+    TIES = [100000000.5, 100000001.5, 123456789.5, -999999999.5,
+            1234567885.0, 1234567895.0, -2500000005.0, 0.5, 2.5]
+    SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0]
+
+    @staticmethod
+    def joined(columns, left="", right=""):
+        return "".join(left + ",".join(fmt(c[i]) for c in columns) + right + "\n"
+                       for i in range(len(columns[0])))
+
+    @pytest.mark.parametrize("rows", [0, 1, 601])
+    def test_random_bit_patterns(self, rows):
+        rng = np.random.default_rng(29 + rows)
+        columns = list(rng.integers(0, 2**64, size=(3, rows), dtype=np.uint64,
+                                    endpoint=False).view(np.float64))
+        assert cli._table("%.9g,%.9g,%.9g", *columns) == self.joined(columns)
+
+    def test_special_values_and_ties(self):
+        column = np.array(self.SPECIALS + self.TIES)
+        assert cli._table("%.9g,%.9g", column, -column) == self.joined(
+            [column, -column])
+        # and as Python floats, the values fmt sees on its own
+        assert cli._table("%.9g", list(column)) == self.joined([list(column)])
+
+    def test_literal_percent_signs(self):
+        column = np.array(self.TIES)
+        fixed = "50%,x%%y"
+        got = cli._table("%%%.9g," + fixed.replace("%", "%%"), column)
+        assert got == self.joined([column], left="%", right="," + fixed)
+
+    def test_empty_table_and_integers(self):
+        assert cli._table("%.9g,%.9g", [], []) == ""
+        # estimate's fringe indices go through one float64 column
+        counts = [0, 3, 266, 2**52]
+        assert cli._table("%d", counts) == "".join(f"{n}\n" for n in counts)
 
 
 class TestCommonKeys:

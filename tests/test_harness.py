@@ -49,6 +49,15 @@ class TestRunSweep:
         assert len(res.records) == 1
         assert res.records[0].status == "ok"
 
+    def test_records_hold_python_floats(self):
+        spec = _ramsey_spec([1e-6, 2e-6], b_points=11)
+        for rec in run_sweep(spec).records:
+            want = harness.signal_curve("ramsey", "analytic", rec.duration,
+                                        np.asarray(spec.b_grid), None, None)
+            assert rec.b_grid == tuple(spec.b_grid)
+            assert rec.p_curve == tuple(want)
+            assert {type(v) for v in rec.b_grid + rec.p_curve} == {float}
+
     def test_berry_numeric_t_independence_when_adiabatic(self):
         # at A <= 0.015 the curves for different T agree pairwise
         model = GeometricModel(W5, 3)
@@ -342,6 +351,22 @@ class TestRegimeScan:
                                      engine="monte-carlo", ensemble=2,
                                      t_points=4)
         assert mc[0].curve is None
+
+    def test_error_rows_keep_a_sampled_curve(self, calibrated_noise,
+                                             monkeypatch):
+        # a failed fit keeps the samples it was given; an A whose chi never
+        # crosses 1 has none to keep
+        def fail(samples):
+            raise FitFailure("no fit")
+
+        monkeypatch.setattr(harness.noise_mod, "fit_T2g", fail)
+        rows = decoherence_regime_scan([0.1], calibrated_noise)
+        assert (rows[0].status, rows[0].error) == ("error", "no fit")
+        assert rows[0].curve == _eq3_decay_curve(calibrated_noise, 0.1)
+        slow = Lorentzian(delta=1e-8, tau_c=1e12)
+        rows = decoherence_regime_scan([0.01], slow)
+        assert rows[0].status == "error" and rows[0].curve is None
+        assert "does not cross 1" in rows[0].error
 
     def test_unknown_engine_rejected(self, calibrated_noise):
         with pytest.raises(InvalidParameter):
