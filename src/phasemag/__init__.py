@@ -8,9 +8,9 @@ power-law fitting.
 """
 
 from .constants import NV, PhysicalConstants, angular_from_mhz
-from .core import (ConvergenceReport, DriveParams, LarmorVector, SpinState,
-                   apply_ideal_pulse, apply_resonant_pulse, larmor_from_drive,
-                   propagate_constant, propagate_swept, propagate_swept_report)
+from .core import (ConvergenceReport, DriveParams, SpinState,
+                   apply_ideal_pulse, apply_resonant_pulse, propagate_constant,
+                   propagate_swept, propagate_swept_report)
 from .sequences import (FreeEvolution, IdealPulse, SequencePlan, SweptDrive,
                         build_berry, build_hahn, build_ramsey, execute,
                         execute_batch)

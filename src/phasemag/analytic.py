@@ -27,7 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import MAX_TURNS, NV, TWO_PI, PhysicalConstants, check_gamma
+from .constants import (NV, TWO_PI, PhysicalConstants, check_finite,
+                        check_gamma, check_nonnegative, check_positive,
+                        check_turns)
 from .errors import DegenerateSlope, InvalidParameter, OutOfRange
 from .solve import find_root
 
@@ -59,9 +61,7 @@ class DynamicModel:
     gamma: float = NV.gamma
 
     def __post_init__(self):
-        if not 0 < self.duration < math.inf:
-            raise InvalidParameter(
-                f"duration must be positive and finite, got {self.duration}")
+        check_positive("duration", self.duration)
         check_gamma(self.gamma)
 
 
@@ -74,17 +74,9 @@ class GeometricModel:
     gamma: float = NV.gamma
 
     def __post_init__(self):
-        if not 0 < self.rabi < math.inf:
-            raise InvalidParameter(
-                f"rabi must be positive and finite, got {self.rabi}")
+        check_positive("rabi", self.rabi)
         check_gamma(self.gamma)
-        if int(self.n_rotations) != self.n_rotations or self.n_rotations < 1:
-            raise InvalidParameter(
-                f"n_rotations must be a positive integer, got {self.n_rotations}"
-            )
-        if self.n_rotations > MAX_TURNS:
-            raise InvalidParameter(
-                f"n_rotations must be <= {MAX_TURNS}, got {self.n_rotations}")
+        check_turns(self.n_rotations)
 
 
 @dataclass(frozen=True)
@@ -265,13 +257,9 @@ def sensitivity(model: DynamicModel | GeometricModel,
     A non-finite window raises InvalidParameter, and a berry envelope that
     overflows at the window point nearest zero field OutOfRange.
     """
-    if not 0 < duration < math.inf:
-        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
-    if not 0 < sigma_p < math.inf:
-        raise InvalidParameter(f"sigma_p must be positive and finite, got {sigma_p}")
-    if not 0 <= overhead < math.inf:
-        raise InvalidParameter(
-            f"overhead must be nonnegative and finite, got {overhead}")
+    check_positive("duration", duration)
+    check_positive("sigma_p", sigma_p)
+    check_nonnegative("overhead", overhead)
     lo, hi = float(b_search[0]), float(b_search[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise InvalidParameter(
@@ -357,15 +345,14 @@ def adiabaticity(rabi: float, n_rotations: int, duration: float, b: float,
     With the sweep rate 4*pi*N/T and sin(theta) = Omega/R this is
     A = (4*pi*N/T) * Omega / (2*R^2); at B=0 it reduces to 2*pi*N/(Omega*T).
     A << 1 means the Bloch vector follows the rotating Larmor vector.
-    Non-finite arguments and a duration <= 0 raise InvalidParameter.
+    Non-finite arguments, a rabi < 0, a duration <= 0 and a turn count that
+    ``constants.check_turns`` refuses raise InvalidParameter.
     """
-    if not 0 < duration < math.inf:
-        raise InvalidParameter(
-            f"duration must be positive and finite, got {duration}")
-    if not all(math.isfinite(v) for v in (rabi, n_rotations, b, gamma)):
-        raise InvalidParameter(
-            f"rabi, n_rotations, b and gamma must be finite, got "
-            f"{rabi}, {n_rotations}, {b}, {gamma}")
+    check_nonnegative("rabi", rabi)
+    check_turns(n_rotations)
+    check_positive("duration", duration)
+    check_finite("b", b)
+    check_finite("gamma", gamma)
     r_sq = rabi**2 + (gamma * b) ** 2
     if r_sq >= sys.float_info.min:
         return (4.0 * math.pi * n_rotations / duration) * rabi / (2.0 * r_sq)
@@ -380,8 +367,7 @@ def adiabaticity(rabi: float, n_rotations: int, duration: float, b: float,
 
 def adiabaticity_small_field(rabi: float, n_rotations: int, duration: float) -> float:
     """Shorthand A ~ N/(Omega*T) with Omega angular; 2*pi below the exact B=0 value."""
-    if not 0 < duration < math.inf:
-        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
-    if not 0 < rabi < math.inf:
-        raise InvalidParameter(f"rabi must be positive and finite, got {rabi}")
+    check_positive("rabi", rabi)
+    check_turns(n_rotations)
+    check_positive("duration", duration)
     return n_rotations / (rabi * duration)

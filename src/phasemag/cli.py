@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__, analytic, harness, noise as noise_mod
 from .analytic import DynamicModel, GeometricModel, HyperfineModel
-from .constants import TWO_PI, PhysicalConstants, angular_from_mhz
+from .constants import TWO_PI, PhysicalConstants, angular_from_mhz, check_count
 from .errors import InvalidParameter, PhasemagError, Unresolvable
 from .estimate import (Measurement, estimate_dynamic, estimate_geometric,
                        geometric_candidates)
@@ -209,7 +209,7 @@ def _resolve(command: str, config_path: Optional[str], overrides: dict) -> dict:
             resolved[key] = _convert(registry, key, text, f"config key {key!r}")
     resolved.update(overrides)
     try:
-        harness.check_count("workers", resolved["workers"])
+        check_count("workers", resolved["workers"])
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
     if resolved["seed"] < 0:
@@ -471,7 +471,11 @@ def cmd_decohere(cfg: dict) -> int:
         [[np.full(len(c.times), a), c.times, c.values] for a, c in kept], axis=1)
     _write_text(cfg["out"] + "_coherence.csv", header + "A,T_us,W\n"
                 + _table("%.9g,%.9g,%.9g", a_col, t_col * 1e6, w_col))
-    _write_text(cfg["out"] + "_regimes.csv", header + "A,T2g_us,residual,regime,status\n"
+    # why each error row failed, in "#" lines that table readers skip
+    errors = "".join(f"# error A={fmt(r.a_value)}: {r.error}\n"
+                     for r in rows if r.status == "error")
+    _write_text(cfg["out"] + "_regimes.csv", header + errors
+                + "A,T2g_us,residual,regime,status\n"
                 + "".join(f"{fmt(r.a_value)},{fmt(None if r.t2g is None else r.t2g * 1e6)},"
                           f"{fmt(r.residual)},{r.regime},{r.status}\n" for r in rows))
     _write_text(cfg["out"] + "_overlay.csv",

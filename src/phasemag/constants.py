@@ -1,14 +1,21 @@
-"""Physical constants and unit conversions.
+"""Physical constants, unit conversions and the scalar argument rules.
 
 Internal convention: every frequency-like quantity is an angular frequency
 in rad/s, times are in seconds and magnetic fields in tesla.  Interface
 layers (CLI, file formats) speak ordinary frequencies in MHz, times in us
 and fields in mT and convert at that boundary.
+
+A scalar argument of the library (a rate, time, turn count, count,
+uncertainty or scale) is checked by one of the ``check_*`` rules below,
+which raise InvalidParameter naming the argument: "<name> must be positive
+and finite, got <value>", and likewise for the other rules.  Relations
+between arguments, grids and overflow caps are checked where they arise.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
@@ -20,10 +27,53 @@ TWO_PI = 2.0 * math.pi
 MAX_TURNS = 2**47
 
 
-def check_gamma(gamma: float) -> None:
-    """InvalidParameter unless the gyromagnetic ratio is positive and finite."""
-    if not 0 < gamma < math.inf:
-        raise InvalidParameter(f"gamma must be positive and finite, got {gamma}")
+def check_positive(name: str, value: float) -> float:
+    """``value``, or InvalidParameter unless it is positive and finite."""
+    if not 0 < value < math.inf:
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def check_nonnegative(name: str, value: float) -> float:
+    """``value``, or InvalidParameter unless it is nonnegative and finite."""
+    if not 0 <= value < math.inf:
+        raise InvalidParameter(f"{name} must be nonnegative and finite, got {value}")
+    return value
+
+
+def check_finite(name: str, value: float) -> float:
+    """``value``, or InvalidParameter unless it is finite."""
+    if not -math.inf < value < math.inf:
+        raise InvalidParameter(f"{name} must be finite, got {value}")
+    return value
+
+
+def check_gamma(gamma: float) -> float:
+    """The one rule for the gyromagnetic ratio: positive and finite."""
+    return check_positive("gamma", gamma)
+
+
+def check_turns(n) -> int:
+    """``n`` as an int, or InvalidParameter unless it is an integer turn
+    count in [1, ``MAX_TURNS``]; the range is tested first, so no
+    non-finite value reaches ``int``."""
+    try:
+        ok = 1 <= n <= MAX_TURNS and int(n) == n
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise InvalidParameter(f"n_rotations must be <= {MAX_TURNS} and an "
+                               f"integer >= 1, got {n}")
+    return int(n)
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int, or InvalidParameter unless it is an integer >= 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise InvalidParameter(f"{name} must be >= 1 and an integer, "
+                               f"got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -45,10 +95,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         check_gamma(self.gamma)
-        if not 0 < self.hyperfine_splitting < math.inf:
-            raise InvalidParameter(
-                "hyperfine_splitting must be positive and finite, got "
-                f"{self.hyperfine_splitting}")
+        check_positive("hyperfine_splitting", self.hyperfine_splitting)
 
 
 #: Default constants for the NV electronic spin.

@@ -52,15 +52,14 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import TWO_PI
+from .constants import (TWO_PI, check_finite, check_nonnegative,
+                        check_positive)
 from .errors import ConvergenceFailure, InvalidParameter
 
 __all__ = [
     "SpinState",
     "DriveParams",
-    "LarmorVector",
     "ConvergenceReport",
-    "larmor_from_drive",
     "propagate_constant",
     "propagate_swept",
     "propagate_swept_report",
@@ -145,21 +144,9 @@ class DriveParams:
     detuning: float
 
     def __post_init__(self):
-        if not self.rabi >= 0:
-            raise InvalidParameter(f"rabi must be >= 0, got {self.rabi}")
-        if not math.isfinite(self.phase):
-            raise InvalidParameter("phase must be finite")
-        if not math.isfinite(self.detuning):
-            raise InvalidParameter("detuning must be finite")
-
-
-@dataclass(frozen=True)
-class LarmorVector:
-    """Effective-field axis in spherical form: |R|, polar angle, azimuth."""
-
-    magnitude: float
-    polar_angle: float
-    azimuth: float
+        check_nonnegative("rabi", self.rabi)
+        check_finite("phase", self.phase)
+        check_finite("detuning", self.detuning)
 
 
 @dataclass(frozen=True)
@@ -381,12 +368,6 @@ def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float) -> int:
     return max(_MIN_STEPS, int(math.ceil(n_phase)), int(math.ceil(n_larmor)))
 
 
-def _check_tol(tol: float) -> None:
-    """InvalidParameter unless a mesh tolerance is positive."""
-    if not tol > 0:
-        raise InvalidParameter("tol must be positive")
-
-
 def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
                   duration: float, tol: float):
     """Richardson-refined ``_compose_swept`` applied to one state (3,), and
@@ -486,21 +467,6 @@ def _knot_refine(rabi: float, lengths: np.ndarray, dets: np.ndarray,
 # public operations
 # ---------------------------------------------------------------------------
 
-def larmor_from_drive(d: DriveParams) -> LarmorVector:
-    """Spherical decomposition of the effective field for given controls.
-
-    Magnitude is hypot(rabi, detuning); the polar angle satisfies
-    cos(theta) = detuning / magnitude; the azimuth is the drive phase.
-    The degenerate zero-field case returns magnitude 0 with theta 0 by
-    convention.
-    """
-    r = math.hypot(d.rabi, d.detuning)
-    if r == 0.0:
-        return LarmorVector(0.0, 0.0, d.phase)
-    theta = math.acos(max(-1.0, min(1.0, d.detuning / r)))
-    return LarmorVector(r, theta, d.phase)
-
-
 def propagate_constant(state: SpinState, d: DriveParams, duration: float) -> SpinState:
     """Evolve under constant controls: one exact rotation about the Larmor axis.
 
@@ -508,8 +474,7 @@ def propagate_constant(state: SpinState, d: DriveParams, duration: float) -> Spi
     evolution (rotation by the negated angle), which is the time-reversal
     used by the invariant tests.  Bloch norm is preserved to rounding.
     """
-    if not math.isfinite(duration):
-        raise InvalidParameter("duration must be finite")
+    check_finite("duration", duration)
     r = math.hypot(d.rabi, d.detuning)
     if r == 0.0 or duration == 0.0:
         return state
@@ -527,8 +492,8 @@ def propagate_swept(state: SpinState, rabi: float,
     Composes exact rotations over a mesh, two per slice from the 4th-order
     commutator-free Magnus step (Blanes & Moan, 2006) at the slice's Gauss
     nodes, halving the step from the start of ``_initial_mesh`` until the
-    change under one halving is at most ``tol`` (> 0, else
-    ``InvalidParameter``) for every Bloch component.  Deterministic for
+    change under one halving is at most ``tol`` (positive and finite,
+    else ``InvalidParameter``) for every Bloch component.  Deterministic for
     fixed inputs.  Raises ``ConvergenceFailure`` if the tolerance is not
     met within ``_MAX_DEPTH`` halvings.
 
@@ -547,10 +512,9 @@ def propagate_swept_report(state: SpinState, rabi: float,
                            detuning_fn: Callable[[float], float],
                            duration: float, tol: float = 1e-6):
     """Like ``propagate_swept`` but also returns the ConvergenceReport."""
-    if not (0 <= duration < math.inf and 0 <= rabi < math.inf):
-        raise InvalidParameter(f"duration and rabi must be finite and >= 0, "
-                               f"got {duration} and {rabi}")
-    _check_tol(tol)
+    check_nonnegative("rabi", rabi)
+    check_nonnegative("duration", duration)
+    check_positive("tol", tol)
     out, report = _swept_refine(state.as_array(), rabi, phase_fn, detuning_fn,
                                 duration, tol)
     return SpinState.from_array(out), report
@@ -574,7 +538,6 @@ def apply_resonant_pulse(state: SpinState, rabi: float, axis_phase: float,
     Equivalent to ``apply_ideal_pulse`` at zero detuning; provided for
     robustness studies against the instantaneous idealization.
     """
-    if not rabi > 0:
-        raise InvalidParameter(f"rabi must be positive, got {rabi}")
+    check_positive("rabi", rabi)
     d = DriveParams(rabi=rabi, phase=axis_phase, detuning=0.0)
     return propagate_constant(state, d, angle / rabi)

@@ -21,6 +21,7 @@ from .analytic import (DynamicModel, GeometricModel, _berry_envelope,
                        _berry_field, _fringe_phases, berry_field_range,
                        berry_signal, berry_slope, ramsey_field_range,
                        ramsey_signal, ramsey_slope)
+from .constants import check_finite, check_nonnegative
 from .errors import InvalidParameter, OutOfRange, Unresolvable
 
 __all__ = [
@@ -44,12 +45,11 @@ class Measurement:
     slope_sigma: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.p):
-            raise InvalidParameter("P must be finite")
-        if self.slope is not None and not math.isfinite(self.slope):
-            raise InvalidParameter("slope must be finite")
-        if not (0 <= self.sigma < math.inf and 0 <= self.slope_sigma < math.inf):
-            raise InvalidParameter("uncertainties must be nonnegative and finite")
+        check_finite("p", self.p)
+        if self.slope is not None:
+            check_finite("slope", self.slope)
+        check_nonnegative("sigma", self.sigma)
+        check_nonnegative("slope_sigma", self.slope_sigma)
         if abs(self.p) > 1.0 + 3.0 * self.sigma:
             raise OutOfRange(
                 f"|P|={abs(self.p):g} exceeds 1 beyond the 3-sigma noise allowance"
@@ -76,6 +76,7 @@ def measure_geometric(m: GeometricModel, b: float, delta_b: Optional[float] = No
     With ``sigma`` > 0 and an ``rng``, Gaussian noise is added to all three
     signal evaluations.
     """
+    check_nonnegative("sigma", sigma)
     if delta_b is None:
         delta_b = berry_field_range(m) / 1e3
     p = float(berry_signal(m, b))

@@ -19,10 +19,11 @@ import numpy as np
 
 from . import analytic, noise as noise_mod, sequences
 from .analytic import DynamicModel, GeometricModel, adiabaticity
-from .constants import NV, TWO_PI, check_gamma
+from .constants import (NV, TWO_PI, check_count, check_gamma,
+                        check_nonnegative, check_positive, check_turns)
 from .errors import (AdiabaticityViolation, DegenerateSlope, FitFailure,
                      InvalidParameter, PhasemagError)
-from .noise import SpectralDensity, check_count, decoherence_function
+from .noise import SpectralDensity, decoherence_function
 from .solve import NoRoot, find_root
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "SmartControlResult",
     "NonadiabaticRow",
     "RegimeRow",
-    "check_count",
     "check_curve_request",
     "signal_curve",
     "run_sweep",
@@ -151,12 +151,8 @@ class SweepSpec:
             raise InvalidParameter("times nonempty and b_grid of length >= 2 required")
         if self.protocol == "berry" and (not self.omegas or not self.n_rotations):
             raise InvalidParameter("berry sweeps need omegas and n_rotations grids")
-        if not 0 < self.sigma_p < math.inf:
-            raise InvalidParameter(
-                f"sigma_p must be positive and finite, got {self.sigma_p}")
-        if not 0 <= self.overhead < math.inf:
-            raise InvalidParameter(
-                f"overhead must be nonnegative and finite, got {self.overhead}")
+        check_positive("sigma_p", self.sigma_p)
+        check_nonnegative("overhead", self.overhead)
 
 
 @dataclass(frozen=True)
@@ -435,14 +431,15 @@ def smart_control_curve(base: GeometricModel, duration: float,
     AdiabaticityViolation naming the first k at which the zero-field
     adiabaticity exceeds ``_SMART_A_LIMIT``.
     """
-    k_grid = sorted(float(k) for k in k_grid)
-    if not k_grid or k_grid[0] <= 0:
-        raise InvalidParameter("k_grid must be positive")
+    k_grid = sorted(check_positive("k", float(k)) for k in k_grid)
+    if not k_grid:
+        raise InvalidParameter("k_grid must not be empty")
     rows = []
     base_eta = base_bmax = None
     for k in k_grid:
         omega = k * base.rabi
-        n_rot = max(1, int(round(k * base.n_rotations)))
+        # round(x, 0) keeps an overflowed k*N a float for check_turns
+        n_rot = check_turns(max(1.0, round(k * base.n_rotations, 0)))
         a_val = adiabaticity(omega, n_rot, duration, 0.0, base.gamma)
         if a_val > _SMART_A_LIMIT:
             raise AdiabaticityViolation(
@@ -493,13 +490,14 @@ def nonadiabatic_sensitivity_scan(a_grid, duration: float, S: SpectralDensity,
     attenuation.  Returns (rows, crossover_a); crossover_a is the first
     grid A with eta_geo < eta_dyn, or None.
     """
+    check_turns(n_rotations)
+    check_positive("sigma_p", sigma_p)
     chi_ram = noise_mod.ramsey_exponent(S, duration)
     eta_dyn = sigma_p * math.sqrt(duration) * math.exp(chi_ram) / (gamma * duration)
     rows = []
     crossover = None
-    for a_target in sorted(float(a) for a in a_grid):
-        if a_target <= 0:
-            raise InvalidParameter("adiabaticity values must be positive")
+    for a_target in sorted(check_positive("adiabaticity", float(a))
+                           for a in a_grid):
         omega = TWO_PI * n_rotations / (a_target * duration)
         model = GeometricModel(omega, n_rotations, gamma)
         b_max = analytic.berry_field_range(model)

@@ -52,7 +52,6 @@ exactly, which makes noisy free evolution one z rotation.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -60,6 +59,7 @@ from typing import Union
 
 import numpy as np
 
+from .constants import check_count, check_nonnegative, check_positive
 from .errors import CalibrationFailure, FitFailure, InvalidParameter, OutOfRange
 from .solve import NoRoot, find_root
 
@@ -99,8 +99,8 @@ class Lorentzian:
     tau_c: float
 
     def __post_init__(self):
-        if not 0 < self.delta < math.inf or not 0 < self.tau_c < math.inf:
-            raise InvalidParameter("delta and tau_c must be positive and finite")
+        check_positive("delta", self.delta)
+        check_positive("tau_c", self.tau_c)
         if not 2.0 * self.delta * self.delta * self.tau_c < math.inf:
             raise InvalidParameter(
                 f"the spectral level 2*delta^2*tau_c overflows for "
@@ -127,8 +127,7 @@ class White:
     level: float
 
     def __post_init__(self):
-        if not 0 <= self.level < math.inf:
-            raise InvalidParameter("level must be nonnegative and finite")
+        check_nonnegative("level", self.level)
 
     def psd(self, omega):
         return np.full_like(np.asarray(omega, dtype=float), self.level)
@@ -143,8 +142,7 @@ class OneOverF:
     omega_max: float
 
     def __post_init__(self):
-        if not 0 <= self.amplitude < math.inf:
-            raise InvalidParameter("amplitude must be nonnegative and finite")
+        check_nonnegative("amplitude", self.amplitude)
         if not 0 < self.omega_min < self.omega_max < math.inf:
             raise InvalidParameter("need 0 < omega_min < omega_max < inf")
 
@@ -170,11 +168,6 @@ def filter_function(kind: FilterFunctionKind, x):
     if kind is FilterFunctionKind.DYNAMIC_F1:
         return 8.0 * np.sin(x / 4.0) ** 4
     raise InvalidParameter(f"unknown filter kind {kind!r}")
-
-
-def _check_duration(duration: float) -> None:
-    if not 0 < duration < math.inf:
-        raise InvalidParameter(f"duration must be positive and finite, got {duration}")
 
 
 # the smallest normal float
@@ -387,7 +380,7 @@ def _lorentzian_far(S: Lorentzian, duration: float, echo: bool) -> float:
 
 def _exponent(S: SpectralDensity, duration: float, echo: bool) -> float:
     """(1/pi) int_0^inf S(w) F(wT)/w^2 dw in closed form, F = F1 if echo else F0."""
-    _check_duration(duration)
+    check_positive("duration", duration)
     if isinstance(S, Lorentzian):
         # (delta tau_c)^2 g(T/tau_c), g the bracket of ``_ou_bracket``, as
         # long as its factors and itself are normal floats
@@ -550,8 +543,8 @@ def calibrate_noise(t2_star: float, t2: float) -> Lorentzian:
     family always provides cannot be told from the tolerance, and for r
     above about 3e51, where g_free(6/r^3) underflows.
     """
-    if not 0 < t2_star < math.inf or not 0 < t2 < math.inf:
-        raise InvalidParameter("targets must be positive and finite")
+    check_positive("t2_star", t2_star)
+    check_positive("t2", t2)
     if t2 < t2_star:
         raise InvalidParameter("echo target must not be below the free-precession target")
     if t2 <= t2_star * (1.0 + 2.0 * _CALIBRATE_TOL):
@@ -692,8 +685,8 @@ def _ou_steps(S: Lorentzian, duration: float, dt: float) -> int:
     """
     if not isinstance(S, Lorentzian):
         raise InvalidParameter("trajectory generation needs a Lorentzian density")
-    if not duration > 0 or not dt > 0:
-        raise InvalidParameter("duration and dt must be positive")
+    check_positive("duration", duration)
+    check_positive("dt", dt)
     if dt > S.tau_c / 10.0:
         raise InvalidParameter(
             f"dt={dt:g} too coarse; need dt <= tau_c/10 = {S.tau_c / 10.0:g}"
@@ -732,15 +725,6 @@ def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
     for prev, row in zip(rows, rows[1:]):
         row += a * prev
     return x
-
-
-def check_count(name: str, value) -> int:
-    """``value`` as an int, or InvalidParameter unless it is an integer >= 1."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise InvalidParameter(f"{name} must be >= 1 and an integer, "
-                               f"got {value!r}")
-    return int(value)
 
 
 def _rng(seed_key) -> np.random.Generator:
@@ -900,7 +884,7 @@ def spectral_overlay(S: SpectralDensity, adiabaticity: float, duration: float,
                      omega_grid) -> SpectralOverlay:
     """Tabulate S(w), A^2*F0(wT)/w^2 and F1(wT)/w^2 on a positive grid."""
     _check_adiabaticity(adiabaticity)
-    _check_duration(duration)
+    check_positive("duration", duration)
     omega = np.asarray(omega_grid, dtype=float)
     if omega.size == 0 or np.any(omega <= 0) or np.any(np.diff(omega) <= 0):
         raise InvalidParameter("omega_grid must be positive and increasing")

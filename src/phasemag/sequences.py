@@ -33,7 +33,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import core
-from .constants import MAX_TURNS, NV, TWO_PI, check_gamma
+from .constants import (NV, TWO_PI, check_finite, check_gamma,
+                        check_nonnegative, check_positive, check_turns)
 from .errors import InvalidParameter
 from .noise import OUBank
 
@@ -64,9 +65,8 @@ class IdealPulse:
     angle: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.axis_phase) and math.isfinite(self.angle)):
-            raise InvalidParameter(f"the pulse axis phase and angle must be finite, "
-                                   f"got {self.axis_phase} and {self.angle}")
+        check_finite("axis_phase", self.axis_phase)
+        check_finite("angle", self.angle)
 
     @property
     def duration(self) -> float:
@@ -78,9 +78,7 @@ class FreeEvolution:
     duration: float
 
     def __post_init__(self):
-        if not 0 <= self.duration < math.inf:
-            raise InvalidParameter(
-                f"duration must be >= 0 and finite, got {self.duration}")
+        check_nonnegative("duration", self.duration)
 
 
 @dataclass(frozen=True)
@@ -93,15 +91,10 @@ class SweptDrive:
     duration: float
 
     def __post_init__(self):
-        if not 0 <= self.rabi < math.inf:
-            raise InvalidParameter(f"rabi must be >= 0 and finite, got {self.rabi}")
-        if not (math.isfinite(self.phase_start) and math.isfinite(self.phase_rate)):
-            raise InvalidParameter(
-                f"the drive phase must be finite, got start {self.phase_start} "
-                f"and rate {self.phase_rate}")
-        if not 0 <= self.duration < math.inf:
-            raise InvalidParameter(
-                f"duration must be >= 0 and finite, got {self.duration}")
+        check_nonnegative("rabi", self.rabi)
+        check_finite("phase_start", self.phase_start)
+        check_finite("phase_rate", self.phase_rate)
+        check_nonnegative("duration", self.duration)
 
 
 Segment = Union[IdealPulse, FreeEvolution, SweptDrive]
@@ -130,8 +123,7 @@ class SequencePlan:
 
 def build_ramsey(duration: float) -> SequencePlan:
     """Free-precession interferometer of interaction time ``duration``."""
-    if not duration > 0:
-        raise InvalidParameter(f"duration must be positive, got {duration}")
+    check_positive("duration", duration)
     segments = (
         IdealPulse(PREP_PHASE, math.pi / 2.0),
         FreeEvolution(duration),
@@ -142,8 +134,7 @@ def build_ramsey(duration: float) -> SequencePlan:
 
 def build_hahn(duration: float) -> SequencePlan:
     """Echo sequence: static fields refocus, so P = 1 for noise-free runs."""
-    if not duration > 0:
-        raise InvalidParameter(f"duration must be positive, got {duration}")
+    check_positive("duration", duration)
     segments = (
         IdealPulse(PREP_PHASE, math.pi / 2.0),
         FreeEvolution(duration / 2.0),
@@ -161,18 +152,9 @@ def build_berry(rabi: float, n_rotations: int, duration: float) -> SequencePlan:
     +/- 4*pi*N/T, which cancels the dynamic phase between the halves while
     the geometric contributions add.
     """
-    if not rabi > 0:
-        raise InvalidParameter(f"rabi must be positive, got {rabi}")
-    if int(n_rotations) != n_rotations or n_rotations < 1:
-        raise InvalidParameter(
-            f"n_rotations must be a positive integer, got {n_rotations}"
-        )
-    if n_rotations > MAX_TURNS:
-        raise InvalidParameter(
-            f"n_rotations must be <= {MAX_TURNS}, got {n_rotations}")
-    if not duration > 0:
-        raise InvalidParameter(f"duration must be positive, got {duration}")
-    n_rotations = int(n_rotations)
+    check_positive("rabi", rabi)
+    n_rotations = check_turns(n_rotations)
+    check_positive("duration", duration)
     rate = 4.0 * math.pi * n_rotations / duration
     half = duration / 2.0
     segments = (
@@ -210,8 +192,8 @@ def execute_batch(plan: SequencePlan, b_values,
     ``noise_trajectory`` is None or an ``OUBank`` with one channel, which
     every field shares, or with one channel per field.  Fields that are not
     a finite 1-D grid, any other noise, knots that end before the plan
-    does, a ``tol`` that is not positive, a gamma that is not positive and
-    finite (``constants.check_gamma``) and a gamma*B that overflows raise
+    does, a ``tol`` or gamma that is not positive and finite
+    (``constants.check_positive``) and a gamma*B that overflows raise
     InvalidParameter.  No fields give an empty array.
 
     Each field carries one Cayley-Klein pair (a, b) (``phasemag.core``)
@@ -245,7 +227,7 @@ def execute_batch(plan: SequencePlan, b_values,
         raise InvalidParameter("fields must be a 1-D grid")
     if not np.all(np.isfinite(b_values)):
         raise InvalidParameter("fields must be finite")
-    core._check_tol(tol)
+    check_positive("tol", tol)
     check_gamma(gamma)
     noise = noise_trajectory
     if noise is not None:

@@ -383,8 +383,12 @@ class TestDecohereCommand:
         assert run_cli("decohere", "--delta-rad-s", "1e-8", "--tau-c-us", "1e18",
                        "--a-list", "0.01,2", "--out", str(out)) == 0
         assert capsys.readouterr().err == ""
-        regimes = [l.split(",") for l in read_lines(tmp_path / "deco_regimes.csv")
-                   if not l.startswith("#")]
+        lines = read_lines(tmp_path / "deco_regimes.csv")
+        # the reason sits in one comment line just above the column header
+        assert lines[lines.index("A,T2g_us,residual,regime,status") - 1] == (
+            "# error A=0.01: chi(T; A=0.01) does not cross 1 between "
+            "1e-07 s and 1.1e+09 s")
+        regimes = [l.split(",") for l in lines if not l.startswith("#")]
         assert regimes[1] == ["0.01", "", "", "adiabatic", "error"]
         assert regimes[2][0] == "2" and regimes[2][4] == "ok"
         assert float(regimes[2][1]) == pytest.approx(7.07e13, rel=1e-3)

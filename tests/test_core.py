@@ -9,36 +9,12 @@ from phasemag import core
 from phasemag.constants import NV, TWO_PI, angular_from_mhz
 from phasemag.core import (DriveParams, SpinState,
                            apply_ideal_pulse, apply_resonant_pulse,
-                           larmor_from_drive, propagate_constant,
+                           propagate_constant,
                            propagate_swept, propagate_swept_report,
                            _compose_swept)
 from phasemag.errors import ConvergenceFailure, InvalidParameter
 
 from conftest import reduce_time_ordered, rotation_matrices, swept_exact
-
-
-class TestLarmorFromDrive:
-    def test_pure_z_field(self):
-        lv = larmor_from_drive(DriveParams(rabi=0.0, phase=0.0, detuning=7.5))
-        assert lv.magnitude == 7.5
-        assert lv.polar_angle == 0.0
-
-    def test_equatorial_drive(self):
-        lv = larmor_from_drive(DriveParams(rabi=4.2, phase=1.1, detuning=0.0))
-        assert lv.magnitude == 4.2
-        assert lv.polar_angle == pytest.approx(math.pi / 2)
-        assert lv.azimuth == 1.1
-
-    def test_equal_components_give_45_degrees(self):
-        w = angular_from_mhz(5.0)
-        lv = larmor_from_drive(DriveParams(rabi=w, phase=0.0, detuning=w))
-        assert lv.magnitude == pytest.approx(angular_from_mhz(math.sqrt(50.0)))
-        assert lv.polar_angle == pytest.approx(math.pi / 4)
-
-    def test_degenerate_zero(self):
-        lv = larmor_from_drive(DriveParams(rabi=0.0, phase=0.3, detuning=0.0))
-        assert lv.magnitude == 0.0
-        assert lv.polar_angle == 0.0
 
 
 class TestPropagateConstant:
