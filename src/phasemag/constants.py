@@ -6,10 +6,11 @@ layers (CLI, file formats) speak ordinary frequencies in MHz, times in us
 and fields in mT and convert at that boundary.
 
 A scalar argument of the library (a rate, time, turn count, count,
-uncertainty or scale) is checked by one of the ``check_*`` rules below,
-which raise InvalidParameter naming the argument: "<name> must be positive
-and finite, got <value>", and likewise for the other rules.  Relations
-between arguments, grids and overflow caps are checked where they arise.
+uncertainty, scale or adiabaticity) is checked by one of the ``check_*``
+rules below, which raise InvalidParameter naming the argument: "<name> must
+be positive and finite, got <value>", and likewise for the other rules.
+Relations between arguments, grids and overflow caps are checked where they
+arise.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ TWO_PI = 2.0 * math.pi
 # phase 4*pi*N*(1 - cos theta) reaches 8*pi*N, which must stay below 2^52
 # rad, past which adjacent doubles are a radian apart
 MAX_TURNS = 2**47
+# adiabaticity**2 overflows a float above about 1.3e154
+MAX_ADIABATICITY = 1e150
 
 
 def check_positive(name: str, value: float) -> float:
@@ -65,6 +68,14 @@ def check_turns(n) -> int:
         raise InvalidParameter(f"n_rotations must be <= {MAX_TURNS} and an "
                                f"integer >= 1, got {n}")
     return int(n)
+
+
+def check_adiabaticity(value: float) -> float:
+    """``value``, or InvalidParameter unless it lies in [0, ``MAX_ADIABATICITY``)."""
+    if not 0 <= value < MAX_ADIABATICITY:
+        raise InvalidParameter(f"adiabaticity must lie in [0, {MAX_ADIABATICITY:g}), "
+                               f"got {value}")
+    return value
 
 
 def check_count(name: str, value) -> int:

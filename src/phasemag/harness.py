@@ -19,8 +19,9 @@ import numpy as np
 
 from . import analytic, noise as noise_mod, sequences
 from .analytic import DynamicModel, GeometricModel, adiabaticity
-from .constants import (NV, TWO_PI, check_count, check_gamma,
-                        check_nonnegative, check_positive, check_turns)
+from .constants import (NV, TWO_PI, check_adiabaticity, check_count,
+                        check_gamma, check_nonnegative, check_positive,
+                        check_turns)
 from .errors import (AdiabaticityViolation, DegenerateSlope, FitFailure,
                      InvalidParameter, PhasemagError)
 from .noise import SpectralDensity, decoherence_function
@@ -563,14 +564,16 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
     static field over an OU ensemble, holding A along the decay by scaling
     the turn count with T (nearest integer; N >= 1).  The Monte-Carlo path
     is the authoritative model in the strongly nonadiabatic limit and is
-    markedly slower.  Raises InvalidParameter for an unknown engine or an
-    ``ensemble`` below 1 or above ``_MAX_ENSEMBLE``.
+    markedly slower.  Raises InvalidParameter for an unknown engine, an A
+    outside [0, 1e150) or an ``ensemble`` below 1 or above
+    ``_MAX_ENSEMBLE``, before any row is computed.
     """
     if engine not in ("eq3", "monte-carlo"):
         raise InvalidParameter(f"unknown engine {engine!r}")
     _check_ensemble(ensemble)
+    a_values = [check_adiabaticity(float(a)) for a in a_grid]
     rows = []
-    for a_value in sorted(float(a) for a in a_grid):
+    for a_value in sorted(a_values):
         curve = None
         try:
             if engine == "eq3":

@@ -59,7 +59,8 @@ from typing import Union
 
 import numpy as np
 
-from .constants import check_count, check_nonnegative, check_positive
+from .constants import (check_adiabaticity, check_count, check_nonnegative,
+                        check_positive)
 from .errors import CalibrationFailure, FitFailure, InvalidParameter, OutOfRange
 from .solve import NoRoot, find_root
 
@@ -172,16 +173,6 @@ def filter_function(kind: FilterFunctionKind, x):
 
 # the smallest normal float
 _TINY = sys.float_info.min
-
-# adiabaticity**2 overflows a float above about 1.3e154
-_MAX_ADIABATICITY = 1e150
-
-
-def _check_adiabaticity(adiabaticity: float) -> None:
-    if not 0 <= adiabaticity < _MAX_ADIABATICITY:
-        raise InvalidParameter(f"adiabaticity must lie in [0, {_MAX_ADIABATICITY:g}), "
-                               f"got {adiabaticity}")
-
 
 # both OU brackets' Taylor series sum_{k>=2} c_k (-x)^k / k!, k = 2..19: per
 # bracket (free, echo), the coefficients c_k (-1)^k / k! of x^(k-2), with
@@ -428,7 +419,7 @@ def decoherence_function(S: SpectralDensity, adiabaticity: float,
     The A dependence is a pure A^2 prefactor on the first term, so
     chi(A) - chi(0) = A^2 * [chi(1) - chi(0)] holds exactly.
     """
-    _check_adiabaticity(adiabaticity)
+    check_adiabaticity(adiabaticity)
     i0 = ramsey_exponent(S, duration)
     i1 = echo_exponent(S, duration)
     return DecoherenceTerms(geometric=adiabaticity**2 * i0, dynamic=i1)
@@ -703,27 +694,26 @@ def _ou_block(S: Lorentzian, n_steps: int, dt: float, n_traj: int,
               seed_key) -> np.ndarray:
     """(n_steps+1, n_traj) stationary OU detunings in rad/s, one column per run.
 
-    Every trajectory generator uses this recursion.  All normals are drawn
-    as one C-ordered block from ``default_rng(seed_key)``: row k holds step
-    k of every trajectory, and with ``n_traj`` = 1 the column is the plain
-    1-D draw ``standard_normal(n_steps + 1)`` of the same key.  One column
-    runs the recursion on Python floats, which is the same IEEE arithmetic
-    as the row operation without its per-step numpy overhead.
+    Every trajectory generator uses this.  All normals are drawn as one
+    C-ordered block from ``default_rng(seed_key)``: row k holds step k of
+    every trajectory, and with ``n_traj`` = 1 the column is the plain 1-D
+    draw ``standard_normal(n_steps + 1)`` of the same key.  Scaled in place
+    (row 0 by delta, the rest by delta*sqrt(1-a^2), a = exp(-dt/tau_c)),
+    they drive the first-order linear recursion x[k+1] = a*x[k] + ...,
+    which is summed as a doubling prefix scan (Blelloch 1990): the pass of
+    stride d adds a^d times row k-d to row k, so after it row k holds
+    sum_{j<2d} a^j * (scaled row k-j), and ceil(log2(n_steps+1)) passes
+    give the recursion to rounding.  a^d is exp(-d*dt/tau_c); where it
+    underflows to 0 it drops only terms far below rounding.
     """
-    z = _rng(seed_key).standard_normal((n_steps + 1, n_traj))
+    x = _rng(seed_key).standard_normal((n_steps + 1, n_traj))
     a = math.exp(-dt / S.tau_c)
-    sigma_step = S.delta * math.sqrt(1.0 - a * a)
-    x = sigma_step * z
-    x[0] = S.delta * z[0]
-    if n_traj == 1:
-        col = x[:, 0].tolist()
-        for k in range(n_steps):
-            col[k + 1] += a * col[k]
-        x[:, 0] = col
-        return x
-    rows = list(x)
-    for prev, row in zip(rows, rows[1:]):
-        row += a * prev
+    x[1:] *= S.delta * math.sqrt(1.0 - a * a)
+    x[0] *= S.delta
+    d = 1
+    while d <= n_steps:
+        x[d:] += math.exp(-d * dt / S.tau_c) * x[:-d]
+        d *= 2
     return x
 
 
@@ -883,7 +873,7 @@ class SpectralOverlay:
 def spectral_overlay(S: SpectralDensity, adiabaticity: float, duration: float,
                      omega_grid) -> SpectralOverlay:
     """Tabulate S(w), A^2*F0(wT)/w^2 and F1(wT)/w^2 on a positive grid."""
-    _check_adiabaticity(adiabaticity)
+    check_adiabaticity(adiabaticity)
     check_positive("duration", duration)
     omega = np.asarray(omega_grid, dtype=float)
     if omega.size == 0 or np.any(omega <= 0) or np.any(np.diff(omega) <= 0):

@@ -210,3 +210,20 @@ def ou_phases_reference(S, t_grid, echo, rng, n_traj):
     if echo:
         at_t = 2.0 * phase[np.searchsorted(knots, t_grid / 2.0)] - at_t
     return at_t.T
+
+
+def ou_recursion_reference(S, n_steps, dt, n_traj, seed_key):
+    """(n_steps+1, n_traj) OU detunings by the step-by-step recursion.
+
+    An oracle for ``noise._ou_block``, which sums the same recursion as a
+    doubling prefix scan: this one walks x[k+1] = a*x[k] +
+    delta*sqrt(1-a^2)*z[k+1] one row at a time, from x[0] = delta*z[0], on
+    the same (n_steps+1, n_traj) draw from ``default_rng(seed_key)``.
+    """
+    z = np.random.default_rng(seed_key).standard_normal((n_steps + 1, n_traj))
+    a = math.exp(-dt / S.tau_c)
+    x = S.delta * math.sqrt(1.0 - a * a) * z
+    x[0] = S.delta * z[0]
+    for k in range(n_steps):
+        x[k + 1] += a * x[k]
+    return x

@@ -502,6 +502,8 @@ class TestBadNumbers:
     @pytest.mark.parametrize("args, want", [
         (("calibrate", "--t2star-us", "1e-300", "--t2-us", "1e300"), 3),
         (DECOHERE_STATIC + ("--a-list", "1e300"), 3),
+        (DECOHERE_STATIC + ("--a-list", "0.1,nan,-1"), 2),
+        (DECOHERE_STATIC + ("--a-list", "0.1,1e300"), 2),
         (DECOHERE_STATIC + ("--a-list", "0.1", "--overlay-t-us", "inf"), 2),
         (DECOHERE_OU + ("--tau-c-us", "inf", "--a-list", "0.1"), 3),
         (DECOHERE_OU + ("--tau-c-us", "20", "--a-list", "0.1",
@@ -573,7 +575,8 @@ class TestBadNumbers:
         (("signal", "--config", str(EXAMPLES / "signal.cfg"), "--engine",
           "numeric+noise", "--b-points", "3", "--ensemble", "1",
           "--delta-rad-s", "1e13", "--tau-c-us", "20"), 3),
-    ], ids=["calibrate-extreme-targets", "a-overflows", "overlay-t-inf",
+    ], ids=["calibrate-extreme-targets", "a-overflows", "a-list-nan-negative",
+            "a-list-later-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
             "estimate-window-nan", "signal-field-nan", "signal-t-inf",
             "sweep-t-inf", "signal-omega-inf", "signal-gamma-inf",

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from phasemag import analytic, core, estimate, harness, noise, sequences
-from phasemag.constants import (MAX_TURNS, PhysicalConstants, angular_from_mhz,
+from phasemag.constants import (MAX_ADIABATICITY, MAX_TURNS, PhysicalConstants,
+                                angular_from_mhz, check_adiabaticity,
                                 check_count, check_finite, check_nonnegative,
                                 check_positive, check_turns)
 from phasemag.errors import InvalidParameter
@@ -34,6 +35,14 @@ class TestRules:
         assert check_nonnegative("x", 0.0) == 0.0
         assert check_finite("x", -1e308) == -1e308
         assert check_count("x", 4) == 4
+        assert check_adiabaticity(0.0) == 0.0
+        assert check_adiabaticity(1e149) == 1e149
+
+    @pytest.mark.parametrize("a", NONNEGATIVE + (MAX_ADIABATICITY,))
+    def test_bad_adiabaticity(self, a):
+        with pytest.raises(InvalidParameter) as exc:
+            check_adiabaticity(a)
+        assert str(exc.value) == f"adiabaticity must lie in [0, 1e+150), got {a}"
 
     @pytest.mark.parametrize("n", [1, 3.0, MAX_TURNS, float(MAX_TURNS)])
     def test_turns_come_back_as_ints(self, n):

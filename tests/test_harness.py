@@ -372,6 +372,18 @@ class TestRegimeScan:
         with pytest.raises(InvalidParameter):
             decoherence_regime_scan([0.5], calibrated_noise, engine="exact")
 
+    @pytest.mark.parametrize("a_value", [math.nan, -1.0, math.inf, 1e300])
+    def test_bad_adiabaticity_rejected_before_any_row(self, calibrated_noise,
+                                                      monkeypatch, a_value):
+        # NaN sorted wrongly and was labelled strongly-nonadiabatic, -1
+        # adiabatic; now any bad entry refuses the whole grid
+        def unreached(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(harness, "_eq3_decay_curve", unreached)
+        with pytest.raises(InvalidParameter, match="adiabaticity"):
+            decoherence_regime_scan([0.1, a_value, 0.5], calibrated_noise)
+
     def test_unreachable_decay_time_is_a_row_error(self, calibrated_noise):
         # chi never reaches 1 for a near-silent bath, and exceeds 1 at every
         # sampled time for a huge A: both rows fail, the scan goes on

@@ -19,7 +19,8 @@ from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF, White,
                             mc_free_precession_decay, ou_bank, ou_trajectory,
                             ramsey_exponent, spectral_overlay)
 
-from conftest import T2_ECHO, T2_STAR, chi_reference, ou_phases_reference
+from conftest import (T2_ECHO, T2_STAR, chi_reference, ou_phases_reference,
+                      ou_recursion_reference)
 
 F0 = FilterFunctionKind.GEOMETRIC_F0
 F1 = FilterFunctionKind.DYNAMIC_F1
@@ -562,15 +563,71 @@ class TestOUTrajectory:
         assert corr == pytest.approx(S.delta**2 / math.e, rel=0.05)
 
 
-class TestPinnedStreams:
-    """Generator outputs recorded before the three OU generators became one.
+class TestOUScanAgainstRecursion:
+    """``_ou_block``'s doubling scan against the step-by-step recursion
+    (``conftest.ou_recursion_reference``) on the same normals."""
 
-    Generation is exact arithmetic on PCG64 normals, so the arrays are
-    compared bit for bit (sha256 of the float64 bytes).  The Monte-Carlo
-    decay goes through cos and sums, whose last bits may vary between numpy
-    builds, so it is compared at the 9 digits of the output files; its
-    values were recorded when it began drawing one normal per distinct
-    time of a group, through the triangular factor of the group's map.
+    FAST = Lorentzian(delta=2.0 * math.pi * 5e3, tau_c=20e-6)
+    # a power of two, so that n_steps * DT / DT is n_steps exactly
+    DT = 2.0**-20
+
+    @staticmethod
+    def _assert_matches(got, S, n_steps, dt, n_traj, seed_key):
+        want = ou_recursion_reference(S, n_steps, dt, n_traj, seed_key)
+        assert got.shape == want.shape == (n_steps + 1, n_traj)
+        assert np.max(np.abs(got - want)) <= 1e-12 * S.delta
+
+    @pytest.mark.parametrize("n_traj", [1, 3, 64])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 5, 127, 128, 129])
+    @pytest.mark.parametrize("bath, seed", [("fast", 5), ("calibrated", 6)])
+    def test_scan_matches_recursion(self, calibrated_noise, bath, seed,
+                                    n_steps, n_traj):
+        S = self.FAST if bath == "fast" else calibrated_noise
+        self._assert_matches(noise._ou_block(S, n_steps, self.DT, n_traj, seed),
+                             S, n_steps, self.DT, n_traj, seed)
+
+    def test_long_trajectory_past_underflow(self):
+        # dt = tau_c/10 and 2^14 steps: the factor of the stride-8192 pass,
+        # exp(-819.2), is 0.0
+        S = self.FAST
+        dt = S.tau_c / 10.0
+        assert math.exp(-8192 * dt / S.tau_c) == 0.0
+        self._assert_matches(noise._ou_block(S, 1 << 14, dt, 2, 7),
+                             S, 1 << 14, dt, 2, 7)
+
+    def test_public_generators_keep_their_keys(self):
+        S = self.FAST
+        traj = ou_trajectory(S, 129 * self.DT, self.DT, seed=3).values
+        self._assert_matches(traj, S, 129, self.DT, 1, 3)
+        bank = ou_bank(S, 129 * self.DT, self.DT, n_traj=64, seed=4).values
+        self._assert_matches(bank, S, 129, self.DT, 64, [4, 0])
+
+    def test_memory_stays_at_two_banks(self):
+        # the normals block and one scan temporary: a third bank-sized
+        # array would pass 2.2 banks
+        n_steps, n_traj = 1 << 16, 64
+        bank_bytes = (n_steps + 1) * n_traj * 8
+        tracemalloc.start()
+        try:
+            bank = ou_bank(self.FAST, n_steps * self.DT, self.DT, n_traj, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bank.values.shape == (n_steps + 1, n_traj)
+        assert peak <= 2.2 * bank_bytes
+
+
+class TestPinnedStreams:
+    """Generator outputs, pinned bit for bit.
+
+    OU generation is a fixed sequence of float operations on PCG64 normals,
+    so the arrays are compared bit for bit (sha256 of the float64 bytes);
+    they were recorded when the recursion became a doubling scan, on the
+    same normals as before.  The Monte-Carlo decay goes through cos and
+    sums, whose last bits may vary between numpy builds, so it is compared
+    at the 9 digits of the output files; its values were recorded when it
+    began drawing one normal per distinct time of a group, through the
+    triangular factor of the group's map.
     """
 
     S = Lorentzian(delta=31415.9, tau_c=20e-6)
@@ -583,16 +640,16 @@ class TestPinnedStreams:
         x = ou_trajectory(self.S, 2e-6, 1e-7, seed=3).values
         assert x.shape == (21, 1)
         assert self._digest(x) == \
-            "c2a094069ce1ebf7fdf3350994688d69469db3454339e885ac5996725d0bb669"
+            "cced9b35dc811c1063891c5df386aee55386c3a1387010e282f313ebbd4c74d7"
         keyed = ou_trajectory(self.S, 2e-6, 1e-7, seed=[3, 1]).values
         assert self._digest(keyed) == \
-            "cdcf6d475f3a05c4ecba27b80fa7e2a6591b2722120eff28b401e42b52679897"
+            "8eddeda316992b5046d102f33efa015cf87eaf3df43b39c2cf06c9181eef2ca1"
 
     def test_ou_bank(self):
         x = ou_bank(self.S, 2e-6, 1e-7, n_traj=3, seed=4).values
         assert x.shape == (21, 3)
         assert self._digest(x) == \
-            "cff0b0001b34992713247af77ad84fa8c97eb938fe90a790c750a9652a9fb8e3"
+            "163f50003631889af2c03941b7fc24c7e092a7f3e06d8d65ccb11687f4b0e9af"
 
     @pytest.mark.parametrize("echo, want", [
         (False, ["1", "0.998920776", "0.994271031", "0.967242524"]),
