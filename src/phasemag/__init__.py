@@ -7,7 +7,7 @@ estimators that demonstrate unique phase unwrapping, and a sweep harness with
 power-law fitting.
 """
 
-from .constants import NV, PhysicalConstants, angular_from_mhz
+from .constants import NV, angular_from_mhz
 from .core import (ConvergenceReport, DriveParams, SpinState,
                    apply_ideal_pulse, apply_resonant_pulse, propagate_constant,
                    propagate_swept, propagate_swept_report)

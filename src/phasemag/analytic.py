@@ -27,9 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import (NV, TWO_PI, PhysicalConstants, check_finite,
-                        check_gamma, check_nonnegative, check_positive,
-                        check_turns)
+from .constants import (NV, TWO_PI, check_finite, check_gamma,
+                        check_nonnegative, check_positive, check_turns)
 from .errors import DegenerateSlope, InvalidParameter, OutOfRange
 from .solve import find_root
 
@@ -97,8 +96,9 @@ class HyperfineModel:
             raise InvalidParameter("weights must sum to 1")
 
     @classmethod
-    def triplet(cls, constants: PhysicalConstants = NV) -> "HyperfineModel":
-        d = constants.hyperfine_splitting
+    def triplet(cls, splitting: float = NV.hyperfine_splitting) -> "HyperfineModel":
+        """Equal weights on -d, 0 and d for the line splitting d (rad/s)."""
+        d = check_positive("hyperfine_splitting", splitting)
         return cls(detunings=(-d, 0.0, d))
 
 

@@ -40,7 +40,8 @@ import numpy as np
 
 from . import __version__, analytic, harness, noise as noise_mod
 from .analytic import DynamicModel, GeometricModel, HyperfineModel
-from .constants import TWO_PI, PhysicalConstants, angular_from_mhz, check_count
+from .constants import (TWO_PI, angular_from_mhz, check_adiabaticity,
+                        check_count, check_gamma, check_positive)
 from .errors import InvalidParameter, PhasemagError, Unresolvable
 from .estimate import (Measurement, estimate_dynamic, estimate_geometric,
                        geometric_candidates)
@@ -223,10 +224,13 @@ def _require(cfg: dict, *keys):
             raise ConfigError(f"missing required key {k!r}")
 
 
-def _constants(cfg: dict) -> PhysicalConstants:
-    gamma = TWO_PI * cfg.get("gamma_ghz_per_t", 28.0) * 1e9
-    hf = TWO_PI * cfg.get("hyperfine_mhz", 2.16) * 1e6
-    return PhysicalConstants(gamma=gamma, hyperfine_splitting=hf)
+def _gamma(cfg: dict) -> float:
+    """``gamma_ghz_per_t`` in rad/s per tesla: the one gamma check of every
+    command that has the key, a ConfigError unless positive and finite."""
+    try:
+        return check_gamma(TWO_PI * cfg["gamma_ghz_per_t"] * 1e9)
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _noise_model(cfg: dict) -> Optional[Lorentzian]:
@@ -305,26 +309,29 @@ def cmd_signal(cfg: dict) -> int:
     S = _noise_model(cfg)
     duration = cfg["t_us"] * 1e-6
     omega = angular_from_mhz(cfg["omega_mhz"]) if protocol == "berry" else None
+    gamma = _gamma(cfg)
     try:
-        constants = _constants(cfg)
+        h = HyperfineModel.triplet(angular_from_mhz(cfg["hyperfine_mhz"]))
+        fields = b_grid
+        if cfg["hyperfine"]:
+            # a hyperfine line at detuning d is the curve at the fields
+            # b + d/gamma, so the request check sees every line's fields, and
+            # refuses one that overflows
+            with np.errstate(over="ignore"):
+                fields = np.concatenate([b_grid + d / gamma for d in h.detunings])
         harness.check_curve_request(protocol, engine, S, cfg["ensemble"],
-                                    cfg["workers"], [duration], b_grid,
-                                    [omega] if omega is not None else (),
-                                    constants.gamma)
+                                    cfg["workers"], [duration], fields,
+                                    [omega] if omega is not None else (), gamma)
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg["hyperfine"] and not (protocol == "ramsey" and engine == "analytic"):
-        raise ConfigError("hyperfine averaging is implemented for analytic ramsey only")
 
-    if cfg["hyperfine"]:
-        h = HyperfineModel.triplet(constants)
-        p = analytic.hyperfine_average(
-            lambda off, b: np.cos((constants.gamma * b + off) * duration),
-            h, b_grid)
-    else:
-        p = harness.signal_curve(protocol, engine, duration, b_grid, omega,
-                                 cfg["n"], S, cfg["ensemble"], (cfg["seed"],),
-                                 constants.gamma)
+    def curve(b):
+        return harness.signal_curve(protocol, engine, duration, b, omega,
+                                    cfg["n"], S, cfg["ensemble"], (cfg["seed"],),
+                                    gamma)
+
+    p = (analytic.hyperfine_average(lambda d, b: curve(b + d / gamma), h, b_grid)
+         if cfg["hyperfine"] else curve(b_grid))
 
     omega_txt = fmt(cfg["omega_mhz"]) if protocol == "berry" else ""
     n_txt = str(cfg["n"]) if protocol == "berry" else ""
@@ -342,13 +349,12 @@ def cmd_sweep(cfg: dict) -> int:
     omegas = ([angular_from_mhz(f) for f in cfg["omega_mhz_list"]]
               if cfg.get("omega_mhz_list") else None)
     try:
-        constants = _constants(cfg)
         spec = SweepSpec(protocol=cfg["protocol"], times=times, b_grid=b_grid,
                          omegas=omegas, n_rotations=cfg.get("n_list"),
                          engine=cfg["engine"], noise=S, seed=cfg["seed"],
                          ensemble=cfg["ensemble"], sigma_p=cfg["sigma_p"],
                          overhead=cfg["overhead_us"] * 1e-6,
-                         gamma=constants.gamma, workers=cfg["workers"])
+                         gamma=_gamma(cfg), workers=cfg["workers"])
     except PhasemagError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -376,13 +382,13 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_estimate(cfg: dict) -> int:
     _require(cfg, "protocol", "p")
-    constants = _constants(cfg)
+    gamma = _gamma(cfg)
     out = []
     code = EXIT_OK
     if cfg["protocol"] == "berry":
         _require(cfg, "omega_mhz", "n", "slope_per_mt")
         model = GeometricModel(angular_from_mhz(cfg["omega_mhz"]), cfg["n"],
-                               constants.gamma)
+                               gamma)
         meas = Measurement(p=cfg["p"], slope=cfg["slope_per_mt"] * 1e3,
                            sigma=cfg["sigma"])
         cands = geometric_candidates(model, max(-1.0, min(1.0, cfg["p"])))
@@ -400,7 +406,7 @@ def cmd_estimate(cfg: dict) -> int:
             out.append(f"confidence = {fmt(est.confidence)}")
     elif cfg["protocol"] == "ramsey":
         _require(cfg, "t_us", "window_stop_mt")
-        model = DynamicModel(cfg["t_us"] * 1e-6, constants.gamma)
+        model = DynamicModel(cfg["t_us"] * 1e-6, gamma)
         meas = Measurement(p=cfg["p"], slope=(None if cfg.get("slope_per_mt") is None
                                               else cfg["slope_per_mt"] * 1e3),
                            sigma=cfg["sigma"])
@@ -420,7 +426,7 @@ def cmd_estimate(cfg: dict) -> int:
 
 
 def cmd_decohere(cfg: dict) -> int:
-    constants = _constants(cfg)
+    gamma = _gamma(cfg)
     S = _noise_model(cfg)
     if S is None:
         raise ConfigError("decohere needs t2star_us/t2_us or delta_rad_s/tau_c_us")
@@ -436,9 +442,11 @@ def cmd_decohere(cfg: dict) -> int:
     t_over = cfg.get("overlay_t_us")
     if t_over is None:
         t_over = cfg["t2star_us"] / 2.0 if cfg.get("t2star_us") else 25.0
-    if not 0 < t_over < math.inf:
-        raise ConfigError(f"overlay_t_us must be positive and finite, got {t_over}")
-    t_over *= 1e-6
+    try:
+        check_adiabaticity(overlay_a)
+        t_over = check_positive("overlay_t_us", t_over) * 1e-6
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc)) from exc
     # the overlay is cheap and rejects its own bad numbers, so it goes first
     w0 = TWO_PI / t_over
     if not 1e2 * w0 < math.inf:
@@ -450,7 +458,7 @@ def cmd_decohere(cfg: dict) -> int:
         rows = harness.decoherence_regime_scan(a_list, S, engine=cfg["engine"],
                                                ensemble=cfg["ensemble"],
                                                seed=cfg["seed"],
-                                               gamma=constants.gamma)
+                                               gamma=gamma)
     except InvalidParameter as exc:
         raise ConfigError(str(exc)) from exc
 

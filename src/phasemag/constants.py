@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 from .errors import InvalidParameter
 
@@ -87,30 +86,13 @@ def check_count(name: str, value) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Spin-sensor constants.
+class NV:
+    """Default constants of the NV electronic spin, as plain floats."""
 
-    Parameters
-    ----------
-    gamma : float
-        Gyromagnetic ratio as angular frequency per tesla
-        (default 2*pi*28 GHz/T).
-    hyperfine_splitting : float
-        Splitting between adjacent hyperfine lines, rad/s
-        (default 2*pi*2.16 MHz).
-    """
-
-    gamma: float = TWO_PI * 28.0e9
-    hyperfine_splitting: float = TWO_PI * 2.16e6
-
-    def __post_init__(self):
-        check_gamma(self.gamma)
-        check_positive("hyperfine_splitting", self.hyperfine_splitting)
-
-
-#: Default constants for the NV electronic spin.
-NV = PhysicalConstants()
+    #: gyromagnetic ratio, angular frequency per tesla (2*pi*28 GHz/T)
+    gamma = TWO_PI * 28.0e9
+    #: splitting between adjacent 14N hyperfine lines, rad/s (2*pi*2.16 MHz)
+    hyperfine_splitting = TWO_PI * 2.16e6
 
 
 def angular_from_mhz(f_mhz: float) -> float:

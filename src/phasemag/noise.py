@@ -597,12 +597,14 @@ class OUBank:
             raise InvalidParameter(
                 f"a bank needs at least two knot times (n,) and values "
                 f"(n, channels), got shapes {times.shape} and {values.shape}")
-        # increasing times between finite ends are finite, and a NaN step
+        # the interpolation reads knot k as the time k*dt
+        if times[0] != 0.0:
+            raise InvalidParameter(f"the first knot time must be 0, got {times[0]}")
+        # increasing times from 0 to a finite end are finite, and a NaN step
         # fails the comparison
         steps = times[1:] - times[:-1]
         low, high = steps.min(), steps.max()
-        if not (low > 0.0 and math.isfinite(times[0])
-                and math.isfinite(times[-1])):
+        if not (low > 0.0 and math.isfinite(times[-1])):
             raise InvalidParameter("knot times must be finite and increasing")
         # the interpolation reads every knot's place from the first step
         if not high - low <= 1e-6 * steps[0]:

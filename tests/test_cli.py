@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import phasemag
-from phasemag import cli, noise
+from phasemag import analytic, cli, harness, noise
 from phasemag.cli import _COMMAND_KEYS, SIGNAL_HEADER, main
+from phasemag.constants import NV, angular_from_mhz
 from phasemag.harness import fmt
 
 
@@ -162,6 +163,67 @@ class TestSignalCommand:
         rows = data_rows(out)
         # near the first envelope null the averaged signal is suppressed
         assert abs(float(rows[0][1])) < 0.02
+
+    RAMSEY_HYPERFINE = ("signal", "--protocol", "ramsey", "--t-us", "1",
+                        "--b-stop-mt", "0.2", "--b-points", "21",
+                        "--hyperfine", "true")
+
+    @staticmethod
+    def _averages(monkeypatch):
+        """The unrounded curves the CLI's hyperfine averages return."""
+        average, got = analytic.hyperfine_average, []
+        monkeypatch.setattr(analytic, "hyperfine_average",
+                            lambda *args: got.append(average(*args)) or got[-1])
+        return got
+
+    def test_hyperfine_numeric_ramsey_matches_analytic(self, tmp_path,
+                                                       monkeypatch):
+        got = self._averages(monkeypatch)
+        for engine in ("analytic", "numeric"):
+            assert run_cli(*self.RAMSEY_HYPERFINE, "--engine", engine,
+                           "--out", str(tmp_path / f"{engine}.csv")) == 0
+        assert np.max(np.abs(got[1] - got[0])) <= 1e-12
+        # the triplet, not one line: the 2.16 MHz lines beat within 1 us
+        assert np.ptp(got[0]) > 0.1
+        assert not np.allclose(got[0], np.cos(NV.gamma * np.linspace(
+            0.0, 2e-4, 21) * 1e-6))
+
+    @pytest.mark.parametrize("engine", ["analytic", "numeric"])
+    def test_hyperfine_berry_is_the_mean_of_shifted_curves(self, tmp_path,
+                                                          engine):
+        out = tmp_path / "b.csv"
+        assert run_cli("signal", "--config", str(EXAMPLES / "signal.cfg"),
+                       "--engine", engine, "--b-points", "31",
+                       "--hyperfine", "true", "--out", str(out)) == 0
+        bs = np.linspace(0.0, 0.6, 31) * 1e-3
+        lines = np.array([harness.signal_curve(
+            "berry", engine, 8e-6, bs + d / NV.gamma, angular_from_mhz(5.0), 3)
+            for d in (-NV.hyperfine_splitting, 0.0, NV.hyperfine_splitting)])
+        p = np.array([float(r[1]) for r in data_rows(out)])
+        assert np.allclose(p, lines.mean(axis=0), rtol=0, atol=1e-8)
+        assert not np.allclose(p, lines[1], rtol=0, atol=1e-3)
+
+    def test_hyperfine_noisy_curve_reproducible(self, tmp_path):
+        args = ("signal", "--protocol", "ramsey", "--engine", "numeric+noise",
+                "--t-us", "4", "--b-stop-mt", "0.02", "--b-points", "5",
+                "--delta-rad-s", "31415.9", "--tau-c-us", "20",
+                "--ensemble", "3", "--seed", "5", "--hyperfine", "true")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(*args, "--out", str(a)) == 0
+        assert run_cli(*args, "--out", str(b)) == 0
+        assert a.read_bytes().replace(str(a).encode(), b"") \
+            == b.read_bytes().replace(str(b).encode(), b"")
+
+    def test_hyperfine_lines_reach_the_phase_cap(self, tmp_path):
+        # gamma*|B|*T a hair below 2^52 rad: the curve itself passes, and
+        # the upper line's fields b + d/gamma, 3e-9 further out, do not
+        gamma = 2 * math.pi * 1e-6 * 1e9
+        b_stop_mt = 2.0**52 * (1 - 1e-10) / gamma * 1e3
+        args = ("signal", "--protocol", "ramsey", "--t-us", "1e6",
+                "--gamma-ghz-per-t", "1e-6", "--b-stop-mt", repr(b_stop_mt),
+                "--b-points", "2", "--out", str(tmp_path / "p.csv"))
+        assert run_cli(*args) == 0
+        assert run_cli(*args, "--hyperfine", "true") == 2
 
 
 class TestConfigFile:
@@ -501,13 +563,13 @@ class TestBadNumbers:
 
     @pytest.mark.parametrize("args, want", [
         (("calibrate", "--t2star-us", "1e-300", "--t2-us", "1e300"), 3),
-        (DECOHERE_STATIC + ("--a-list", "1e300"), 3),
+        (DECOHERE_STATIC + ("--a-list", "1e300"), 2),
         (DECOHERE_STATIC + ("--a-list", "0.1,nan,-1"), 2),
         (DECOHERE_STATIC + ("--a-list", "0.1,1e300"), 2),
         (DECOHERE_STATIC + ("--a-list", "0.1", "--overlay-t-us", "inf"), 2),
         (DECOHERE_OU + ("--tau-c-us", "inf", "--a-list", "0.1"), 3),
         (DECOHERE_OU + ("--tau-c-us", "20", "--a-list", "0.1",
-                        "--overlay-a", "nan"), 3),
+                        "--overlay-a", "nan"), 2),
         (DECOHERE_OU + ("--tau-c-us", "20", "--a-list", "1e100"), 3),
         (("estimate", "--protocol", "ramsey", "--p", "0.5", "--t-us", "inf",
           "--window-stop-mt", "0.1"), 3),
@@ -530,8 +592,8 @@ class TestBadNumbers:
         (("sweep", "--config", str(EXAMPLES / "sweep.cfg"),
           "--gamma-ghz-per-t", "nan"), 2),
         (("estimate", "--protocol", "ramsey", "--p", "0.5", "--t-us", "1",
-          "--window-stop-mt", "0.1", "--gamma-ghz-per-t", "inf"), 3),
-        (DECOHERE_STATIC + ("--a-list", "0.1", "--gamma-ghz-per-t", "inf"), 3),
+          "--window-stop-mt", "0.1", "--gamma-ghz-per-t", "inf"), 2),
+        (DECOHERE_STATIC + ("--a-list", "0.1", "--gamma-ghz-per-t", "inf"), 2),
         (SWEEP_RAMSEY + ("--overhead-us", "-5"), 2),
         (SWEEP_RAMSEY + ("--overhead-us", "nan"), 2),
         (SWEEP_RAMSEY + ("--overhead-us", "inf"), 2),
@@ -575,6 +637,11 @@ class TestBadNumbers:
         (("signal", "--config", str(EXAMPLES / "signal.cfg"), "--engine",
           "numeric+noise", "--b-points", "3", "--ensemble", "1",
           "--delta-rad-s", "1e13", "--tau-c-us", "20"), 3),
+        # a subnormal gamma puts the upper hyperfine line's offset d/gamma
+        # at 1.7969e308 T, and the fields b + d/gamma past the float range
+        (("signal", "--protocol", "ramsey", "--t-us", "1e-300",
+          "--b-stop-mt", "1.7e308", "--b-points", "2",
+          "--gamma-ghz-per-t", "1.2021e-311", "--hyperfine", "true"), 2),
     ], ids=["calibrate-extreme-targets", "a-overflows", "a-list-nan-negative",
             "a-list-later-overflows", "overlay-t-inf",
             "tau-c-inf", "overlay-a-nan", "no-1e-time", "estimate-t-inf",
@@ -591,7 +658,8 @@ class TestBadNumbers:
             "signal-ou-knots", "sweep-larmor-phase", "overlay-t-long",
             "overlay-t-short", "lorentzian-psd-tail", "signal-seed-negative",
             "decohere-seed-negative", "estimate-candidate-overflows",
-            "estimate-slope-envelope-overflows", "signal-knot-mesh-bound"])
+            "estimate-slope-envelope-overflows", "signal-knot-mesh-bound",
+            "signal-hyperfine-fields-overflow"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         # rejected by validation: one error line on stderr and no warning
         with warnings.catch_warnings(record=True) as caught:
@@ -600,6 +668,18 @@ class TestBadNumbers:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert "error" in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["signal", "sweep", "estimate",
+                                         "decohere"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e300"])
+    def test_bad_gamma_is_config_error(self, tmp_path, capsys, command, value):
+        # one check, as each command starts, for every command with the key
+        assert run_cli(command, "--config", str(EXAMPLES / f"{command}.cfg"),
+                       f"--gamma-ghz-per-t={value}",
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: gamma must be positive and finite")
         assert list(tmp_path.iterdir()) == []
 
     def test_many_turns_are_not_refused(self, tmp_path):

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from phasemag import analytic, core, estimate, harness, noise, sequences
-from phasemag.constants import (MAX_ADIABATICITY, MAX_TURNS, PhysicalConstants,
-                                angular_from_mhz, check_adiabaticity,
-                                check_count, check_finite, check_nonnegative,
-                                check_positive, check_turns)
+from phasemag.constants import (MAX_ADIABATICITY, MAX_TURNS, angular_from_mhz,
+                                check_adiabaticity, check_count, check_finite,
+                                check_nonnegative, check_positive, check_turns)
 from phasemag.errors import InvalidParameter
 
 W5 = angular_from_mhz(5.0)
@@ -169,9 +168,7 @@ ENTRY_POINTS = [
     ("Measurement", "sigma", NONNEGATIVE, lambda x: estimate.Measurement(0.0, 1.0, x)),
     ("Measurement", "slope_sigma", NONNEGATIVE,
      lambda x: estimate.Measurement(0.0, 1.0, 0.0, x)),
-    ("PhysicalConstants", "gamma", POSITIVE, lambda x: PhysicalConstants(gamma=x)),
-    ("PhysicalConstants", "hyperfine_splitting", POSITIVE,
-     lambda x: PhysicalConstants(hyperfine_splitting=x)),
+    ("triplet", "hyperfine_splitting", POSITIVE, analytic.HyperfineModel.triplet),
 ]
 CASES = [(name, bad, call) for _, name, values, call in ENTRY_POINTS
          for bad in values]

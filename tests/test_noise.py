@@ -534,11 +534,14 @@ class TestOUTrajectory:
         (np.array([0.0, 1e-7, 1e-6]), np.zeros((3, 1))),
         (np.linspace(0.0, 1e-6, 3), np.array([[0.0], [np.nan], [1.0]])),
         (np.linspace(0.0, 1e-6, 3), np.array([[0.0], [np.inf], [1.0]])),
+        (np.array([1.0, 2.0, 3.0]), np.array([[0.0], [10.0], [20.0]])),
     ], ids=["values-1d", "values-rows", "one-knot", "times-repeat",
-            "times-nan", "times-uneven", "values-nan", "values-inf"])
+            "times-nan", "times-uneven", "values-nan", "values-inf",
+            "times-offset"])
     def test_malformed_bank_rejected(self, times, values):
-        # a 1-D bank raised a bare IndexError from n_traj, and NaN knots
-        # ran on to P = nan
+        # a 1-D bank raised a bare IndexError from n_traj, NaN knots ran on
+        # to P = nan, and knots from t = 1 were read as knots from 0: the
+        # value at t = 1 as 10, and the integral over [1, 3] as 40, not 20
         with pytest.raises(InvalidParameter):
             noise.OUBank(times=times, values=values)
 
