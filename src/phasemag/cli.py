@@ -343,7 +343,7 @@ def cmd_signal(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     _require(cfg, "protocol", "t_us_list", "b_stop_mt", "b_points")
-    b_grid = list(_field_grid(cfg, 2, " for sweeps"))
+    b_grid = _field_grid(cfg, 2, " for sweeps")
     S = _noise_model(cfg)
     times = [t * 1e-6 for t in cfg["t_us_list"]]
     omegas = ([angular_from_mhz(f) for f in cfg["omega_mhz_list"]]
@@ -640,9 +640,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Unresolvable as exc:
-        print(f"unresolvable: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVABLE
     except PhasemagError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -158,7 +158,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Outcome at one grid point."""
+    """Outcome at one grid point; ``p_curve`` is P on the spec's ``b_grid``."""
 
     index: int
     protocol: str
@@ -167,7 +167,6 @@ class SweepRecord:
     n_rotations: Optional[int]
     duration: float
     adiabaticity: Optional[float]
-    b_grid: tuple
     p_curve: tuple
     eta: Optional[float]
     max_slope: Optional[float]
@@ -265,8 +264,7 @@ def _auto_decay_grid(S, a_value, n_points=28):
     return np.linspace(0.15 * t1e, 2.1 * t1e, n_points)
 
 
-def _eval_point(spec: SweepSpec, index, omega, n_rot, duration):
-    b_grid = np.asarray(spec.b_grid, dtype=float)
+def _eval_point(spec: SweepSpec, b_grid, index, omega, n_rot, duration):
     gamma = spec.gamma
     try:
         p_curve = np.asarray(signal_curve(spec.protocol, spec.engine, duration,
@@ -303,17 +301,16 @@ def _eval_point(spec: SweepSpec, index, omega, n_rot, duration):
         return SweepRecord(
             index=index, protocol=spec.protocol, engine=spec.engine,
             omega=omega, n_rotations=n_rot, duration=duration,
-            adiabaticity=a_value, b_grid=tuple(b_grid.tolist()),
-            p_curve=tuple(p_curve.tolist()), eta=eta,
+            adiabaticity=a_value, p_curve=tuple(p_curve.tolist()), eta=eta,
             max_slope=max_slope, b_max=b_max, t2g=t2g, t2g_residual=t2g_res,
             status="ok")
     except PhasemagError as exc:
         return SweepRecord(
             index=index, protocol=spec.protocol, engine=spec.engine,
             omega=omega, n_rotations=n_rot, duration=duration,
-            adiabaticity=None, b_grid=tuple(b_grid.tolist()),
-            p_curve=(), eta=None, max_slope=None, b_max=None, t2g=None,
-            t2g_residual=None, status="error", error=str(exc))
+            adiabaticity=None, p_curve=(), eta=None, max_slope=None,
+            b_max=None, t2g=None, t2g_residual=None, status="error",
+            error=str(exc))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -323,7 +320,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     evaluated one after another in grid order; numeric+noise point i draws
     trajectory k from the stream (seed, i, k).
     """
-    records = tuple(_eval_point(spec, i, om, n, t)
+    b_grid = np.asarray(spec.b_grid, dtype=float)
+    records = tuple(_eval_point(spec, b_grid, i, om, n, t)
                     for i, (om, n, t) in enumerate(_grid_points(spec)))
     return SweepResult(spec=spec, records=records)
 
@@ -564,9 +562,11 @@ def decoherence_regime_scan(a_grid, S: SpectralDensity, engine: str = "eq3",
     static field over an OU ensemble, holding A along the decay by scaling
     the turn count with T (nearest integer; N >= 1).  The Monte-Carlo path
     is the authoritative model in the strongly nonadiabatic limit and is
-    markedly slower.  Raises InvalidParameter for an unknown engine, an A
-    outside [0, 1e150) or an ``ensemble`` below 1 or above
-    ``_MAX_ENSEMBLE``, before any row is computed.
+    markedly slower; time j of the decay grid draws its runs from the key
+    (seed, j, 0) (``noise.ou_bank``), which every A of the scan shares.
+    Raises InvalidParameter for an unknown engine, an A outside [0, 1e150)
+    or an ``ensemble`` below 1 or above ``_MAX_ENSEMBLE``, before any row
+    is computed.
     """
     if engine not in ("eq3", "monte-carlo"):
         raise InvalidParameter(f"unknown engine {engine!r}")
@@ -603,7 +603,7 @@ def _eq3_decay_curve(S: SpectralDensity, a_value: float) -> noise_mod.CoherenceC
 
 
 # the knot mesh's tolerance for the Monte-Carlo decay samples: on the
-# 4-run example scan the fitted T2g lies within 8e-6 us of one at 1e-10
+# 4-run example scan the fitted T2g lies within 1.1e-5 us of one at 1e-10
 _MC_TOL = 1e-3
 
 
@@ -613,7 +613,7 @@ def _mc_decay_samples(S, a_value, omega, t_grid, ensemble, seed, gamma):
         n_rot = max(1, int(round(a_value * omega * t / TWO_PI)))
         plan = sequences.build_berry(omega, n_rot, float(t))
         dt = min(S.tau_c / 10.0, float(t) / 128.0)
-        bank = noise_mod.ou_bank(S, float(t), dt, ensemble, seed + j)
+        bank = noise_mod.ou_bank(S, float(t), dt, ensemble, (seed, j))
         p = sequences.execute_batch(plan, np.zeros(ensemble),
                                     noise_trajectory=bank, tol=_MC_TOL,
                                     gamma=gamma)

@@ -579,52 +579,44 @@ def calibrate_noise(t2_star: float, t2: float) -> Lorentzian:
 class OUBank:
     """Ornstein-Uhlenbeck detuning trajectories on shared uniform knots.
 
-    ``times`` are the knots k*dt and ``values`` has shape (n_steps+1,
+    Knot k lies at the time k*``dt``, and ``values`` has shape (knots,
     n_traj): detunings in rad/s, one column per trajectory, linear in
-    between knots.  Calling the bank with times (n,) returns the detunings
-    there, in rad/s, of shape (n, n_traj), the layout the batched sequence
-    executor consumes: it adds them to gamma*B.
+    between knots.  ``dt`` must be positive and finite, and the values
+    finite with at least two knots.  Calling the bank with times (n,)
+    returns the detunings there, in rad/s, of shape (n, n_traj), the layout
+    the batched sequence executor consumes: it adds them to gamma*B.
     """
 
-    times: np.ndarray
+    dt: float
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        dt = float(check_positive("dt", self.dt))
         values = np.asarray(self.values, dtype=float)
-        if not (times.ndim == 1 and times.size >= 2 and values.ndim == 2
-                and values.shape[0] == times.size):
+        if not (values.ndim == 2 and values.shape[0] >= 2):
             raise InvalidParameter(
-                f"a bank needs at least two knot times (n,) and values "
-                f"(n, channels), got shapes {times.shape} and {values.shape}")
-        # the interpolation reads knot k as the time k*dt
-        if times[0] != 0.0:
-            raise InvalidParameter(f"the first knot time must be 0, got {times[0]}")
-        # increasing times from 0 to a finite end are finite, and a NaN step
-        # fails the comparison
-        steps = times[1:] - times[:-1]
-        low, high = steps.min(), steps.max()
-        if not (low > 0.0 and math.isfinite(times[-1])):
-            raise InvalidParameter("knot times must be finite and increasing")
-        # the interpolation reads every knot's place from the first step
-        if not high - low <= 1e-6 * steps[0]:
-            raise InvalidParameter("knot times must be evenly spaced")
+                f"a bank needs values (knots, channels) on at least two "
+                f"knots, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise InvalidParameter("knot values must be finite")
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "values", values)
 
     @property
     def n_traj(self) -> int:
         return self.values.shape[1]
 
+    def _locate(self, t):
+        """Knot index k and fraction t/dt - k of times t (n,), with k
+        clamped to the last interval that starts at a knot."""
+        pos = t / self.dt
+        k = np.minimum(np.maximum(pos.astype(int), 0), self.values.shape[0] - 2)
+        return k, pos - k
+
     def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        pos = t / (self.times[1] - self.times[0])
-        idx = np.minimum(np.maximum(pos.astype(int), 0), self.times.size - 2)
-        frac = pos - idx
-        return (self.values[idx, :]
-                + frac[:, None] * (self.values[idx + 1, :] - self.values[idx, :]))
+        k, frac = self._locate(np.atleast_1d(np.asarray(t, dtype=float)))
+        v = self.values
+        return v[k, :] + frac[:, None] * (v[k + 1, :] - v[k, :])
 
     def detuning_integral(self, t0: float, t1: float) -> np.ndarray:
         """Integral of the interpolated detuning over [t0, t1], in rad.
@@ -634,21 +626,15 @@ class OUBank:
         intervals at the ends, with no quadrature error.  Returns one value
         per trajectory, shape (n_traj,).
         """
-        dt = self.times[1] - self.times[0]
         v = self.values
-
-        def locate(t):
-            k = min(max(int(t / dt), 0), len(self.times) - 2)
-            return k, t / dt - k
 
         def from_knot(k, f):
             # integral, in units of dt, from knot k to the fraction f past it
             return f * (v[k] + 0.5 * f * (v[k + 1] - v[k]))
 
-        k0, f0 = locate(t0)
-        k1, f1 = locate(t1)
+        (k0, k1), (f0, f1) = self._locate(np.array([t0, t1], dtype=float))
         inner = 0.5 * np.sum(v[k0:k1] + v[k0 + 1:k1 + 1], axis=0)
-        return dt * (inner + from_knot(k1, f1) - from_knot(k0, f0))
+        return self.dt * (inner + from_knot(k1, f1) - from_knot(k0, f0))
 
 
 def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed) -> OUBank:
@@ -662,7 +648,7 @@ def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed) -> OUBank:
     channel to every field.
     """
     n = _ou_steps(S, duration, dt)
-    return OUBank(times=np.arange(n + 1) * dt, values=_ou_block(S, n, dt, 1, seed))
+    return OUBank(dt=dt, values=_ou_block(S, n, dt, 1, seed))
 
 
 # most dt steps one trajectory may span: 8 MiB of knots per channel, and
@@ -854,12 +840,16 @@ def mc_free_precession_decay(S: Lorentzian, t_grid, n_traj: int, seed: int,
 
 
 def ou_bank(S: Lorentzian, duration: float, dt: float, n_traj: int,
-            seed: int) -> OUBank:
-    """Generate ``n_traj`` exact-discretization OU trajectories at once."""
+            seed) -> OUBank:
+    """Generate ``n_traj`` exact-discretization OU trajectories at once.
+
+    ``seed`` is an int >= 0 or a tuple or list of them, and the normals
+    come from the key (seed..., 0): an int seed s draws from [s, 0].
+    """
     n_traj = check_count("n_traj", n_traj)
     n = _ou_steps(S, duration, dt)
-    return OUBank(times=np.arange(n + 1) * dt,
-                  values=_ou_block(S, n, dt, n_traj, [seed, 0]))
+    key = [*seed, 0] if isinstance(seed, (tuple, list)) else [seed, 0]
+    return OUBank(dt=dt, values=_ou_block(S, n, dt, n_traj, key))
 
 
 @dataclass(frozen=True)

@@ -239,9 +239,10 @@ def execute_batch(plan: SequencePlan, b_values,
                 f"a bank of {noise.n_traj} channels does not fit "
                 f"{b_values.size} fields")
         # n*dt may round just below the duration the knots were drawn for
-        if noise.times[-1] < plan.duration * (1.0 - 1e-9):
+        knots_end = noise.dt * (noise.values.shape[0] - 1)
+        if knots_end < plan.duration * (1.0 - 1e-9):
             raise InvalidParameter(
-                f"noise knots end at {noise.times[-1]:g} s, before the "
+                f"noise knots end at {knots_end:g} s, before the "
                 f"plan's {plan.duration:g} s")
     # a Python float, so that an overflow is inf and not a numpy warning
     if not gamma * float(np.max(np.abs(b_values), initial=0.0)) < math.inf:
@@ -331,8 +332,9 @@ def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, t_start,
     as the error bound of ``core._knot_refine`` needs to meet ``tol``.
     """
     t_end = t_start + seg.duration
-    inner = (noise.times > t_start) & (noise.times < t_end)
-    edges = np.concatenate(([t_start], noise.times[inner], [t_end]))
+    times = np.arange(noise.values.shape[0]) * noise.dt
+    inner = (times > t_start) & (times < t_end)
+    edges = np.concatenate(([t_start], times[inner], [t_end]))
     ends = noise(np.array([t_start, t_end]))
     # detunings at the edges, (K+1, 1) shared by every field or (K+1, m)
     dets = (dets_static[None, :]

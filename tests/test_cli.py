@@ -259,6 +259,30 @@ class TestConfigFile:
         assert code == 2
         assert ":1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, args, want", [
+        (None, ("signal", "--config", "run.cfg"), "cannot read config"),
+        ("= ramsey\n", ("signal", "--config", "run.cfg"), ":1: empty key"),
+        ("protocol = ramsey\nprotocol = berry\n",
+         ("signal", "--config", "run.cfg"), ":2: duplicate key 'protocol'"),
+        (None, ("estimate", "--protocol", "hahn", "--p", "0"),
+         "estimation supports ramsey or berry, got 'hahn'"),
+        (None, ("decohere",),
+         "decohere needs t2star_us/t2_us or delta_rad_s/tau_c_us"),
+    ], ids=["unreadable-config", "empty-key", "duplicate-key",
+            "estimate-hahn", "decohere-no-bath"])
+    def test_refusal_is_one_config_error_line(self, tmp_path, capsys, text,
+                                              args, want):
+        # each exits 2 before it writes anything; an absent run.cfg is
+        # unreadable
+        if text is not None:
+            (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+        argv = [str(tmp_path / a) if a == "run.cfg" else a for a in args]
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert want in err[0]
+        assert not (tmp_path / "x").exists()
+
 
 class TestSweepCommand:
     def test_ramsey_sweep_with_fit_report(self, tmp_path):
@@ -274,6 +298,13 @@ class TestSweepCommand:
         assert len(points) == 6
         eta_fit = next(f for f in fits if f["response"] == "eta")
         assert float(eta_fit["exponents"]["duration"]) == pytest.approx(-0.5, abs=0.05)
+
+    def test_fit_false_writes_no_fit_record(self, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        assert run_cli("sweep", "--config", str(EXAMPLES / "sweep.cfg"),
+                       "--fit", "false", "--out", str(out)) == 0
+        records = [json.loads(l) for l in read_lines(out) if not l.startswith("#")]
+        assert [r["record"] for r in records] == ["point"] * 6
 
     def test_berry_sweep_fits_all_controls(self, tmp_path):
         out = tmp_path / "berry.jsonl"
@@ -1025,7 +1056,7 @@ class TestExampleConfigs:
     def test_monte_carlo_decohere_output_pinned(self, tmp_path, repo_docs):
         # sha256 of the lines below the '#' headers of the three files, in
         # the order coherence, regimes, overlay: the regime rows run the
-        # noisy knot mesh at tol 1e-3 over 4 runs (T2g within 8e-6 us of
+        # noisy knot mesh at tol 1e-3 over 4 runs (T2g within 1.1e-5 us of
         # the same scan at tol 1e-10)
         prefix = tmp_path / "mc"
         assert run_cli("decohere", "--config", str(repo_docs / "decohere.cfg"),
@@ -1037,7 +1068,7 @@ class TestExampleConfigs:
                 keepends=True)
             digest.update(b"".join(l for l in lines if not l.startswith(b"#")))
         assert digest.hexdigest() == (
-            "68d19edc129714669df96919880be64e4db53a229be53b4fc2c95bfd38bbb05d")
+            "bd00f62354d618a465c9d9ac9960f9ca5fd9138cfdfa203714e5a29c9ab4ce64")
 
     def test_sweep_example(self, tmp_path, repo_docs):
         code = run_cli("sweep", "--config", str(repo_docs / "sweep.cfg"),

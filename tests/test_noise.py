@@ -525,31 +525,28 @@ class TestOUTrajectory:
         assert np.array_equal(traj(0.0), traj.values[:1])
         assert traj.values.shape == (101, 1)
 
-    @pytest.mark.parametrize("times, values", [
-        (np.linspace(0.0, 1e-6, 3), np.zeros(3)),
-        (np.linspace(0.0, 1e-6, 3), np.zeros((4, 1))),
-        (np.array([0.0]), np.zeros((1, 1))),
-        (np.array([0.0, 2e-7, 2e-7, 6e-7]), np.zeros((4, 1))),
-        (np.array([0.0, np.nan, 1e-6]), np.zeros((3, 1))),
-        (np.array([0.0, 1e-7, 1e-6]), np.zeros((3, 1))),
-        (np.linspace(0.0, 1e-6, 3), np.array([[0.0], [np.nan], [1.0]])),
-        (np.linspace(0.0, 1e-6, 3), np.array([[0.0], [np.inf], [1.0]])),
-        (np.array([1.0, 2.0, 3.0]), np.array([[0.0], [10.0], [20.0]])),
-    ], ids=["values-1d", "values-rows", "one-knot", "times-repeat",
-            "times-nan", "times-uneven", "values-nan", "values-inf",
-            "times-offset"])
-    def test_malformed_bank_rejected(self, times, values):
-        # a 1-D bank raised a bare IndexError from n_traj, NaN knots ran on
-        # to P = nan, and knots from t = 1 were read as knots from 0: the
-        # value at t = 1 as 10, and the integral over [1, 3] as 40, not 20
+    @pytest.mark.parametrize("dt, values", [
+        (1e-7, np.zeros(3)),
+        (1e-7, np.zeros((1, 1))),
+        (1e-7, np.array([[0.0], [np.nan], [1.0]])),
+        (1e-7, np.array([[0.0], [np.inf], [1.0]])),
+        (0.0, np.zeros((3, 1))),
+        (-1.0, np.zeros((3, 1))),
+        (np.nan, np.zeros((3, 1))),
+        (np.inf, np.zeros((3, 1))),
+    ], ids=["values-1d", "one-knot", "values-nan", "values-inf", "dt-0",
+            "dt-negative", "dt-nan", "dt-inf"])
+    def test_malformed_bank_rejected(self, dt, values):
+        # a 1-D bank raised a bare IndexError from n_traj, and NaN knots ran
+        # on to P = nan; knot k lies at k*dt, so dt alone places the knots
         with pytest.raises(InvalidParameter):
-            noise.OUBank(times=times, values=values)
+            noise.OUBank(dt=dt, values=values)
 
     def test_generated_banks_pass_unchanged(self):
         S = Lorentzian(delta=3e4, tau_c=1e-3)
         bank = ou_bank(S, 1e-3, 1e-5, n_traj=3, seed=7)
-        again = noise.OUBank(times=bank.times, values=bank.values)
-        assert again.times is bank.times and again.values is bank.values
+        again = noise.OUBank(dt=bank.dt, values=bank.values)
+        assert again.dt == bank.dt and again.values is bank.values
 
     def test_stationary_variance(self):
         S = Lorentzian(delta=3e4, tau_c=1e-3)

@@ -24,9 +24,9 @@ W5 = angular_from_mhz(5.0)
 def _knot_bank(duration, fn, n_knots=64, n_traj=1):
     """A bank whose every channel holds the detuning ``fn(t)`` (rad/s) on
     ``n_knots`` uniform intervals spanning ``duration``."""
-    times = np.linspace(0.0, duration, n_knots + 1)
-    values = np.repeat(fn(times)[:, None], n_traj, axis=1)
-    return OUBank(times=times, values=values)
+    dt = duration / n_knots
+    values = np.repeat(fn(np.arange(n_knots + 1) * dt)[:, None], n_traj, axis=1)
+    return OUBank(dt=dt, values=values)
 
 
 def _zero_bank(duration, n_traj=1):
@@ -451,7 +451,7 @@ class TestNoisyMeshAgainstOde:
     def _lab_ode(plan, bs, bank):
         from scipy.integrate import solve_ivp
 
-        knots = bank.times
+        knots = np.arange(bank.values.shape[0]) * bank.dt
         noise = bank.values[:, 0]
         m = bs.size
         s = np.tile([0.0, 0.0, 1.0], (m, 1))
@@ -638,7 +638,7 @@ class TestNoiseInjection:
         # 7e-7 / 10 rounds down, so ten such steps end just below 7e-7 s
         duration = 7e-7
         traj = ou_trajectory(bath, duration, duration / 10, seed=1)
-        assert traj.times[-1] < duration
+        assert traj.dt * (traj.values.shape[0] - 1) < duration
         p = execute_batch(build_ramsey(duration), [0.0], noise_trajectory=traj)
         assert abs(p[0]) <= 1.0
 
