@@ -32,16 +32,11 @@ Numer. Math. 56, 1519 (2006); Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
 rotations about h*(A1*R1 + A2*R2) and then h*(A2*R1 + A1*R2),
 A1,2 = 1/4 +- sqrt(3)/6.  That mesh is halved (``_swept_refine``) until a
 Richardson error estimate meets ``tol``, from a start of at most
-``_MAX_MESH`` slices.  The noisy co-rotating mesh of
-``sequences.execute_batch`` returns one pair per field and sees
-R(t) = (Omega, 0, w(t)) with w linear between the noise knots.  It cuts
-each knot interval into equal slices, each one interaction-picture Magnus
-step (Hochbruck & Lubich, SIAM J. Numer. Anal. 41, 945 (2003)): two exact
-half rotations about R at the slice's midpoint with one small y rotation
-between them, exact where w is constant.  An a-priori bound on the terms
-that step leaves out sets the slice count against the same ``tol``, so
-that mesh is composed once (``_knot_refine``).  Either mesh takes at most
-``_MAX_DEPTH`` halvings, else ``ConvergenceFailure``.
+``_MAX_MESH`` slices, and takes at most ``_MAX_DEPTH`` halvings, else
+``ConvergenceFailure``.  The noisy sweeps of ``sequences.execute_batch``
+need no such mesh: their Larmor vector is held constant on each noise knot
+interval, so they compose one exact ``_pairs`` rotation per interval
+through ``_compose``.
 """
 
 from __future__ import annotations
@@ -76,8 +71,8 @@ _STEPS_PER_PHASE_TURN = 32
 _STEPS_PER_LARMOR_TURN = 32
 # and the fewest slices a lab-frame mesh starts at
 _MIN_STEPS = 16
-# most halvings either mesh may take to meet its tolerance: the lab-frame
-# mesh's Richardson refinement, and the knot mesh's a-priori bound
+# most halvings the lab-frame mesh's Richardson refinement may take to
+# meet its tolerance
 _MAX_DEPTH = 12
 # The lab-frame step, the 4th-order commutator-free Magnus step (Blanes &
 # Moan, Appl. Numer. Math. 56, 1519 (2006)): a slice [t, t + h] samples R at
@@ -90,12 +85,12 @@ _A1 = 0.25 + _SQRT3_6
 _A2 = 0.25 - _SQRT3_6
 # rotations per block of the composition (slices x rotations x states):
 # 2**15 keeps a block's arrays near a core's cache; on a 2-core VM 2**17
-# made the knot mesh of 61 fields 1.3-1.8 times and of 601 fields 1.9
-# times slower
+# made the noisy sweeps of 601 fields 1.8 times slower
 _BLOCK = 32768
 # most slices times channels a mesh may be composed of (the lab-frame
-# mesh's start, the knot mesh's bound), checked before composing: 109 times
-# the 256 x 601 of the largest shipped noisy run
+# mesh's start, a noisy sweep's knot intervals times fields), checked
+# before composing: 218 times the 128 x 601 of a sweep of the largest
+# shipped noisy run
 _MAX_MESH = 1 << 24
 
 
@@ -310,44 +305,6 @@ def _compose_swept(rabi: float, phase_fn, det_fn, duration: float,
         rabi, phase_fn, det_fn, dt, start, stop)))
 
 
-def _knot_pairs(rabi: float, half, w: np.ndarray, tilt):
-    """Pairs of the interaction-picture Magnus slices of the knot mesh.
-
-    On a slice of length h = 2*half, with t measured from its midpoint,
-    R(t) = R0 + s*t*z, R0 = (rabi, 0, w), and ``tilt`` is rabi*s.  The
-    slice is Q0(h/2) Ry(theta) Q0(h/2) (Hochbruck & Lubich, SIAM J. Numer.
-    Anal. 41, 945 (2003); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-    (2009)): Q0 turns exactly about R0 at k = |R0|, and theta = rabi*s*g,
-    g = 2(sin x - x cos x)/k^3 with x = k*h/2, is the first Magnus term of
-    the rest, in the frame that turns with Q0.  Ry is perpendicular to R0,
-    so with c = cos(theta/2) the product is
-    a = c (cos x - i w sin(x)/k), b = -sin(theta/2) - i c rabi sin(x)/k.
-    For s = 0 the slice is exact, whatever k*h is.  The arguments
-    broadcast to a common shape, that of a and b; rabi > 0.
-    """
-    k = np.hypot(rabi, w)
-    x = k * half
-    sin, cos = np.sin(x), np.cos(x)
-    # g/2; below x = 0.1 its closed form cancels, so it is summed there as
-    # (h^3/24) (1 - x^2/10 + x^4/280 - x^6/15120)
-    x2 = x * x
-    half_g = (((x2 * (-1.0 / 15120.0) + 1.0 / 280.0) * x2 - 0.1) * x2
-              + 1.0) * (half * half * half / 3.0)
-    np.divide(sin - x * cos, k * k * k, out=half_g, where=x >= 0.1)
-    turn = tilt * half_g  # theta/2
-    c = np.cos(turn)
-    q = c * sin / k
-    a = np.empty(x.shape, dtype=complex)
-    b = np.empty(x.shape, dtype=complex)
-    np.multiply(c, cos, out=a.real)
-    np.multiply(q, w, out=a.imag)
-    np.negative(a.imag, out=a.imag)
-    np.sin(turn, out=b.real)
-    np.negative(b.real, out=b.real)
-    np.multiply(q, -rabi, out=b.imag)
-    return a, b
-
-
 def _initial_mesh(rabi: float, phase_fn, det_fn, duration: float) -> int:
     """First mesh of a lab-frame refinement, in slices.
 
@@ -400,67 +357,6 @@ def _swept_refine(state: np.ndarray, rabi: float, phase_fn, det_fn,
         f"{history[-1]:.3e} > tol {tol:.1e}",
         error_history=history,
     )
-
-
-def _knot_refine(rabi: float, lengths: np.ndarray, dets: np.ndarray,
-                 tol: float):
-    """Pairs (a, b) (m,) of the propagation under R(t) = (rabi, 0, w(t)),
-    w linear on each of K intervals, and the report.  Core of the noisy
-    co-rotating mesh.
-
-    ``lengths`` (K,) are the interval lengths and ``dets`` (K+1, m) the
-    values of w at their edges, one column per channel; rabi > 0.  Each
-    interval is cut into 2**d equal slices, each one step of
-    ``_knot_pairs``, which is exact where w is constant, so d follows the
-    slope of w alone.  On a slice of slope s the step's Magnus term is at
-    most |s| h^2/4, so the terms it leaves out come to at most
-    (|s| h^2/4)^2 / 2: over the 2**d slices of an interval over which w
-    changes by dw in a length L, (dw L)^2 / 32 / 8**d.  d is the fewest
-    halvings that bring every channel's sum of that bound to ``tol``.
-    More than ``_MAX_DEPTH`` raise ``ConvergenceFailure``, and a mesh of
-    more than ``_MAX_MESH`` slices times channels ``InvalidParameter``,
-    before anything is composed.  The report holds the slices per channel
-    and the bound.  No channels, or no length, is the identity.
-    """
-    m = dets.shape[1]
-    if m == 0 or not np.any(lengths > 0.0):
-        identity = (np.ones(m, dtype=complex), np.zeros(m, dtype=complex))
-        return identity, ConvergenceReport(0, (), True)
-    # per channel, w at the start of each interval and its change over it,
-    # each channel's row contiguous, as the reduction wants the slices
-    edges = np.ascontiguousarray(dets.T)
-    w_start, step = edges[:, :-1], edges[:, 1:] - edges[:, :-1]
-    bound = float(np.max(np.sum((step * lengths) ** 2, axis=1))) / 32.0
-    if not math.isfinite(bound):
-        raise InvalidParameter("the detunings must be finite")
-    depth = 0
-    while bound > tol:
-        if depth == _MAX_DEPTH:
-            raise ConvergenceFailure(
-                f"the knot mesh needs more than {depth} halvings: error "
-                f"bound {bound:.3e} > tol {tol:.1e}", error_history=[bound])
-        depth += 1
-        bound /= 8.0
-    sub = 1 << depth
-    slices = lengths.size << depth
-    if not slices * m <= _MAX_MESH:
-        raise InvalidParameter(
-            f"the knot mesh would need {slices:.3g} slices for {m} channels, "
-            f"more than {_MAX_MESH} in all")
-    half, dw = lengths / (2 * sub), step / sub
-    tilt = rabi * step / lengths
-
-    def pairs(start, stop):
-        # a block is whole intervals, or (sub > block) part of one
-        k = slice(start >> depth, ((stop - 1) >> depth) + 1)
-        j = start & (sub - 1)
-        mid = np.arange(j + 0.5, j + min(sub, stop - start))
-        a, b = _knot_pairs(rabi, half[k, None],
-                           w_start[:, k, None] + mid * dw[:, k, None],
-                           tilt[:, k, None])
-        return a.reshape(m, -1), b.reshape(m, -1)
-
-    return _compose(slices, m, pairs), ConvergenceReport(slices, (bound,), True)
 
 
 # ---------------------------------------------------------------------------

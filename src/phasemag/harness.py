@@ -84,8 +84,8 @@ def check_curve_request(protocol: str, engine: str,
     """The one validity rule for signal-curve requests (``signal`` and sweeps).
 
     Raises InvalidParameter for an unknown protocol or engine, the analytic
-    engine on the echo protocol, numeric+noise without a noise model, an
-    ``ensemble`` or ``workers`` below 1, an ``ensemble`` above
+    engine on the echo protocol, numeric+noise without a Lorentzian noise
+    model, an ``ensemble`` or ``workers`` below 1, an ``ensemble`` above
     ``_MAX_ENSEMBLE``, a non-finite interaction time, field or drive
     frequency (``omegas``, rad/s), a gamma that is not positive and finite
     (``constants.check_gamma``), and a Larmor phase gamma*|B|*T above
@@ -98,8 +98,8 @@ def check_curve_request(protocol: str, engine: str,
         raise InvalidParameter(f"unknown engine {engine!r}")
     if protocol == "hahn" and engine == "analytic":
         raise InvalidParameter("analytic engine is not defined for the echo protocol")
-    if engine == "numeric+noise" and noise is None:
-        raise InvalidParameter("numeric+noise engine needs a noise model")
+    if engine == "numeric+noise" and not isinstance(noise, noise_mod.Lorentzian):
+        raise InvalidParameter("numeric+noise engine needs a Lorentzian noise model")
     _check_ensemble(ensemble)
     check_count("workers", workers)
     if not np.all(np.isfinite(np.asarray(durations, dtype=float))):
@@ -205,8 +205,9 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
     trajectory sampled every min(tau_c/10, T/256) from the random stream
     ``seed_key + (k,)`` and interpolated linearly.  Free evolution (ramsey,
     hahn) turns by the exact integral of that trajectory, with no mesh;
-    swept segments (berry) run on the co-rotating mesh.  Other noise
-    families raise InvalidParameter.
+    swept segments (berry) hold its mean on each knot interval.  The
+    request is one that ``check_curve_request`` accepts, so its noise is a
+    ``Lorentzian``.
     """
     if engine == "analytic":
         if protocol == "ramsey":
@@ -222,8 +223,6 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
     if engine == "numeric":
         return sequences.execute_batch(plan, b_grid, gamma=gamma)
 
-    if not isinstance(noise, noise_mod.Lorentzian):
-        raise InvalidParameter("numeric+noise engine needs a Lorentzian model")
     dt = min(noise.tau_c / 10.0, duration / 256.0)
     total = np.zeros_like(b_grid)
     for k in range(ensemble):
@@ -602,11 +601,6 @@ def _eq3_decay_curve(S: SpectralDensity, a_value: float) -> noise_mod.CoherenceC
     return noise_mod.coherence_decay(S, a_value, _auto_decay_grid(S, a_value))
 
 
-# the knot mesh's tolerance for the Monte-Carlo decay samples: on the
-# 4-run example scan the fitted T2g lies within 1.1e-5 us of one at 1e-10
-_MC_TOL = 1e-3
-
-
 def _mc_decay_samples(S, a_value, omega, t_grid, ensemble, seed, gamma):
     out = []
     for j, t in enumerate(t_grid):
@@ -615,8 +609,7 @@ def _mc_decay_samples(S, a_value, omega, t_grid, ensemble, seed, gamma):
         dt = min(S.tau_c / 10.0, float(t) / 128.0)
         bank = noise_mod.ou_bank(S, float(t), dt, ensemble, (seed, j))
         p = sequences.execute_batch(plan, np.zeros(ensemble),
-                                    noise_trajectory=bank, tol=_MC_TOL,
-                                    gamma=gamma)
+                                    noise_trajectory=bank, gamma=gamma)
         out.append((float(t), float(np.mean(p))))
     return np.asarray(out)
 

@@ -652,7 +652,7 @@ def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed) -> OUBank:
 
 
 # most dt steps one trajectory may span: 8 MiB of knots per channel, and
-# the noisy swept-drive mesh puts at least one slice in each knot interval
+# a noisy sweep turns once per knot interval and field
 _MAX_OU_STEPS = 1 << 20
 
 

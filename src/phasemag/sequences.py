@@ -19,8 +19,7 @@ whose direction is reversed after the midpoint pulse; the second half starts
 at the first half's final phase value so the control path stays closed.
 
 ``execute`` and ``execute_batch`` run a plan at static fields B; they take
-the gyromagnetic ratio ``gamma`` and the noisy mesh's tolerance ``tol`` as
-plain floats.
+the gyromagnetic ratio ``gamma`` as a plain float, by keyword.
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ def build_berry(rabi: float, n_rotations: int, duration: float) -> SequencePlan:
 # ---------------------------------------------------------------------------
 
 def execute(plan: SequencePlan, b: float,
-            noise_trajectory: Optional[OUBank] = None, tol: float = 1e-6,
+            noise_trajectory: Optional[OUBank] = None, *,
             gamma: float = NV.gamma) -> float:
     """Run a plan at static field ``b`` and return the signal P in [-1, 1].
 
@@ -181,53 +180,46 @@ def execute(plan: SequencePlan, b: float,
     t measured from the start of the sequence.
     """
     return float(execute_batch(plan, np.array([b], dtype=float),
-                               noise_trajectory, tol, gamma)[0])
+                               noise_trajectory, gamma=gamma)[0])
 
 
 def execute_batch(plan: SequencePlan, b_values,
-                  noise_trajectory: Optional[OUBank] = None,
-                  tol: float = 1e-6, gamma: float = NV.gamma) -> np.ndarray:
+                  noise_trajectory: Optional[OUBank] = None, *,
+                  gamma: float = NV.gamma) -> np.ndarray:
     """Vectorized ``execute`` over a 1-D grid of static fields.
 
     ``noise_trajectory`` is None or an ``OUBank`` with one channel, which
     every field shares, or with one channel per field.  Fields that are not
     a finite 1-D grid, any other noise, knots that end before the plan
-    does, a ``tol`` or gamma that is not positive and finite
-    (``constants.check_positive``) and a gamma*B that overflows raise
-    InvalidParameter.  No fields give an empty array.
+    does, a gamma that is not positive and finite (``constants.check_gamma``)
+    and a gamma*B that overflows raise InvalidParameter.  No fields give an
+    empty array.
 
     Each field carries one Cayley-Klein pair (a, b) (``phasemag.core``)
     from |0> to the readout, where P = |a|^2 - |b|^2; every segment
     composes its own pair onto it.  A pulse is a pair of Python complex
     numbers.  Free evolution over [t0, t1] is a z rotation by
     gamma*B*(t1 - t0) plus the integral of the bank's detuning delta, which
-    multiplies both members by exp(-i angle/2).  The bank interpolates
-    linearly between its knots, so that integral is exact
-    (``OUBank.detuning_integral``) and free evolution never needs a mesh.
+    multiplies both members by exp(-i angle/2).  That integral is exact
+    (``OUBank.detuning_integral``), so free evolution never needs a mesh.
 
     Every sweep passes through the frame that co-rotates with its linearly
     ramped drive phase (``_in_drive_frame``), whose two z rotations become
     two scalar phase factors on the frame's pair.  Without noise the Larmor
     vector is constant in that frame, so each segment is one closed-form
     rotation per field (``_apply_swept_exact``).  With noise only its z
-    component varies, linearly between the bank's knots, and the frame
-    propagation runs on a mesh aligned with those knots (``_run_swept``):
-    each knot interval is cut into 2**d equal slices, and each slice takes
-    one interaction-picture Magnus step, exact for the constant part of the
-    Larmor vector whatever its length.  So the mesh follows the slope of
-    the noise alone, not the Larmor rate or the turns of the drive phase:
-    d is the fewest halvings whose a-priori error bound meets ``tol`` on
-    every field, and all fields share that mesh.  An undriven sweep is free
-    evolution, since its phase ramp turns nothing.  ``tol`` governs that
-    mesh only; more than ``core._MAX_DEPTH`` halvings raise
-    ConvergenceFailure.
+    component varies, and it is held on each knot interval of the bank
+    (``_run_swept``) at the interval's mean detuning, so that a sweep sees
+    the same noise integral as free evolution and each interval is one exact
+    rotation per field, whatever the Larmor rate or the turns of the drive
+    phase.  An undriven sweep is free evolution, since its phase ramp turns
+    nothing.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if b_values.ndim != 1:
         raise InvalidParameter("fields must be a 1-D grid")
     if not np.all(np.isfinite(b_values)):
         raise InvalidParameter("fields must be finite")
-    check_positive("tol", tol)
     check_gamma(gamma)
     noise = noise_trajectory
     if noise is not None:
@@ -262,7 +254,7 @@ def execute_batch(plan: SequencePlan, b_values,
             if noise is None:
                 pair = _apply_swept_exact(pair, seg, dets_static)
             else:
-                pair = _run_swept(pair, seg, dets_static, noise, t_start, tol)
+                pair = _run_swept(pair, seg, dets_static, noise, t_start)
         elif isinstance(seg, (FreeEvolution, SweptDrive)):
             # an undriven sweep is free evolution: its phase ramp turns nothing
             angles = dets_static * seg.duration
@@ -319,26 +311,41 @@ def _apply_swept_exact(pair, seg: SweptDrive, dets_static):
         seg.rabi, 0.0, wz, seg.duration, np.hypot(seg.rabi, wz)))
 
 
-def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, t_start,
-               tol):
-    """Mesh propagation of one swept segment under a noise trajectory.
+def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, t_start):
+    """Propagation of one swept segment under a noise trajectory.
 
-    The mesh runs in the co-rotating frame of ``_in_drive_frame``, where the
-    Larmor vector is (rabi, 0, w(t)) with w = gamma*B + delta(t) - r.  The
-    bank's delta is linear between its knots, so w is exactly linear between
-    the knots inside the segment.  The mesh edges are those knots and the
-    segment ends, with w taken from the knot values, and each interval is
-    cut into as many equal slices of one interaction-picture Magnus step
-    as the error bound of ``core._knot_refine`` needs to meet ``tol``.
+    It runs in the co-rotating frame of ``_in_drive_frame``, where the
+    Larmor vector is (rabi, 0, w(t)) with w = gamma*B + delta(t) - r.  Its
+    intervals are the bank's knot intervals clipped to the segment, and on
+    each w is held at the mean of the bank's values at its two edges,
+    which times its length is the interval's ``OUBank.detuning_integral``.
+    Each interval is then one exact rotation per field, composed through
+    ``core._compose``.  More than ``core._MAX_MESH`` intervals times fields
+    raise InvalidParameter before anything is composed.
     """
+    m = dets_static.size
+    if m == 0:
+        return pair
     t_end = t_start + seg.duration
     times = np.arange(noise.values.shape[0]) * noise.dt
     inner = (times > t_start) & (times < t_end)
-    edges = np.concatenate(([t_start], times[inner], [t_end]))
+    lengths = np.diff(np.concatenate(([t_start], times[inner], [t_end])))
+    if not lengths.size * m <= core._MAX_MESH:
+        raise InvalidParameter(
+            f"a noisy sweep over {lengths.size} knot intervals for {m} fields "
+            f"needs {lengths.size * m:.3g} rotations, more than "
+            f"{core._MAX_MESH}")
     ends = noise(np.array([t_start, t_end]))
-    # detunings at the edges, (K+1, 1) shared by every field or (K+1, m)
-    dets = (dets_static[None, :]
-            + np.concatenate((ends[:1], noise.values[inner], ends[1:]))
-            - seg.phase_rate)
-    frame, _ = core._knot_refine(seg.rabi, np.diff(edges), dets, tol)
-    return _in_drive_frame(pair, seg, frame)
+    edges = np.concatenate((ends[:1], noise.values[inner], ends[1:]))
+    # each field's held detuning, (m, K), its row contiguous, as the
+    # reduction wants the intervals along the last axis
+    held = np.ascontiguousarray(
+        (dets_static - seg.phase_rate)[:, None]
+        + 0.5 * (edges[:-1] + edges[1:]).T)
+
+    def pairs(start, stop):
+        w = held[:, start:stop]
+        return core._pairs(seg.rabi, 0.0, w, lengths[start:stop],
+                           np.hypot(seg.rabi, w))
+
+    return _in_drive_frame(pair, seg, core._compose(lengths.size, m, pairs))

@@ -37,6 +37,57 @@ def rotation_matrix(axis, angle):
     ])
 
 
+def held_noise_ode(plan, bs, bank, gamma):
+    """s_z at the readout of ``plan`` for each field of ``bs``, from |0>.
+
+    An oracle for the noisy executor that shares no code with it: DOP853 on
+    ds/dt = R(t) x s in the lab frame, with R = (rabi cos phi, rabi sin phi,
+    gamma*B + w) and the drive phase phi as each segment gives it.  It is
+    restarted at every knot of ``bank`` and at every segment end, and on
+    each such interval w is held at the mean of the bank's knot values,
+    interpolated linearly (``np.interp``), at the interval's two edges.
+    Channel j of a bank with one channel per field is field j's noise; a
+    one-channel bank is every field's.  Pulses are ``rotation_matrix``.
+    """
+    from scipy.integrate import solve_ivp
+
+    bs = np.asarray(bs, dtype=float)
+    m = bs.size
+    knots = np.arange(bank.values.shape[0]) * bank.dt
+    noise = np.broadcast_to(bank.values, (knots.size, m))
+
+    def noise_at(t):
+        return np.array([np.interp(t, knots, noise[:, j]) for j in range(m)])
+
+    s = np.tile([0.0, 0.0, 1.0], (m, 1))
+    t0 = 0.0
+    for seg in plan.segments:
+        if hasattr(seg, "axis_phase"):
+            axis = [math.cos(seg.axis_phase), math.sin(seg.axis_phase), 0.0]
+            s = s @ rotation_matrix(axis, seg.angle).T
+            continue
+        rabi = getattr(seg, "rabi", 0.0)
+        phase0 = getattr(seg, "phase_start", 0.0)
+        rate = getattr(seg, "phase_rate", 0.0)
+        t1 = t0 + seg.duration
+        edges = np.concatenate(([t0], knots[(knots > t0) & (knots < t1)], [t1]))
+        for a, b in zip(edges[:-1], edges[1:]):
+            wz = gamma * bs + 0.5 * (noise_at(a) + noise_at(b))
+
+            def rhs(t, y, t0=t0, wz=wz):
+                phase = phase0 + rate * (t - t0)
+                r = np.empty((m, 3))
+                r[:, 0] = rabi * math.cos(phase)
+                r[:, 1] = rabi * math.sin(phase)
+                r[:, 2] = wz
+                return np.cross(r, y.reshape(m, 3)).ravel()
+
+            s = solve_ivp(rhs, (a, b), s.ravel(), method="DOP853", rtol=1e-12,
+                          atol=1e-12).y[:, -1].reshape(m, 3)
+        t0 = t1
+    return s[:, 2]
+
+
 def rotation_matrices(nx, ny, nz, angle) -> np.ndarray:
     """Axis-angle rotation matrices, vectorized over leading dimensions.
 

@@ -662,12 +662,12 @@ class TestBadNumbers:
           "--omega-mhz=1e300", "--n=1000"), 3),
         (("estimate", "--config", str(EXAMPLES / "estimate.cfg"),
           "--omega-mhz=1e-300", "--n=1000"), 3),
-        # a 1e13 rad/s bath swings the detuning by about 6e11 rad/s across
-        # each knot interval: the knot mesh's error bound would need more
-        # than max_depth halvings, refused before composing
+        # a 1 ns bath puts its knots 0.1 ns apart: each 4 us sweep spans
+        # 40000 knot intervals, 2.4e7 rotations for 601 fields, refused
+        # before composing
         (("signal", "--config", str(EXAMPLES / "signal.cfg"), "--engine",
-          "numeric+noise", "--b-points", "3", "--ensemble", "1",
-          "--delta-rad-s", "1e13", "--tau-c-us", "20"), 3),
+          "numeric+noise", "--ensemble", "1", "--delta-rad-s", "31415.9",
+          "--tau-c-us", "0.001"), 3),
         # a subnormal gamma puts the upper hyperfine line's offset d/gamma
         # at 1.7969e308 T, and the fields b + d/gamma past the float range
         (("signal", "--protocol", "ramsey", "--t-us", "1e-300",
@@ -689,7 +689,7 @@ class TestBadNumbers:
             "signal-ou-knots", "sweep-larmor-phase", "overlay-t-long",
             "overlay-t-short", "lorentzian-psd-tail", "signal-seed-negative",
             "decohere-seed-negative", "estimate-candidate-overflows",
-            "estimate-slope-envelope-overflows", "signal-knot-mesh-bound",
+            "estimate-slope-envelope-overflows", "signal-noisy-mesh-cap",
             "signal-hyperfine-fields-overflow"])
     def test_exit_code_and_no_output(self, tmp_path, capsys, args, want):
         # rejected by validation: one error line on stderr and no warning
@@ -713,10 +713,24 @@ class TestBadNumbers:
             "config error: gamma must be positive and finite")
         assert list(tmp_path.iterdir()) == []
 
+    def test_large_noise_runs_without_halvings(self, tmp_path):
+        # a 1e13 rad/s bath swings the detuning by about 6e11 rad/s across
+        # each knot interval.  An error bound on the knot interpolant once
+        # wanted more than 12 halvings for it and exited 3; held at each
+        # interval's mean, the noise is one exact rotation per interval
+        out = tmp_path / "s.csv"
+        assert run_cli("signal", "--config", str(EXAMPLES / "signal.cfg"),
+                       "--engine", "numeric+noise", "--b-points", "3",
+                       "--ensemble", "1", "--delta-rad-s", "1e13",
+                       "--tau-c-us", "20", "--out", str(out)) == 0
+        p = np.array([float(r[1]) for r in data_rows(out)])
+        assert p.size == 3 and np.all(np.isfinite(p))
+        assert np.all(np.abs(p) <= 1.0)
+
     def test_many_turns_are_not_refused(self, tmp_path):
-        # the knot mesh follows the slope of the noise, not the Larmor
-        # rate: 2**31 turns, once refused for a start of 2**25 slices per
-        # knot interval, run on one slice per interval
+        # a noisy sweep is one rotation per knot interval, whatever the
+        # Larmor rate: 2**31 turns, once refused for a start of 2**25
+        # slices per knot interval, run at once
         out = tmp_path / "s.csv"
         assert run_cli("signal", "--config", str(EXAMPLES / "signal.cfg"),
                        "--engine", "numeric+noise", "--b-points", "3",
@@ -988,16 +1002,15 @@ class TestExampleConfigs:
          "09cbcb3ecaf19c5749cdf342dde2c7bf89cdf0f8cf7a623394b646c3afe07c4e"),
         (("--engine", "numeric+noise", "--b-points", "7", "--ensemble", "2",
           "--t2star-us", "50", "--t2-us", "500", "--seed", "3"),
-         "56a58f733c23f0eaf82dd4934dcc8f43dc3852f56ac7eafb23c6f239e8df69f7"),
+         "64fb4a1f4fa4bf0b2b6bc437421ea61a4e5716ff26e5fb551cca94cbcad00baf"),
     ], ids=["numeric", "numeric-noise"])
     def test_signal_example_output_pinned(self, tmp_path, repo_docs, extra,
                                           digest):
         # sha256 of every line below the '#' header (which embeds --out).
         # The numeric digest was taken from the 3x3-matrix propagators:
         # composing Cayley-Klein pairs moves P by rounding only, and no
-        # printed digit.  The numeric-noise digest is that of the
-        # interaction-picture knot mesh, whose every printed digit equals
-        # a mesh at tol 1e-12
+        # printed digit.  The numeric-noise digest holds the noise at each
+        # knot interval's mean, one exact rotation per interval
         out = tmp_path / "s.csv"
         assert run_cli("signal", "--config", str(repo_docs / "signal.cfg"),
                        *extra, "--out", str(out)) == 0
@@ -1056,8 +1069,8 @@ class TestExampleConfigs:
     def test_monte_carlo_decohere_output_pinned(self, tmp_path, repo_docs):
         # sha256 of the lines below the '#' headers of the three files, in
         # the order coherence, regimes, overlay: the regime rows run the
-        # noisy knot mesh at tol 1e-3 over 4 runs (T2g within 1.1e-5 us of
-        # the same scan at tol 1e-10)
+        # noisy sweeps over 4 runs, the noise held at each knot interval's
+        # mean
         prefix = tmp_path / "mc"
         assert run_cli("decohere", "--config", str(repo_docs / "decohere.cfg"),
                        "--engine", "monte-carlo", "--ensemble", "4",
@@ -1068,7 +1081,7 @@ class TestExampleConfigs:
                 keepends=True)
             digest.update(b"".join(l for l in lines if not l.startswith(b"#")))
         assert digest.hexdigest() == (
-            "bd00f62354d618a465c9d9ac9960f9ca5fd9138cfdfa203714e5a29c9ab4ce64")
+            "2b3ebc1e37f2e81f895f0415f65988642badc14ae32e4d52b6effda9217991f3")
 
     def test_sweep_example(self, tmp_path, repo_docs):
         code = run_cli("sweep", "--config", str(repo_docs / "sweep.cfg"),

@@ -111,8 +111,6 @@ ENTRY_POINTS = [
     ("build_berry", "n_rotations", TURNS,
      lambda x: sequences.build_berry(W5, x, 8e-6)),
     ("build_berry", "duration", POSITIVE, lambda x: sequences.build_berry(W5, 3, x)),
-    ("execute_batch", "tol", POSITIVE,
-     lambda x: sequences.execute_batch(sequences.build_ramsey(1e-6), [0.0], tol=x)),
     ("execute_batch", "gamma", POSITIVE,
      lambda x: sequences.execute_batch(sequences.build_ramsey(1e-6), [0.0], gamma=x)),
     ("DriveParams", "rabi", NONNEGATIVE, lambda x: core.DriveParams(x, 0.0, 0.0)),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from phasemag import core
+from phasemag import core, sequences
 from phasemag.constants import NV, TWO_PI, angular_from_mhz
 from phasemag.core import (DriveParams, SpinState,
                            apply_ideal_pulse, apply_resonant_pulse,
@@ -13,6 +13,7 @@ from phasemag.core import (DriveParams, SpinState,
                            propagate_swept, propagate_swept_report,
                            _compose_swept)
 from phasemag.errors import ConvergenceFailure, InvalidParameter
+from phasemag.noise import OUBank
 
 from conftest import reduce_time_ordered, rotation_matrices, swept_exact
 
@@ -190,149 +191,6 @@ class TestPairKernel:
         assert np.max(np.abs(got - ref)) <= 1e-14
 
 
-def _knot_bound(lengths, dets):
-    """The knot mesh's error bound at one slice per interval, worked out
-    here from its definition: the worst channel's sum of (dw L)^2 / 32."""
-    return float(np.max(np.sum(((dets[1:] - dets[:-1])
-                                * lengths[:, None]) ** 2, axis=0))) / 32.0
-
-
-def _knot_mesh(rabi, lengths, dets, depth):
-    """``core._knot_refine`` held at ``depth`` halvings by a tol that the
-    bound meets there and not one halving sooner."""
-    bound = _knot_bound(lengths, dets) / 8.0**depth
-    pair, report = core._knot_refine(rabi, lengths, dets, bound * (1 + 1e-9))
-    assert report.steps == lengths.size << depth
-    assert report.error_history == (pytest.approx(bound, rel=1e-12),)
-    return pair
-
-
-class TestKnotComposition:
-    """The knot mesh composes interaction-picture Magnus slices."""
-
-    @staticmethod
-    def _mesh(k, m):
-        # k intervals of 0.05-0.15 us, w within +-30 Mrad/s at the edges
-        rng = np.random.default_rng(40 + k + m)
-        lengths = rng.uniform(0.05e-6, 0.15e-6, k)
-        dets = rng.uniform(-3e7, 3e7, (k + 1, m))
-        states = rng.standard_normal((m, 3))
-        return lengths, dets, states / np.linalg.norm(states, axis=1,
-                                                      keepdims=True)
-
-    @staticmethod
-    def _reference(rabi, lengths, dets, depth, states):
-        # the slices of one depth written out from the step's definition as
-        # 3x3 matrices: the rotation about R0 = (rabi, 0, w_mid) for h/2, a
-        # turn about y by the first Magnus term of the interaction picture,
-        # and the rotation about R0 for h/2 again.  That term,
-        # rabi*s * int t sin(k t) dt / k over the slice, is integrated by
-        # 16-point Gauss-Legendre
-        sub = 1 << depth
-        h = np.repeat(lengths / sub, sub)[:, None]
-        slope = np.repeat((dets[1:] - dets[:-1]) / lengths[:, None], sub,
-                          axis=0)
-        mid = np.tile(np.arange(sub) + 0.5, lengths.size)[:, None]
-        w = np.repeat(dets[:-1], sub, axis=0) + mid * slope * h
-        k = np.hypot(rabi, w)
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        t = 0.5 * h[..., None] * nodes
-        moment = 0.5 * h * np.sum(weights * t * np.sin(k[..., None] * t),
-                                  axis=-1)
-        half = rotation_matrices(rabi / k, 0.0, w / k, 0.5 * k * h)
-        tilt = rotation_matrices(0.0, 1.0, 0.0, rabi * slope * moment / k)
-        total = reduce_time_ordered(half @ tilt @ half)
-        return np.einsum("mij,mj->mi", total, states)
-
-    @pytest.mark.parametrize("m", [1, 3, 12])
-    @pytest.mark.parametrize("k", [7, 64])
-    def test_each_depth_matches_the_reference(self, k, m):
-        rabi = angular_from_mhz(5.0)
-        lengths, dets, states = self._mesh(k, m)
-        # at depth 5 k*h/2 falls on both sides of 0.1, where the step sums
-        # its Magnus term as a series
-        for depth in (0, 2, 5):
-            got = core._apply(*_knot_mesh(rabi, lengths, dets, depth),
-                              states)
-            ref = self._reference(rabi, lengths, dets, depth, states)
-            assert got.shape == (m, 3)
-            assert np.max(np.abs(got - ref)) <= 1e-13
-
-    def test_magnus_term_at_any_turn(self):
-        # the y rotation of a slice, -sin(theta/2) in b.real, against theta
-        # from 48-point Gauss-Legendre, for x = k*h/2 from 1e-6 (where the
-        # closed form of g has cancelled to nothing) to 10
-        rabi, w = 3e7, np.array([0.0, 4e7])[:, None]
-        k = np.hypot(rabi, w)
-        x = np.logspace(-6, 1, 29)
-        half = x / k
-        tilt = 1e-3 / half**3
-        a, b = core._knot_pairs(rabi, half, w, tilt)
-        nodes, weights = np.polynomial.legendre.leggauss(48)
-        t = half[..., None] * nodes
-        moment = half * np.sum(weights * t * np.sin(k[..., None] * t), axis=-1)
-        theta = tilt * moment / k
-        assert np.allclose(b.real, -np.sin(0.5 * theta), rtol=1e-12, atol=0)
-        assert np.allclose(np.abs(a) ** 2 + np.abs(b) ** 2, 1.0, rtol=0,
-                           atol=1e-15)
-
-    @staticmethod
-    def _frame_ode(rabi, lengths, dets):
-        # DOP853 on ds/dt = R(t) x s, R = (rabi, 0, w(t)), one interval at a
-        # time, from |0>
-        from scipy.integrate import solve_ivp
-
-        m = dets.shape[1]
-        s = np.tile([0.0, 0.0, 1.0], m)
-        for length, w0, w1 in zip(lengths, dets[:-1], dets[1:]):
-            def rhs(t, y, length=length, w0=w0, w1=w1):
-                r = np.empty((m, 3))
-                r[:, 0], r[:, 1] = rabi, 0.0
-                r[:, 2] = w0 + (w1 - w0) * (t / length)
-                return np.cross(r, y.reshape(m, 3)).ravel()
-
-            s = solve_ivp(rhs, (0.0, length), s, method="DOP853", rtol=1e-12,
-                          atol=1e-12).y[:, -1]
-        return s.reshape(m, 3)
-
-    def test_error_within_the_bound(self):
-        # seeded cells whose slices turn by 0.8 to 34 rad about R, at tols
-        # from 1e-6 to 1e-3: the error against DOP853 stays within the
-        # bound the mesh was sized by (at most 0.06 of it measured)
-        reach = []
-        for seed in range(8):
-            rng = np.random.default_rng(seed)
-            k, m = 4, 3
-            rabi = rng.uniform(1e6, 3e7)
-            lengths = rng.uniform(0.3e-6, 1e-6, k)
-            dets = (rng.uniform(-3e7, 3e7, m) + rng.uniform(-1, 1, (k + 1, m))
-                    * 10.0 ** rng.uniform(4, 6.5))
-            pair, report = core._knot_refine(
-                rabi, lengths, dets, 10.0 ** rng.uniform(-6, -3))
-            r = np.hypot(rabi, np.maximum(np.abs(dets[:-1]), np.abs(dets[1:])))
-            reach.append(np.max(r * lengths[:, None]) / (report.steps // k))
-            got = core._apply(*pair, np.array([0.0, 0.0, 1.0]))
-            err = np.max(np.abs(got - self._frame_ode(rabi, lengths, dets)))
-            assert err <= report.error_history[0]
-        assert max(reach) >= 30.0
-
-    def test_error_follows_the_slope_squared(self):
-        # on a fixed mesh the terms the step leaves out start at second
-        # order in the slope: halving the noise about a fixed w quarters
-        # the error against DOP853 (3.89 and 4.00 measured)
-        rabi = angular_from_mhz(3.0)
-        lengths = np.full(8, 0.5e-6)
-        noise = np.random.default_rng(9).uniform(-3e5, 3e5, (9, 1))
-        errs = []
-        for scale in (1.0, 0.5, 0.25):
-            dets = 2e7 + scale * noise
-            got = core._apply(*_knot_mesh(rabi, lengths, dets, 0),
-                              np.array([0.0, 0.0, 1.0]))
-            errs.append(np.max(np.abs(got - self._frame_ode(rabi, lengths,
-                                                            dets))))
-        for a, b in zip(errs, errs[1:]):
-            assert 3.5 <= a / b <= 4.5
-
 class TestPropagateSwept:
     def test_constant_functions_reduce_to_constant_case(self):
         w = angular_from_mhz(3.0)
@@ -428,24 +286,6 @@ class TestPropagateSwept:
         for ratio in self._fixed_mesh_errors():
             assert ratio <= 0.1
 
-    def test_knot_mesh_step_is_fourth_order(self):
-        # the noisy co-rotating mesh takes one interaction-picture Magnus
-        # step per slice of a piecewise-linear R = (rabi, 0, w): without
-        # its y rotation it would be a 2nd-order splitting (ratio 0.25);
-        # with it the error drops 16x per halving (0.0625 measured)
-        w = angular_from_mhz(2.0)
-        lengths = np.full(8, 0.5e-6)
-        dets = np.random.default_rng(5).uniform(-3e6, 3e6, (9, 1))
-        v = np.array([[0.0, -1.0, 0.0]])
-
-        def run(depth):
-            return core._apply(*_knot_mesh(w, lengths, dets, depth), v)[0]
-
-        ref = run(12)
-        errs = [np.max(np.abs(run(d) - ref)) for d in (2, 3, 4, 5)]
-        for a, b in zip(errs, errs[1:]):
-            assert b / a <= 0.1
-
     # the four quadratic-ramp cells of the signal_numeric benchmark
     # (Omega/2pi in MHz, T in us, phase turns, chirp fraction, B in mT) with
     # the mesh steps the midpoint step needed for them at tol 1e-6
@@ -488,29 +328,29 @@ class TestPropagateSwept:
     @pytest.mark.parametrize("noisy", [False, True])
     def test_mesh_is_sampled_block_by_block(self, monkeypatch, noisy):
         # a fine mesh must never sample and rotate the whole mesh at once,
-        # neither the lab-frame mesh of one state nor the knot mesh of a
-        # batch (the noisy sweeps); splitting it into more blocks, down to
-        # blocks of part of one knot interval, leaves the result unchanged
+        # neither the lab-frame mesh of one state nor the knot intervals of
+        # a batch (the noisy sweeps); splitting it into more blocks, down to
+        # blocks of a few intervals, leaves the result unchanged
         sizes = []
-        kernel = "_knot_pairs" if noisy else "_pairs"
-        build = getattr(core, kernel)
+        build = core._pairs
 
         def spy(*args):
             sizes.append(np.broadcast(*args).size)
             return build(*args)
 
-        monkeypatch.setattr(core, kernel, spy)
+        monkeypatch.setattr(core, "_pairs", spy)
         if noisy:
-            m = 16
-            knots = np.linspace(0.0, 1e-6, 21)
-            edge_dets = (np.linspace(-2e6, 2e6, m)[None, :]
-                         + 1e5 * np.sin(3e6 * knots)[:, None])
+            m, duration = 16, 4e-6
+            plan = sequences.build_berry(3e6, 2, duration)
+            dt = duration / 8192
+            bank = OUBank(dt=dt, values=1e5 * np.sin(
+                3e6 * np.arange(8193) * dt)[:, None])
 
             def run():
-                # 20 intervals of 2**8 slices, 16 channels: 81920 rotations
-                return core._apply(*_knot_mesh(3e6, np.diff(knots),
-                                               edge_dets, 8),
-                                   np.tile([0.0, -1.0, 0.0], (m, 1)))
+                # 2 sweeps of 4096 knot intervals, 16 fields: 131072
+                # rotations
+                return sequences.execute_batch(
+                    plan, np.linspace(-1e-4, 1e-4, m), bank)
         else:
             def run():
                 # 200000 slices of two rotations each
@@ -521,7 +361,7 @@ class TestPropagateSwept:
         assert len(sizes) > 1
         assert max(sizes) <= core._BLOCK
         for block in (core._BLOCK // 8, 64):
-            # 64 rotations of 16 channels: 4 slices of an interval of 256
+            # 64 rotations of 16 fields: 4 knot intervals
             monkeypatch.setattr(core, "_BLOCK", block)
             assert np.allclose(run(), out, rtol=0, atol=1e-12)
 
@@ -535,23 +375,19 @@ class TestPropagateSwept:
     @pytest.mark.parametrize("noisy", [False, True])
     def test_start_mesh_beyond_the_cap_refused(self, monkeypatch, noisy):
         # a phase ramp of 1e16 rad/s starts the lab-frame mesh at 1e10
-        # slices.  The knot mesh does not grow with |R|, only with the
-        # slope of w: a w that swings by 4e12 rad/s across each of 128
-        # intervals needs 2**18 slices each at tol 1e-6, 2**25 in all.
-        # Both are refused before anything is composed
+        # slices.  A noisy sweep does not grow with |R|, only with the knot
+        # intervals it spans: 2**19 intervals per sweep for 33 fields are
+        # 1.7e7 rotations, past 2**24.  Both are refused before anything is
+        # composed
         def compose(*args):
             raise AssertionError("composed a mesh past the cap")
 
         monkeypatch.setattr(core, "_compose", compose)
         if noisy:
-            dets = np.tile([[2e12], [-2e12]], (65, 1))[:129]
-            args = (1e6, np.full(128, 1e-6 / 128), dets)
-            # the default _MAX_DEPTH gives up first
-            with pytest.raises(ConvergenceFailure, match="12 halvings"):
-                core._knot_refine(*args, 1e-6)
-            monkeypatch.setattr(core, "_MAX_DEPTH", 40)
-            with pytest.raises(InvalidParameter, match="would need"):
-                core._knot_refine(*args, 1e-6)
+            plan = sequences.build_berry(1e6, 1, 1e-6)
+            bank = OUBank(dt=1e-6 / 2**20, values=np.zeros((2**20 + 1, 1)))
+            with pytest.raises(InvalidParameter, match="knot intervals for 33 fields"):
+                sequences.execute_batch(plan, np.zeros(33), bank)
         else:
             with pytest.raises(InvalidParameter, match="mesh would start"):
                 propagate_swept(SpinState.up(), 1e6, lambda t: 1e16 * t,

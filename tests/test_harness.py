@@ -17,7 +17,10 @@ from phasemag.harness import (SweepRecord, SweepResult, SweepSpec,
                               fit_power_law, fmt,
                               nonadiabatic_sensitivity_scan, run_sweep,
                               smart_control_curve, to_jsonl)
-from phasemag.noise import Lorentzian, White, fit_T2g
+from phasemag.noise import Lorentzian, OneOverF, White, fit_T2g, ou_bank
+from phasemag.sequences import build_berry
+
+from conftest import held_noise_ode
 
 W5 = angular_from_mhz(5.0)
 
@@ -135,13 +138,16 @@ class TestRunSweep:
         curve = _eq3_decay_curve(calibrated_noise, rec.adiabaticity)
         assert rec.t2g == fit_T2g(np.stack([curve.times, curve.values], axis=1))[0]
 
-    def test_noise_engine_needs_lorentzian_per_point(self):
-        spec = SweepSpec(protocol="ramsey", times=[1e-6, 2e-6],
-                         b_grid=[0.0, 1e-5, 2e-5], engine="numeric+noise",
-                         noise=White(1.0), ensemble=1)
-        res = run_sweep(spec)
-        assert [r.status for r in res.records] == ["error", "error"]
-        assert all("Lorentzian" in r.error for r in res.records)
+    @pytest.mark.parametrize("noise", [None, White(1e3),
+                                       OneOverF(1.0, 1.0, 10.0)],
+                             ids=["none", "white", "one-over-f"])
+    def test_noise_engine_needs_lorentzian(self, noise):
+        # a spec of another family was accepted, and then every point's
+        # record read that the engine needs a Lorentzian model
+        with pytest.raises(InvalidParameter, match="Lorentzian"):
+            SweepSpec(protocol="ramsey", times=[1e-6, 2e-6],
+                      b_grid=[0.0, 1e-5, 2e-5], engine="numeric+noise",
+                      noise=noise, ensemble=1)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidParameter):
@@ -161,7 +167,8 @@ class TestRunSweep:
         # TypeError; counts are integers >= 1, checked before any point runs
         with pytest.raises(InvalidParameter, match="ensemble must be >= 1"):
             SweepSpec(protocol="ramsey", times=[1e-6], b_grid=[0.0, 1e-4],
-                      engine="numeric+noise", noise=White(1.0), ensemble=2.5)
+                      engine="numeric+noise", noise=Lorentzian(1e5, 1e-5),
+                      ensemble=2.5)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
     def test_spec_refuses_bad_gamma(self, gamma):
@@ -308,13 +315,19 @@ class TestRegimeScan:
         ("calibrated", 1.0, (10e-6, 30e-6)),
     ])
     def test_monte_carlo_samples_match_a_fine_mesh(
-            self, monkeypatch, calibrated_noise, bath, a_value, times):
+            self, calibrated_noise, bath, a_value, times):
+        # each sample is the mean P of 8 runs at B = 0; the reference runs
+        # the same banks through DOP853 restarted at every knot
         S = self.FAST if bath == "fast" else calibrated_noise
-        args = (S, a_value, TWO_PI * 0.5e6, np.array(times), 8, 5, NV.gamma)
-        got = _mc_decay_samples(*args)
-        monkeypatch.setattr(harness, "_MC_TOL", 1e-9)
-        ref = _mc_decay_samples(*args)
-        assert np.max(np.abs(got[:, 1] - ref[:, 1])) <= 1e-3
+        omega, seed = TWO_PI * 0.5e6, 5
+        got = _mc_decay_samples(S, a_value, omega, np.array(times), 8, seed,
+                                NV.gamma)
+        for j, (t, p) in enumerate(got):
+            n_rot = max(1, int(round(a_value * omega * t / TWO_PI)))
+            bank = ou_bank(S, t, min(S.tau_c / 10.0, t / 128.0), 8, (seed, j))
+            ref = held_noise_ode(build_berry(omega, n_rot, t), np.zeros(8),
+                                 bank, NV.gamma)
+            assert p == pytest.approx(np.mean(ref), abs=1e-9)
 
     def test_monte_carlo_streams_are_keyed_by_seed_and_time(self,
                                                             monkeypatch):
@@ -342,16 +355,16 @@ class TestRegimeScan:
                                                 calibrated_noise):
         # with a start of 64 slices per Larmor turn these scans ended on
         # meshes of 173404 (calibrated bath) and 98464 (fast bath) steps in
-        # all; the knot-aligned mesh must need at most a quarter of that
+        # all; one rotation per knot interval must need at most a quarter
+        # of that
         steps = []
-        refine = core._knot_refine
+        compose = core._compose
 
-        def spy(*args, **kw):
-            out, report = refine(*args, **kw)
-            steps.append(report.steps)
-            return out, report
+        def spy(n_slices, per_slice, pairs):
+            steps.append(n_slices)
+            return compose(n_slices, per_slice, pairs)
 
-        monkeypatch.setattr(core, "_knot_refine", spy)
+        monkeypatch.setattr(core, "_compose", spy)
         for S, before in ((calibrated_noise, 173404), (self.FAST, 98464)):
             steps.clear()
             rows = decoherence_regime_scan([0.1, 1.0, 2.0], S,

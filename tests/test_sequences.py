@@ -9,14 +9,14 @@ from phasemag import analytic, core
 from phasemag.analytic import GeometricModel, berry_field_range
 from phasemag.constants import MAX_TURNS, NV, TWO_PI, angular_from_mhz
 from phasemag.core import SpinState
-from phasemag.errors import ConvergenceFailure, InvalidParameter
+from phasemag.errors import InvalidParameter
 from phasemag.noise import Lorentzian, OUBank, ou_bank, ou_trajectory
 from phasemag.sequences import (READOUT_PHASE, FreeEvolution, IdealPulse,
                                 SequencePlan, SweptDrive, _apply_swept_exact,
                                 build_berry, build_hahn, build_ramsey, execute,
                                 execute_batch)
 
-from conftest import rotation_matrix
+from conftest import held_noise_ode
 
 W5 = angular_from_mhz(5.0)
 
@@ -265,47 +265,46 @@ class TestSweptClosedFormAgainstMesh:
         assert np.array_equal(execute_batch(swept, bs),
                               execute_batch(build_ramsey(duration), bs))
 
-    def test_tol_only_governs_the_mesh(self, monkeypatch):
-        plan = build_berry(W5, 3, 8e-6)
-        bs = np.linspace(0, 3e-4, 9)
-        monkeypatch.setattr(core, "_MAX_DEPTH", 1)
-        assert np.array_equal(execute_batch(plan, bs, tol=1e-16),
-                              execute_batch(plan, bs))
-        # a bank of zeros would need no halving: the knot mesh's step is
-        # exact where the noise is constant
-        bank = _knot_bank(plan.duration, lambda t: 1e5 * np.sin(3e6 * t))
-        with pytest.raises(ConvergenceFailure):
-            execute_batch(plan, bs, tol=1e-16, noise_trajectory=bank)
-
 
 class TestNoisyFrameAgainstLabMesh:
-    """Noisy segments run on the co-rotating mesh; the reference is the
-    lab-frame mesh of ``core.propagate_swept`` with the drive phase as given."""
+    """Noisy segments hold the noise on each knot interval; the reference is
+    the lab-frame mesh of ``core.propagate_swept`` with the drive phase as
+    given, restarted at every knot with the same held detuning."""
 
     # fast bath: the noise changes many times within each segment
     BATH = Lorentzian(delta=2e5, tau_c=2e-6)
     RATE = 4 * math.pi * 2 / 6e-6
     W2 = angular_from_mhz(2.0)
 
-    def _lab_frame(self, plan, b, noise_at, tol=1e-6):
-        """s_z at the end of ``plan``, each evolution segment on the lab-frame mesh."""
+    @staticmethod
+    def _lab_frame(plan, b, bank, j=0, tol=1e-9):
+        """s_z at the end of ``plan`` at field ``b`` under channel ``j`` of
+        ``bank``: each knot interval of each evolution segment on the
+        lab-frame mesh, at the mean of the knot interpolant at its edges."""
+        knots = np.arange(bank.values.shape[0]) * bank.dt
+
+        def noise(t):
+            return float(np.interp(t, knots, bank.values[:, j]))
+
         state = SpinState.up()
-        t_start = 0.0
+        t0 = 0.0
         for seg in plan.segments:
             if isinstance(seg, IdealPulse):
                 state = core.apply_ideal_pulse(state, seg.axis_phase, seg.angle)
                 continue
             if isinstance(seg, FreeEvolution):
                 seg = SweptDrive(0.0, 0.0, 0.0, seg.duration)
-
-            def det(t, t0=t_start):
-                return NV.gamma * b + noise_at(t0 + np.asarray(t, dtype=float))
-
-            state = core.propagate_swept(
-                state, seg.rabi,
-                lambda t, seg=seg: seg.phase_start + seg.phase_rate * t,
-                det, seg.duration, tol)
-            t_start += seg.duration
+            t1 = t0 + seg.duration
+            edges = np.concatenate(([t0], knots[(knots > t0) & (knots < t1)],
+                                    [t1]))
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                det = NV.gamma * b + 0.5 * (noise(lo) + noise(hi))
+                state = core.propagate_swept(
+                    state, seg.rabi,
+                    lambda t, seg=seg, off=lo - t0: (seg.phase_start
+                                                     + seg.phase_rate * (off + t)),
+                    lambda t, det=det: det, hi - lo, tol)
+            t0 = t1
         return state.s_z
 
     def _plan(self, *sweeps):
@@ -331,8 +330,7 @@ class TestNoisyFrameAgainstLabMesh:
         bs = np.array([0.0, 1.3e-4, self.RATE / NV.gamma, -2.2e-4])
         got = execute_batch(plan, bs, noise_trajectory=traj)
         for b, p in zip(bs, got):
-            ref = self._lab_frame(plan, b, lambda t: traj(t)[:, 0])
-            assert p == pytest.approx(ref, abs=1e-6)
+            assert p == pytest.approx(self._lab_frame(plan, b, traj), abs=1e-8)
 
     def test_bank_channels_see_their_own_streams(self):
         plan = self._plan(SweptDrive(self.W2, 0.7, self.RATE, 3e-6),
@@ -342,35 +340,33 @@ class TestNoisyFrameAgainstLabMesh:
         bs = np.array([0.0, 0.0, 1.3e-4])
         got = execute_batch(plan, bs, noise_trajectory=bank)
         for j, (b, p) in enumerate(zip(bs, got)):
-            ref = self._lab_frame(plan, b, lambda t, j=j: bank(t)[:, j])
-            assert p == pytest.approx(ref, abs=1e-6)
+            assert p == pytest.approx(self._lab_frame(plan, b, bank, j),
+                                      abs=1e-8)
         # the two zero-field channels differ only by their streams
         assert abs(got[0] - got[1]) > 1e-3
 
-    # free evolution is an exact z rotation: the knot spacing is tau_c/10 =
-    # 0.2 us, so every segment below starts or ends between two knots.  The
-    # lab-frame oracle runs at tol 1e-9; at 1e-10 its Richardson estimate
-    # stalls on the kinks of the noise interpolant
+    # free evolution is an exact z rotation by the integral of the knot
+    # interpolant, which is the held model's too: the knot spacing is
+    # tau_c/10 = 0.2 us, so every segment below starts or ends between two
+    # knots
     @pytest.mark.parametrize("plan", [build_ramsey(3.05e-6), build_hahn(6.1e-6)],
                              ids=["ramsey", "hahn"])
     def test_free_evolution_is_exact(self, plan):
-        fine = 1e-9
         bs = np.array([0.0, 1.3e-5, -2.2e-5])
         traj = ou_trajectory(self.BATH, plan.duration, self.BATH.tau_c / 10, seed=22)
         got = execute_batch(plan, bs, noise_trajectory=traj)
         for b, p in zip(bs, got):
-            ref = self._lab_frame(plan, b, lambda t: traj(t)[:, 0], fine)
-            assert p == pytest.approx(ref, abs=1e-8)
+            assert p == pytest.approx(self._lab_frame(plan, b, traj), abs=1e-8)
         bank = ou_bank(self.BATH, plan.duration, self.BATH.tau_c / 10, 3, seed=5)
         got = execute_batch(plan, bs, noise_trajectory=bank)
         for j, (b, p) in enumerate(zip(bs, got)):
-            ref = self._lab_frame(plan, b, lambda t, j=j: bank(t)[:, j], fine)
-            assert p == pytest.approx(ref, abs=1e-8)
+            assert p == pytest.approx(self._lab_frame(plan, b, bank, j),
+                                      abs=1e-8)
 
     def test_mesh_no_longer_resolves_phase_turns(self, monkeypatch):
         # the lab-frame mesh stalls here at 2 halvings (about 10k steps,
-        # change 5.4e-5); in the co-rotating frame only the Larmor rate and
-        # the noise set the mesh
+        # change 5.4e-5); in the co-rotating frame each knot interval is one
+        # rotation, whatever the turns of the drive phase
         plan = build_berry(W5, 3, 8e-6)
         bath = Lorentzian(delta=31415.9, tau_c=20e-6)
         traj = ou_trajectory(bath, 8e-6, 8e-6 / 256, seed=3)
@@ -381,19 +377,19 @@ class TestNoisyFrameAgainstLabMesh:
 
 
 class TestCoarseNoisyMesh:
-    """The noisy co-rotating mesh cuts each knot interval into the fewest
-    equal slices whose a-priori error bound meets ``tol``; a slice may turn
-    by many radians about R."""
+    """The noisy co-rotating frame takes one exact rotation per knot
+    interval; an interval may turn by many radians about R."""
 
     def test_wide_field_berry_curve_matches_a_fine_mesh(self, calibrated_noise):
-        # the frame Larmor rate, and so the slices per knot interval, is
-        # largest at the top of the 0-0.6 mT range
+        # the frame Larmor rate, and so the turn of each knot interval, is
+        # largest at the top of the 0-0.6 mT range; the reference is DOP853
+        # restarted at every knot (a few thousand steps in all)
         plan = build_berry(W5, 3, 8e-6)
         bs = np.linspace(0.0, 6e-4, 7)
         traj = ou_trajectory(calibrated_noise, 8e-6, 8e-6 / 256, seed=3)
         got = execute_batch(plan, bs, noise_trajectory=traj)
-        ref = execute_batch(plan, bs, noise_trajectory=traj, tol=1e-11)
-        assert np.max(np.abs(got - ref)) <= 1e-6
+        ref = held_noise_ode(plan, bs, traj, NV.gamma)
+        assert np.max(np.abs(got - ref)) <= 1e-8
 
     def test_undriven_sweep_does_not_alias_the_noise(self):
         # about 1 rad of precession in all: a mesh of one or two slices
@@ -415,7 +411,7 @@ class TestCoarseNoisyMesh:
 
     def test_zero_slope_reproduces_the_closed_form(self):
         # a constant noise offset is a shifted field: on knots 1 us apart
-        # each slice turns by up to 115 rad about R, and one step per slice
+        # each interval turns by up to 115 rad about R, and its one rotation
         # is the closed-form rotation of the noise-free path
         # (``_apply_swept_exact``) to rounding
         delta = 2e5
@@ -441,56 +437,17 @@ class TestCoarseNoisyMesh:
 
 class TestNoisyMeshAgainstOde:
     """An oracle for the noisy driven path that shares no code with it:
-    DOP853 on ds/dt = R(t) x s in the lab frame, with the bank's knot
-    interpolant written out per knot interval and integrated one knot
-    interval at a time, so that no kink of the noise falls inside a step."""
+    DOP853 on ds/dt = R(t) x s in the lab frame, restarted at every knot
+    with the noise held at the interval's mean (``held_noise_ode``)."""
 
     FAST = Lorentzian(delta=TWO_PI * 5e3, tau_c=20e-6)
-
-    @staticmethod
-    def _lab_ode(plan, bs, bank):
-        from scipy.integrate import solve_ivp
-
-        knots = np.arange(bank.values.shape[0]) * bank.dt
-        noise = bank.values[:, 0]
-        m = bs.size
-        s = np.tile([0.0, 0.0, 1.0], (m, 1))
-        t0 = 0.0
-        for seg in plan.segments:
-            if isinstance(seg, IdealPulse):
-                axis = [math.cos(seg.axis_phase), math.sin(seg.axis_phase), 0.0]
-                s = s @ rotation_matrix(axis, seg.angle).T
-                continue
-            assert isinstance(seg, SweptDrive)
-            t1 = t0 + seg.duration
-            edges = np.concatenate(
-                ([t0], knots[(knots > t0) & (knots < t1)], [t1]))
-            for a, b in zip(edges[:-1], edges[1:]):
-                k = min(int(np.searchsorted(knots, a, side="right")) - 1,
-                        knots.size - 2)
-                slope = (noise[k + 1] - noise[k]) / (knots[k + 1] - knots[k])
-
-                def rhs(t, y, seg=seg, t0=t0, k=k, slope=slope):
-                    phase = seg.phase_start + seg.phase_rate * (t - t0)
-                    r = np.empty((m, 3))
-                    r[:, 0] = seg.rabi * math.cos(phase)
-                    r[:, 1] = seg.rabi * math.sin(phase)
-                    r[:, 2] = (NV.gamma * bs + noise[k]
-                               + slope * (t - knots[k]))
-                    return np.cross(r, y.reshape(m, 3)).ravel()
-
-                s = solve_ivp(rhs, (a, b), s.ravel(), method="DOP853",
-                              rtol=1e-12, atol=1e-12).y[:, -1].reshape(m, 3)
-            t0 = t1
-        return s[:, 2]
 
     @pytest.mark.parametrize("bath, cell, seed", [
         ("calibrated", (5.0, 3, 8e-6), 11),
         ("fast", (5.0, 3, 8e-6), 12),
         ("fast", (2.0, 1, 3e-6), 11),
     ], ids=["calibrated-5MHz", "fast-5MHz", "fast-2MHz"])
-    def test_berry_under_ou_noise(self, monkeypatch, calibrated_noise, bath,
-                                  cell, seed):
+    def test_berry_under_ou_noise(self, calibrated_noise, bath, cell, seed):
         # the knots of ``harness.signal_curve``: min(tau_c/10, T/256) apart
         S = calibrated_noise if bath == "calibrated" else self.FAST
         om_mhz, n_rot, duration = cell
@@ -498,17 +455,67 @@ class TestNoisyMeshAgainstOde:
         bs = np.linspace(0.0, 2e-4, 5)
         traj = ou_trajectory(S, duration, min(S.tau_c / 10, duration / 256),
                              seed=(seed,))
-        ref = self._lab_ode(plan, bs, traj)
         got = execute_batch(plan, bs, noise_trajectory=traj)
-        # the mesh tol; 1.6e-10 or better measured
-        assert np.max(np.abs(got - ref)) <= 1e-6
-        # the mesh a tol of 1 asks for, one slice per knot interval here:
-        # the step is that accurate there already, while a defect that
-        # leaves the step consistent but of lower order, which halvings
-        # would rescue, is not
-        monkeypatch.setattr(core, "_MAX_DEPTH", 1)
-        once = execute_batch(plan, bs, noise_trajectory=traj, tol=1.0)
-        assert np.max(np.abs(once - ref)) <= 1e-6
+        assert np.max(np.abs(got - held_noise_ode(plan, bs, traj,
+                                                  NV.gamma))) <= 1e-8
+
+
+class TestHeldNoiseModel:
+    """The noisy sweep is exact for noise held at each knot interval's mean,
+    and that model converges to the OU path as the knots close in."""
+
+    FAST = Lorentzian(delta=TWO_PI * 5e3, tau_c=20e-6)
+
+    @pytest.mark.parametrize("per_field", [False, True],
+                             ids=["shared", "per-field"])
+    def test_knots_apart_by_a_tenth_of_tau_c(self, per_field):
+        # the other branch of the knot step: tau_c/10 = 20 ns < T/256.  The
+        # segments end 175.5, 192 and 367.5 knots in, so two of those ends
+        # fall between knots; the drive phases start off zero, and an
+        # undriven sweep sits between the halves (7e-12 and 4e-12 measured)
+        bath = Lorentzian(delta=2e6, tau_c=0.2e-6)
+        rate = 4 * math.pi * 2 / 7e-6
+        w2 = angular_from_mhz(2.0)
+        plan = SequencePlan((
+            IdealPulse(0.0, math.pi / 2), SweptDrive(w2, 0.7, rate, 3.51e-6),
+            IdealPulse(math.pi / 2, math.pi),
+            SweptDrive(0.0, 0.2, rate, 0.33e-6),
+            SweptDrive(w2, -1.3, -rate, 3.51e-6),
+            IdealPulse(2.3, 1.1)), "off-knots", 7.35e-6)
+        bs = np.array([0.0, 1.3e-4, rate / NV.gamma, -2.2e-4])
+        dt = min(bath.tau_c / 10, plan.duration / 256)
+        assert dt == bath.tau_c / 10
+        bank = ou_bank(bath, plan.duration, dt, bs.size if per_field else 1,
+                       seed=7)
+        got = execute_batch(plan, bs, noise_trajectory=bank)
+        ref = held_noise_ode(plan, bs, bank, NV.gamma)
+        assert np.max(np.abs(got - ref)) <= 1e-8
+
+    @pytest.mark.parametrize("bath", ["calibrated", "fast"])
+    def test_refined_knots_converge_to_the_path(self, calibrated_noise, bath):
+        # one exact OU chain at dt/64, read by banks on every 64th and every
+        # 8th of its knots: at dt/8 the median miss of P over 8 paths is
+        # at most a quarter of the miss at the knot step of
+        # ``harness.signal_curve`` (9.0e-6 -> 5.9e-7 on the calibrated bath
+        # and 2.0e-4 -> 1.3e-5 on the fast one measured)
+        S = calibrated_noise if bath == "calibrated" else self.FAST
+        duration = 8e-6
+        plan = build_berry(W5, 3, duration)
+        bs = np.linspace(0.0, 3e-4, 7)
+        dt = min(S.tau_c / 10, duration / 256)
+        misses = []
+        for seed in range(8):
+            fine = ou_trajectory(S, duration, dt / 64, seed=(40 + seed,))
+            ref = execute_batch(plan, bs, noise_trajectory=fine)
+            misses.append([
+                np.max(np.abs(execute_batch(
+                    plan, bs, noise_trajectory=OUBank(
+                        dt=fine.dt * step, values=fine.values[::step]))
+                    - ref))
+                for step in (64, 8)])
+        coarse, finer = np.median(misses, axis=0)
+        assert coarse > 0.0
+        assert finer <= coarse / 4
 
 
 class TestOdeCrossValidation:
@@ -569,7 +576,7 @@ NOISY = pytest.mark.parametrize("noisy", [False, True],
 
 
 class TestEntryChecks:
-    """The executor checks its fields, tol and gamma before a plan runs."""
+    """The executor checks its fields and gamma before a plan runs."""
 
     @staticmethod
     def _bank(plan, noisy):
@@ -592,13 +599,17 @@ class TestEntryChecks:
             execute_batch(plan, np.zeros((2, 2)),
                           noise_trajectory=self._bank(plan, noisy))
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
-    def test_tol_must_be_positive(self, tol):
+    def test_gamma_is_keyword_only(self):
+        # the executor takes no tolerance: a positional 1e-6 where one was
+        # is refused, not read as gamma
         plan = build_berry(W5, 2, 4e-6)
-        with pytest.raises(InvalidParameter, match="tol must be positive"):
-            execute_batch(plan, [0.0], tol=tol)
-        with pytest.raises(InvalidParameter, match="tol must be positive"):
-            execute(plan, 0.0, self._bank(plan, True), tol)
+        bank = self._bank(plan, True)
+        with pytest.raises(TypeError):
+            execute_batch(plan, [0.0], bank, 1e-6)
+        with pytest.raises(TypeError):
+            execute(plan, 0.0, bank, 1e-6)
+        with pytest.raises(TypeError):
+            execute_batch(plan, [0.0], tol=1e-6)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
     def test_gamma_must_be_positive_and_finite(self, gamma):
