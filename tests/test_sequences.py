@@ -599,17 +599,18 @@ class TestEntryChecks:
             execute_batch(plan, np.zeros((2, 2)),
                           noise_trajectory=self._bank(plan, noisy))
 
-    def test_gamma_is_keyword_only(self):
-        # the executor takes no tolerance: a positional 1e-6 where one was
-        # is refused, not read as gamma
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_stray_tol_is_refused(self, tol):
+        # the executor takes no tolerance: a tol where one was, positional
+        # or by name, is refused, not read as gamma
         plan = build_berry(W5, 2, 4e-6)
         bank = self._bank(plan, True)
         with pytest.raises(TypeError):
-            execute_batch(plan, [0.0], bank, 1e-6)
+            execute_batch(plan, [0.0], bank, tol)
         with pytest.raises(TypeError):
-            execute(plan, 0.0, bank, 1e-6)
+            execute(plan, 0.0, bank, tol)
         with pytest.raises(TypeError):
-            execute_batch(plan, [0.0], tol=1e-6)
+            execute_batch(plan, [0.0], tol=tol)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
     def test_gamma_must_be_positive_and_finite(self, gamma):
