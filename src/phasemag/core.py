@@ -34,9 +34,9 @@ A1,2 = 1/4 +- sqrt(3)/6.  That mesh is halved (``_swept_refine``) until a
 Richardson error estimate meets ``tol``, from a start of at most
 ``_MAX_MESH`` slices, and takes at most ``_MAX_DEPTH`` halvings, else
 ``ConvergenceFailure``.  The noisy sweeps of ``sequences.execute_batch``
-need no such mesh: their Larmor vector is held constant on each noise knot
-interval, so they compose one exact ``_pairs`` rotation per interval
-through ``_compose``.
+need no such mesh: the noise is held at its mean on each knot interval
+(``noise.OUBank.held``), so they compose one exact ``_pairs`` rotation
+per interval through ``_compose``.
 """
 
 from __future__ import annotations

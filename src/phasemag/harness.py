@@ -75,6 +75,13 @@ def _check_ensemble(ensemble) -> None:
                                f"got {ensemble}")
 
 
+def _check_lorentzian(noise) -> None:
+    """InvalidParameter unless the numeric+noise engine's bath is a
+    ``Lorentzian``, checked before any attribute of it is read."""
+    if not isinstance(noise, noise_mod.Lorentzian):
+        raise InvalidParameter("numeric+noise engine needs a Lorentzian noise model")
+
+
 def check_curve_request(protocol: str, engine: str,
                         noise: Optional[SpectralDensity], ensemble: int,
                         workers: int, durations: Sequence[float],
@@ -98,8 +105,8 @@ def check_curve_request(protocol: str, engine: str,
         raise InvalidParameter(f"unknown engine {engine!r}")
     if protocol == "hahn" and engine == "analytic":
         raise InvalidParameter("analytic engine is not defined for the echo protocol")
-    if engine == "numeric+noise" and not isinstance(noise, noise_mod.Lorentzian):
-        raise InvalidParameter("numeric+noise engine needs a Lorentzian noise model")
+    if engine == "numeric+noise":
+        _check_lorentzian(noise)
     _check_ensemble(ensemble)
     check_count("workers", workers)
     if not np.all(np.isfinite(np.asarray(durations, dtype=float))):
@@ -203,11 +210,9 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
     ``omega`` (rad/s) and ``n_rot`` apply to berry only.  ``numeric+noise``
     averages ``ensemble`` runs of the sequence; run k sees one Lorentzian OU
     trajectory sampled every min(tau_c/10, T/256) from the random stream
-    ``seed_key + (k,)`` and interpolated linearly.  Free evolution (ramsey,
-    hahn) turns by the exact integral of that trajectory, with no mesh;
-    swept segments (berry) hold its mean on each knot interval.  The
-    request is one that ``check_curve_request`` accepts, so its noise is a
-    ``Lorentzian``.
+    ``seed_key + (k,)``, held at its mean on each knot interval
+    (``noise.OUBank.held``).  Any other noise raises InvalidParameter
+    before the bath is read, as in ``check_curve_request``.
     """
     if engine == "analytic":
         if protocol == "ramsey":
@@ -223,6 +228,7 @@ def signal_curve(protocol: str, engine: str, duration: float, b_grid,
     if engine == "numeric":
         return sequences.execute_batch(plan, b_grid, gamma=gamma)
 
+    _check_lorentzian(noise)
     dt = min(noise.tau_c / 10.0, duration / 256.0)
     total = np.zeros_like(b_grid)
     for k in range(ensemble):

@@ -43,10 +43,10 @@ group 0 from ``[seed, k]``), one product with L, one cos and one sum.  So
 memory holds one group's map and normals at a time, however long the grid.
 
 The sequence executor takes its noise as an ``OUBank``: detunings delta(t)
-in rad/s, sampled exactly on uniform knots and linear in between, one per
-column (``ou_bank`` draws many, ``ou_trajectory`` one), so ``execute``
-sees gamma*b + delta(t).  ``OUBank.detuning_integral`` integrates that
-exactly, which makes noisy free evolution one z rotation.
+in rad/s, sampled exactly on uniform knots, one trajectory per column
+(``ou_bank`` draws many, ``ou_trajectory`` one), so ``execute`` sees
+gamma*b + delta(t).  It reads a bank only through ``OUBank.held``: the
+knot intervals clipped to a segment, with delta held at its mean on each.
 """
 
 from __future__ import annotations
@@ -580,11 +580,9 @@ class OUBank:
     """Ornstein-Uhlenbeck detuning trajectories on shared uniform knots.
 
     Knot k lies at the time k*``dt``, and ``values`` has shape (knots,
-    n_traj): detunings in rad/s, one column per trajectory, linear in
-    between knots.  ``dt`` must be positive and finite, and the values
-    finite with at least two knots.  Calling the bank with times (n,)
-    returns the detunings there, in rad/s, of shape (n, n_traj), the layout
-    the batched sequence executor consumes: it adds them to gamma*B.
+    n_traj): detunings in rad/s, one column per trajectory.  ``dt`` must be
+    positive and finite, and the values finite with at least two knots.
+    The sequence executor reads a bank only through ``held``.
     """
 
     dt: float
@@ -606,35 +604,31 @@ class OUBank:
     def n_traj(self) -> int:
         return self.values.shape[1]
 
-    def _locate(self, t):
-        """Knot index k and fraction t/dt - k of times t (n,), with k
-        clamped to the last interval that starts at a knot."""
-        pos = t / self.dt
-        k = np.minimum(np.maximum(pos.astype(int), 0), self.values.shape[0] - 2)
-        return k, pos - k
+    def held(self, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+        """The noise over [t0, t1] as held pieces: (lengths (K,) in s,
+        means (K, n_traj) in rad/s).
 
-    def __call__(self, t):
-        k, frac = self._locate(np.atleast_1d(np.asarray(t, dtype=float)))
-        v = self.values
-        return v[k, :] + frac[:, None] * (v[k + 1, :] - v[k, :])
-
-    def detuning_integral(self, t0: float, t1: float) -> np.ndarray:
-        """Integral of the interpolated detuning over [t0, t1], in rad.
-
-        The interpolant is linear between knots, so the integral is the
-        trapezoid sum over the knots inside [t0, t1] plus the two partial
-        intervals at the ends, with no quadrature error.  Returns one value
-        per trajectory, shape (n_traj,).
+        The pieces are the knot intervals clipped to [t0, t1], and on each
+        the detuning is held at the mean of the knots' linear interpolant
+        at its two edges, so ``lengths @ means`` is that interpolant's
+        exact integral.  A t1 past the last knot by more than 1e-9 of t1
+        raises InvalidParameter; within that slack, left for an n*dt that
+        rounds just below the duration the knots were drawn for, the last
+        interval is extended.
         """
         v = self.values
-
-        def from_knot(k, f):
-            # integral, in units of dt, from knot k to the fraction f past it
-            return f * (v[k] + 0.5 * f * (v[k + 1] - v[k]))
-
-        (k0, k1), (f0, f1) = self._locate(np.array([t0, t1], dtype=float))
-        inner = 0.5 * np.sum(v[k0:k1] + v[k0 + 1:k1 + 1], axis=0)
-        return self.dt * (inner + from_knot(k1, f1) - from_knot(k0, f0))
+        knots_end = self.dt * (v.shape[0] - 1)
+        if knots_end < t1 * (1.0 - 1e-9):
+            raise InvalidParameter(
+                f"noise knots end at {knots_end:g} s, before t1 = {t1:g} s")
+        times = np.arange(v.shape[0]) * self.dt
+        inner = (times > t0) & (times < t1)
+        lengths = np.diff(np.concatenate(([t0], times[inner], [t1])))
+        pos = np.array([t0, t1]) / self.dt
+        k = np.minimum(np.maximum(pos.astype(int), 0), v.shape[0] - 2)
+        ends = v[k] + (pos - k)[:, None] * (v[k + 1] - v[k])
+        edges = np.concatenate((ends[:1], v[inner], ends[1:]))
+        return lengths, 0.5 * (edges[:-1] + edges[1:])
 
 
 def ou_trajectory(S: Lorentzian, duration: float, dt: float, seed) -> OUBank:

@@ -190,30 +190,29 @@ def execute_batch(plan: SequencePlan, b_values,
 
     ``noise_trajectory`` is None or an ``OUBank`` with one channel, which
     every field shares, or with one channel per field.  Fields that are not
-    a finite 1-D grid, any other noise, knots that end before the plan
-    does, a gamma that is not positive and finite (``constants.check_gamma``)
-    and a gamma*B that overflows raise InvalidParameter.  No fields give an
-    empty array.
+    a finite 1-D grid, any other noise, knots that end before a segment
+    does (``OUBank.held``), a gamma that is not positive and finite
+    (``constants.check_gamma``) and a gamma*B that overflows raise
+    InvalidParameter.  No fields give an empty array.
 
     Each field carries one Cayley-Klein pair (a, b) (``phasemag.core``)
     from |0> to the readout, where P = |a|^2 - |b|^2; every segment
     composes its own pair onto it.  A pulse is a pair of Python complex
-    numbers.  Free evolution over [t0, t1] is a z rotation by
-    gamma*B*(t1 - t0) plus the integral of the bank's detuning delta, which
-    multiplies both members by exp(-i angle/2).  That integral is exact
-    (``OUBank.detuning_integral``), so free evolution never needs a mesh.
+    numbers.  The noise has one model: over each segment the bank gives
+    its knot intervals clipped to the segment, with the detuning delta
+    held at its mean on each (``OUBank.held``).  Free evolution is then a
+    z rotation by gamma*B*(t1 - t0) plus lengths @ means, which multiplies
+    both members by exp(-i angle/2), so it never needs a mesh.
 
     Every sweep passes through the frame that co-rotates with its linearly
     ramped drive phase (``_in_drive_frame``), whose two z rotations become
     two scalar phase factors on the frame's pair.  Without noise the Larmor
     vector is constant in that frame, so each segment is one closed-form
     rotation per field (``_apply_swept_exact``).  With noise only its z
-    component varies, and it is held on each knot interval of the bank
-    (``_run_swept``) at the interval's mean detuning, so that a sweep sees
-    the same noise integral as free evolution and each interval is one exact
-    rotation per field, whatever the Larmor rate or the turns of the drive
-    phase.  An undriven sweep is free evolution, since its phase ramp turns
-    nothing.
+    component varies, and it is constant on each held piece, so each piece
+    is one exact rotation per field (``_run_swept``), whatever the Larmor
+    rate or the turns of the drive phase.  An undriven sweep is free
+    evolution, since its phase ramp turns nothing.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if b_values.ndim != 1:
@@ -230,12 +229,6 @@ def execute_batch(plan: SequencePlan, b_values,
             raise InvalidParameter(
                 f"a bank of {noise.n_traj} channels does not fit "
                 f"{b_values.size} fields")
-        # n*dt may round just below the duration the knots were drawn for
-        knots_end = noise.dt * (noise.values.shape[0] - 1)
-        if knots_end < plan.duration * (1.0 - 1e-9):
-            raise InvalidParameter(
-                f"noise knots end at {knots_end:g} s, before the "
-                f"plan's {plan.duration:g} s")
     # a Python float, so that an overflow is inf and not a numpy warning
     if not gamma * float(np.max(np.abs(b_values), initial=0.0)) < math.inf:
         raise InvalidParameter("gamma*B overflows")
@@ -250,17 +243,18 @@ def execute_batch(plan: SequencePlan, b_values,
         if isinstance(seg, IdealPulse):
             pair = core._mul(core._axis_pair(seg.axis_phase, seg.angle), pair)
             continue
+        if noise is not None:
+            lengths, means = noise.held(t_start, t_start + seg.duration)
         if isinstance(seg, SweptDrive) and seg.rabi > 0.0:
             if noise is None:
                 pair = _apply_swept_exact(pair, seg, dets_static)
             else:
-                pair = _run_swept(pair, seg, dets_static, noise, t_start)
+                pair = _run_swept(pair, seg, dets_static, lengths, means)
         elif isinstance(seg, (FreeEvolution, SweptDrive)):
             # an undriven sweep is free evolution: its phase ramp turns nothing
             angles = dets_static * seg.duration
             if noise is not None:
-                angles = angles + noise.detuning_integral(t_start,
-                                                          t_start + seg.duration)
+                angles = angles + lengths @ means
             pair = _precess_z(pair, angles)
         else:
             raise InvalidParameter(f"unknown segment type {type(seg)!r}")
@@ -311,37 +305,29 @@ def _apply_swept_exact(pair, seg: SweptDrive, dets_static):
         seg.rabi, 0.0, wz, seg.duration, np.hypot(seg.rabi, wz)))
 
 
-def _run_swept(pair, seg: SweptDrive, dets_static, noise: OUBank, t_start):
-    """Propagation of one swept segment under a noise trajectory.
+def _run_swept(pair, seg: SweptDrive, dets_static, lengths, means):
+    """Propagation of one swept segment under noise held in pieces.
 
     It runs in the co-rotating frame of ``_in_drive_frame``, where the
-    Larmor vector is (rabi, 0, w(t)) with w = gamma*B + delta(t) - r.  Its
-    intervals are the bank's knot intervals clipped to the segment, and on
-    each w is held at the mean of the bank's values at its two edges,
-    which times its length is the interval's ``OUBank.detuning_integral``.
-    Each interval is then one exact rotation per field, composed through
-    ``core._compose``.  More than ``core._MAX_MESH`` intervals times fields
-    raise InvalidParameter before anything is composed.
+    Larmor vector is (rabi, 0, w(t)) with w = gamma*B + delta(t) - r.  The
+    pieces are ``OUBank.held``'s: the knot intervals clipped to the
+    segment, ``lengths`` (K,), with delta held at ``means`` (K, channels)
+    on each.  Each piece is then one exact rotation per field, composed
+    through ``core._compose``.  More than ``core._MAX_MESH`` pieces times
+    fields raise InvalidParameter before anything is composed.
     """
     m = dets_static.size
     if m == 0:
         return pair
-    t_end = t_start + seg.duration
-    times = np.arange(noise.values.shape[0]) * noise.dt
-    inner = (times > t_start) & (times < t_end)
-    lengths = np.diff(np.concatenate(([t_start], times[inner], [t_end])))
     if not lengths.size * m <= core._MAX_MESH:
         raise InvalidParameter(
             f"a noisy sweep over {lengths.size} knot intervals for {m} fields "
             f"needs {lengths.size * m:.3g} rotations, more than "
             f"{core._MAX_MESH}")
-    ends = noise(np.array([t_start, t_end]))
-    edges = np.concatenate((ends[:1], noise.values[inner], ends[1:]))
     # each field's held detuning, (m, K), its row contiguous, as the
     # reduction wants the intervals along the last axis
     held = np.ascontiguousarray(
-        (dets_static - seg.phase_rate)[:, None]
-        + 0.5 * (edges[:-1] + edges[1:]).T)
+        (dets_static - seg.phase_rate)[:, None] + means.T)
 
     def pairs(start, stop):
         w = held[:, start:stop]

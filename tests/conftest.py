@@ -37,6 +37,20 @@ def rotation_matrix(axis, angle):
     ])
 
 
+def knot_integral(bank, t0, t1):
+    """Integral over [t0, t1] of the linear interpolant of ``bank``'s knots,
+    one value per channel.
+
+    An oracle for ``OUBank.held`` that shares no code with it: the
+    trapezoid rule on t0, the knots strictly inside and t1, each read by
+    ``np.interp``, is exact for a function linear between those points.
+    """
+    knots = np.arange(bank.values.shape[0]) * bank.dt
+    ts = np.concatenate(([t0], knots[(knots > t0) & (knots < t1)], [t1]))
+    vals = np.stack([np.interp(ts, knots, col) for col in bank.values.T], axis=1)
+    return 0.5 * np.diff(ts) @ (vals[1:] + vals[:-1])
+
+
 def held_noise_ode(plan, bs, bank, gamma):
     """s_z at the readout of ``plan`` for each field of ``bs``, from |0>.
 

@@ -149,6 +149,16 @@ class TestRunSweep:
                       b_grid=[0.0, 1e-5, 2e-5], engine="numeric+noise",
                       noise=noise, ensemble=1)
 
+    @pytest.mark.parametrize("noise", [None, White(1.0),
+                                       OneOverF(1.0, 1.0, 10.0)],
+                             ids=["none", "white", "one-over-f"])
+    def test_signal_curve_needs_lorentzian(self, noise):
+        # a direct call skips check_curve_request, so signal_curve itself
+        # must refuse the bath before its knot step reads tau_c
+        with pytest.raises(InvalidParameter, match="Lorentzian"):
+            harness.signal_curve("ramsey", "numeric+noise", 1e-6,
+                                 np.array([0.0]), noise=noise)
+
     def test_spec_validation(self):
         with pytest.raises(InvalidParameter):
             SweepSpec(protocol="hahn", times=[1e-6], b_grid=[0.0, 1e-4],

@@ -19,8 +19,8 @@ from phasemag.noise import (FilterFunctionKind, Lorentzian, OneOverF, White,
                             mc_free_precession_decay, ou_bank, ou_trajectory,
                             ramsey_exponent, spectral_overlay)
 
-from conftest import (T2_ECHO, T2_STAR, chi_reference, ou_phases_reference,
-                      ou_recursion_reference)
+from conftest import (T2_ECHO, T2_STAR, chi_reference, knot_integral,
+                      ou_phases_reference, ou_recursion_reference)
 
 F0 = FilterFunctionKind.GEOMETRIC_F0
 F1 = FilterFunctionKind.DYNAMIC_F1
@@ -517,13 +517,30 @@ class TestOUTrajectory:
         with pytest.raises(InvalidParameter):
             ou_trajectory(S, 1e-3, S.tau_c / 5, seed=1)
 
-    def test_callable_returns_detunings(self):
-        S = Lorentzian(delta=3e4, tau_c=1e-3)
-        traj = ou_trajectory(S, 1e-3, 1e-5, seed=7)
-        # one channel: a (1, 1) detuning in rad/s, in the bank's (times,
-        # channels) layout, exactly the knot value on a knot
-        assert np.array_equal(traj(0.0), traj.values[:1])
-        assert traj.values.shape == (101, 1)
+    # knot k at k*DT, the last at 100*DT = 10 us; detunings of one sign,
+    # so that the integral carries no cancellation
+    DT = 1e-7
+    HELD_BANK = noise.OUBank(dt=DT, values=np.random.default_rng(8).uniform(
+        1e4, 5e4, (101, 3)))
+
+    @pytest.mark.parametrize("t0, t1", [
+        (0.33e-6, 7.77e-6), (0.31e-6, 0.37e-6), (3 * DT, 50 * DT),
+        (0.0, 100 * DT), (2.45e-6, 100 * DT * (1.0 + 5e-10)),
+        (2.5e-6, 2.5e-6),
+    ], ids=["off-knots", "one-interval", "on-knots", "whole", "in-slack",
+            "empty"])
+    def test_held_pieces_integrate_the_interpolant(self, t0, t1):
+        lengths, means = self.HELD_BANK.held(t0, t1)
+        assert lengths.ndim == 1 and means.shape == (lengths.size, 3)
+        assert np.all(lengths > 0.0) or t1 == t0
+        assert lengths.sum() == pytest.approx(t1 - t0, rel=1e-13, abs=0.0)
+        ref = knot_integral(self.HELD_BANK, t0, t1)
+        assert np.allclose(lengths @ means, ref, rtol=1e-12, atol=0.0)
+
+    def test_held_refuses_times_past_the_knots(self):
+        # n*dt may round below the duration drawn for: 1e-9 of slack only
+        with pytest.raises(InvalidParameter, match="knots end at 1e-05 s"):
+            self.HELD_BANK.held(0.0, 100 * self.DT * (1.0 + 1e-8))
 
     @pytest.mark.parametrize("dt, values", [
         (1e-7, np.zeros(3)),

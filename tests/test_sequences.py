@@ -364,16 +364,26 @@ class TestNoisyFrameAgainstLabMesh:
                                       abs=1e-8)
 
     def test_mesh_no_longer_resolves_phase_turns(self, monkeypatch):
-        # the lab-frame mesh stalls here at 2 halvings (about 10k steps,
-        # change 5.4e-5); in the co-rotating frame each knot interval is one
-        # rotation, whatever the turns of the drive phase
-        plan = build_berry(W5, 3, 8e-6)
+        # in the co-rotating frame each knot interval is one rotation,
+        # whatever the turns of the drive phase: each half of the sweep
+        # composes its 128 knot intervals, at 3 turns as at 30 000
+        compose = core._compose
+        counts = []
+
+        def spy(n_slices, per_slice, pairs):
+            counts.append(n_slices)
+            return compose(n_slices, per_slice, pairs)
+
+        monkeypatch.setattr(core, "_compose", spy)
         bath = Lorentzian(delta=31415.9, tau_c=20e-6)
         traj = ou_trajectory(bath, 8e-6, 8e-6 / 256, seed=3)
         bs = np.linspace(0, 3e-4, 9)
-        monkeypatch.setattr(core, "_MAX_DEPTH", 2)
-        p = execute_batch(plan, bs, noise_trajectory=traj)
-        assert np.all(np.abs(p) <= 1.0)
+        for n_rot in (3, 30_000):
+            counts.clear()
+            p = execute_batch(build_berry(W5, n_rot, 8e-6), bs,
+                              noise_trajectory=traj)
+            assert counts == [128, 128]
+            assert np.all(np.isfinite(p)) and np.all(np.abs(p) <= 1.0)
 
 
 class TestCoarseNoisyMesh:
